@@ -4,8 +4,9 @@ A scenario is one JSON file with a ``command`` key and command-specific
 parameters (unknown keys are rejected). Each run writes ``report.json`` plus
 CSV sample files into the output directory. Exit codes: 0 all certificates
 passed, 1 a certificate failed, 2 scenario parse error, 3 precondition
-violation. Reports are byte-reproducible: floats are serialized with 17
-significant digits, keys are sorted, and no timestamps are included.
+violation, including a margin that fails to evaluate. Reports are
+byte-reproducible: floats are serialized with 17 significant digits, keys are
+sorted, and no timestamps are included.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import constructions as cons
 from . import corner as cor
-from .errors import PreconditionError, SearchError
+from .errors import EvaluationError, PreconditionError, SearchError
 from .jetcurve import Cos, Jet3Curve, Poly, Sin, Sum
 from .spline import two_stage_smooth
 from .verify import GridSpec, bisect_param
@@ -88,7 +89,7 @@ class ScenarioError(ValueError):
     """Malformed scenario: unknown key, missing key, or bad type."""
 
 
-def _take(params: dict, name: str, branch=None):
+def _take(params: dict, name: str):
     cursor = params
     for part in name.split("."):
         if part not in cursor:
@@ -123,24 +124,20 @@ def _run_spline_demo(p, ctx):
     smoothed = two_stage_smooth(curve, kink, eps, delta)
 
     lo, hi = curve.domain
-    rows = []
-    for x in np.linspace(lo, hi, int(p["samples"])):
-        a = curve.jet(x, side="left") if curve.kink_order(x) else curve.jet(x)
-        b = (smoothed.jet(x, side="left") if smoothed.kink_order(x)
-             else smoothed.jet(x))
-        rows.append((x, a.value, a.d1, a.d2, b.value, b.d1, b.d2))
+    x = np.linspace(lo, hi, int(p["samples"]))
+    a, b = curve.jet(x), smoothed.jet(x)  # left limits at kinks
     ctx.csv("spline.csv",
             ("x", "in_value", "in_d1", "in_d2", "out_value", "out_d1", "out_d2"),
-            rows)
+            zip(x, a.value, a.d1, a.d2, b.value, b.d1, b.d2))
 
     seam = 0.0
     for x, _ in smoothed.kinks:
         jl, jr = smoothed.jet(x, side="left"), smoothed.jet(x, side="right")
         seam = max(seam, abs(jl.value - jr.value), abs(jl.d1 - jr.d1),
                    abs(jl.d2 - jr.d2))
-    outside = [x for x in np.linspace(lo, hi, 257)
-               if not (kink - eps - delta <= x <= kink + eps + delta)]
-    local = max(abs(smoothed.value(x) - curve.value(x)) for x in outside)
+    x = np.linspace(lo, hi, 257)
+    x = x[(x < kink - eps - delta) | (x > kink + eps + delta)]
+    local = float(np.max(np.abs(smoothed.value(x) - curve.value(x))))
     ctx.check("c2_seams", 1e-9 - seam, "worst jump of value/d1/d2 at seams")
     ctx.check("locality", 1e-12 - local, "output equals input outside windows")
     return {"window": [kink - eps - delta, kink + eps + delta],
@@ -159,17 +156,16 @@ def _run_curvature(p, ctx):
     lo, hi = g.domain
     count, depth, factor = _grid_from(p["grid"], 1000, 0, ctx.grid_depth)
     cert = g.min_ricci(GridSpec.line(lo, hi, count, depth, factor),
-                       threshold=float(p["threshold"]), workers=ctx.workers)
+                       threshold=float(p["threshold"]))
     ctx.certificate("min_ricci", cert)
 
-    samples = [sectional(g, s) for s in np.linspace(lo, hi, int(p["samples"]))]
+    samples = sectional(g, np.linspace(lo, hi, int(p["samples"])))
     ctx.csv("curvature.csv", CurvatureSample.CSV_HEADER,
-            [c.as_row() for c in samples])
+            zip(*samples.as_row()))
     results = {"domain": [lo, hi], "min_ricci": cert.min_margin}
     if p["expect_constant"] is not None:
         want = float(p["expect_constant"])
-        dev = max(abs(v - want) for c in samples
-                  for v in (c.K_sk, c.K_sh, c.K_kk, c.K_hh, c.K_kh))
+        dev = float(max(np.max(np.abs(K - want)) for K in samples.sectionals))
         ctx.check("constant_curvature", 1e-8 - dev,
                   f"all sectional values within 1e-8 of {want!r}")
         results["max_constant_deviation"] = dev
@@ -194,8 +190,8 @@ def _run_glue_corner(p, ctx):
     def certify(chart, delta):
         n = max(count, int(8.0 * (a_hi - a_lo) / delta))
         grid = GridSpec.line(a_lo, a_hi, n, depth, factor)
-        cvx = cor.convexity_certificate(chart, grid, threshold, ctx.workers)
-        ccv = cor.concavity_certificate(chart, grid, threshold, ctx.workers)
+        cvx = cor.convexity_certificate(chart, grid, threshold)
+        ccv = cor.concavity_certificate(chart, grid, threshold)
         return cvx, ccv
 
     searched = None
@@ -270,11 +266,11 @@ def _run_isotopy(p, ctx):
         stage1 = cons.isotopy_stage1(profile, target, m, n)
         grid1 = GridSpec.box([(0.0, 1.0, lam_count), (0.0, profile.T, s_count)],
                              depth, factor)
-        cert1 = stage1.min_ricci(grid1, threshold, ctx.workers)
+        cert1 = stage1.min_ricci(grid1, threshold)
         stage2 = cons.isotopy_stage2(target.k1, target.h1, R, m, n)
         grid2 = GridSpec.box([(1.0, 2.0, lam_count), (0.0, profile.T, s_count)],
                              depth, factor)
-        cert2 = stage2.min_ricci(grid2, threshold, ctx.workers)
+        cert2 = stage2.min_ricci(grid2, threshold)
         return profile, target, stage1, stage2, cert1, cert2
 
     searched = None
@@ -306,22 +302,15 @@ def _run_isotopy(p, ctx):
         ctx.check(chk.name, chk.margin, chk.note)
 
     g_end = stage2.metric_at(2.0)
-    dev = 0.0
-    for s in np.linspace(0.0, profile.T, 400):
-        c = sectional(g_end, s)
-        dev = max(dev, *(abs(v - 1.0 / R**2)
-                         for v in (c.K_sk, c.K_sh, c.K_kk, c.K_hh, c.K_kh)))
+    c = sectional(g_end, np.linspace(0.0, profile.T, 400))
+    dev = float(max(np.max(np.abs(K - 1.0 / R**2)) for K in c.sectionals))
     ctx.check("round_endpoint", 1e-8 - dev,
               "lambda=2 metric has constant curvature 1/R^2")
 
-    rows = []
-    k_round = Cos(R, 1.0 / R)
-    h_round = Sin(R, 1.0 / R)
-    for s in np.linspace(0.0, profile.T, int(p["samples"])):
-        rows.append((s, profile.k.value(s), profile.h.value(s),
-                     target.k1.value(s), k_round.jet(s).value,
-                     h_round.jet(s).value))
-    ctx.csv("warping.csv", ("s", "k0", "h0", "k1", "k_round", "h_round"), rows)
+    s = np.linspace(0.0, profile.T, int(p["samples"]))
+    ctx.csv("warping.csv", ("s", "k0", "h0", "k1", "k_round", "h_round"),
+            zip(s, profile.k.value(s), profile.h.value(s), target.k1.value(s),
+                Cos(R, 1.0 / R).jet(s).value, Sin(R, 1.0 / R).jet(s).value))
     return {"nu": nu, "nu_search": searched,
             "breakpoints": {"T0": profile.T0, "T1": profile.T1,
                             "T2": profile.T2, "T3": profile.T3,
@@ -362,7 +351,7 @@ def _run_concordance(p, ctx):
     params, certs, boundary = cons.concordance_search(
         path, float(p["nu"]), t_count=int(p["t_count"]),
         theta_count=int(p["theta_count"]), cert_depth=depth,
-        threshold=float(p["threshold"]), workers=ctx.workers)
+        threshold=float(p["threshold"]))
     for name, cert in certs.items():
         ctx.certificate(name, cert)
     ctx.check("boundary_t0_end", boundary["t0_end_margin"],
@@ -417,9 +406,8 @@ def _run_triangle(p, ctx):
 
 
 class _Context:
-    def __init__(self, out_dir: Path, workers: int, grid_depth):
+    def __init__(self, out_dir: Path, grid_depth):
         self.out_dir = out_dir
-        self.workers = workers
         self.grid_depth = grid_depth
         self.certificates = {}
         self.checks = []
@@ -440,7 +428,11 @@ class _Context:
 
 def run_scenario(scenario, out_dir, threads: int = 1, grid_depth=None,
                  emit_json: bool = False):
-    """Run one scenario (dict or path); returns (exit_code, report_dict)."""
+    """Run one scenario (dict or path); returns (exit_code, report_dict).
+
+    ``threads`` is accepted for compatibility and ignored: scans run on
+    arrays in one thread.
+    """
     try:
         if not isinstance(scenario, dict):
             scenario = json.loads(Path(scenario).read_text())
@@ -465,18 +457,20 @@ def run_scenario(scenario, out_dir, threads: int = 1, grid_depth=None,
         return 2, report
 
     out = Path(out_dir)
-    ctx = _Context(out, threads, grid_depth)
+    ctx = _Context(out, grid_depth)
     try:
         results = fn(params, ctx)
     except ScenarioError as exc:
         report = {"error": {"kind": "scenario", "message": str(exc)}}
         print(canonical_json(report), file=sys.stderr)
         return 2, report
-    except (PreconditionError, SearchError) as exc:
+    except (PreconditionError, SearchError, EvaluationError) as exc:
         report = {"command": name,
                   "error": {"kind": type(exc).__name__, "message": str(exc)}}
         if getattr(exc, "report", None) is not None:
             report["error"]["conditions"] = exc.report.to_dict()
+        if getattr(exc, "coords", None) is not None:
+            report["error"]["coords"] = list(exc.coords)
         print(canonical_json(report), file=sys.stderr)
         return 3, report
 
@@ -506,7 +500,7 @@ def main(argv=None) -> int:
     parser.add_argument("scenario", help="path to a scenario JSON file")
     parser.add_argument("--out", default="out", help="output directory")
     parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for grid scans")
+                        help="accepted and ignored (scans run on arrays)")
     parser.add_argument("--grid-depth", type=int, default=None,
                         help="override every grid refinement depth")
     parser.add_argument("--json", action="store_true",

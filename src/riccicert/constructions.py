@@ -36,11 +36,12 @@ from .jetcurve import (
     Scale,
     Sin,
     Sum,
+    _jet_safe,
     constant,
 )
 from .spline import hermite_quintic, two_stage_smooth
 from .verify import GridSpec, PositivityCertificate, bisect_param, grid_min
-from .warped import DoublyWarpedMetric, WarpedMetricPath, _jet_safe, sectional
+from .warped import DoublyWarpedMetric, WarpedMetricPath
 
 __all__ = [
     "ConditionCheck",
@@ -111,9 +112,9 @@ def _check(name, margin, note="") -> ConditionCheck:
     return ConditionCheck(name, float(margin), bool(margin > 0.0), note)
 
 
-def _grid_extreme(fn, lo, hi, count=256, reduce=min):
-    vals = [fn(s) for s in np.linspace(lo, hi, count)]
-    return reduce(vals)
+def _grid_extreme(fn, lo, hi, count=256, reduce=np.min):
+    """``reduce`` of the array function ``fn`` on ``count`` points of [lo, hi]."""
+    return reduce(fn(np.linspace(lo, hi, count)))
 
 
 # ---------------------------------------------------------------------------
@@ -189,54 +190,32 @@ def make_handle(p: HandleParams) -> DoublyWarpedMetric:
 _BUMP_NORM = 256.0 / 315.0  # integral of (1 - x^2)^4 over [-1, 1]
 
 
-class _PPoly:
-    """Piecewise polynomial with per-piece centers, for exact integration."""
+# Piecewise polynomials below are lists of (lo, hi, center, coeffs), with
+# coefficients ascending in (s - center), for exact integration.
 
-    def __init__(self, pieces):
-        # pieces: list of (lo, hi, center, coeffs ascending in (s - center))
-        self.pieces = [(lo, hi, c, list(map(float, coef)))
-                       for lo, hi, c, coef in pieces]
 
-    def eval(self, s: float) -> float:
-        s = min(max(s, self.pieces[0][0]), self.pieces[-1][1])
-        for lo, hi, c, coef in self.pieces:
-            if lo <= s <= hi:
-                t = s - c
-                v = 0.0
-                for a in reversed(coef):
-                    v = v * t + a
-                return v
-        raise ValueError(f"{s!r} outside piecewise domain")
+def _horner(coeffs, t: float) -> float:
+    v = 0.0
+    for a in reversed(coeffs):
+        v = v * t + a
+    return v
 
-    def antiderivative(self) -> "_PPoly":
-        out = []
-        running = 0.0
-        for lo, hi, c, coef in self.pieces:
-            anti = [0.0] + [a / (i + 1) for i, a in enumerate(coef)]
-            t = lo - c
-            v = 0.0
-            for a in reversed(anti):
-                v = v * t + a
-            anti[0] += running - v
-            t = hi - c
-            v = 0.0
-            for a in reversed(anti):
-                v = v * t + a
-            running = v
-            out.append((lo, hi, c, anti))
-        return _PPoly(out)
 
-    def scaled_shifted(self, scale: float, shift: float) -> "_PPoly":
-        return _PPoly([
-            (lo, hi, c, [scale * a + (shift if i == 0 else 0.0)
+def _antiderivative(pieces):
+    """The continuous antiderivative that vanishes at the first piece's start."""
+    out, running = [], 0.0
+    for lo, hi, c, coef in pieces:
+        anti = [0.0] + [a / (i + 1) for i, a in enumerate(coef)]
+        anti[0] += running - _horner(anti, lo - c)
+        running = _horner(anti, hi - c)
+        out.append((lo, hi, c, anti))
+    return out
+
+
+def _scaled_shifted(pieces, scale: float, shift: float):
+    return [(lo, hi, c, [scale * a + (shift if i == 0 else 0.0)
                          for i, a in enumerate(coef)])
-            for lo, hi, c, coef in self.pieces
-        ])
-
-    def to_curve(self) -> Jet3Curve:
-        segs = [(lo, hi, Poly(tuple(coef), center=c))
-                for lo, hi, c, coef in self.pieces]
-        return Jet3Curve.piecewise(segs)
+            for lo, hi, c, coef in pieces]
 
 
 def _bump_coeffs(amplitude: float, width: float):
@@ -281,12 +260,13 @@ def _dive_curve(lo: float, T: float, start_value: float, start_slope: float,
                 merged.append((seg_lo, seg_hi, c, coef))
             else:
                 merged.append((seg_lo, seg_hi, pc, pcoef))
-    w = _PPoly(merged)
-    w1 = w.antiderivative()                       # integral of w from lo
-    kp = w1.scaled_shifted(-1.0, start_slope)     # k' = slope0 - integral
-    k = kp.antiderivative()
-    k = k.scaled_shifted(1.0, start_value - k.eval(lo))
-    return k.to_curve()
+    w1 = _antiderivative(merged)                  # integral of w from lo
+    kp = _scaled_shifted(w1, -1.0, start_slope)   # k' = slope0 - integral
+    k = _antiderivative(kp)
+    _, _, c0, coef0 = k[0]  # the first piece starts at lo
+    k = _scaled_shifted(k, 1.0, start_value - _horner(coef0, lo - c0))
+    return Jet3Curve.piecewise([(a, b, Poly(tuple(coef), center=c))
+                                for a, b, c, coef in k])
 
 
 def _recenter(coeffs, old_center: float, new_center: float):
@@ -469,21 +449,19 @@ def make_boundary_profile(R: float, nu: float, b1: float,
 
 def _last_nonneg_d2(curve: Jet3Curve, lo: float, hi: float,
                     count: int = 2048) -> float:
-    worst = lo
-    for s in np.linspace(lo, hi, count):
-        if _jet_safe(curve, s).d2 >= 0.0:
-            worst = s
+    s = np.linspace(lo, hi, count)
+    hits = np.flatnonzero(curve.jet(s).d2 >= 0.0)
+    worst = s[hits[-1]] if hits.size else lo
     return worst + (hi - lo) / (count - 1)
 
 
 def _near_R_onset(h: Jet3Curve, R: float, tol: float, lo: float,
                   hi: float, count: int = 2048) -> float:
-    onset = hi
-    for s in np.linspace(hi, lo, count):
-        if abs(h.value(s) - R) > tol:
-            break
-        onset = s
-    return onset
+    """Smallest s of the sample run down from ``hi`` with |h - R| <= tol."""
+    s = np.linspace(hi, lo, count)
+    far = np.abs(h.value(s) - R) > tol
+    first_far = int(np.argmax(far)) if far.any() else count
+    return s[first_far - 1] if first_far else hi
 
 
 def _profile_report(k, h, R, nu, b1, a, T0, T1, T2, T3, T, s_j,
@@ -492,25 +470,19 @@ def _profile_report(k, h, R, nu, b1, a, T0, T1, T2, T3, T, s_j,
     count = shape.check_count
     eta = shape.inset_frac
 
-    def d2(curve, s):
-        return _jet_safe(curve, s).d2
-
-    def d1(curve, s):
-        return _jet_safe(curve, s).d1
-
     checks = [
         _check("order_T0<T1<T2<T3<T",
                min(T1 - T0, T2 - T1, T3 - T2, T - T3), "breakpoint ordering"),
         _check("k_near_const_before_T0",
                nu * cb * (1.0 + 1e-9)
                - _grid_extreme(lambda s: abs(k.value(s) - cb), 0.0, T0, count,
-                               reduce=max),
+                               reduce=np.max),
                "max |k - cos b1| within nu cos b1"),
         _check("k_even_at_0",
                1e-9 - max(abs(k.jet(0.0).d1), abs(k.jet(0.0).d3)),
                "odd derivatives vanish at s=0"),
         _check("k_concave_after_T1",
-               _grid_extreme(lambda s: -d2(k, s),
+               _grid_extreme(lambda s: -k.jet(s).d2,
                              T1, T - eta * (T - T1), count),
                "k'' < 0 on (T1, T), checked with a 1% inset at T"),
         _check("k_closes_at_T",
@@ -518,29 +490,29 @@ def _profile_report(k, h, R, nu, b1, a, T0, T1, T2, T3, T, s_j,
                           abs(k.jet(T).d2)),
                "k(T)=0, k'(T)=-1, k''(T)=0"),
         _check("k_slope_bounded",
-               1e-9 + 1.0 - _grid_extreme(lambda s: abs(d1(k, s)), 0.0, T,
-                                          count, reduce=max),
+               1e-9 + 1.0 - _grid_extreme(lambda s: abs(k.jet(s).d1), 0.0, T,
+                                          count, reduce=np.max),
                "|k'| <= 1"),
         _check("h_closes_at_0",
                1e-9 - max(abs(h.jet(0.0).value), abs(h.jet(0.0).d1 - 1.0),
                           abs(h.jet(0.0).d2)),
                "h(0)=0, h'(0)=1, h''(0)=0"),
         _check("h_ratio_before_T1",
-               _grid_extreme(lambda s: -d2(h, s) / h.value(s) - 1.0 / (5.0 * R),
+               _grid_extreme(lambda s: -h.jet(s).d2 / h.value(s) - 1.0 / (5.0 * R),
                              eta * T1, T1, count),
                "-h''/h > 1/(5R) on (0, T1]"),
         _check("h_concave_before_T2",
-               _grid_extreme(lambda s: -d2(h, s),
+               _grid_extreme(lambda s: -h.jet(s).d2,
                              eta * T2, T2 - eta * (T3 - T2), count),
                "h'' < 0 on (0, T2), checked with insets"),
         _check("h_near_R_after_T2",
                shape.tol_R_frac * R
                - _grid_extreme(lambda s: abs(h.value(s) - R), T2, T, count,
-                               reduce=max),
+                               reduce=np.max),
                "|h - R| small beyond T2"),
         _check("h_flat_after_T3",
                1e-12 - _grid_extreme(lambda s: abs(h.value(s) - R), T3, T,
-                                     count, reduce=max),
+                                     count, reduce=np.max),
                "h identically R beyond T3"),
     ]
     return ConditionReport(tuple(checks))
@@ -616,12 +588,6 @@ def _target_report(profile: BoundaryProfile, k1, h1, nu, cb) -> ConditionReport:
     count = 384
     eta = 0.01
 
-    def d2(curve, s):
-        return _jet_safe(curve, s).d2
-
-    def d1(curve, s):
-        return _jet_safe(curve, s).d1
-
     checks = [
         _check("k1_even_at_0",
                1e-9 - max(abs(k1.jet(0.0).d1), abs(k1.jet(0.0).d3)),
@@ -634,10 +600,10 @@ def _target_report(profile: BoundaryProfile, k1, h1, nu, cb) -> ConditionReport:
                1e-8 - abs(k1.value(T1) - profile.k.value(T1)),
                "k1(T1) = k0(T1)"),
         _check("k1_concave",
-               _grid_extreme(lambda s: -d2(k1, s), 0.0, T - eta * T, count),
+               _grid_extreme(lambda s: -k1.jet(s).d2, 0.0, T - eta * T, count),
                "k1'' < 0 on [0, T)"),
         _check("k1_slope_band_to_T2",
-               _grid_extreme(lambda s: min(-d1(k1, s), nu * cb + d1(k1, s)),
+               _grid_extreme(lambda s: np.minimum(-k1.jet(s).d1, nu * cb + k1.jet(s).d1),
                              eta * T2, T2, count),
                "-nu cos b1 < k1' < 0 on (0, T2]"),
         _check("k1_positive",
@@ -646,20 +612,20 @@ def _target_report(profile: BoundaryProfile, k1, h1, nu, cb) -> ConditionReport:
         _check("h1_equals_h0_before_T0",
                1e-12 - _grid_extreme(lambda s: abs(h1.value(s)
                                                    - profile.h.value(s)),
-                                     0.0, T0, count, reduce=max),
+                                     0.0, T0, count, reduce=np.max),
                "h1 = h0 below T0 (same curve)"),
         _check("h1_is_R_after_T3",
                1e-12 - _grid_extreme(lambda s: abs(h1.value(s) - profile.R),
-                                     T3, T, count, reduce=max),
+                                     T3, T, count, reduce=np.max),
                "h1 = R beyond T3"),
         _check("h1_concave_before_T3",
-               _grid_extreme(lambda s: -d2(h1, s),
+               _grid_extreme(lambda s: -h1.jet(s).d2,
                              eta * T3, T3 - eta * (T - T3), count),
                "h1'' < 0 on (0, T3), checked with insets"),
         _check("h1_close_to_h0",
                1e-12 - _grid_extreme(lambda s: abs(h1.value(s)
                                                    - profile.h.value(s)),
-                                     0.0, T, count, reduce=max),
+                                     0.0, T, count, reduce=np.max),
                "h0 within 0 of h1 (shared curve)"),
     ]
     return ConditionReport(tuple(checks))
@@ -698,7 +664,7 @@ def isotopy_stage2(k1: Jet3Curve, h1: Jet3Curve, R: float,
             f"stage-2 domain must be [0, pi R/2] = [0, {T!r}], got {k1.domain!r}"
         )
     for name, curve in (("k1", k1), ("h1", h1)):
-        worst = _grid_extreme(lambda s, c=curve: -_jet_safe(c, s).d2,
+        worst = _grid_extreme(lambda s, c=curve: -c.jet(s).d2,
                               1e-3 * T, T - 1e-3 * T, 384)
         if worst < -1e-9:
             raise PreconditionError(
@@ -734,12 +700,11 @@ class RoundRadiusPath:
             if self.r.value(lam) <= 0.0:
                 raise PreconditionError(f"radius vanishes at lambda={lam!r}")
 
-    def min_ricci(self, grid: GridSpec, threshold: float = 1e-6,
-                  workers: int = 1) -> PositivityCertificate:
+    def min_ricci(self, grid: GridSpec,
+                  threshold: float = 1e-6) -> PositivityCertificate:
         return grid_min(
             lambda lam: (self.n - 1) / _jet_safe(self.r, lam).value ** 2,
             grid, threshold=threshold, quantity_id="path_min_ricci",
-            workers=workers,
         )
 
 
@@ -841,68 +806,58 @@ def estimate_C(path, grid: GridSpec) -> float:
     inflated by 1.1 and floored at 1e-6.
     """
     if isinstance(path, RoundRadiusPath):
-        worst = 0.0
         (lo, hi, count), = grid.axes
-        for lam in np.linspace(lo, hi, count):
-            j = _jet_safe(path.r, lam)
-            b = j.d1 / j.value
-            db = j.d2 / j.value - b * b
-            worst = max(worst, abs(b), abs(db))
-        return max(1.1 * worst, 1e-6)
+        j = path.r.jet(np.linspace(lo, hi, count))
+        b = j.d1 / j.value
+        db = j.d2 / j.value - b * b
+        return max(1.1 * float(max(np.max(np.abs(b)), np.max(np.abs(db)))), 1e-6)
     if isinstance(path, WarpedMetricPath):
         return max(1.1 * _warped_path_sup(path, grid), 1e-6)
     raise PreconditionError(f"unsupported path type {type(path).__name__}")
 
 
-def _warped_path_sup(path: WarpedMetricPath, grid: GridSpec) -> float:
+def _path_grid(grid: GridSpec):
+    """(lambda, s) arrays of the coarse points of a path grid, lambda-major."""
     (llo, lhi, lcount), (slo, shi, scount) = grid.axes
+    lam, s = np.meshgrid(np.linspace(llo, lhi, lcount),
+                         np.linspace(slo, shi, scount), indexing="ij")
+    return lam.ravel(), s.ravel()
+
+
+def _warped_path_sup(path: WarpedMetricPath, grid: GridSpec) -> float:
+    lam, s = _path_grid(grid)
     T = path.k0.domain[1]
     guard = 1e-6 * T
-    worst = 0.0
-    for lam in np.linspace(llo, lhi, lcount):
-        u = path.weight(lam)
-        for s in np.linspace(slo, shi, scount):
-            jk0, jk1 = _jet_safe(path.k0, s), _jet_safe(path.k1, s)
-            jh0, jh1 = _jet_safe(path.h0, s), _jet_safe(path.h1, s)
-            k = jk0.scaled(1.0 - u) + jk1.scaled(u)
-            h = jh0.scaled(1.0 - u) + jh1.scaled(u)
-            dk = jk1 + jk0.scaled(-1.0)  # d/du of the family, per point
-            dh = jh1 + jh0.scaled(-1.0)
-            # Collapsed ends: replace 0/0 by the derivative ratio.
-            if abs(k.value) < guard:
-                b_k = dk.d1 / k.d1
-                mixed_k = path.m * dk.d2 / k.d1
-            else:
-                b_k = dk.value / k.value
-                mixed_k = path.m * dk.d1 / k.value
-            if abs(h.value) < guard:
-                b_h = dh.d1 / h.d1
-                mixed_h = (path.n - 1) * dh.d2 / h.d1
-            else:
-                b_h = dh.value / h.value
-                mixed_h = (path.n - 1) * dh.d1 / h.value
-            worst = max(worst, abs(b_k), abs(b_h), b_k * b_k, b_h * b_h,
-                        abs(mixed_k + mixed_h))
-    return worst
+    u = path.weight(lam)
+    jk0, jk1, jh0, jh1 = path.endpoint_jets(s)
+    k = jk0.scaled(1.0 - u) + jk1.scaled(u)
+    h = jh0.scaled(1.0 - u) + jh1.scaled(u)
+    dk = jk1 + jk0.scaled(-1.0)  # d/du of the family, per point
+    dh = jh1 + jh0.scaled(-1.0)
+    with np.errstate(all="ignore"):
+        # Collapsed ends: replace 0/0 by the derivative ratio.
+        k_end, h_end = np.abs(k.value) < guard, np.abs(h.value) < guard
+        b_k = np.where(k_end, dk.d1 / k.d1, dk.value / k.value)
+        mixed_k = np.where(k_end, path.m * dk.d2 / k.d1, path.m * dk.d1 / k.value)
+        b_h = np.where(h_end, dh.d1 / h.d1, dh.value / h.value)
+        mixed_h = np.where(h_end, (path.n - 1) * dh.d2 / h.d1,
+                           (path.n - 1) * dh.d1 / h.value)
+    return float(max(0.0, np.max(np.abs(b_k)), np.max(np.abs(b_h)),
+                     np.max(b_k * b_k), np.max(b_h * b_h),
+                     np.max(np.abs(mixed_k + mixed_h))))
 
 
-def _path_global_minima(path, grid: GridSpec, workers: int):
+def _path_global_minima(path, grid: GridSpec):
     """(min Ricci certificate, min sectional) of the slice metrics."""
+    cert = path.min_ricci(grid)
     if isinstance(path, RoundRadiusPath):
-        cert = path.min_ricci(grid, workers=workers)
         sec_min = math.inf
         (lo, hi, count), = grid.axes
         for lam in np.linspace(lo, hi, count):
             sec_min = min(sec_min, 1.0 / path.r.value(lam) ** 2)
         return cert, sec_min
-    cert = path.min_ricci(grid, workers=workers)
-    sec_min = math.inf
-    (llo, lhi, lcount), (slo, shi, scount) = grid.axes
-    for lam in np.linspace(llo, lhi, lcount):
-        for s in np.linspace(slo, shi, scount):
-            c = path.sectional(lam, s)
-            sec_min = min(sec_min, c.K_sk, c.K_sh, c.K_kk, c.K_hh, c.K_kh)
-    return cert, sec_min
+    c = path.sectional(*_path_grid(grid))
+    return cert, float(min(np.min(K) for K in c.sectionals))
 
 
 def _slice_dim(path) -> int:
@@ -915,7 +870,7 @@ def concordance_search(path, nu: float, *,
                        path_grid: GridSpec | None = None,
                        t_count: int = 160, theta_count: int = 48,
                        cert_depth: int = 1, threshold: float = 1e-6,
-                       max_doublings: int = 400, workers: int = 1):
+                       max_doublings: int = 400):
     """Deterministic parameter search for the concordance metric.
 
     Picks r1 (0.9 of the binding bound among 2 r1 < nu and
@@ -939,8 +894,7 @@ def concordance_search(path, nu: float, *,
                      else GridSpec.box([(0.0, 1.0, 33),
                                         (path.k0.domain[0], path.k0.domain[1], 129)]))
 
-    path_cert = None
-    path_cert, sec_min = _path_global_minima(path, path_grid, workers)
+    path_cert, sec_min = _path_global_minima(path, path_grid)
     if not path_cert.passed:
         raise PreconditionError(
             f"slice metrics are not Ricci-positive (min {path_cert.min_margin:.3e})"
@@ -1008,14 +962,12 @@ def concordance_search(path, nu: float, *,
             lambda th, u, e=ell: bounds_at(th, u, e),
             GridSpec.box([(0.0, theta0, theta_count), (ell, 2.0 * ell, t_count)],
                          depth=cert_depth),
-            threshold=threshold, quantity_id="ricci_bound_theta_below_t2norm",
-            workers=workers)
+            threshold=threshold, quantity_id="ricci_bound_theta_below_t2norm")
         certs["ricci_theta_above"] = grid_min(
             lambda th, u, e=ell: bounds_at(th, u, e),
             GridSpec.box([(theta0, 0.5 * math.pi, theta_count),
                           (ell, 2.0 * ell, t_count)], depth=cert_depth),
-            threshold=threshold, quantity_id="ricci_bound_theta_above_t2norm",
-            workers=workers)
+            threshold=threshold, quantity_id="ricci_bound_theta_above_t2norm")
         ric_ok = all(c.passed for c in certs.values())
         if ric_ok:
             params = ConcordanceParams(t0=t0, t1=t0 * t0, r0=r0, r1=r1,

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, PreconditionError
-from .jetcurve import BiJet, Jet3Curve
+from .jetcurve import BiJet, Jet3Curve, _jet_safe
 from .spline import two_stage_smooth
 from .verify import GridSpec, PositivityCertificate, grid_min
 
@@ -85,7 +85,7 @@ class BiWarp:
     def partial(self, i: int, j: int, a: float, b: float) -> float:
         total = 0.0
         for fa, gb in self.terms:
-            total += _safe_jet(fa, a).deriv(i) * _safe_jet(gb, b).deriv(j)
+            total += _jet_safe(fa, a).deriv(i) * _jet_safe(gb, b).deriv(j)
         return total
 
     def value(self, a: float, b: float) -> float:
@@ -94,7 +94,7 @@ class BiWarp:
     def bijet(self, a: float, b: float) -> BiJet:
         v = da = db = daa = dab = dbb = 0.0
         for fa, gb in self.terms:
-            jf, jg = _safe_jet(fa, a), _safe_jet(gb, b)
+            jf, jg = _jet_safe(fa, a), _jet_safe(gb, b)
             v += jf.value * jg.value
             da += jf.d1 * jg.value
             db += jf.value * jg.d1
@@ -118,12 +118,6 @@ class BiWarp:
                 for t in d["terms"]
             )
         )
-
-
-def _safe_jet(curve: Jet3Curve, x: float):
-    from .warped import _jet_safe
-
-    return _jet_safe(curve, x)
 
 
 @dataclass(frozen=True)
@@ -217,8 +211,8 @@ class FaceSecondForm:
 
 
 def _chart_data(chart: CornerChart, a: float):
-    jmu = _safe_jet(chart.mu, a)
-    jphi = _safe_jet(chart.phi, a)
+    jmu = _jet_safe(chart.mu, a)
+    jphi = _jet_safe(chart.phi, a)
     b = jphi.value
     b_lo, b_hi = chart.H.b_domain
     if b < b_lo - 1e-12 or b > b_hi + 1e-12:
@@ -406,8 +400,7 @@ def glue_and_smooth(left: CornerChart, right: CornerChart,
 
 
 def convexity_certificate(chart: CornerChart, grid: GridSpec,
-                          threshold: float = 1e-6,
-                          workers: int = 1) -> PositivityCertificate:
+                          threshold: float = 1e-6) -> PositivityCertificate:
     """Certificate that min(tau_clear, zed_clear) > threshold along the face."""
 
     def margin(a):
@@ -415,13 +408,11 @@ def convexity_certificate(chart: CornerChart, grid: GridSpec,
         return min(form.tau_clear, form.zed_clear)
 
     return grid_min(margin, grid, threshold=threshold,
-                    quantity_id="face_convexity", workers=workers)
+                    quantity_id="face_convexity")
 
 
 def concavity_certificate(chart: CornerChart, grid: GridSpec,
-                          threshold: float = 1e-6,
-                          workers: int = 1) -> PositivityCertificate:
+                          threshold: float = 1e-6) -> PositivityCertificate:
     """Certificate that -face_profile_hessian > threshold along the face."""
     return grid_min(lambda a: -face_profile_hessian(chart, a), grid,
-                    threshold=threshold, quantity_id="face_concavity",
-                    workers=workers)
+                    threshold=threshold, quantity_id="face_concavity")

@@ -4,7 +4,7 @@ A curve is a chain of closed-form pieces (polynomials, trig, exponentials,
 logarithms, and their sums/products/compositions) covering a closed interval.
 Evaluation returns a :class:`Jet3` -- value and first three derivatives --
 propagated analytically through the expression tree, never by finite
-differences.
+differences. A float64 array argument gives a :class:`Jet3` of arrays.
 
 Curves may carry *kinks*: marked breakpoints where some derivative order
 jumps. ``order`` is the lowest discontinuous derivative, so order 1 is a
@@ -20,6 +20,8 @@ from __future__ import annotations
 import bisect as _bisect
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import DomainError, KinkSideRequired, PreconditionError
 
@@ -38,7 +40,6 @@ __all__ = [
     "ExpOf",
     "AffineOf",
     "Jet3Curve",
-    "eval_jet",
     "affine_combine",
     "node_from_dict",
     "constant",
@@ -47,9 +48,25 @@ __all__ = [
 _MATCH_TOL = 1e-9
 
 
+def _lib(x):
+    """``np`` for array arguments, ``math`` (the scalar fast path) otherwise."""
+    return np if isinstance(x, np.ndarray) else math
+
+
+def _first(bad, *values):
+    """``values`` at the first point where ``bad`` holds (scalars or arrays), or None."""
+    if not isinstance(bad, np.ndarray):
+        return values if bad else None
+    if not bad.any():
+        return None
+    i = int(np.argmax(bad))
+    return tuple(v[i] for v in values)
+
+
 @dataclass(frozen=True)
 class Jet3:
-    """Value and first three derivatives of a scalar function at a point."""
+    """Value and first three derivatives of a scalar function at a point, or
+    at each point of equal-shape arrays."""
 
     value: float
     d1: float = 0.0
@@ -156,7 +173,8 @@ class Cos(Node):
     def jet(self, x: float) -> Jet3:
         a, b = self.amplitude, self.frequency
         u = b * x + self.phase
-        c, s = math.cos(u), math.sin(u)
+        lib = _lib(u)
+        c, s = lib.cos(u), lib.sin(u)
         return Jet3(a * c, -a * b * s, -a * b * b * c, a * b**3 * s)
 
     def to_dict(self) -> dict:
@@ -181,7 +199,8 @@ class Sin(Node):
     def jet(self, x: float) -> Jet3:
         a, b = self.amplitude, self.frequency
         u = b * x + self.phase
-        c, s = math.cos(u), math.sin(u)
+        lib = _lib(u)
+        c, s = lib.cos(u), lib.sin(u)
         return Jet3(a * s, a * b * c, -a * b * b * s, -a * b**3 * c)
 
     def to_dict(self) -> dict:
@@ -205,7 +224,8 @@ class Exp(Node):
 
     def jet(self, x: float) -> Jet3:
         b = self.rate
-        v = self.amplitude * math.exp(b * x + self.shift)
+        u = b * x + self.shift
+        v = self.amplitude * _lib(u).exp(u)
         return Jet3(v, b * v, b * b * v, b**3 * v)
 
     def to_dict(self) -> dict:
@@ -230,10 +250,11 @@ class Log(Node):
     def jet(self, x: float) -> Jet3:
         a, b = self.amplitude, self.rate
         u = b * x + self.shift
-        if u <= 0.0:
-            raise DomainError(f"log argument {u!r} <= 0 at x={x!r}")
+        bad = _first(u <= 0.0, u, x)
+        if bad:
+            raise DomainError(f"log argument {bad[0]!r} <= 0 at x={bad[1]!r}")
         return Jet3(
-            a * math.log(u),
+            a * _lib(u).log(u),
             a * b / u,
             -a * b * b / (u * u),
             2.0 * a * b**3 / u**3,
@@ -306,8 +327,9 @@ class Recip(Node):
 
     def jet(self, x: float) -> Jet3:
         u = self.arg.jet(x)
-        if u.value == 0.0:
-            raise DomainError(f"reciprocal of zero at x={x!r}")
+        bad = _first(u.value == 0.0, x)
+        if bad:
+            raise DomainError(f"reciprocal of zero at x={bad[0]!r}")
         w = 1.0 / u.value
         w2 = w * w
         return Jet3(
@@ -331,7 +353,7 @@ class ExpOf(Node):
 
     def jet(self, x: float) -> Jet3:
         u = self.arg.jet(x)
-        e = math.exp(u.value)
+        e = _lib(u.value).exp(u.value)
         return Jet3(
             e,
             u.d1 * e,
@@ -471,9 +493,48 @@ class Jet3Curve:
             i = len(self.pieces) - 1
         return x, self.pieces[i][2]
 
+    def _jet_array(self, x: np.ndarray, side) -> Jet3:
+        # _piece_at for an array; side=None takes the left piece at kinks.
+        lo, hi = self.domain
+        slack = 1e-12 * max(1.0, abs(lo), abs(hi))
+        bad = _first((x < lo - slack) | (x > hi + slack), x)
+        if bad:
+            raise DomainError(f"x={bad[0]!r} outside domain [{lo!r}, {hi!r}]")
+        x_c = np.clip(x, lo, hi)
+        if len(self.pieces) == 1:
+            return self.pieces[0][2].jet(x_c)
+        starts = np.array([p[0] for p in self.pieces])
+        i = np.maximum(np.searchsorted(starts, x_c, side="right") - 1, 0)
+        if side != "right":
+            # The left piece owns a shared breakpoint for side="left", and a
+            # marked kink for side=None.
+            left = (i > 0) & (starts[i] == x_c)
+            if side is None:
+                left &= np.isin(x, [loc for loc, _ in self.kinks])
+            i -= left
+        i[x_c == hi] = len(self.pieces) - 1
+        parts = [np.empty_like(x_c) for _ in range(4)]
+        for j in np.flatnonzero(np.bincount(i, minlength=len(self.pieces))):
+            sel = i == j
+            for dest, v in zip(parts, self.pieces[j][2].jet(x_c[sel]).as_tuple()):
+                dest[sel] = v
+        return Jet3(*parts)
+
     def jet(self, x: float, side: str | None = None) -> Jet3:
+        """Jet at ``x``; one-sided at kinks via ``side``.
+
+        For an array ``x``, points on a kink take the left limit unless
+        ``side`` says otherwise (as :func:`_jet_safe` does), and a non-finite
+        jet raises DomainError naming the first such point.
+        """
         if side not in (None, "left", "right"):
             raise PreconditionError(f"side must be 'left' or 'right', got {side!r}")
+        if isinstance(x, np.ndarray):
+            out = self._jet_array(x, side)
+            bad = _first(~np.isfinite(out.as_tuple()).all(axis=0), x)
+            if bad:
+                raise DomainError(f"non-finite jet at x={bad[0]!r}")
+            return out
         order = self.kink_order(x)
         if order is not None and side is None:
             raise KinkSideRequired(
@@ -487,6 +548,8 @@ class Jet3Curve:
 
     def value(self, x: float) -> float:
         # Values are continuous even at kinks, so no side is needed.
+        if isinstance(x, np.ndarray):
+            return self._jet_array(x, "right").value
         xc, node = self._piece_at(x, None)
         return node.jet(xc).value
 
@@ -565,9 +628,13 @@ class Jet3Curve:
         return Jet3Curve((float(d["domain"][0]), float(d["domain"][1])), pieces, kinks)
 
 
-def eval_jet(curve: Jet3Curve, x: float, side: str | None = None) -> Jet3:
-    """Jet of ``curve`` at ``x``; one-sided at kinks via ``side``."""
-    return curve.jet(x, side)
+def _jet_safe(curve: Jet3Curve, x: float) -> Jet3:
+    """Jet of ``curve`` at ``x``, taking the left limit on a marked kink: a scan
+    may land on one, where higher orders are one-sided."""
+    try:
+        return curve.jet(x)
+    except KinkSideRequired:
+        return curve.jet(x, side="left")
 
 
 def affine_combine(c1: Jet3Curve, c2: Jet3Curve, w: float) -> Jet3Curve:

@@ -3,14 +3,15 @@
 Certification here is a falsification-resistant heuristic, not interval
 arithmetic: a margin function is scanned on a fixed grid, the worst cells are
 refined a configurable number of times, and the whole trace is reported so a
-reviewer can judge margin stability. Grids are fixed up front and the min is
-order-independent, so certificates are identical regardless of worker count.
+reviewer can judge margin stability. A margin takes one point per call, or
+(batched) an array of points per call; grids are fixed up front and the min
+is order-independent, so both forms give identical certificates. Any
+non-finite margin fails the certificate.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +19,9 @@ import numpy as np
 from .errors import EvaluationError, PreconditionError, SearchError
 
 __all__ = ["GridSpec", "PositivityCertificate", "grid_min", "bisect_param"]
+
+# Points per call of a batched margin: bounds the size of its temporaries.
+_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -61,9 +65,11 @@ class GridSpec:
 class PositivityCertificate:
     """Outcome of a grid scan of a margin function.
 
-    ``passed`` iff the final minimum margin exceeds ``threshold``. The
-    refinement trace records the running minimum per depth and is
-    non-increasing.
+    ``passed`` iff every sampled margin is finite and the final minimum
+    margin exceeds ``threshold``. The minimum, its argmin and the refinement
+    trace (running minimum per depth, non-increasing) are over the finite
+    margins (inf if none). ``nonfinite_count`` counts the others and
+    ``nonfinite_at`` is the first of them in scan order.
     """
 
     quantity_id: str
@@ -73,83 +79,106 @@ class PositivityCertificate:
     argmin: tuple
     refinement_trace: tuple
     passed: bool
+    nonfinite_count: int = 0
+    nonfinite_at: tuple = ()
 
     def to_dict(self) -> dict:
-        return {
+        out = {
             "quantity_id": self.quantity_id,
             "grid": self.grid.to_dict(),
             "threshold": self.threshold,
-            "min_margin": self.min_margin,
+            "min_margin": _finite_or_none(self.min_margin),
             "argmin": list(self.argmin),
-            "refinement_trace": [[d, m] for d, m in self.refinement_trace],
+            "refinement_trace": [[d, _finite_or_none(m)]
+                                 for d, m in self.refinement_trace],
             "passed": self.passed,
         }
+        if self.nonfinite_count:
+            out["nonfinite"] = {"count": self.nonfinite_count,
+                                "first": list(self.nonfinite_at)}
+        return out
 
 
-def _evaluate(f, points, workers: int):
-    def call(pt):
+def _finite_or_none(x):
+    return x if math.isfinite(x) else None
+
+
+def _call(f, pt, batched: bool) -> float:
+    try:
+        return float(f(pt[None, :])[0] if batched else f(*pt))
+    except Exception as exc:  # noqa: BLE001 - context added, then re-raised
+        raise EvaluationError(
+            f"margin function failed at {tuple(pt)!r}: {exc}", coords=tuple(pt)
+        ) from exc
+
+
+def _evaluate(f, points, batched: bool) -> np.ndarray:
+    values = np.empty(len(points))
+    for start in range(0, len(points), _BLOCK):
+        block = points[start:start + _BLOCK]
         try:
-            return float(f(*pt))
-        except Exception as exc:  # noqa: BLE001 - context added, then re-raised
-            raise EvaluationError(
-                f"margin function failed at {tuple(pt)!r}: {exc}", coords=tuple(pt)
-            ) from exc
-
-    if workers <= 1 or len(points) < 64:
-        return [call(pt) for pt in points]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        # map preserves order, so the reduction below is worker-independent
-        return list(pool.map(call, points))
+            values[start:start + len(block)] = (
+                f(block) if batched else [f(*pt) for pt in block])
+        except Exception:  # noqa: BLE001 - re-raised for the failing point
+            # Re-run the block point by point so the error names the first
+            # failing point in scan order.
+            for pt in block:
+                _call(f, pt, batched)
+            raise
+    return values
 
 
-def _grid_points(axes):
-    coords = [np.linspace(lo, hi, count) for lo, hi, count in axes]
-    mesh = np.meshgrid(*coords, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=-1)
+def _cell_points(lo, hi, count: int):
+    """Grid points of the boxes ``lo[c] .. hi[c]`` (``(cells, dims)`` arrays),
+    ``count`` per axis: one row each, box after box, last axis fastest."""
+    dims = lo.shape[1]
+    coords = np.linspace(lo, hi, count, axis=-1)  # (cells, dims, count)
+    idx = np.indices((count,) * dims).reshape(dims, -1)
+    pts = coords[:, np.arange(dims)[:, None], idx]  # (cells, dims, points)
+    return pts.transpose(0, 2, 1).reshape(-1, dims)
 
 
 def grid_min(f, grid: GridSpec, threshold: float = 1e-6,
-             quantity_id: str = "margin", workers: int = 1) -> PositivityCertificate:
+             quantity_id: str = "margin", batched: bool = False) -> PositivityCertificate:
     """Certificate for ``min f > threshold`` over the grid's box.
 
-    After the coarse scan, the cells holding the bottom 5% of margins are
-    re-sampled ``grid.factor`` times finer, ``grid.depth`` times over.
+    ``f(*point) -> float`` is called once per grid point; a ``batched``
+    margin ``f(points) -> values`` takes up to ``_BLOCK`` points per call as
+    a ``(count, dims)`` array. After the coarse scan, the cells holding the
+    bottom 5% of margins are re-sampled ``grid.factor`` times finer,
+    ``grid.depth`` times over.
     """
-    points = _grid_points(grid.axes)
-    values = _evaluate(f, points, workers)
-    steps = [(hi - lo) / (count - 1) for lo, hi, count in grid.axes]
-    bounds = [(lo, hi) for lo, hi, _ in grid.axes]
-
-    best_val = min(values)
-    best_at = tuple(points[int(np.argmin(values))])
-    trace = [(0, best_val)]
-
-    frontier_pts = points
-    frontier_vals = np.asarray(values)
-    for depth in range(1, grid.depth + 1):
-        n_refine = max(1, math.ceil(0.05 * len(frontier_vals)))
-        order = np.argsort(frontier_vals, kind="stable")[:n_refine]
-        half = [s / grid.factor**(depth - 1) for s in steps]
-        new_pts = []
-        for idx in order:
-            center = frontier_pts[idx]
-            local_axes = []
-            for d, (lo, hi) in enumerate(bounds):
-                a = max(lo, center[d] - half[d])
-                b = min(hi, center[d] + half[d])
-                if a == b:
-                    a, b = max(lo, a - 1e-15), min(hi, b + 1e-15)
-                local_axes.append((a, b, 2 * grid.factor + 1))
-            new_pts.append(_grid_points(local_axes))
-        new_pts = np.concatenate(new_pts, axis=0)
-        new_vals = _evaluate(f, new_pts, workers)
-        local_best = min(new_vals)
-        if local_best < best_val:
-            best_val = local_best
-            best_at = tuple(new_pts[int(np.argmin(new_vals))])
+    lo = np.array([a for a, _, _ in grid.axes])
+    hi = np.array([b for _, b, _ in grid.axes])
+    steps = np.array([(b - a) / (count - 1) for a, b, count in grid.axes])
+    best_val, best_at, trace = math.inf, None, []
+    bad_count, bad_at = 0, ()
+    for depth in range(grid.depth + 1):
+        if depth == 0:
+            idx = np.indices([c for _, _, c in grid.axes]).reshape(len(lo), -1)
+            points = np.stack([np.linspace(a, b, c)[i]
+                               for (a, b, c), i in zip(grid.axes, idx)], axis=-1)
+        else:
+            n_refine = max(1, math.ceil(0.05 * len(values)))
+            centers = points[np.argsort(values, kind="stable")[:n_refine]]
+            half = steps / grid.factor**(depth - 1)
+            a = np.maximum(lo, centers - half)
+            b = np.minimum(hi, centers + half)
+            same = a == b
+            a = np.where(same, np.maximum(lo, a - 1e-15), a)
+            b = np.where(same, np.minimum(hi, b + 1e-15), b)
+            points = _cell_points(a, b, 2 * grid.factor + 1)
+        values = _evaluate(f, points, batched)
+        finite = np.isfinite(values)
+        if not finite.all():
+            if not bad_count:
+                bad_at = tuple(points[int(np.argmin(finite))])
+            bad_count += int(np.count_nonzero(~finite))
+            values = np.where(finite, values, math.inf)
+        i = int(np.argmin(values))
+        if best_at is None or values[i] < best_val:
+            best_val, best_at = float(values[i]), tuple(points[i])
         trace.append((depth, best_val))
-        frontier_pts = new_pts
-        frontier_vals = np.asarray(new_vals)
 
     return PositivityCertificate(
         quantity_id=quantity_id,
@@ -158,7 +187,9 @@ def grid_min(f, grid: GridSpec, threshold: float = 1e-6,
         min_margin=best_val,
         argmin=best_at,
         refinement_trace=tuple(trace),
-        passed=best_val > threshold,
+        passed=bad_count == 0 and best_val > threshold,
+        nonfinite_count=bad_count,
+        nonfinite_at=bad_at,
     )
 
 

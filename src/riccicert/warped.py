@@ -23,6 +23,10 @@ replaced by their limits: for h(0) = 0, h'(0) = 1 both K_sh and K_hh tend to
 -h'''(0) and K_kh tends to -k''(0)/k(0); symmetrically with k''' at a
 collapsing k end. The limits require the non-collapsing warping to be even
 at that end (k'(0) = 0), which validation enforces.
+
+One kernel, :func:`curvature_from_jets`, evaluates all of this on arrays of
+points. :func:`sectional` and :meth:`WarpedMetricPath.sectional` serve it
+for a float64 array of points, and wrap it for a single float.
 """
 
 from __future__ import annotations
@@ -31,23 +35,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DomainError, KinkSideRequired, PreconditionError
-from .jetcurve import Jet3Curve, affine_combine
+from .errors import DomainError, PreconditionError
+from .jetcurve import Jet3, Jet3Curve, _first, affine_combine
 from .verify import GridSpec, PositivityCertificate, grid_min
-
-
-def _jet_safe(curve, s):
-    # Grid scans may land exactly on a marked kink; sample the left limit
-    # there (value and low orders are continuous, higher orders one-sided).
-    try:
-        return curve.jet(s)
-    except KinkSideRequired:
-        return curve.jet(s, side="left")
 
 __all__ = [
     "DoublyWarpedMetric",
     "CurvatureSample",
     "WarpedMetricPath",
+    "curvature_from_jets",
     "sectional",
     "level_set_second_form",
     "min_ricci",
@@ -59,7 +55,8 @@ _CLOSE_TOL = 1e-6
 
 @dataclass(frozen=True)
 class CurvatureSample:
-    """Sectional and frame-diagonal Ricci values at one parameter value."""
+    """Sectional and frame-diagonal Ricci values at one parameter value, or
+    equal-shape arrays of them at many."""
 
     s: float
     K_sk: float
@@ -71,8 +68,13 @@ class CurvatureSample:
     Ric_k: float
     Ric_h: float
 
-    def min_ric(self) -> float:
-        return min(self.Ric_s, self.Ric_k, self.Ric_h)
+    def min_ric(self):
+        # np.minimum propagates NaN, so a degenerate point cannot hide.
+        return np.minimum(np.minimum(self.Ric_s, self.Ric_k), self.Ric_h)
+
+    @property
+    def sectionals(self):
+        return (self.K_sk, self.K_sh, self.K_kk, self.K_hh, self.K_kh)
 
     def as_row(self):
         return (self.s, self.K_sk, self.K_sh, self.K_kk, self.K_hh, self.K_kh,
@@ -139,18 +141,18 @@ class DoublyWarpedMetric:
     def _check_positivity(self, samples: int = 64):
         lo, hi = self.domain
         guard = self.guard_frac * (hi - lo)
-        for s in np.linspace(lo + guard, hi - guard, samples):
-            if self.k.value(s) <= 0.0 or self.h.value(s) <= 0.0:
-                raise PreconditionError(
-                    f"nonpositive warping at interior point s={s!r}"
-                )
+        s = np.linspace(lo + guard, hi - guard, samples)
+        bad = _first((self.k.value(s) <= 0.0) | (self.h.value(s) <= 0.0), s)
+        if bad:
+            raise PreconditionError(
+                f"nonpositive warping at interior point s={bad[0]!r}"
+            )
 
     def sectional(self, s: float) -> CurvatureSample:
         return sectional(self, s)
 
-    def min_ricci(self, grid: GridSpec, threshold: float = 1e-6,
-                  workers: int = 1) -> PositivityCertificate:
-        return min_ricci(self, grid, threshold, workers)
+    def min_ricci(self, grid: GridSpec, threshold: float = 1e-6) -> PositivityCertificate:
+        return min_ricci(self, grid, threshold)
 
     def scaled(self, c: float) -> "DoublyWarpedMetric":
         """The metric with (k, h, s) -> (c k(s/c), c h(s/c), c s)."""
@@ -167,56 +169,56 @@ class DoublyWarpedMetric:
         return replace(self, k=stretch(self.k), h=stretch(self.h))
 
 
-def _limits_at_closed_end(jk, jh, collapsing: str):
-    """Curvature limits where one warping vanishes (L'Hopital forms)."""
-    if collapsing == "h":
-        K_sh = -jh.d3 / jh.d1
-        K_hh = K_sh
-        K_sk = -jk.d2 / jk.value
-        K_kk = (1.0 - jk.d1 * jk.d1) / (jk.value * jk.value)
-        K_kh = -(jk.d2 * jh.d1 + jk.d1 * jh.d2) / (jk.d1 * jh.value + jk.value * jh.d1)
-    else:
-        K_sk = -jk.d3 / jk.d1
-        K_kk = K_sk
-        K_sh = -jh.d2 / jh.value
-        K_hh = (1.0 - jh.d1 * jh.d1) / (jh.value * jh.value)
-        K_kh = -(jk.d2 * jh.d1 + jk.d1 * jh.d2) / (jk.d1 * jh.value + jk.value * jh.d1)
-    return K_sk, K_sh, K_kk, K_hh, K_kh
+def _closed_ends(s, domain, guard: float, start_kind: str, end_kind: str):
+    """Masks of the points of ``s`` within ``guard`` of a closed start / end.
+
+    Every other point must lie in the guarded domain; the first that does
+    not raises DomainError.
+    """
+    lo, hi = domain
+    at_start = (s - lo <= guard) & (start_kind != "boundary")
+    at_end = (hi - s <= guard) & ~at_start & (end_kind != "boundary")
+    outside = ~(at_start | at_end) & ((s < lo - guard) | (s > hi + guard))
+    bad = _first(outside, s)
+    if bad:
+        raise DomainError(f"s={bad[0]!r} outside domain [{lo!r}, {hi!r}]")
+    return at_start, at_end
 
 
-def sectional(g: DoublyWarpedMetric, s: float) -> CurvatureSample:
-    """All five sectional curvatures and the diagonal Ricci values at ``s``."""
-    lo, hi = g.domain
-    guard = g.guard_frac * (hi - lo)
-    near_start = s - lo <= guard
-    near_end = hi - s <= guard
+def curvature_from_jets(jk, jh, m: int, n: int, start_kind: str, end_kind: str,
+                        *, s, at_start, at_end) -> CurvatureSample:
+    """Sectional and diagonal Ricci values from array jets of k and h at ``s``.
 
-    if near_start and g.start_kind != "boundary":
-        jk, jh = _jet_safe(g.k, lo), _jet_safe(g.h, lo)
-        which = "h" if g.start_kind == "closed_h" else "k"
-        K_sk, K_sh, K_kk, K_hh, K_kh = _limits_at_closed_end(jk, jh, which)
-    elif near_end and g.end_kind != "boundary":
-        jk, jh = _jet_safe(g.k, hi), _jet_safe(g.h, hi)
-        which = "h" if g.end_kind == "closed_h" else "k"
-        K_sk, K_sh, K_kk, K_hh, K_kh = _limits_at_closed_end(jk, jh, which)
-    else:
-        if s < lo - guard or s > hi + guard:
-            raise DomainError(f"s={s!r} outside domain [{lo!r}, {hi!r}]")
-        jk, jh = _jet_safe(g.k, s), _jet_safe(g.h, s)
-        kv, hv = jk.value, jh.value
-        if kv <= 0.0 or hv <= 0.0:
-            where = "endpoint" if (near_start or near_end) else "interior point"
-            raise DomainError(
-                f"warping vanishes at {where} s={s!r} without a matching "
-                f"closed endpoint kind (k={kv!r}, h={hv!r})"
-            )
-        K_sk = -jk.d2 / kv
-        K_sh = -jh.d2 / hv
+    Points flagged in ``at_start`` / ``at_end`` take the closed-end limits of
+    ``start_kind`` / ``end_kind``. The others need both warpings positive;
+    the first point where one is not raises DomainError. A degenerate limit
+    form gives a non-finite value, which certificates reject.
+    """
+    kv, hv = jk.value, jh.value
+    vanish = ~(at_start | at_end) & ((kv <= 0.0) | (hv <= 0.0))
+    bad = _first(vanish, s, kv, hv)
+    if bad:
+        raise DomainError(
+            f"warping vanishes at s={bad[0]!r} without a matching closed "
+            f"endpoint kind (k={bad[1]!r}, h={bad[2]!r})"
+        )
+    with np.errstate(all="ignore"):
+        K_sk, K_sh = -jk.d2 / kv, -jh.d2 / hv
         K_kk = (1.0 - jk.d1 * jk.d1) / (kv * kv)
         K_hh = (1.0 - jh.d1 * jh.d1) / (hv * hv)
         K_kh = -(jk.d1 * jh.d1) / (kv * hv)
-
-    m, n = g.m, g.n
+        for mask, kind in ((at_start, start_kind), (at_end, end_kind)):
+            if not mask.any():
+                continue
+            # L'Hopital limits of the 0/0 forms of the collapsing warping.
+            K_kh = np.where(mask, -(jk.d2 * jh.d1 + jk.d1 * jh.d2)
+                            / (jk.d1 * hv + kv * jh.d1), K_kh)
+            if kind == "closed_h":
+                lim = -jh.d3 / jh.d1
+                K_sh, K_hh = np.where(mask, lim, K_sh), np.where(mask, lim, K_hh)
+            else:
+                lim = -jk.d3 / jk.d1
+                K_sk, K_kk = np.where(mask, lim, K_sk), np.where(mask, lim, K_kk)
     return CurvatureSample(
         s=s,
         K_sk=K_sk, K_sh=K_sh, K_kk=K_kk, K_hh=K_hh, K_kh=K_kh,
@@ -224,6 +226,29 @@ def sectional(g: DoublyWarpedMetric, s: float) -> CurvatureSample:
         Ric_k=K_sk + (m - 1) * K_kk + (n - 1) * K_kh,
         Ric_h=K_sh + (n - 2) * K_hh + m * K_kh,
     )
+
+
+def _single(sample: CurvatureSample) -> CurvatureSample:
+    return CurvatureSample(*(float(v[0]) for v in sample.as_row()))
+
+
+def sectional(g: DoublyWarpedMetric, s: float) -> CurvatureSample:
+    """All five sectional curvatures and the diagonal Ricci values at ``s``.
+
+    A float64 array ``s`` gives a sample of arrays, one entry per point.
+    """
+    one = not isinstance(s, np.ndarray)
+    if one:
+        s = np.array([s], dtype=float)
+    lo, hi = g.domain
+    at_start, at_end = _closed_ends(s, g.domain, g.guard_frac * (hi - lo),
+                                    g.start_kind, g.end_kind)
+    # The limit forms read the jets at the collapsing end itself.
+    x = np.where(at_start, lo, np.where(at_end, hi, s))
+    sample = curvature_from_jets(g.k.jet(x), g.h.jet(x), g.m, g.n,
+                                 g.start_kind, g.end_kind,
+                                 s=s, at_start=at_start, at_end=at_end)
+    return _single(sample) if one else sample
 
 
 def level_set_second_form(g: DoublyWarpedMetric, s: float):
@@ -238,15 +263,15 @@ def level_set_second_form(g: DoublyWarpedMetric, s: float):
     return (jk.d1 / jk.value, jh.d1 / jh.value)
 
 
-def min_ricci(g: DoublyWarpedMetric, grid: GridSpec, threshold: float = 1e-6,
-              workers: int = 1) -> PositivityCertificate:
+def min_ricci(g: DoublyWarpedMetric, grid: GridSpec,
+              threshold: float = 1e-6) -> PositivityCertificate:
     """Certificate that min(Ric_s, Ric_k, Ric_h) > threshold over the domain."""
     return grid_min(
-        lambda s: sectional(g, s).min_ric(),
+        lambda pts: sectional(g, pts[:, 0]).min_ric(),
         grid,
         threshold=threshold,
         quantity_id="min_ricci",
-        workers=workers,
+        batched=True,
     )
 
 
@@ -271,8 +296,9 @@ class WarpedMetricPath:
 
     def weight(self, lam: float) -> float:
         a, b = self.lam_range
-        if lam < a - 1e-12 or lam > b + 1e-12:
-            raise DomainError(f"lambda={lam!r} outside {self.lam_range!r}")
+        bad = _first((lam < a - 1e-12) | (lam > b + 1e-12), lam)
+        if bad:
+            raise DomainError(f"lambda={bad[0]!r} outside {self.lam_range!r}")
         return (lam - a) / (b - a)
 
     def metric_at(self, lam: float) -> DoublyWarpedMetric:
@@ -286,66 +312,40 @@ class WarpedMetricPath:
             h = affine_combine(self.h0, self.h1, u)
         return DoublyWarpedMetric(k, h, self.m, self.n, self.start_kind, self.end_kind)
 
-    def _cached_jet(self, which: str, s: float):
-        # Grid scans revisit the same s for every lambda row; memoize per curve.
-        cache = self.__dict__.setdefault("_jet_cache", {})
-        key = (which, s)
-        hit = cache.get(key)
-        if hit is None:
-            hit = _jet_safe(getattr(self, which), s)
-            cache[key] = hit
-        return hit
+    def endpoint_jets(self, s: np.ndarray):
+        """Array jets of k0, k1, h0, h1 at ``s``."""
+        # (lambda, s) grids repeat each s value on every lambda row.
+        s_distinct, back = np.unique(s, return_inverse=True)
+        return tuple(Jet3(*(v[back] for v in c.jet(s_distinct).as_tuple()))
+                     for c in (self.k0, self.k1, self.h0, self.h1))
 
     def sectional(self, lam: float, s: float) -> CurvatureSample:
-        # Jets combine linearly, so evaluate both endpoint curves once and mix.
+        """Curvature of the metric at ``lam`` at ``s``; equal-shape float64
+        arrays ``lam`` and ``s`` give a sample of arrays, one entry per point."""
+        one = not isinstance(s, np.ndarray)
+        if one:
+            lam, s = np.array([lam], dtype=float), np.array([s], dtype=float)
         u = self.weight(lam)
-        k = (self._cached_jet("k0", s).scaled(1.0 - u)
-             + self._cached_jet("k1", s).scaled(u))
-        h = (self._cached_jet("h0", s).scaled(1.0 - u)
-             + self._cached_jet("h1", s).scaled(u))
-        probe = DoublyWarpedMetric.__new__(DoublyWarpedMetric)
-        object.__setattr__(probe, "k", _FrozenJetCurve(k, self.k0.domain))
-        object.__setattr__(probe, "h", _FrozenJetCurve(h, self.h0.domain))
-        object.__setattr__(probe, "m", self.m)
-        object.__setattr__(probe, "n", self.n)
-        object.__setattr__(probe, "start_kind", self.start_kind)
-        object.__setattr__(probe, "end_kind", self.end_kind)
-        object.__setattr__(probe, "guard_frac", 1e-6)
-        return sectional(probe, s)
+        lo, hi = self.k0.domain
+        at_start, at_end = _closed_ends(s, (lo, hi), 1e-6 * (hi - lo),
+                                        self.start_kind, self.end_kind)
+        # Jets combine linearly in u. Unlike a DoublyWarpedMetric, the path
+        # reads them at s itself inside the guard bands.
+        jk0, jk1, jh0, jh1 = self.endpoint_jets(s)
+        w = 1.0 - u
+        sample = curvature_from_jets(jk0.scaled(w) + jk1.scaled(u),
+                                     jh0.scaled(w) + jh1.scaled(u),
+                                     self.m, self.n, self.start_kind, self.end_kind,
+                                     s=s, at_start=at_start, at_end=at_end)
+        return _single(sample) if one else sample
 
-    def min_ricci(self, grid: GridSpec, threshold: float = 1e-6,
-                  workers: int = 1) -> PositivityCertificate:
+    def min_ricci(self, grid: GridSpec,
+                  threshold: float = 1e-6) -> PositivityCertificate:
         """Grid is (lambda, s); margin is the worst diagonal Ricci value."""
         return grid_min(
-            lambda lam, s: self.sectional(lam, s).min_ric(),
+            lambda pts: self.sectional(pts[:, 0], pts[:, 1]).min_ric(),
             grid,
             threshold=threshold,
             quantity_id="path_min_ricci",
-            workers=workers,
+            batched=True,
         )
-
-
-def _combine_jets(c0: Jet3Curve, c1: Jet3Curve, u: float, s: float):
-    j0 = _jet_safe(c0, s)
-    j1 = _jet_safe(c1, s)
-    return j0.scaled(1.0 - u) + j1.scaled(u)
-
-
-class _FrozenJetCurve:
-    """Adapter exposing a fixed jet at every query point near one s value.
-
-    ``sectional`` only evaluates the curve at the queried point (or the
-    domain end within the guard band), and a combined jet is already the jet
-    of the affine combination at that point, so a constant-jet view is exact
-    for a single sample.
-    """
-
-    def __init__(self, jet, domain):
-        self._jet = jet
-        self.domain = domain
-
-    def jet(self, s, side=None):
-        return self._jet
-
-    def value(self, s):
-        return self._jet.value

@@ -2,6 +2,7 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from riccicert.cli import canonical_json, main, run_scenario
@@ -117,3 +118,20 @@ def test_scenario_curve_round_trip_bit_exact(tmp_path):
     R = 2.0
     ref = Jet3Curve.from_node(Cos(R, 1.0 / R), (0.0, 0.5 * math.pi * R))
     assert k == ref
+
+
+def test_evaluation_error_exits_three_with_coords(tmp_path):
+    # k = (s - c)^2 is positive at the metric's own samples but vanishes at
+    # grid point c, where the curvature margin cannot be evaluated.
+    c = float(np.linspace(0.0, 1.0, 1000)[500])
+    dom = (0.0, 1.0)
+    scenario = {
+        "command": "curvature", "m": 3, "n": 3,
+        "k": Jet3Curve.from_node(Poly((0.0, 0.0, 1.0), c), dom).to_dict(),
+        "h": Jet3Curve.from_node(Poly((1.0,)), dom).to_dict(),
+    }
+    code, report = run_scenario(scenario, tmp_path)
+    assert code == 3
+    assert report["error"]["kind"] == "EvaluationError"
+    assert report["error"]["coords"] == [c]
+    assert not (tmp_path / "report.json").exists()

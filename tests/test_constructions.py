@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oracles import sectional_fd, warped_slice_metric
 from riccicert.constructions import (
@@ -22,8 +23,8 @@ from riccicert.constructions import (
     solve_geodesic_triangle,
 )
 from riccicert.errors import ConditionError, PreconditionError, SearchError
-from riccicert.jetcurve import Jet3Curve, Poly, Sin, Sum
-from riccicert.verify import GridSpec
+from riccicert.jetcurve import Jet3Curve, Poly, Sin, Sum, _jet_safe
+from riccicert.verify import GridSpec, grid_min
 from riccicert.warped import DoublyWarpedMetric, sectional
 
 R_TEST = 2.0
@@ -410,3 +411,90 @@ def test_triangle_path_limits():
 def test_triangle_rejects_large_r():
     with pytest.raises(PreconditionError):
         solve_geodesic_triangle(1.0)
+
+
+# ---------------------------------------------------------------------------
+# batched path margins
+# ---------------------------------------------------------------------------
+
+
+def _path_min_ric_scalar(path, lam, s):
+    """Per-point path margin from math-module jets: the reference form."""
+    u = path.weight(lam)
+    k = _jet_safe(path.k0, s).scaled(1.0 - u) + _jet_safe(path.k1, s).scaled(u)
+    h = _jet_safe(path.h0, s).scaled(1.0 - u) + _jet_safe(path.h1, s).scaled(u)
+    lo, hi = path.k0.domain
+    guard = 1e-6 * (hi - lo)
+    mixed = -(k.d2 * h.d1 + k.d1 * h.d2) / (k.d1 * h.value + k.value * h.d1)
+    if s - lo <= guard:  # closed_h start: h collapses
+        K_sh = K_hh = -h.d3 / h.d1
+        K_sk = -k.d2 / k.value
+        K_kk = (1.0 - k.d1 * k.d1) / (k.value * k.value)
+        K_kh = mixed
+    elif hi - s <= guard:  # closed_k end: k collapses
+        K_sk = K_kk = -k.d3 / k.d1
+        K_sh = -h.d2 / h.value
+        K_hh = (1.0 - h.d1 * h.d1) / (h.value * h.value)
+        K_kh = mixed
+    else:
+        K_sk, K_sh = -k.d2 / k.value, -h.d2 / h.value
+        K_kk = (1.0 - k.d1 * k.d1) / (k.value * k.value)
+        K_hh = (1.0 - h.d1 * h.d1) / (h.value * h.value)
+        K_kh = -(k.d1 * h.d1) / (k.value * h.value)
+    m, n = path.m, path.n
+    return min(m * K_sk + (n - 1) * K_sh,
+               K_sk + (m - 1) * K_kk + (n - 1) * K_kh,
+               K_sh + (n - 2) * K_hh + m * K_kh)
+
+
+def _stage(profile, target, which):
+    if which == 1:
+        return isotopy_stage1(profile, target, 3, 3)
+    return isotopy_stage2(target.k1, target.h1, R_TEST, 3, 3)
+
+
+def _assert_margins_bitwise(path, lam, s, got):
+    one = np.array([path.sectional(a, b).min_ric() for a, b in zip(lam, s)])
+    ref = np.array([_path_min_ric_scalar(path, a, b) for a, b in zip(lam, s)])
+    assert got.tobytes() == one.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("which", [1, 2])
+def test_batched_path_margin_on_refinement_cells(profile, target, which):
+    path = _stage(profile, target, which)
+    a, b = path.lam_range
+    blocks = []
+
+    def spy(points):
+        values = path.sectional(points[:, 0], points[:, 1]).min_ric()
+        blocks.append((points.copy(), values))
+        return values
+
+    grid = GridSpec.box([(a, b, 9), (0.0, profile.T, 33)], depth=2, factor=2)
+    cert = grid_min(spy, grid, batched=True)
+    assert cert.passed
+    points = np.concatenate([p for p, _ in blocks])
+    values = np.concatenate([v for _, v in blocks])
+    assert len(points) > 9 * 33  # refinement levels were evaluated
+    assert {0.0, profile.T} <= set(points[:, 1])
+    _assert_margins_bitwise(path, points[:, 0], points[:, 1], values)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 10_000), which=st.sampled_from([1, 2]))
+def test_batched_path_margin_matches_scalar_reference(profile, target, seed,
+                                                      which):
+    path = _stage(profile, target, which)
+    rng = np.random.default_rng(seed)
+    T = profile.T
+    breaks = {x for c in (path.k0, path.k1, path.h0, path.h1)
+              for x in c.breakpoints}
+    kinks = {x for c in (path.k0, path.k1, path.h0, path.h1)
+             for x, _ in c.kinks}
+    assert kinks
+    special = sorted({0.0, T} | breaks | kinks)
+    s = np.concatenate([special, rng.uniform(0.0, T, 24)])
+    a, b = path.lam_range
+    lam = rng.choice([a, b, *rng.uniform(a, b, 4)], size=len(s))
+    got = path.sectional(lam, s).min_ric()
+    _assert_margins_bitwise(path, lam, s, got)

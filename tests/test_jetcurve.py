@@ -20,7 +20,6 @@ from riccicert.jetcurve import (
     Sin,
     Sum,
     affine_combine,
-    eval_jet,
     node_from_dict,
 )
 
@@ -104,7 +103,7 @@ def test_kink_requires_side():
         kinks=[(0.0, 1)],
     )
     with pytest.raises(KinkSideRequired):
-        eval_jet(curve, 0.0)
+        curve.jet(0.0)
     # values are continuous, so no side is needed for them
     assert curve.value(0.0) == 0.0
 
@@ -225,3 +224,90 @@ def test_reversed_curve():
     for x in np.linspace(0.0, 2.0, 9):
         assert rev.value(x) == pytest.approx(curve.value(2.0 - x), rel=1e-14)
         assert rev.jet(x).d1 == pytest.approx(-curve.jet(2.0 - x).d1, rel=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# array jets
+# ---------------------------------------------------------------------------
+
+
+def _exact_leaf(rng):
+    kind = rng.integers(0, 3)
+    if kind == 0:
+        return Poly(tuple(rng.uniform(-2, 2, size=rng.integers(1, 6))),
+                    rng.uniform(-0.5, 0.5))
+    if kind == 1:
+        return Cos(rng.uniform(0.5, 2), rng.uniform(0.3, 2), rng.uniform(-1, 1))
+    return Sin(rng.uniform(0.5, 2), rng.uniform(0.3, 2), rng.uniform(-1, 1))
+
+
+_EXACT_KINDS = {
+    "poly": lambda rng: Poly(tuple(rng.uniform(-2, 2, size=5)), 0.25),
+    "sin": lambda rng: Sin(1.3, 1.7, 0.2),
+    "cos": lambda rng: Cos(0.7, 2.3, -0.4),
+    "sum": lambda rng: Sum((_exact_leaf(rng), _exact_leaf(rng))),
+    "scale": lambda rng: Scale(_exact_leaf(rng), rng.uniform(-2, 2)),
+    "product": lambda rng: Product((_exact_leaf(rng), _exact_leaf(rng))),
+    "affine_of": lambda rng: AffineOf(_exact_leaf(rng), rng.uniform(0.3, 1.5),
+                                      rng.uniform(-0.3, 0.3)),
+}
+
+# np.exp, np.log and array ** round differently from math and float **.
+_ULP_KINDS = {
+    "exp": lambda rng: Exp(rng.uniform(0.5, 1.5), rng.uniform(-0.8, 0.8)),
+    "log": lambda rng: Log(rng.uniform(0.5, 1.5), 1.0, rng.uniform(3.0, 5.0)),
+    "recip": lambda rng: Recip(Sum((Poly((4.0,)), Scale(_exact_leaf(rng), 0.3)))),
+    "exp_of": lambda rng: ExpOf(Scale(_exact_leaf(rng), 0.2)),
+}
+
+
+def _scalar_jets(curve, xs):
+    jets = [curve.jet(x, "left" if curve.kink_order(x) else None) for x in xs]
+    return np.array([j.as_tuple() for j in jets]).T
+
+
+@pytest.mark.parametrize("kind", sorted(_EXACT_KINDS))
+def test_array_jets_equal_scalar_jets(kind):
+    rng = np.random.default_rng(7)
+    curve = Jet3Curve.from_node(_EXACT_KINDS[kind](rng), (-1.0, 1.0))
+    xs = np.concatenate([[-1.0, 1.0, 0.0], rng.uniform(-1.0, 1.0, 200)])
+    got = np.array(curve.jet(xs).as_tuple())
+    assert got.tobytes() == _scalar_jets(curve, xs).tobytes()
+    assert curve.value(xs).tobytes() == got[0].tobytes()
+
+
+@pytest.mark.parametrize("kind", sorted(_ULP_KINDS))
+def test_array_jets_match_scalar_jets_to_a_few_ulp(kind):
+    rng = np.random.default_rng(11)
+    curve = Jet3Curve.from_node(_ULP_KINDS[kind](rng), (-1.0, 1.0))
+    xs = np.concatenate([[-1.0, 1.0], rng.uniform(-1.0, 1.0, 200)])
+    got = np.array(curve.jet(xs).as_tuple())
+    want = _scalar_jets(curve, xs)
+    for g, w in zip(got, want):
+        np.testing.assert_allclose(g, w, rtol=0.0,
+                                   atol=8 * np.finfo(float).eps * np.max(np.abs(w)))
+
+
+def test_array_piece_lookup_follows_scalar_rules():
+    # A kink takes the left piece, a smooth breakpoint the right one, and the
+    # far end the last piece; values use the right piece even at the kink.
+    left, right = Poly((0.0, -1.0)), Poly((0.0, 1.0, 0.5))
+    mid = Poly((0.28125, 1.25, 0.5), 0.25)  # `right` recentered at 0.25
+    curve = Jet3Curve.piecewise(
+        [(-1.0, 0.0, left), (0.0, 0.25, right), (0.25, 1.0, mid)],
+        kinks=[(0.0, 1)])
+    xs = np.array([-1.0, -0.5, 0.0, 0.1, 0.25, 0.5, 1.0])
+    got = np.array(curve.jet(xs).as_tuple())
+    assert got.tobytes() == _scalar_jets(curve, xs).tobytes()
+    assert curve.jet(np.array([0.0])).d1[0] == -1.0
+    assert curve.jet(np.array([0.0]), side="right").d1[0] == 1.0
+    values = np.array([curve.value(x) for x in xs])
+    assert curve.value(xs).tobytes() == values.tobytes()
+
+
+def test_array_jet_errors_name_the_first_bad_point():
+    curve = Jet3Curve.from_node(Log(1.0, 1.0, 0.0), (-1.0, 1.0))
+    with pytest.raises(DomainError, match="x=np.float64\\(-0.5\\)"):
+        curve.jet(np.array([0.5, -0.5, -0.25]))
+    with pytest.raises(DomainError, match="outside domain"):
+        curve.jet(np.array([0.5, 2.0]))

@@ -62,16 +62,64 @@ def test_refinement_never_increases_minimum(seed):
     assert deep.min_margin <= shallow.min_margin + 1e-15
 
 
-def test_worker_count_does_not_change_certificate():
+def test_scalar_and_batched_margins_give_same_certificate():
     def f(x, y):
         return math.sin(3 * x) * math.cos(2 * y) + 1.5
 
-    grid = GridSpec.box([(0, 2, 33), (0, 2, 33)], depth=2)
-    a = grid_min(f, grid, workers=1)
-    b = grid_min(f, grid, workers=8)
-    assert a.min_margin == b.min_margin
-    assert a.argmin == b.argmin
-    assert a.refinement_trace == b.refinement_trace
+    def f_batched(points):
+        return np.sin(3 * points[:, 0]) * np.cos(2 * points[:, 1]) + 1.5
+
+    # 33 x 33 coarse points and 3 refinement levels span several blocks.
+    grid = GridSpec.box([(0, 2, 33), (0, 2, 33)], depth=3)
+    a = grid_min(f, grid)
+    b = grid_min(f_batched, grid, batched=True)
+    assert a == b
+    assert a.to_dict() == b.to_dict()
+
+
+@pytest.mark.parametrize("batched", [False, True])
+def test_nan_margin_fails_certificate(batched):
+    # A NaN compares false with everything, so a plain min skips it.
+    def f(x):
+        return math.nan if x == 0.5 else 1.0
+
+    def f_batched(points):
+        return np.where(points[:, 0] == 0.5, math.nan, 1.0)
+
+    cert = grid_min(f_batched if batched else f,
+                    GridSpec.line(0, 1, 101, depth=1), batched=batched)
+    assert not cert.passed
+    assert cert.min_margin == 1.0
+    assert cert.nonfinite_count == 1
+    assert cert.nonfinite_at == (0.5,)
+    assert cert.to_dict()["nonfinite"] == {"count": 1, "first": [0.5]}
+
+
+def test_nan_at_first_point_serializes():
+    from riccicert.cli import canonical_json
+
+    cert = grid_min(lambda x: math.nan if x == 0.0 else 1.0,
+                    GridSpec.line(0, 1, 101, depth=1))
+    assert not cert.passed and cert.min_margin == 1.0
+    assert cert.nonfinite_at == (0.0,)
+    assert '"nonfinite"' in canonical_json(cert.to_dict())
+
+
+def test_all_nonfinite_margins_serialize_as_null():
+    from riccicert.cli import canonical_json
+
+    cert = grid_min(lambda x: math.inf, GridSpec.line(0, 1, 11, depth=1))
+    assert not cert.passed
+    assert cert.nonfinite_count == 11 + 9
+    out = cert.to_dict()
+    assert out["min_margin"] is None
+    assert out["refinement_trace"] == [[0, None], [1, None]]
+    canonical_json(out)
+
+
+def test_finite_certificate_has_no_nonfinite_field():
+    cert = grid_min(lambda x: 1.0 + x, GridSpec.line(0, 1, 11, depth=1))
+    assert "nonfinite" not in cert.to_dict()
 
 
 def test_evaluation_error_carries_coordinates():
@@ -83,6 +131,17 @@ def test_evaluation_error_carries_coordinates():
     with pytest.raises(EvaluationError) as err:
         grid_min(f, GridSpec.line(0, 1, 11))
     assert err.value.coords is not None
+
+
+def test_batched_evaluation_error_names_first_failing_point():
+    def f(points):
+        if (points[:, 0] > 0.5).any():
+            raise ValueError("boom")
+        return np.ones(len(points))
+
+    with pytest.raises(EvaluationError) as err:
+        grid_min(f, GridSpec.line(0, 1, 11), batched=True)
+    assert err.value.coords == (np.linspace(0, 1, 11)[6],)
 
 
 def test_grid_spec_validation():
