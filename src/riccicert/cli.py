@@ -98,15 +98,19 @@ def _take(params: dict, name: str):
     return cursor
 
 
-def _grid_from(params, default_count, default_depth, depth_override, factor=4):
-    spec = params or {}
-    unknown = set(spec) - {"count", "depth", "factor"}
+def _sub_keys(spec, allowed, what: str) -> dict:
+    """``spec`` (None reads as {}), after rejecting keys outside ``allowed``."""
+    spec = spec or {}
+    unknown = set(spec) - set(allowed)
     if unknown:
-        raise ScenarioError(f"unknown grid keys: {sorted(unknown)}")
-    depth = int(spec.get("depth", default_depth))
-    if depth_override is not None:
-        depth = depth_override
-    return (int(spec.get("count", default_count)), depth,
+        raise ScenarioError(f"unknown {what} keys: {sorted(unknown)}")
+    return spec
+
+
+def _grid_from(params, default_count, default_depth, ctx, factor=4):
+    spec = _sub_keys(params, {"count", "depth", "factor"}, "grid")
+    return (int(spec.get("count", default_count)),
+            ctx.depth(spec.get("depth", default_depth)),
             int(spec.get("factor", factor)))
 
 
@@ -154,7 +158,7 @@ def _run_curvature(p, ctx):
         Jet3Curve.from_dict(_take(p, "k")), Jet3Curve.from_dict(_take(p, "h")),
         int(p["m"]), int(p["n"]), p["start_kind"], p["end_kind"])
     lo, hi = g.domain
-    count, depth, factor = _grid_from(p["grid"], 1000, 0, ctx.grid_depth)
+    count, depth, factor = _grid_from(p["grid"], 1000, 0, ctx)
     cert = g.min_ricci(GridSpec.line(lo, hi, count, depth, factor),
                        threshold=float(p["threshold"]))
     ctx.certificate("min_ricci", cert)
@@ -185,7 +189,7 @@ def _run_glue_corner(p, ctx):
     ratio = float(p["delta_ratio"])
     a_lo, a_hi = left.a_range[0], right.a_range[1]
 
-    count, depth, factor = _grid_from(p["grid"], 241, 3, ctx.grid_depth)
+    count, depth, factor = _grid_from(p["grid"], 241, 3, ctx)
 
     def certify(chart, delta):
         n = max(count, int(8.0 * (a_hi - a_lo) / delta))
@@ -198,10 +202,7 @@ def _run_glue_corner(p, ctx):
     if p["eps"] is not None:
         eps = float(p["eps"])
     else:
-        spec = p["search"] or {}
-        unknown = set(spec) - {"lo", "hi", "tol"}
-        if unknown:
-            raise ScenarioError(f"unknown search keys: {sorted(unknown)}")
+        spec = _sub_keys(p["search"], {"lo", "hi", "tol"}, "search")
         lo = float(spec.get("lo", 0.02))
         hi = float(spec.get("hi", 0.45 * min(-left.a_range[0], right.a_range[1])))
         tol = float(spec.get("tol", 1e-3))
@@ -223,18 +224,16 @@ def _run_glue_corner(p, ctx):
     ctx.certificate("convexity", cvx)
     ctx.certificate("concavity", ccv)
 
-    rows = []
-    for a in np.linspace(a_lo, a_hi, int(p["samples"])):
-        form = cor.face_second_form(glued, a)
-        rows.append(form.as_row() + (cor.face_profile_hessian(glued, a),))
+    a = np.linspace(a_lo, a_hi, int(p["samples"]))
     ctx.csv("face_forms.csv",
-            cor.FaceSecondForm.CSV_HEADER + ("profile_hessian",), rows)
+            cor.FaceSecondForm.CSV_HEADER + ("profile_hessian",),
+            zip(*cor.face_second_form(glued, a).as_row(),
+                cor.face_profile_hessian(glued, a)))
 
-    outside = [a for a in np.linspace(a_lo, a_hi, 257)
-               if abs(a) > eps + delta]
-    local = max(abs(glued.phi.value(a)
-                    - (left.phi.value(a) if a < 0 else right.phi.value(a)))
-                for a in outside)
+    a = np.linspace(a_lo, a_hi, 257)
+    a = a[np.abs(a) > eps + delta]
+    inputs = np.concatenate([left.phi.value(a[a < 0]), right.phi.value(a[a >= 0])])
+    local = float(np.max(np.abs(glued.phi.value(a) - inputs)))
     ctx.check("locality", 1e-15 if local == 0.0 else -local,
               "glued phi bit-identical to inputs outside windows")
     return {"dihedral_angle": angle, "eps": eps, "delta": delta,
@@ -249,15 +248,10 @@ def _run_glue_corner(p, ctx):
 def _run_isotopy(p, ctx):
     R, m, n, b1 = float(p["R"]), int(p["m"]), int(p["n"]), float(p["b1"])
     threshold = float(p["threshold"])
-    spec = p["grid"] or {}
-    unknown = set(spec) - {"lambda_count", "s_count", "depth", "factor"}
-    if unknown:
-        raise ScenarioError(f"unknown grid keys: {sorted(unknown)}")
+    spec = _sub_keys(p["grid"], {"lambda_count", "s_count", "depth", "factor"}, "grid")
     lam_count = int(spec.get("lambda_count", 64))
     s_count = int(spec.get("s_count", 256))
-    depth = int(spec.get("depth", 2))
-    if ctx.grid_depth is not None:
-        depth = ctx.grid_depth
+    depth = ctx.depth(spec.get("depth", 2))
     factor = int(spec.get("factor", 2))
 
     def stage_certs(nu):
@@ -277,10 +271,7 @@ def _run_isotopy(p, ctx):
     if p["nu"] is not None:
         nu = float(p["nu"])
     else:
-        spec = p["nu_search"] or {}
-        unknown = set(spec) - {"lo", "hi", "tol"}
-        if unknown:
-            raise ScenarioError(f"unknown nu_search keys: {sorted(unknown)}")
+        spec = _sub_keys(p["nu_search"], {"lo", "hi", "tol"}, "nu_search")
         lo = float(spec.get("lo", 1e-4))
         hi = float(spec.get("hi", 0.2))
         tol = float(spec.get("tol", 1e-3))
@@ -328,29 +319,20 @@ def _run_concordance(p, ctx):
     spec = dict(_take(p, "path"))
     kind = spec.pop("type", None)
     if kind == "round_bump":
-        unknown = set(spec) - {"n", "base", "amplitude"}
-        if unknown:
-            raise ScenarioError(f"unknown path keys: {sorted(unknown)}")
+        _sub_keys(spec, {"n", "base", "amplitude"}, "path")
         node = Sum((Poly((float(spec.get("base", 1.0)),)),
                     Sin(float(spec.get("amplitude", 0.1)), math.pi)))
-        path = cons.RoundRadiusPath(
-            Jet3Curve.from_node(node, (0.0, 1.0)), int(spec.get("n", 3)))
     elif kind == "round_constant":
-        unknown = set(spec) - {"n", "radius"}
-        if unknown:
-            raise ScenarioError(f"unknown path keys: {sorted(unknown)}")
-        path = cons.RoundRadiusPath(
-            Jet3Curve.from_node(Poly((float(spec.get("radius", 1.0)),)),
-                                (0.0, 1.0)), int(spec.get("n", 3)))
+        _sub_keys(spec, {"n", "radius"}, "path")
+        node = Poly((float(spec.get("radius", 1.0)),))
     else:
         raise ScenarioError(f"unknown path type {kind!r}")
+    path = cons.RoundRadiusPath(
+        Jet3Curve.from_node(node, (0.0, 1.0)), int(spec.get("n", 3)))
 
-    depth = int(p["cert_depth"])
-    if ctx.grid_depth is not None:
-        depth = ctx.grid_depth
     params, certs, boundary = cons.concordance_search(
         path, float(p["nu"]), t_count=int(p["t_count"]),
-        theta_count=int(p["theta_count"]), cert_depth=depth,
+        theta_count=int(p["theta_count"]), cert_depth=ctx.depth(p["cert_depth"]),
         threshold=float(p["threshold"]))
     for name, cert in certs.items():
         ctx.certificate(name, cert)
@@ -412,6 +394,10 @@ class _Context:
         self.certificates = {}
         self.checks = []
         self.artifacts = []
+
+    def depth(self, depth) -> int:
+        """The scenario's refinement ``depth``, unless --grid-depth overrides it."""
+        return int(depth) if self.grid_depth is None else self.grid_depth
 
     def certificate(self, name, cert):
         self.certificates[name] = cert

@@ -36,7 +36,8 @@ from .jetcurve import (
     Scale,
     Sin,
     Sum,
-    _jet_safe,
+    _first,
+    _lib,
     constant,
 )
 from .spline import hermite_quintic, two_stage_smooth
@@ -696,15 +697,17 @@ class RoundRadiusPath:
             raise PreconditionError(f"need n >= 2, got {self.n}")
         if self.r.domain != (0.0, 1.0):
             raise PreconditionError("radius curve must live on [0, 1]")
-        for lam in np.linspace(0.0, 1.0, 65):
-            if self.r.value(lam) <= 0.0:
-                raise PreconditionError(f"radius vanishes at lambda={lam!r}")
+        lam = np.linspace(0.0, 1.0, 65)
+        bad = _first(~(self.r.value(lam) > 0.0), lam)
+        if bad:
+            raise PreconditionError(f"radius vanishes at lambda={bad[0]!r}")
 
     def min_ricci(self, grid: GridSpec,
                   threshold: float = 1e-6) -> PositivityCertificate:
         return grid_min(
-            lambda lam: (self.n - 1) / _jet_safe(self.r, lam).value ** 2,
+            lambda pts: (self.n - 1) / self.r.jet(pts[:, 0]).value ** 2,
             grid, threshold=threshold, quantity_id="path_min_ricci",
+            batched=True,
         )
 
 
@@ -760,7 +763,7 @@ class ConcordanceParams:
 
 def gamma_weight(t: float) -> float:
     """Gamma(t) = 1 / (t ln^2 t), the common speed of both schedules."""
-    u = math.log(t)
+    u = _lib(t).log(t)
     return 1.0 / (t * u * u)
 
 
@@ -782,13 +785,11 @@ def concordance_schedule(p: ConcordanceParams):
         Scale(ExpOf(Scale(Recip(Log(1.0)), 1.0 / beta)),
               p.r1 * math.exp(-1.0 / (beta * l0))), dom)
 
-    worst = 0.0
-    for t in np.exp(np.linspace(math.log(p.t0), math.log(p.t1), 1000)):
-        jl, jr = lam.jet(t), rho.jet(t)
-        g = gamma_weight(t)
-        worst = max(worst, abs(alpha * jl.d1 - g),
-                    abs(beta * jr.d1 / jr.value + g))
-    if worst > 1e-10:
+    t = np.exp(np.linspace(math.log(p.t0), math.log(p.t1), 1000))
+    jl, jr, g = lam.jet(t), rho.jet(t), gamma_weight(t)
+    worst = float(np.max(np.maximum(np.abs(alpha * jl.d1 - g),
+                                    np.abs(beta * jr.d1 / jr.value + g))))
+    if not worst <= 1e-10:
         raise ConditionError(
             f"schedule residuals {worst:.3e} exceed 1e-10", report=None
         )
@@ -851,11 +852,8 @@ def _path_global_minima(path, grid: GridSpec):
     """(min Ricci certificate, min sectional) of the slice metrics."""
     cert = path.min_ricci(grid)
     if isinstance(path, RoundRadiusPath):
-        sec_min = math.inf
         (lo, hi, count), = grid.axes
-        for lam in np.linspace(lo, hi, count):
-            sec_min = min(sec_min, 1.0 / path.r.value(lam) ** 2)
-        return cert, sec_min
+        return cert, float(np.min(1.0 / path.r.value(np.linspace(lo, hi, count)) ** 2))
     c = path.sectional(*_path_grid(grid))
     return cert, float(min(np.min(K) for K in c.sectionals))
 
@@ -907,7 +905,7 @@ def concordance_search(path, nu: float, *,
     L = math.log(r1) - math.log(r0)  # = C + 1
 
     def rho_of(u, ell, beta):
-        return r1 * math.exp(-(1.0 / beta) * (1.0 / ell - 1.0 / u))
+        return r1 * np.exp(-(1.0 / beta) * (1.0 / ell - 1.0 / u))
 
     def bounds_at(theta, u, ell):
         alpha = 0.5 / ell
@@ -921,8 +919,8 @@ def concordance_search(path, nu: float, *,
                      - C * ((inv_a + inv_b) / u**2 + (inv_a + inv_b) ** 2 / u**4))
         b_space = sec_time + (n - 1) * sec_space
         b_mixed = C * inv_a / (u * u * rho)
-        ct, st = math.cos(theta), math.sin(theta)
-        return (ct * ct * b_time - 2.0 * abs(st * ct) * b_mixed
+        ct, st = np.cos(theta), np.sin(theta)
+        return (ct * ct * b_time - 2.0 * np.abs(st * ct) * b_mixed
                 + st * st * b_space)
 
     def theta_split(ell) -> float:
@@ -937,13 +935,9 @@ def concordance_search(path, nu: float, *,
     def coarse_ok(ell, theta0):
         # Cheap gate before running the full certificates: the margins are
         # smooth in (theta, ln t), so a thin grid finds the right doubling.
-        worst = math.inf
-        for th in np.linspace(0.0, 0.5 * math.pi, 25):
-            for u in np.linspace(ell, 2.0 * ell, 33):
-                worst = min(worst, bounds_at(th, u, ell))
-                if worst <= threshold:
-                    return False
-        return True
+        th, u = np.meshgrid(np.linspace(0.0, 0.5 * math.pi, 25),
+                            np.linspace(ell, 2.0 * ell, 33), indexing="ij")
+        return bool(np.min(bounds_at(th, u, ell)) > threshold)
 
     t0 = 4.0
     trace = []
@@ -958,16 +952,14 @@ def concordance_search(path, nu: float, *,
             t0 *= 2.0
             continue
         certs = {}
-        certs["ricci_theta_below"] = grid_min(
-            lambda th, u, e=ell: bounds_at(th, u, e),
-            GridSpec.box([(0.0, theta0, theta_count), (ell, 2.0 * ell, t_count)],
-                         depth=cert_depth),
-            threshold=threshold, quantity_id="ricci_bound_theta_below_t2norm")
-        certs["ricci_theta_above"] = grid_min(
-            lambda th, u, e=ell: bounds_at(th, u, e),
-            GridSpec.box([(theta0, 0.5 * math.pi, theta_count),
-                          (ell, 2.0 * ell, t_count)], depth=cert_depth),
-            threshold=threshold, quantity_id="ricci_bound_theta_above_t2norm")
+        for side, th_lo, th_hi in (("below", 0.0, theta0),
+                                   ("above", theta0, 0.5 * math.pi)):
+            certs[f"ricci_theta_{side}"] = grid_min(
+                lambda pts, e=ell: bounds_at(pts[:, 0], pts[:, 1], e),
+                GridSpec.box([(th_lo, th_hi, theta_count), (ell, 2.0 * ell, t_count)],
+                             depth=cert_depth),
+                threshold=threshold, quantity_id=f"ricci_bound_theta_{side}_t2norm",
+                batched=True)
         ric_ok = all(c.passed for c in certs.values())
         if ric_ok:
             params = ConcordanceParams(t0=t0, t1=t0 * t0, r0=r0, r1=r1,

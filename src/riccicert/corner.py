@@ -21,6 +21,10 @@ convexity certificates. Concavity of the face profile is the sign of
 d^2/ds^2 F(a(s), b(s)) along the arclength parameterization of the graph in
 the 2-D metric da^2 + mu^2 db^2.
 
+The face forms and ``BiWarp`` evaluate at float64 arrays of points, where
+jets take the left limit on a marked kink; a float is served as one point
+and gives Python floats.
+
 Two charts glue along a = 0 when their boundary data match; the corner is
 then smoothed by running the two-stage spline pipeline on mu, phi and on
 every a-factor of H. H is carried as a sum of separable terms
@@ -37,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, PreconditionError
-from .jetcurve import BiJet, Jet3Curve, _jet_safe
+from .jetcurve import BiJet, Jet3Curve, _first, _pointwise
 from .spline import two_stage_smooth
 from .verify import GridSpec, PositivityCertificate, grid_min
 
@@ -82,19 +86,14 @@ class BiWarp:
     def b_domain(self):
         return self.terms[0][1].domain
 
-    def partial(self, i: int, j: int, a: float, b: float) -> float:
-        total = 0.0
-        for fa, gb in self.terms:
-            total += _jet_safe(fa, a).deriv(i) * _jet_safe(gb, b).deriv(j)
-        return total
-
     def value(self, a: float, b: float) -> float:
-        return self.partial(0, 0, a, b)
+        return self.bijet(a, b).value
 
+    @_pointwise
     def bijet(self, a: float, b: float) -> BiJet:
         v = da = db = daa = dab = dbb = 0.0
         for fa, gb in self.terms:
-            jf, jg = _jet_safe(fa, a), _jet_safe(gb, b)
+            jf, jg = fa.jet(a), gb.jet(b)
             v += jf.value * jg.value
             da += jf.d1 * jg.value
             db += jf.value * jg.d1
@@ -158,16 +157,18 @@ class CornerChart:
 
     def _check_graph_and_positivity(self, samples: int = 24):
         b_lo, b_hi = self.H.b_domain
-        for a in np.linspace(*self.a_range, samples):
-            b = self.phi.value(a)
-            if b < b_lo - 1e-12 or b > b_hi + 1e-12:
-                raise DomainError(
-                    f"face graph exits chart: phi({a!r}) = {b!r} not in [{b_lo!r}, {b_hi!r}]"
-                )
-        for a in np.linspace(*self.a_range, samples):
-            for b in np.linspace(b_lo, b_hi, samples):
-                if self.H.value(a, b) <= 0.0:
-                    raise PreconditionError(f"H <= 0 at (a={a!r}, b={b!r})")
+        a = np.linspace(*self.a_range, samples)
+        b = self.phi.value(a)
+        bad = _first(~((b >= b_lo - 1e-12) & (b <= b_hi + 1e-12)), a, b)
+        if bad:
+            raise DomainError(
+                f"face graph exits chart: phi({bad[0]!r}) = {bad[1]!r} not in [{b_lo!r}, {b_hi!r}]"
+            )
+        a, b = (x.ravel() for x in np.meshgrid(a, np.linspace(b_lo, b_hi, samples),
+                                              indexing="ij"))
+        bad = _first(~(self.H.value(a, b) > 0.0), a, b)
+        if bad:
+            raise PreconditionError(f"H <= 0 at (a={bad[0]!r}, b={bad[1]!r})")
 
     @property
     def a_range(self):
@@ -195,8 +196,9 @@ class CornerChart:
 
 @dataclass(frozen=True)
 class FaceSecondForm:
-    """Second-form values of the face b = phi(a) at one a, with the
-    denominator-free numerators used by the certificates."""
+    """Second-form values of the face b = phi(a) at one a, or equal-shape
+    arrays of them at many, with the denominator-free numerators used by the
+    certificates."""
 
     a: float
     II_tau: float
@@ -210,29 +212,36 @@ class FaceSecondForm:
     CSV_HEADER = ("a", "II_tau", "II_Z", "tau_clear", "zed_clear")
 
 
-def _chart_data(chart: CornerChart, a: float):
-    jmu = _jet_safe(chart.mu, a)
-    jphi = _jet_safe(chart.phi, a)
+def _chart_data(chart: CornerChart, a: np.ndarray):
+    """mu, mu_a, phi_a, phi_aa and the BiJet of H on the face at ``a``."""
+    jmu = chart.mu.jet(a)
+    jphi = chart.phi.jet(a)
     b = jphi.value
     b_lo, b_hi = chart.H.b_domain
-    if b < b_lo - 1e-12 or b > b_hi + 1e-12:
-        raise DomainError(f"face graph exits chart at a={a!r} (b={b!r})")
-    jH = chart.H.bijet(a, b)
-    return jmu, jphi, jH
+    bad = _first(~((b >= b_lo - 1e-12) & (b <= b_hi + 1e-12)), a, b)
+    if bad:
+        raise DomainError(f"face graph exits chart at a={bad[0]!r} (b={bad[1]!r})")
+    return jmu.value, jmu.d1, jphi.d1, jphi.d2, chart.H.bijet(a, b)
 
 
+def _pow(x: np.ndarray, k: int) -> np.ndarray:
+    # x ** k by libm's pow, element by element: numpy's SIMD power can differ
+    # from it in the last bit, and the face forms keep the values of the
+    # per-point formula.
+    return (x.astype(object) ** k).astype(float)
+
+
+@_pointwise
 def face_second_form(chart: CornerChart, a: float) -> FaceSecondForm:
     """Both scalar second-form values of the face at ``a``."""
-    jmu, jphi, jH = _chart_data(chart, a)
-    mu, mu_a = jmu.value, jmu.d1
-    phi_a, phi_aa = jphi.d1, jphi.d2
+    mu, mu_a, phi_a, phi_aa, jH = _chart_data(chart, a)
     Hv = jH.value
     F = Hv * Hv
     F_a = 2.0 * Hv * jH.da
     F_b = 2.0 * Hv * jH.db
 
     q = 1.0 + mu * mu * phi_a * phi_a
-    root = math.sqrt(q)
+    root = np.sqrt(q)
     tau_clear = -mu * phi_aa - phi_a * mu_a * (mu * mu * phi_a * phi_a + 2.0)
     zed_clear = -phi_a * F_a * mu * mu + F_b
     return FaceSecondForm(
@@ -244,6 +253,7 @@ def face_second_form(chart: CornerChart, a: float) -> FaceSecondForm:
     )
 
 
+@_pointwise
 def face_profile_hessian(chart: CornerChart, a: float) -> float:
     """d^2/ds^2 of F = H^2 along the arclength parameterization of the face.
 
@@ -254,9 +264,7 @@ def face_profile_hessian(chart: CornerChart, a: float) -> float:
         a' = 1/psi', a'' = -psi''/psi'^3,
         b' = phi_a/psi', b'' = phi_aa/psi'^2 - phi_a psi''/psi'^3.
     """
-    jmu, jphi, jH = _chart_data(chart, a)
-    mu, mu_a = jmu.value, jmu.d1
-    phi_a, phi_aa = jphi.d1, jphi.d2
+    mu, mu_a, phi_a, phi_aa, jH = _chart_data(chart, a)
     Hv = jH.value
 
     F_a = 2.0 * Hv * jH.da
@@ -265,12 +273,13 @@ def face_profile_hessian(chart: CornerChart, a: float) -> float:
     F_ab = 2.0 * (jH.da * jH.db + Hv * jH.dab)
     F_bb = 2.0 * (jH.db * jH.db + Hv * jH.dbb)
 
-    psi1 = math.sqrt(1.0 + mu * mu * phi_a * phi_a)
+    psi1 = np.sqrt(1.0 + mu * mu * phi_a * phi_a)
     psi2 = (mu * mu_a * phi_a * phi_a + mu * mu * phi_a * phi_aa) / psi1
+    psi1_2, psi1_3 = _pow(psi1, 2), _pow(psi1, 3)
     a1 = 1.0 / psi1
-    a2 = -psi2 / psi1**3
+    a2 = -psi2 / psi1_3
     b1 = phi_a / psi1
-    b2 = phi_aa / psi1**2 - phi_a * psi2 / psi1**3
+    b2 = phi_aa / psi1_2 - phi_a * psi2 / psi1_3
     return (a2 * F_a + b2 * F_b + a1 * a1 * F_aa
             + 2.0 * a1 * b1 * F_ab + b1 * b1 * F_bb)
 
@@ -298,7 +307,17 @@ def dihedral_angle(left: CornerChart, right: CornerChart) -> float:
     return 0.5 * math.pi + alpha
 
 
-def _match_b_factors(left: BiWarp, right: BiWarp, samples: int = 33):
+def _check_glue_face(left: BiWarp, right: BiWarp, samples: int = 33):
+    """The gluing preconditions on the b-slices of the face a = 0, in order:
+    the same boundary metric, the same b-factors, a positive second-form sum."""
+    bs = np.linspace(*left.b_domain, samples)
+    at = np.zeros_like(bs)
+    jl, jr = left.bijet(at, bs), right.bijet(at, bs)
+    worst = float(np.max(np.abs(jl.value - jr.value)))
+    if not worst <= _MATCH_TOL:
+        raise PreconditionError(
+            f"boundary metrics mismatch: max |H_L(0,b) - H_R(0,b)| = {worst:.3e} > {_MATCH_TOL}"
+        )
     if len(left.terms) != len(right.terms):
         raise PreconditionError(
             f"H term counts differ: {len(left.terms)} vs {len(right.terms)}"
@@ -307,42 +326,22 @@ def _match_b_factors(left: BiWarp, right: BiWarp, samples: int = 33):
         raise PreconditionError(
             f"b-domains differ: {left.b_domain!r} vs {right.b_domain!r}"
         )
-    bs = np.linspace(*left.b_domain, samples)
     for idx, ((_, gl), (_, gr)) in enumerate(zip(left.terms, right.terms)):
-        for b in bs:
-            vl, vr = gl.value(b), gr.value(b)
-            if abs(vl - vr) > _MATCH_TOL * max(1.0, abs(vl), abs(vr)):
-                raise PreconditionError(
-                    f"b-factor {idx} differs between charts at b={b!r}: {vl!r} vs {vr!r}"
-                )
-
-
-def _check_boundary_match(left: CornerChart, right: CornerChart, samples: int = 33):
-    bs = np.linspace(*left.H.b_domain, samples)
-    worst = 0.0
-    for b in bs:
-        worst = max(worst, abs(left.H.value(0.0, b) - right.H.value(0.0, b)))
-    if worst > _MATCH_TOL:
-        raise PreconditionError(
-            f"boundary metrics mismatch: max |H_L(0,b) - H_R(0,b)| = {worst:.3e} > {_MATCH_TOL}"
-        )
-
-
-def _check_glue_second_forms(left: CornerChart, right: CornerChart, samples: int = 33):
+        vl, vr = gl.value(bs), gr.value(bs)
+        tol = _MATCH_TOL * np.maximum(1.0, np.maximum(np.abs(vl), np.abs(vr)))
+        bad = _first(~(np.abs(vl - vr) <= tol), bs, vl, vr)
+        if bad:
+            raise PreconditionError(
+                f"b-factor {idx} differs between charts at b={bad[0]!r}: {bad[1]!r} vs {bad[2]!r}"
+            )
     # Gluing needs the boundary second forms to sum positively; on the
     # b-slices of the glue face that means d_a(H^2) jumps downward at a = 0.
-    bs = np.linspace(*left.H.b_domain, samples)
-    worst = math.inf
-    for b in bs:
-        fa_l = 2.0 * left.H.value(0.0, b) * left.H.partial(1, 0, 0.0, b)
-        fa_r = 2.0 * right.H.value(0.0, b) * right.H.partial(1, 0, 0.0, b)
-        worst = min(worst, fa_l - fa_r)
-    if worst <= 0.0:
+    worst = float(np.min(2.0 * jl.value * jl.da - 2.0 * jr.value * jr.da))
+    if not worst > 0.0:
         raise PreconditionError(
             f"glue-face second-form sum not positive on b-slices "
             f"(min d_a F jump = {worst:.3e})"
         )
-    return worst
 
 
 def _union_curve(cl: Jet3Curve, cr: Jet3Curve) -> Jet3Curve:
@@ -376,9 +375,7 @@ def glue_and_smooth(left: CornerChart, right: CornerChart,
         raise PreconditionError(
             f"interior dihedral angle {angle:.6f} exceeds pi; corner cannot be smoothed"
         )
-    _check_boundary_match(left, right)
-    _match_b_factors(left.H, right.H)
-    _check_glue_second_forms(left, right)
+    _check_glue_face(left.H, right.H)
 
     window = eps + delta
     if -window <= left.a_range[0] or window >= right.a_range[1]:
@@ -403,16 +400,17 @@ def convexity_certificate(chart: CornerChart, grid: GridSpec,
                           threshold: float = 1e-6) -> PositivityCertificate:
     """Certificate that min(tau_clear, zed_clear) > threshold along the face."""
 
-    def margin(a):
-        form = face_second_form(chart, a)
-        return min(form.tau_clear, form.zed_clear)
+    def margin(pts):
+        form = face_second_form(chart, pts[:, 0])
+        return np.minimum(form.tau_clear, form.zed_clear)
 
     return grid_min(margin, grid, threshold=threshold,
-                    quantity_id="face_convexity")
+                    quantity_id="face_convexity", batched=True)
 
 
 def concavity_certificate(chart: CornerChart, grid: GridSpec,
                           threshold: float = 1e-6) -> PositivityCertificate:
     """Certificate that -face_profile_hessian > threshold along the face."""
-    return grid_min(lambda a: -face_profile_hessian(chart, a), grid,
-                    threshold=threshold, quantity_id="face_concavity")
+    return grid_min(lambda pts: -face_profile_hessian(chart, pts[:, 0]), grid,
+                    threshold=threshold, quantity_id="face_concavity",
+                    batched=True)

@@ -18,8 +18,9 @@ Everything here is immutable; operations return new curves.
 from __future__ import annotations
 
 import bisect as _bisect
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -61,6 +62,23 @@ def _first(bad, *values):
         return None
     i = int(np.argmax(bad))
     return tuple(v[i] for v in values)
+
+
+def _pointwise(fn):
+    """Let ``fn(obj, *xs)``, written for float64 arrays, take floats too: they
+    go in as 1-point arrays, and the result (an array, or a dataclass of
+    arrays) comes back as Python floats."""
+
+    @functools.wraps(fn)
+    def wrapper(obj, *xs):
+        if any(isinstance(x, np.ndarray) for x in xs):
+            return fn(obj, *xs)
+        out = fn(obj, *(np.array([x], dtype=float) for x in xs))
+        if isinstance(out, np.ndarray):
+            return float(out[0])
+        return type(out)(*(float(getattr(out, f.name)[0]) for f in fields(out)))
+
+    return wrapper
 
 
 @dataclass(frozen=True)
@@ -524,8 +542,9 @@ class Jet3Curve:
         """Jet at ``x``; one-sided at kinks via ``side``.
 
         For an array ``x``, points on a kink take the left limit unless
-        ``side`` says otherwise (as :func:`_jet_safe` does), and a non-finite
-        jet raises DomainError naming the first such point.
+        ``side`` says otherwise (a scan may land on one, where higher orders
+        are one-sided), and a non-finite jet raises DomainError naming the
+        first such point.
         """
         if side not in (None, "left", "right"):
             raise PreconditionError(f"side must be 'left' or 'right', got {side!r}")
@@ -626,15 +645,6 @@ class Jet3Curve:
         )
         kinks = tuple((float(x), int(order)) for x, order in d.get("kinks", []))
         return Jet3Curve((float(d["domain"][0]), float(d["domain"][1])), pieces, kinks)
-
-
-def _jet_safe(curve: Jet3Curve, x: float) -> Jet3:
-    """Jet of ``curve`` at ``x``, taking the left limit on a marked kink: a scan
-    may land on one, where higher orders are one-sided."""
-    try:
-        return curve.jet(x)
-    except KinkSideRequired:
-        return curve.jet(x, side="left")
 
 
 def affine_combine(c1: Jet3Curve, c2: Jet3Curve, w: float) -> Jet3Curve:

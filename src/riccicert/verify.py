@@ -3,9 +3,10 @@
 Certification here is a falsification-resistant heuristic, not interval
 arithmetic: a margin function is scanned on a fixed grid, the worst cells are
 refined a configurable number of times, and the whole trace is reported so a
-reviewer can judge margin stability. A margin takes one point per call, or
-(batched) an array of points per call; grids are fixed up front and the min
-is order-independent, so both forms give identical certificates. Any
+reviewer can judge margin stability. Every riccicert margin is batched: it
+takes an array of points per call. The scalar form, one point per call,
+remains for external callers; grids are fixed up front and the min is
+order-independent, so both forms give identical certificates. Any
 non-finite margin fails the certificate.
 """
 
@@ -142,11 +143,12 @@ def grid_min(f, grid: GridSpec, threshold: float = 1e-6,
              quantity_id: str = "margin", batched: bool = False) -> PositivityCertificate:
     """Certificate for ``min f > threshold`` over the grid's box.
 
-    ``f(*point) -> float`` is called once per grid point; a ``batched``
-    margin ``f(points) -> values`` takes up to ``_BLOCK`` points per call as
-    a ``(count, dims)`` array. After the coarse scan, the cells holding the
-    bottom 5% of margins are re-sampled ``grid.factor`` times finer,
-    ``grid.depth`` times over.
+    A ``batched`` margin ``f(points) -> values``, the form of every riccicert
+    certificate, takes up to ``_BLOCK`` points per call as a ``(count, dims)``
+    array. The scalar form ``f(*point) -> float``, called once per grid
+    point, remains for external callers. After the coarse scan, the cells
+    holding the bottom 5% of margins are re-sampled ``grid.factor`` times
+    finer, ``grid.depth`` times over.
     """
     lo = np.array([a for a, _, _ in grid.axes])
     hi = np.array([b for _, b, _ in grid.axes])

@@ -36,7 +36,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DomainError, PreconditionError
-from .jetcurve import Jet3, Jet3Curve, _first, affine_combine
+from .jetcurve import Jet3, Jet3Curve, _first, _pointwise, affine_combine
 from .verify import GridSpec, PositivityCertificate, grid_min
 
 __all__ = [
@@ -228,27 +228,20 @@ def curvature_from_jets(jk, jh, m: int, n: int, start_kind: str, end_kind: str,
     )
 
 
-def _single(sample: CurvatureSample) -> CurvatureSample:
-    return CurvatureSample(*(float(v[0]) for v in sample.as_row()))
-
-
+@_pointwise
 def sectional(g: DoublyWarpedMetric, s: float) -> CurvatureSample:
     """All five sectional curvatures and the diagonal Ricci values at ``s``.
 
     A float64 array ``s`` gives a sample of arrays, one entry per point.
     """
-    one = not isinstance(s, np.ndarray)
-    if one:
-        s = np.array([s], dtype=float)
     lo, hi = g.domain
     at_start, at_end = _closed_ends(s, g.domain, g.guard_frac * (hi - lo),
                                     g.start_kind, g.end_kind)
     # The limit forms read the jets at the collapsing end itself.
     x = np.where(at_start, lo, np.where(at_end, hi, s))
-    sample = curvature_from_jets(g.k.jet(x), g.h.jet(x), g.m, g.n,
-                                 g.start_kind, g.end_kind,
-                                 s=s, at_start=at_start, at_end=at_end)
-    return _single(sample) if one else sample
+    return curvature_from_jets(g.k.jet(x), g.h.jet(x), g.m, g.n,
+                               g.start_kind, g.end_kind,
+                               s=s, at_start=at_start, at_end=at_end)
 
 
 def level_set_second_form(g: DoublyWarpedMetric, s: float):
@@ -319,12 +312,10 @@ class WarpedMetricPath:
         return tuple(Jet3(*(v[back] for v in c.jet(s_distinct).as_tuple()))
                      for c in (self.k0, self.k1, self.h0, self.h1))
 
+    @_pointwise
     def sectional(self, lam: float, s: float) -> CurvatureSample:
         """Curvature of the metric at ``lam`` at ``s``; equal-shape float64
         arrays ``lam`` and ``s`` give a sample of arrays, one entry per point."""
-        one = not isinstance(s, np.ndarray)
-        if one:
-            lam, s = np.array([lam], dtype=float), np.array([s], dtype=float)
         u = self.weight(lam)
         lo, hi = self.k0.domain
         at_start, at_end = _closed_ends(s, (lo, hi), 1e-6 * (hi - lo),
@@ -333,11 +324,10 @@ class WarpedMetricPath:
         # reads them at s itself inside the guard bands.
         jk0, jk1, jh0, jh1 = self.endpoint_jets(s)
         w = 1.0 - u
-        sample = curvature_from_jets(jk0.scaled(w) + jk1.scaled(u),
-                                     jh0.scaled(w) + jh1.scaled(u),
-                                     self.m, self.n, self.start_kind, self.end_kind,
-                                     s=s, at_start=at_start, at_end=at_end)
-        return _single(sample) if one else sample
+        return curvature_from_jets(jk0.scaled(w) + jk1.scaled(u),
+                                   jh0.scaled(w) + jh1.scaled(u),
+                                   self.m, self.n, self.start_kind, self.end_kind,
+                                   s=s, at_start=at_start, at_end=at_end)
 
     def min_ricci(self, grid: GridSpec,
                   threshold: float = 1e-6) -> PositivityCertificate:

@@ -1,16 +1,19 @@
-"""Finite-difference curvature oracles, independent of the package's jets.
+"""Finite-difference curvature oracles and a per-point jet reference.
 
 Everything here differentiates plain ``metric_fn(x) -> (n, n) array``
 callables with fourth-order central stencils, assembles Christoffel symbols
 and the Riemann tensor numerically, and reads off sectional / Ricci values.
 The sign conventions are pinned by ``test_oracle_self_check`` against the
 round sphere, so these routines can arbitrate the closed forms in the
-package.
+package. ``_jet_safe`` is the one jet-based piece: the per-point reference
+for the package's array evaluations.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from riccicert.errors import KinkSideRequired
 
 _STENCIL = ((-2, 1.0 / 12.0), (-1, -8.0 / 12.0), (1, 8.0 / 12.0), (2, -1.0 / 12.0))
 
@@ -75,6 +78,16 @@ def ricci_fd(metric_fn, x, **kw):
     gi = np.linalg.inv(g)
     rm = riemann_down(metric_fn, x, **kw)
     return np.einsum("ab,acbd->cd", gi, rm)
+
+
+def _jet_safe(curve, x):
+    """Per-point jet of ``curve`` at the float ``x``, from the math-module path,
+    taking the left limit on a marked kink: the reference that array jets
+    (which take that limit themselves) are compared against."""
+    try:
+        return curve.jet(x)
+    except KinkSideRequired:
+        return curve.jet(x, side="left")
 
 
 # ---------------------------------------------------------------------------

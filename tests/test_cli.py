@@ -135,3 +135,22 @@ def test_evaluation_error_exits_three_with_coords(tmp_path):
     assert report["error"]["kind"] == "EvaluationError"
     assert report["error"]["coords"] == [c]
     assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("name, key, sub", [
+    ("curvature_round_sphere.json", "grid", None),
+    ("glue_corner.json", "grid", None),
+    ("glue_corner.json", "search", None),
+    ("isotopy.json", "grid", None),
+    ("isotopy.json", "nu_search", None),
+    ("concordance_bump.json", "path", None),
+    ("concordance_bump.json", "path", {"type": "round_constant", "radius": 1.0}),
+])
+def test_unknown_sub_key_exits_two(tmp_path, name, key, sub):
+    scenario = load(name)
+    spec = dict(sub if sub is not None else scenario[key])
+    scenario[key] = {**spec, "bogus": 1}
+    code, report = run_scenario(scenario, tmp_path)
+    assert code == 2
+    assert f"unknown {key} keys: ['bogus']" == report["error"]["message"]
+    assert not (tmp_path / "report.json").exists()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import sectional_fd, warped_slice_metric
+from oracles import _jet_safe, sectional_fd, warped_slice_metric
 from riccicert.constructions import (
     ConcordanceParams,
     ProfileShape,
@@ -23,7 +23,7 @@ from riccicert.constructions import (
     solve_geodesic_triangle,
 )
 from riccicert.errors import ConditionError, PreconditionError, SearchError
-from riccicert.jetcurve import Jet3Curve, Poly, Sin, Sum, _jet_safe
+from riccicert.jetcurve import Jet3Curve, Poly, Sin, Sum
 from riccicert.verify import GridSpec, grid_min
 from riccicert.warped import DoublyWarpedMetric, sectional
 
@@ -336,6 +336,66 @@ def test_search_is_deterministic():
 def test_search_rejects_nu_edge_cases():
     with pytest.raises(PreconditionError):
         concordance_search(bump_path(), nu=0.0)
+
+
+def cylinder_bound_reference(theta, u, ell, *, n, r1, L, C, sec_min):
+    """Per-point t^2-normalized Ricci bound of the concordance cylinder on the
+    math module: the loop form of the batched concordance margin."""
+    alpha = 0.5 / ell
+    beta = alpha / L
+    inv_a, inv_b = 1.0 / alpha, 1.0 / beta
+    rho = r1 * math.exp(-(1.0 / beta) * (1.0 / ell - 1.0 / u))
+    shape = 1.0 / u**2 - 2.0 / u**3
+    sec_time = (inv_b - C * inv_a) * shape - 4.0 * (inv_b + C * inv_a) ** 2 / u**4
+    b_time = n * sec_time
+    sec_space = (sec_min / rho**2 - 1.0
+                 - C * ((inv_a + inv_b) / u**2 + (inv_a + inv_b) ** 2 / u**4))
+    b_space = sec_time + (n - 1) * sec_space
+    b_mixed = C * inv_a / (u * u * rho)
+    ct, st = math.cos(theta), math.sin(theta)
+    return (ct * ct * b_time - 2.0 * abs(st * ct) * b_mixed
+            + st * st * b_space)
+
+
+def test_batched_concordance_margins_match_per_point_reference(monkeypatch):
+    # numpy's exp and power may differ from libm's in the last bits, so the
+    # batched margins match the loop form to a tolerance fixed from float64.
+    import riccicert.constructions as cons
+
+    path = bump_path()
+    scans = []
+
+    def spy(f, grid, **kw):
+        assert kw["batched"]
+
+        def record(points):
+            values = f(points)
+            scans.append((kw["quantity_id"], grid, points.copy(), values))
+            return values
+
+        return grid_min(record, grid, **kw)
+
+    monkeypatch.setattr(cons, "grid_min", spy)
+    params, _, _ = concordance_search(path, nu=0.05)
+    sec_min = min(1.0 / path.r.value(x) ** 2
+                  for x in np.linspace(0.0, 1.0, 257).tolist())
+    consts = dict(n=path.n, r1=params.r1, C=params.C, sec_min=sec_min,
+                  L=math.log(params.r1) - math.log(params.r0))
+    kinds = set()
+    for qid, grid, points, values in scans:
+        kinds.add(qid)
+        if qid == "path_min_ricci":
+            ref = [(path.n - 1) / path.r.jet(lam).value ** 2
+                   for lam in points[:, 0].tolist()]
+        else:
+            ell = grid.axes[1][0]
+            ref = [cylinder_bound_reference(th, u, ell, **consts)
+                   for th, u in points.tolist()]
+        ref = np.array(ref)
+        tol = 64 * np.finfo(float).eps * np.maximum(1.0, np.abs(ref))
+        assert np.all(np.abs(values - ref) <= tol), qid
+    assert kinds == {"path_min_ricci", "ricci_bound_theta_below_t2norm",
+                     "ricci_bound_theta_above_t2norm"}
 
 
 def test_concordance_scaled_slices(profile=None):

@@ -1,9 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from oracles import face_second_form_fd, profile_hessian_fd
+from oracles import _jet_safe, face_second_form_fd, profile_hessian_fd
+from riccicert import corner
 from riccicert.corner import (
     BiWarp,
     CornerChart,
@@ -16,7 +18,7 @@ from riccicert.corner import (
 )
 from riccicert.errors import DomainError, PreconditionError
 from riccicert.jetcurve import Cos, Exp, Jet3Curve, Poly, Scale, Sin
-from riccicert.verify import GridSpec, bisect_param
+from riccicert.verify import GridSpec, bisect_param, grid_min
 
 SQ3 = math.sqrt(3.0)
 
@@ -95,7 +97,8 @@ def test_second_form_signs_match_clear_numerators():
         assert math.copysign(1, form.II_Z) == math.copysign(1, form.zed_clear)
 
 
-def test_face_second_form_matches_fd_oracle_on_random_charts():
+def random_charts():
+    """Three random left charts with (mu, phi, H) as plain callables too."""
     rng = np.random.default_rng(123)
     for _ in range(3):
         m0, m1 = 1.0, rng.uniform(-0.4, 0.4)
@@ -116,11 +119,101 @@ def test_face_second_form_matches_fd_oracle_on_random_charts():
             "left", Poly((1.0, m1)), Poly((0.0, p1, p2)),
             [(Poly((1.0, ha)), Poly((1.0, hb, hb2)))],
             a_len=0.8, b_rng=(-1.4, 1.4))
+        yield ch, mu_f, phi_f, H_f
+
+
+def test_face_second_form_matches_fd_oracle_on_random_charts():
+    for ch, mu_f, phi_f, H_f in random_charts():
         for a in (-0.5, -0.2):
             form = face_second_form(ch, a)
             fd_tau, fd_z = face_second_form_fd(mu_f, phi_f, H_f, a)
             assert form.II_tau == pytest.approx(fd_tau, rel=1e-5, abs=1e-7)
             assert form.II_Z == pytest.approx(fd_z, rel=1e-5, abs=1e-7)
+
+
+def face_forms_reference(chart, a: float):
+    """(II_tau, II_Z, tau_clear, zed_clear, profile Hessian) at the float ``a``:
+    the per-point formulas on per-point math-module jets."""
+    jmu, jphi = _jet_safe(chart.mu, a), _jet_safe(chart.phi, a)
+    b = jphi.value
+    v = da = db = daa = dab = dbb = 0.0
+    for fa, gb in chart.H.terms:
+        jf, jg = _jet_safe(fa, a), _jet_safe(gb, b)
+        v += jf.value * jg.value
+        da += jf.d1 * jg.value
+        db += jf.value * jg.d1
+        daa += jf.d2 * jg.value
+        dab += jf.d1 * jg.d1
+        dbb += jf.value * jg.d2
+    mu, mu_a = jmu.value, jmu.d1
+    phi_a, phi_aa = jphi.d1, jphi.d2
+    F = v * v
+    F_a, F_b = 2.0 * v * da, 2.0 * v * db
+    F_aa = 2.0 * (da * da + v * daa)
+    F_ab = 2.0 * (da * db + v * dab)
+    F_bb = 2.0 * (db * db + v * dbb)
+    q = 1.0 + mu * mu * phi_a * phi_a
+    root = math.sqrt(q)
+    tau_clear = -mu * phi_aa - phi_a * mu_a * (mu * mu * phi_a * phi_a + 2.0)
+    zed_clear = -phi_a * F_a * mu * mu + F_b
+    psi1 = math.sqrt(1.0 + mu * mu * phi_a * phi_a)
+    psi2 = (mu * mu_a * phi_a * phi_a + mu * mu * phi_a * phi_aa) / psi1
+    a1, a2 = 1.0 / psi1, -psi2 / psi1**3
+    b1 = phi_a / psi1
+    b2 = phi_aa / psi1**2 - phi_a * psi2 / psi1**3
+    hessian = (a2 * F_a + b2 * F_b + a1 * a1 * F_aa
+               + 2.0 * a1 * b1 * F_ab + b1 * b1 * F_bb)
+    return (tau_clear / (q * root), zed_clear / (2.0 * mu * F * root),
+            tau_clear, zed_clear, hessian)
+
+
+def assert_face_forms_bitwise(chart, a):
+    form = face_second_form(chart, a)
+    assert form.a is a
+    got = np.stack([form.II_tau, form.II_Z, form.tau_clear, form.zed_clear,
+                    face_profile_hessian(chart, a)], axis=1)
+    one = np.array([face_second_form(chart, x).as_row()[1:]
+                    + (face_profile_hessian(chart, x),) for x in a.tolist()])
+    ref = np.array([face_forms_reference(chart, x) for x in a.tolist()])
+    assert got.tobytes() == one.tobytes() == ref.tobytes()
+
+
+def test_face_forms_bitwise_on_random_charts():
+    rng = np.random.default_rng(7)
+    for ch, *_ in random_charts():
+        a = np.concatenate([np.linspace(-0.8, 0.0, 41), rng.uniform(-0.8, 0.0, 40)])
+        assert_face_forms_bitwise(ch, a)
+
+
+def test_face_forms_bitwise_on_union_chart_kinks_and_refinement_cells():
+    left, right = corner_pair()
+    eps, delta = 0.15, 0.03
+    glued = glue_and_smooth(left, right, eps, delta)
+    curves = (glued.mu, glued.phi, *(fa for fa, _ in glued.H.terms))
+    marked = {x for c in curves for x, _ in c.kinks}
+    assert {eps + delta, -eps - delta} <= marked
+    kinks = sorted(marked | {0.0, eps, -eps})
+    refined = []
+
+    def spy(points):
+        refined.append(points[:, 0].copy())
+        return -face_profile_hessian(glued, points[:, 0])
+
+    grid_min(spy, GridSpec.line(-0.5, 0.5, 41, depth=2), batched=True)
+    cells = np.concatenate(refined)
+    assert len(cells) > 41  # refinement levels were evaluated
+    a = np.concatenate([kinks, np.linspace(-0.5, 0.5, 101), cells])
+    assert_face_forms_bitwise(glued, a)
+
+
+def test_float_calls_return_python_floats():
+    left, right = corner_pair()
+    glued = glue_and_smooth(left, right, 0.15, 0.03)
+    for a in (-0.3, 0.0, 0.15, np.float64(0.4)):
+        form = face_second_form(glued, a)
+        values = (*form.as_row(), face_profile_hessian(glued, a),
+                  *dataclasses.astuple(glued.H.bijet(a, 0.1)), glued.H.value(a, 0.1))
+        assert all(type(v) is float for v in values)
 
 
 # ---------------------------------------------------------------------------
@@ -290,6 +383,33 @@ def test_synthetic_convex_chart_has_positive_margin():
     cert = convexity_certificate(left, GridSpec.line(-0.5, -1e-9, 201, depth=2))
     assert cert.passed
     assert cert.min_margin > 0.2
+
+
+def test_nan_zed_clear_fails_convexity(monkeypatch):
+    # min(tau, nan) is tau in Python; the margin must carry the NaN instead.
+    left, _ = corner_pair()
+    grid = GridSpec.line(-0.5, -1e-9, 201, depth=2)
+    poison = np.linspace(-0.5, -1e-9, 201)[100]
+    real = corner.face_second_form
+
+    def poisoned(chart, a):
+        form = real(chart, a)
+        zed = np.where(np.asarray(a) == poison, math.nan, form.zed_clear)
+        return dataclasses.replace(form, zed_clear=zed if zed.ndim else float(zed))
+
+    monkeypatch.setattr(corner, "face_second_form", poisoned)
+    cert = convexity_certificate(left, grid)
+    assert not cert.passed
+    assert cert.nonfinite_count >= 1
+    assert cert.nonfinite_at == (poison,)
+
+
+def test_nan_face_graph_is_refused():
+    # phi(a) = nan * a passes the phi(0) = 0 normalization (|nan| > 1e-12 is
+    # false) but not the sampled graph check.
+    with pytest.raises(DomainError):
+        simple_chart("left", Poly((1.0,)), Poly((0.0, math.nan)),
+                     [(Poly((1.0,)), Poly((1.0,)))])
 
 
 def test_flat_chart_zero_margin():

@@ -1,8 +1,9 @@
-"""The shipped scenarios' reports, pinned byte for byte.
+"""The shipped scenarios' reports and CSV files, pinned byte for byte.
 
-Each digest is the sha256 of ``report.json`` written by ``run_scenario`` for
-the scenario file as shipped. A change that moves a digest must explain each
-changed field in CHANGES.md before the digest here is updated.
+Each digest is the sha256 of ``report.json`` or of a CSV file written by
+``run_scenario`` for the scenario file as shipped. A change that moves a
+digest must explain each changed field in CHANGES.md before the digest here
+is updated.
 """
 
 import hashlib
@@ -29,14 +30,63 @@ GOLDEN = {
         "166a47189e4cb3aa7e3d7d56e2d4da3f3ab8cb7216c35656ecfa8773899d0720",
 }
 
+GOLDEN_CSV = {
+    "concordance_bump.json": {
+        "schedule.csv":
+            "98adda37d4e8d5fec00b617892ac10a6854219c3764f9f4488a9193a40645abb",
+    },
+    "curvature_round_sphere.json": {
+        "curvature.csv":
+            "82ad90a80a738f6c7bb3079e2ae3d53d7b625f048dd49484e7615ce016d56002",
+    },
+    "glue_corner.json": {
+        "face_forms.csv":
+            "b4308611dd5978b4c2291220f94c7b0924d611c079b3804ca606226332c2e938",
+    },
+    "isotopy.json": {
+        "warping.csv":
+            "9878992aca77d88fbf6858f1d7f72a0bcd868cc26b424e2a2bdc35808f64b4c9",
+    },
+    "spline_demo.json": {
+        "spline.csv":
+            "e71d2f95031edd62fa656ab812fd8ffe479075779f5ef0fab890d3f5a1bfad70",
+    },
+    "triangle.json": {},
+}
+
+
+@pytest.fixture(scope="module")
+def runs(tmp_path_factory):
+    """Output directory of each shipped scenario, run once on first use."""
+    done = {}
+
+    def run(name):
+        if name not in done:
+            out = tmp_path_factory.mktemp(name.removesuffix(".json"))
+            code, _ = run_scenario(SCENARIOS / name, out)
+            assert code == 0
+            done[name] = out
+        return done[name]
+
+    return run
+
+
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
 
 def test_every_shipped_scenario_is_pinned():
-    assert sorted(GOLDEN) == sorted(p.name for p in SCENARIOS.glob("*.json"))
+    shipped = sorted(p.name for p in SCENARIOS.glob("*.json"))
+    assert sorted(GOLDEN) == sorted(GOLDEN_CSV) == shipped
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_report_digest(name, tmp_path):
-    code, _ = run_scenario(SCENARIOS / name, tmp_path)
-    assert code == 0
-    digest = hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest()
-    assert digest == GOLDEN[name]
+def test_report_digest(name, runs):
+    assert _sha256(runs(name) / "report.json") == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CSV))
+def test_csv_digests(name, runs):
+    out = runs(name)
+    written = {p.name: _sha256(p) for p in out.glob("*.csv")}
+    assert written == GOLDEN_CSV[name]
