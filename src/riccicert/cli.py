@@ -1,10 +1,12 @@
 """Scenario-driven command line: run constructions, emit reports and CSV.
 
-A scenario is one JSON file with a ``command`` key and command-specific
-parameters (unknown keys are rejected). Each run writes ``report.json`` plus
-CSV sample files into the output directory. Exit codes: 0 all certificates
-passed, 1 a certificate failed, 2 scenario parse error, 3 precondition
-violation, including a margin that fails to evaluate. Reports are
+A scenario is one JSON file with a ``command`` key and the fields of that
+command's table, by which ``errors.decode`` reads it whole before the
+command runs. Each run writes ``report.json`` plus CSV sample files into the
+output directory. Exit codes: 0 all certificates passed, 1 a certificate
+failed, 2 scenario error (unreadable, unknown or missing key, wrong type or
+shape, at any depth), 3 precondition violation, including a margin that
+fails to evaluate, 4 internal error (``main`` only). Reports are
 byte-reproducible: floats are serialized with 17 significant digits, keys are
 sorted, and no timestamps are included.
 """
@@ -22,7 +24,8 @@ import numpy as np
 
 from . import constructions as cons
 from . import corner as cor
-from .errors import EvaluationError, PreconditionError, SearchError
+from .errors import (EvaluationError, PreconditionError, ScenarioError,
+                     SearchError, decode, integer, list_of, number, text)
 from .jetcurve import Cos, Jet3Curve, Poly, Sin, Sum
 from .spline import two_stage_smooth
 from .verify import GridSpec, bisect_param
@@ -31,11 +34,27 @@ from .warped import CurvatureSample, DoublyWarpedMetric, sectional
 COMMANDS = {}
 
 
-def command(name, required, optional):
+def command(name, **fields):
+    """Register ``fn(params, ctx)`` for ``name``; ``params`` holds the values
+    of the scenario decoded by the field table ``fields`` (``errors.decode``)."""
     def wrap(fn):
-        COMMANDS[name] = (fn, frozenset(required), dict(optional))
+        COMMANDS[name] = (fn, fields)
         return fn
     return wrap
+
+
+def _from_dict(cls):
+    # Looked up per call, so that a patched ``from_dict`` is the one used.
+    return lambda d: cls.from_dict(d)
+
+
+def _grid(count, depth, factor=4):
+    return {"count": (integer, count), "depth": (integer, depth),
+            "factor": (integer, factor)}
+
+
+def _search(lo, hi, tol=1e-3):
+    return {"lo": (number, lo), "hi": (number, hi), "tol": (number, tol)}
 
 
 # ---------------------------------------------------------------------------
@@ -85,50 +104,19 @@ def _write_csv(path: Path, header, rows):
             writer.writerow([format(float(v), ".17g") for v in row])
 
 
-class ScenarioError(ValueError):
-    """Malformed scenario: unknown key, missing key, or bad type."""
-
-
-def _take(params: dict, name: str):
-    cursor = params
-    for part in name.split("."):
-        if part not in cursor:
-            raise ScenarioError(f"missing scenario field: {name!r}")
-        cursor = cursor[part]
-    return cursor
-
-
-def _sub_keys(spec, allowed, what: str) -> dict:
-    """``spec`` (None reads as {}), after rejecting keys outside ``allowed``."""
-    spec = spec or {}
-    unknown = set(spec) - set(allowed)
-    if unknown:
-        raise ScenarioError(f"unknown {what} keys: {sorted(unknown)}")
-    return spec
-
-
-def _grid_from(params, default_count, default_depth, ctx, factor=4):
-    spec = _sub_keys(params, {"count", "depth", "factor"}, "grid")
-    return (int(spec.get("count", default_count)),
-            ctx.depth(spec.get("depth", default_depth)),
-            int(spec.get("factor", factor)))
-
-
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
 
 
-@command("spline-demo",
-         required={"curve", "kink", "eps", "delta"},
-         optional={"samples": 512})
+@command("spline-demo", curve=_from_dict(Jet3Curve), kink=number, eps=number,
+         delta=number, samples=(integer, 512))
 def _run_spline_demo(p, ctx):
-    curve = Jet3Curve.from_dict(_take(p, "curve"))
-    kink, eps, delta = float(p["kink"]), float(p["eps"]), float(p["delta"])
+    curve, kink, eps, delta = p["curve"], p["kink"], p["eps"], p["delta"]
     smoothed = two_stage_smooth(curve, kink, eps, delta)
 
     lo, hi = curve.domain
-    x = np.linspace(lo, hi, int(p["samples"]))
+    x = np.linspace(lo, hi, p["samples"])
     a, b = curve.jet(x), smoothed.jet(x)  # left limits at kinks
     ctx.csv("spline.csv",
             ("x", "in_value", "in_d1", "in_d2", "out_value", "out_d1", "out_d2"),
@@ -148,27 +136,27 @@ def _run_spline_demo(p, ctx):
             "max_seam_jump": seam, "max_outside_deviation": local}
 
 
-@command("curvature",
-         required={"m", "n", "k", "h"},
-         optional={"start_kind": "boundary", "end_kind": "boundary",
-                   "grid": None, "threshold": 1e-6, "samples": 200,
-                   "expect_constant": None})
+@command("curvature", m=integer, n=integer, k=_from_dict(Jet3Curve),
+         h=_from_dict(Jet3Curve), start_kind=(text, "boundary"),
+         end_kind=(text, "boundary"), grid=_grid(1000, 0),
+         threshold=(number, 1e-6), samples=(integer, 200),
+         expect_constant=(number, None))
 def _run_curvature(p, ctx):
-    g = DoublyWarpedMetric(
-        Jet3Curve.from_dict(_take(p, "k")), Jet3Curve.from_dict(_take(p, "h")),
-        int(p["m"]), int(p["n"]), p["start_kind"], p["end_kind"])
+    g = DoublyWarpedMetric(p["k"], p["h"], p["m"], p["n"], p["start_kind"],
+                           p["end_kind"])
     lo, hi = g.domain
-    count, depth, factor = _grid_from(p["grid"], 1000, 0, ctx)
-    cert = g.min_ricci(GridSpec.line(lo, hi, count, depth, factor),
-                       threshold=float(p["threshold"]))
+    grid = p["grid"]
+    cert = g.min_ricci(GridSpec.line(lo, hi, grid["count"], ctx.depth(grid["depth"]),
+                                     grid["factor"]),
+                       threshold=p["threshold"])
     ctx.certificate("min_ricci", cert)
 
-    samples = sectional(g, np.linspace(lo, hi, int(p["samples"])))
+    samples = sectional(g, np.linspace(lo, hi, p["samples"]))
     ctx.csv("curvature.csv", CurvatureSample.CSV_HEADER,
             zip(*samples.as_row()))
     results = {"domain": [lo, hi], "min_ricci": cert.min_margin}
     if p["expect_constant"] is not None:
-        want = float(p["expect_constant"])
+        want = p["expect_constant"]
         dev = float(max(np.max(np.abs(K - want)) for K in samples.sectionals))
         ctx.check("constant_curvature", 1e-8 - dev,
                   f"all sectional values within 1e-8 of {want!r}")
@@ -176,20 +164,17 @@ def _run_curvature(p, ctx):
     return results
 
 
-@command("glue-corner",
-         required={"left", "right"},
-         optional={"eps": None, "delta_ratio": 0.2,
-                   "search": None, "grid": None, "threshold": 1e-6,
-                   "samples": 200})
+@command("glue-corner", left=_from_dict(cor.CornerChart),
+         right=_from_dict(cor.CornerChart), eps=(number, None),
+         delta_ratio=(number, 0.2), search=_search(0.02, None),
+         grid=_grid(241, 3), threshold=(number, 1e-6), samples=(integer, 200))
 def _run_glue_corner(p, ctx):
-    left = cor.CornerChart.from_dict(_take(p, "left"))
-    right = cor.CornerChart.from_dict(_take(p, "right"))
+    left, right = p["left"], p["right"]
     angle = cor.dihedral_angle(left, right)
-    threshold = float(p["threshold"])
-    ratio = float(p["delta_ratio"])
+    threshold, ratio = p["threshold"], p["delta_ratio"]
     a_lo, a_hi = left.a_range[0], right.a_range[1]
-
-    count, depth, factor = _grid_from(p["grid"], 241, 3, ctx)
+    count, factor = p["grid"]["count"], p["grid"]["factor"]
+    depth = ctx.depth(p["grid"]["depth"])
 
     def certify(chart, delta):
         n = max(count, int(8.0 * (a_hi - a_lo) / delta))
@@ -198,14 +183,11 @@ def _run_glue_corner(p, ctx):
         ccv = cor.concavity_certificate(chart, grid, threshold)
         return cvx, ccv
 
-    searched = None
-    if p["eps"] is not None:
-        eps = float(p["eps"])
-    else:
-        spec = _sub_keys(p["search"], {"lo", "hi", "tol"}, "search")
-        lo = float(spec.get("lo", 0.02))
-        hi = float(spec.get("hi", 0.45 * min(-left.a_range[0], right.a_range[1])))
-        tol = float(spec.get("tol", 1e-3))
+    eps, searched = p["eps"], None
+    if eps is None:
+        searched = dict(p["search"])
+        if searched["hi"] is None:
+            searched["hi"] = 0.45 * min(-left.a_range[0], right.a_range[1])
 
         def passes(e):
             try:
@@ -215,8 +197,7 @@ def _run_glue_corner(p, ctx):
             cvx, ccv = certify(chart, ratio * e)
             return cvx.passed and ccv.passed
 
-        eps = bisect_param(passes, lo, hi, tol)
-        searched = {"lo": lo, "hi": hi, "tol": tol}
+        eps = bisect_param(passes, searched["lo"], searched["hi"], searched["tol"])
 
     delta = ratio * eps
     glued = cor.glue_and_smooth(left, right, eps, delta)
@@ -224,7 +205,7 @@ def _run_glue_corner(p, ctx):
     ctx.certificate("convexity", cvx)
     ctx.certificate("concavity", ccv)
 
-    a = np.linspace(a_lo, a_hi, int(p["samples"]))
+    a = np.linspace(a_lo, a_hi, p["samples"])
     ctx.csv("face_forms.csv",
             cor.FaceSecondForm.CSV_HEADER + ("profile_hessian",),
             zip(*cor.face_second_form(glued, a).as_row(),
@@ -241,18 +222,15 @@ def _run_glue_corner(p, ctx):
             "concavity_margin": ccv.min_margin}
 
 
-@command("isotopy",
-         required={"R", "m", "n", "b1"},
-         optional={"nu": None, "nu_search": None, "grid": None,
-                   "threshold": 1e-6, "samples": 400})
+@command("isotopy", R=number, m=integer, n=integer, b1=number,
+         nu=(number, None), nu_search=_search(1e-4, 0.2),
+         grid={"lambda_count": (integer, 64), "s_count": (integer, 256),
+               "depth": (integer, 2), "factor": (integer, 2)},
+         threshold=(number, 1e-6), samples=(integer, 400))
 def _run_isotopy(p, ctx):
-    R, m, n, b1 = float(p["R"]), int(p["m"]), int(p["n"]), float(p["b1"])
-    threshold = float(p["threshold"])
-    spec = _sub_keys(p["grid"], {"lambda_count", "s_count", "depth", "factor"}, "grid")
-    lam_count = int(spec.get("lambda_count", 64))
-    s_count = int(spec.get("s_count", 256))
-    depth = ctx.depth(spec.get("depth", 2))
-    factor = int(spec.get("factor", 2))
+    R, m, n, b1, threshold = p["R"], p["m"], p["n"], p["b1"], p["threshold"]
+    lam_count, s_count = p["grid"]["lambda_count"], p["grid"]["s_count"]
+    depth, factor = ctx.depth(p["grid"]["depth"]), p["grid"]["factor"]
 
     def stage_certs(nu):
         profile = cons.make_boundary_profile(R, nu, b1)
@@ -267,14 +245,9 @@ def _run_isotopy(p, ctx):
         cert2 = stage2.min_ricci(grid2, threshold)
         return profile, target, stage1, stage2, cert1, cert2
 
-    searched = None
-    if p["nu"] is not None:
-        nu = float(p["nu"])
-    else:
-        spec = _sub_keys(p["nu_search"], {"lo", "hi", "tol"}, "nu_search")
-        lo = float(spec.get("lo", 1e-4))
-        hi = float(spec.get("hi", 0.2))
-        tol = float(spec.get("tol", 1e-3))
+    nu, searched = p["nu"], None
+    if nu is None:
+        searched = p["nu_search"]
 
         def passes(nu_try):
             try:
@@ -283,8 +256,7 @@ def _run_isotopy(p, ctx):
                 return False
             return c1.passed and c2.passed
 
-        nu = bisect_param(passes, lo, hi, tol)
-        searched = {"lo": lo, "hi": hi, "tol": tol}
+        nu = bisect_param(passes, searched["lo"], searched["hi"], searched["tol"])
 
     profile, target, stage1, stage2, cert1, cert2 = stage_certs(nu)
     ctx.certificate("stage1_min_ricci", cert1)
@@ -298,7 +270,7 @@ def _run_isotopy(p, ctx):
     ctx.check("round_endpoint", 1e-8 - dev,
               "lambda=2 metric has constant curvature 1/R^2")
 
-    s = np.linspace(0.0, profile.T, int(p["samples"]))
+    s = np.linspace(0.0, profile.T, p["samples"])
     ctx.csv("warping.csv", ("s", "k0", "h0", "k1", "k_round", "h_round"),
             zip(s, profile.k.value(s), profile.h.value(s), target.k1.value(s),
                 Cos(R, 1.0 / R).jet(s).value, Sin(R, 1.0 / R).jet(s).value))
@@ -311,29 +283,30 @@ def _run_isotopy(p, ctx):
             "round_endpoint_deviation": dev}
 
 
-@command("concordance",
-         required={"path", "nu"},
-         optional={"t_count": 160, "theta_count": 48, "cert_depth": 1,
-                   "threshold": 1e-6, "schedule_samples": 200})
-def _run_concordance(p, ctx):
-    spec = dict(_take(p, "path"))
-    kind = spec.pop("type", None)
+def _round_radius_path(spec):
+    """The concordance ``path`` object: a radius r(lambda) on [0, 1]."""
+    kind = spec.get("type") if isinstance(spec, dict) else None
+    common = {"type": text, "n": (integer, 3)}
     if kind == "round_bump":
-        _sub_keys(spec, {"n", "base", "amplitude"}, "path")
-        node = Sum((Poly((float(spec.get("base", 1.0)),)),
-                    Sin(float(spec.get("amplitude", 0.1)), math.pi)))
+        p = decode(spec, {**common, "base": (number, 1.0),
+                          "amplitude": (number, 0.1)}, "path")
+        node = Sum((Poly((p["base"],)), Sin(p["amplitude"], math.pi)))
     elif kind == "round_constant":
-        _sub_keys(spec, {"n", "radius"}, "path")
-        node = Poly((float(spec.get("radius", 1.0)),))
+        p = decode(spec, {**common, "radius": (number, 1.0)}, "path")
+        node = Poly((p["radius"],))
     else:
         raise ScenarioError(f"unknown path type {kind!r}")
-    path = cons.RoundRadiusPath(
-        Jet3Curve.from_node(node, (0.0, 1.0)), int(spec.get("n", 3)))
+    return cons.RoundRadiusPath(Jet3Curve.from_node(node, (0.0, 1.0)), p["n"])
 
+
+@command("concordance", path=_round_radius_path, nu=number,
+         t_count=(integer, 160), theta_count=(integer, 48),
+         cert_depth=(integer, 1), threshold=(number, 1e-6),
+         schedule_samples=(integer, 200))
+def _run_concordance(p, ctx):
     params, certs, boundary = cons.concordance_search(
-        path, float(p["nu"]), t_count=int(p["t_count"]),
-        theta_count=int(p["theta_count"]), cert_depth=ctx.depth(p["cert_depth"]),
-        threshold=float(p["threshold"]))
+        p["path"], p["nu"], t_count=p["t_count"], theta_count=p["theta_count"],
+        cert_depth=ctx.depth(p["cert_depth"]), threshold=p["threshold"])
     for name, cert in certs.items():
         ctx.certificate(name, cert)
     ctx.check("boundary_t0_end", boundary["t0_end_margin"],
@@ -345,7 +318,7 @@ def _run_concordance(p, ctx):
     worst = 0.0
     rows = []
     for t in np.exp(np.linspace(math.log(params.t0), math.log(params.t1),
-                                int(p["schedule_samples"]))):
+                                p["schedule_samples"])):
         jl, jr = lam.jet(t), rho.jet(t)
         g = cons.gamma_weight(t)
         worst = max(worst, abs(params.alpha * jl.d1 - g),
@@ -367,17 +340,15 @@ def _run_concordance(p, ctx):
             "schedule_endpoints": ends, "schedule_residual": worst}
 
 
-@command("triangle",
-         required={"r_values"},
-         optional={"tilt": 1e-4})
+@command("triangle", r_values=list_of(number), tilt=(number, 1e-4))
 def _run_triangle(p, ctx):
     solutions = []
     for r in p["r_values"]:
-        sol = cons.solve_geodesic_triangle(float(r), tilt=float(p["tilt"]))
-        solutions.append({"r": float(r), **sol.to_dict()})
-        ctx.check(f"residual_r={float(r):.6g}", 1e-10 - abs(sol.residual),
+        sol = cons.solve_geodesic_triangle(r, tilt=p["tilt"])
+        solutions.append({"r": r, **sol.to_dict()})
+        ctx.check(f"residual_r={r:.6g}", 1e-10 - abs(sol.residual),
                   "|sin z - sin 2r| below 1e-10")
-        ctx.check(f"base_exceeds_r={float(r):.6g}", sol.x1 - float(r),
+        ctx.check(f"base_exceeds_r={r:.6g}", sol.x1 - r,
                   "triangle base x1 > r")
     return {"solutions": solutions}
 
@@ -397,7 +368,7 @@ class _Context:
 
     def depth(self, depth) -> int:
         """The scenario's refinement ``depth``, unless --grid-depth overrides it."""
-        return int(depth) if self.grid_depth is None else self.grid_depth
+        return depth if self.grid_depth is None else self.grid_depth
 
     def certificate(self, name, cert):
         self.certificates[name] = cert
@@ -419,32 +390,23 @@ def run_scenario(scenario, out_dir, threads: int = 1, grid_depth=None,
     ``threads`` is accepted for compatibility and ignored: scans run on
     arrays in one thread.
     """
-    try:
-        if not isinstance(scenario, dict):
-            scenario = json.loads(Path(scenario).read_text())
-        if not isinstance(scenario, dict):
-            raise ScenarioError("scenario must be a JSON object")
-        name = scenario.get("command")
-        if name not in COMMANDS:
-            raise ScenarioError(
-                f"unknown command {name!r}; choose from {sorted(COMMANDS)}")
-        fn, required, optional = COMMANDS[name]
-        keys = set(scenario) - {"command"}
-        unknown = keys - required - set(optional)
-        if unknown:
-            raise ScenarioError(f"unknown scenario keys: {sorted(unknown)}")
-        missing = required - keys
-        if missing:
-            raise ScenarioError(f"missing scenario keys: {sorted(missing)}")
-        params = {**optional, **{k: scenario[k] for k in keys}}
-    except (ScenarioError, json.JSONDecodeError, OSError) as exc:
-        report = {"error": {"kind": "scenario", "message": str(exc)}}
-        print(canonical_json(report), file=sys.stderr)
-        return 2, report
-
     out = Path(out_dir)
     ctx = _Context(out, grid_depth)
     try:
+        if not isinstance(scenario, dict):
+            try:
+                scenario = json.loads(Path(scenario).read_text())
+            except (json.JSONDecodeError, OSError) as exc:
+                raise ScenarioError(str(exc)) from exc
+        if not isinstance(scenario, dict):
+            raise ScenarioError("scenario must be a JSON object")
+        name = scenario.get("command")
+        if not isinstance(name, str) or name not in COMMANDS:
+            raise ScenarioError(
+                f"unknown command {name!r}; choose from {sorted(COMMANDS)}")
+        fn, fields = COMMANDS[name]
+        params = decode({k: v for k, v in scenario.items() if k != "command"},
+                        fields, "scenario")
         results = fn(params, ctx)
     except ScenarioError as exc:
         report = {"error": {"kind": "scenario", "message": str(exc)}}
@@ -492,8 +454,16 @@ def main(argv=None) -> int:
     parser.add_argument("--json", action="store_true",
                         help="also print the report to stdout")
     args = parser.parse_args(argv)
-    code, _ = run_scenario(args.scenario, args.out, threads=args.threads,
-                           grid_depth=args.grid_depth, emit_json=args.json)
+    try:
+        code, _ = run_scenario(args.scenario, args.out, threads=args.threads,
+                               grid_depth=args.grid_depth, emit_json=args.json)
+    except Exception as exc:  # noqa: BLE001 - a crash must not read as exit 1
+        import traceback  # only here, to keep it out of every start-up
+        report = {"error": {"kind": "internal", "type": type(exc).__name__,
+                            "message": str(exc)}}
+        print(json.dumps(report, sort_keys=True), file=sys.stderr)
+        traceback.print_exc()
+        return 4
     return code
 
 

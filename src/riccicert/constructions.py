@@ -20,7 +20,7 @@ Constructing any object with a violated numeric condition raises
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -79,8 +79,7 @@ class ConditionCheck:
     note: str = ""
 
     def to_dict(self) -> dict:
-        return {"name": self.name, "margin": self.margin,
-                "passed": self.passed, "note": self.note}
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -242,11 +241,8 @@ def _dive_curve(lo: float, T: float, start_value: float, start_slope: float,
         raise PreconditionError("dive bump mass must be positive")
     amp = mass / (bump_width * _BUMP_NORM)
     c, W = bump_center, bump_width
-    pieces = []
-    for plo, phi, pc, pcoef in floor_pieces:
-        pieces.append((plo, phi, pc, list(pcoef)))
     merged = []
-    for plo, phi, pc, pcoef in pieces:
+    for plo, phi, pc, pcoef in floor_pieces:
         for seg_lo, seg_hi in ((plo, min(phi, c - W)),
                                (max(plo, c - W), min(phi, c + W)),
                                (max(plo, c + W), phi)):
@@ -311,26 +307,21 @@ def _solve_dive_center(build, target_fn, lo: float, hi: float,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ProfileShape:
-    """Window sizes, bump geometry and check insets for the synthesis.
-
-    The two-stage spline pipeline smooths only the genuine corner of k at
-    s_c; the near-equality pieces (the h flattening and the dives) are C2 by
-    construction, because exact Hermite windows overshoot their endpoint
-    curvature hulls by a fixed fraction of the spike, which would break the
-    h''/h and k'' sign clauses at these scales.
-    """
-
-    eps_k: float = 0.06
-    delta_k: float = 0.012
-    h_arc_cap: float = 1.45
-    bridge_back: float = 0.11
-    bump_halfwidth: float = 0.10
-    floor_frac: float = 0.5
-    tol_R_frac: float = 1e-3
-    check_count: int = 384
-    inset_frac: float = 0.01
+# Window sizes, bump geometry and check insets of the profile synthesis.
+# The two-stage spline pipeline smooths only the genuine corner of k at s_c;
+# the near-equality pieces (the h flattening and the dives) are C2 by
+# construction, because exact Hermite windows overshoot their endpoint
+# curvature hulls by a fixed fraction of the spike, which would break the
+# h''/h and k'' sign clauses at these scales.
+_EPS_K = 0.06
+_DELTA_K = 0.012
+_H_ARC_CAP = 1.45
+_BRIDGE_BACK = 0.11
+_BUMP_HALFWIDTH = 0.10  # of the dive bumps of k and of the target's k1
+_FLOOR_FRAC = 0.5
+_TOL_R_FRAC = 1e-3
+_CHECK_COUNT = 384
+_INSET_FRAC = 0.01
 
 
 @dataclass(frozen=True)
@@ -356,8 +347,7 @@ class BoundaryProfile:
                                   start_kind="closed_h", end_kind="closed_k")
 
 
-def make_boundary_profile(R: float, nu: float, b1: float,
-                         shape: ProfileShape = ProfileShape()) -> BoundaryProfile:
+def make_boundary_profile(R: float, nu: float, b1: float) -> BoundaryProfile:
     """Synthesize (k, h) on [0, pi R / 2] and verify every profile condition.
 
     k is cos(b1)(1 + nu (s/s_c)^4) meeting a concave dive at s_c in a genuine
@@ -378,18 +368,18 @@ def make_boundary_profile(R: float, nu: float, b1: float,
     cb = math.cos(b1)
     k_c = cb * (1.0 + nu)
     s_c = T - 0.5 * math.pi * k_c
-    eps_k, delta_k = shape.eps_k, shape.delta_k
+    eps_k, delta_k = _EPS_K, _DELTA_K
     if s_c <= eps_k + delta_k:
         raise PreconditionError(f"k smoothing window does not fit: s_c = {s_c!r}")
 
     # h: sine arc, C2 quintic bridge, plateau at R.
-    a = min(shape.h_arc_cap * R, 0.92 * math.sqrt(5.0 * R))
+    a = min(_H_ARC_CAP * R, 0.92 * math.sqrt(5.0 * R))
     if a <= 1.02 * R:
         raise PreconditionError(
             f"no admissible h arc radius: a = {a!r} vs R = {R!r}"
         )
     s_star = a * math.asin(R / a)
-    s_j = s_star - shape.bridge_back
+    s_j = s_star - _BRIDGE_BACK
     if s_j <= s_c - eps_k:
         raise PreconditionError(
             f"h bridge (s_j = {s_j!r}) would start before the k corner zone"
@@ -412,9 +402,9 @@ def make_boundary_profile(R: float, nu: float, b1: float,
 
     # k: quartic rise to (s_c, k_c), corner onto a strictly concave dive.
     lam = T - s_c
-    c_nu = shape.floor_frac * nu * cb
+    c_nu = _FLOOR_FRAC * nu * cb
     floor_mass = 0.5 * c_nu * lam
-    w0 = shape.bump_halfwidth
+    w0 = _BUMP_HALFWIDTH
     lo_c = s_c + eps_k + delta_k + w0 + 0.01
     hi_c = T - w0
     if lo_c >= hi_c:
@@ -438,9 +428,9 @@ def make_boundary_profile(R: float, nu: float, b1: float,
 
     T0 = s_c - eps_k - delta_k
     T1 = _last_nonneg_d2(k, T0, s_c + eps_k + 2.0 * delta_k) + delta_k
-    T2 = _near_R_onset(h, R, shape.tol_R_frac * R, s_j, T3)
+    T2 = _near_R_onset(h, R, _TOL_R_FRAC * R, s_j, T3)
 
-    report = _profile_report(k, h, R, nu, b1, a, T0, T1, T2, T3, T, s_j, shape)
+    report = _profile_report(k, h, R, nu, b1, a, T0, T1, T2, T3, T, s_j)
     profile = BoundaryProfile(k=k, h=h, R=R, nu=nu, b1=b1, T0=T0, T1=T1,
                              T2=T2, T3=T3, T=T, s_c=s_c, s_j=s_j,
                              report=report)
@@ -465,11 +455,10 @@ def _near_R_onset(h: Jet3Curve, R: float, tol: float, lo: float,
     return s[first_far - 1] if first_far else hi
 
 
-def _profile_report(k, h, R, nu, b1, a, T0, T1, T2, T3, T, s_j,
-                    shape) -> ConditionReport:
+def _profile_report(k, h, R, nu, b1, a, T0, T1, T2, T3, T, s_j) -> ConditionReport:
     cb = math.cos(b1)
-    count = shape.check_count
-    eta = shape.inset_frac
+    count = _CHECK_COUNT
+    eta = _INSET_FRAC
 
     checks = [
         _check("order_T0<T1<T2<T3<T",
@@ -507,7 +496,7 @@ def _profile_report(k, h, R, nu, b1, a, T0, T1, T2, T3, T, s_j,
                              eta * T2, T2 - eta * (T3 - T2), count),
                "h'' < 0 on (0, T2), checked with insets"),
         _check("h_near_R_after_T2",
-               shape.tol_R_frac * R
+               _TOL_R_FRAC * R
                - _grid_extreme(lambda s: abs(h.value(s) - R), T2, T, count,
                                reduce=np.max),
                "|h - R| small beyond T2"),
@@ -535,9 +524,11 @@ class IsotopyTarget:
     gamma: float
 
 
-def make_isotopy_target(profile: BoundaryProfile,
-                      slope_frac: float = 0.35,
-                      bump_halfwidth: float = 0.10) -> IsotopyTarget:
+# The slope of the target k1's floor reaches this fraction of nu cos b1 at T2.
+_SLOPE_FRAC = 0.35
+
+
+def make_isotopy_target(profile: BoundaryProfile) -> IsotopyTarget:
     """Synthesize (k1, h1) for the profile and verify the target conditions.
 
     k1 is strictly concave by construction: minus the double integral of a
@@ -549,9 +540,9 @@ def make_isotopy_target(profile: BoundaryProfile,
     T, T1, T2 = profile.T, profile.T1, profile.T2
     nu, cb = profile.nu, math.cos(profile.b1)
 
-    gamma = slope_frac * nu * cb / (T2 - T2 ** 3 / (3.0 * T ** 2))
+    gamma = _SLOPE_FRAC * nu * cb / (T2 - T2 ** 3 / (3.0 * T ** 2))
     floor_mass = 2.0 * gamma * T / 3.0
-    w_b = bump_halfwidth
+    w_b = _BUMP_HALFWIDTH
     v1 = profile.k.value(T1)
     lo_c = T2 + w_b + 0.01
     hi_c = T - w_b
@@ -586,8 +577,8 @@ def make_isotopy_target(profile: BoundaryProfile,
 
 def _target_report(profile: BoundaryProfile, k1, h1, nu, cb) -> ConditionReport:
     T, T0, T1, T2, T3 = profile.T, profile.T0, profile.T1, profile.T2, profile.T3
-    count = 384
-    eta = 0.01
+    count = _CHECK_COUNT
+    eta = _INSET_FRAC
 
     checks = [
         _check("k1_even_at_0",
@@ -640,8 +631,7 @@ def _target_report(profile: BoundaryProfile, k1, h1, nu, cb) -> ConditionReport:
 def isotopy_stage1(profile: BoundaryProfile, target: IsotopyTarget,
                    m: int, n: int) -> WarpedMetricPath:
     """Affine path from the profile metric to (k1, h1) over lambda in [0, 1]."""
-    if not target.report.passed:
-        target.report.raise_if_failed("isotopy stage 1 target")
+    target.report.raise_if_failed("isotopy stage 1 target")
     if target.k1.domain != profile.k.domain:
         raise PreconditionError("target domain differs from profile domain")
     return WarpedMetricPath(
@@ -864,11 +854,13 @@ def _slice_dim(path) -> int:
     return 1 + path.m + (path.n - 1)
 
 
-def concordance_search(path, nu: float, *,
-                       path_grid: GridSpec | None = None,
-                       t_count: int = 160, theta_count: int = 48,
-                       cert_depth: int = 1, threshold: float = 1e-6,
-                       max_doublings: int = 400):
+# Doublings of t0 (from 4) before the concordance search gives up.
+_MAX_DOUBLINGS = 400
+
+
+def concordance_search(path, nu: float, *, t_count: int = 160,
+                       theta_count: int = 48, cert_depth: int = 1,
+                       threshold: float = 1e-6):
     """Deterministic parameter search for the concordance metric.
 
     Picks r1 (0.9 of the binding bound among 2 r1 < nu and
@@ -886,11 +878,10 @@ def concordance_search(path, nu: float, *,
     if not 0.0 < nu < 1.0:
         raise PreconditionError(f"nu must lie in (0, 1), got {nu!r}")
     n = _slice_dim(path)
-    if path_grid is None:
-        path_grid = (GridSpec.line(0.0, 1.0, 257)
-                     if isinstance(path, RoundRadiusPath)
-                     else GridSpec.box([(0.0, 1.0, 33),
-                                        (path.k0.domain[0], path.k0.domain[1], 129)]))
+    path_grid = (GridSpec.line(0.0, 1.0, 257)
+                 if isinstance(path, RoundRadiusPath)
+                 else GridSpec.box([(0.0, 1.0, 33),
+                                    (path.k0.domain[0], path.k0.domain[1], 129)]))
 
     path_cert, sec_min = _path_global_minima(path, path_grid)
     if not path_cert.passed:
@@ -941,7 +932,7 @@ def concordance_search(path, nu: float, *,
 
     t0 = 4.0
     trace = []
-    for _ in range(max_doublings):
+    for _ in range(_MAX_DOUBLINGS):
         ell = math.log(t0)
         theta0 = theta_split(ell)
         margin_t0 = nu - r1 * (1.0 + 2.0 * (L + C) / ell)
@@ -975,7 +966,7 @@ def concordance_search(path, nu: float, *,
             return params, certs, boundary
         t0 *= 2.0
     raise SearchError(
-        f"concordance search exceeded {max_doublings} doublings of t0; "
+        f"concordance search exceeded {_MAX_DOUBLINGS} doublings of t0; "
         f"last: theta0 {trace[-1][1]:.3e}, t0-end margin {trace[-1][2]:.3e}, "
         f"t1-end margin {trace[-1][3]:.3e}", trace=trace,
     )
@@ -995,8 +986,7 @@ class TriangleSolution:
     residual: float
 
     def to_dict(self) -> dict:
-        return {"theta0": self.theta0, "theta_r": self.theta_r,
-                "x1": self.x1, "z": self.z, "residual": self.residual}
+        return asdict(self)
 
 
 def _sin_z(theta0: float, theta_r: float, r: float):

@@ -40,8 +40,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, PreconditionError
-from .jetcurve import BiJet, Jet3Curve, _first, _pointwise
+from .errors import (DomainError, PreconditionError, decode, integer, list_of,
+                     text)
+from .jetcurve import _MATCH_TOL, BiJet, Jet3Curve, _first, _pointwise
 from .spline import two_stage_smooth
 from .verify import GridSpec, PositivityCertificate, grid_min
 
@@ -56,8 +57,6 @@ __all__ = [
     "convexity_certificate",
     "concavity_certificate",
 ]
-
-_MATCH_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -111,12 +110,11 @@ class BiWarp:
 
     @staticmethod
     def from_dict(d: dict) -> "BiWarp":
-        return BiWarp(
-            tuple(
-                (Jet3Curve.from_dict(t["a"]), Jet3Curve.from_dict(t["b"]))
-                for t in d["terms"]
-            )
-        )
+        def term(t):
+            return tuple(decode(t, {"a": Jet3Curve.from_dict,
+                                    "b": Jet3Curve.from_dict}, "term").values())
+
+        return BiWarp(**decode(d, {"terms": list_of(term)}, "H"))
 
 
 @dataclass(frozen=True)
@@ -185,13 +183,9 @@ class CornerChart:
 
     @staticmethod
     def from_dict(d: dict) -> "CornerChart":
-        return CornerChart(
-            mu=Jet3Curve.from_dict(d["mu"]),
-            phi=Jet3Curve.from_dict(d["phi"]),
-            H=BiWarp.from_dict(d["H"]),
-            fiber_dim=int(d["fiber_dim"]),
-            side=d["side"],
-        )
+        return CornerChart(**decode(d, {
+            "mu": Jet3Curve.from_dict, "phi": Jet3Curve.from_dict,
+            "H": BiWarp.from_dict, "fiber_dim": integer, "side": text}, "chart"))
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,14 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the scenario decoder:
+every scenario object, down to curve nodes, is read by :func:`decode`
+against a table of its fields, so malformed input raises ScenarioError."""
 
 
 class PreconditionError(ValueError):
     """An operation was invoked on inputs violating its stated preconditions."""
+
+
+class ScenarioError(PreconditionError):
+    """Malformed scenario: unknown or missing key, wrong type or shape."""
 
 
 class DomainError(PreconditionError):
@@ -39,3 +45,73 @@ class SearchError(RuntimeError):
     def __init__(self, message, trace=None):
         super().__init__(message)
         self.trace = trace
+
+
+def decode(spec, fields: dict, what: str) -> dict:
+    """The values of the JSON object ``spec`` by the field table ``fields``.
+
+    A field is a converter (required), a ``(converter, default)`` pair whose
+    default is used as is, or the table of a sub-object named by its key. A
+    null value reads as absent. A converter's TypeError (wrong type or shape)
+    or OverflowError (out of range) is reported with ``what`` and the key.
+    """
+    spec = {} if spec is None else spec
+    if not isinstance(spec, dict):
+        raise ScenarioError(f"{what} must be an object, got {spec!r}")
+    unknown = set(spec) - set(fields)
+    if unknown:
+        raise ScenarioError(f"unknown {what} keys: {sorted(unknown)}")
+    missing = {k for k, f in fields.items() if callable(f) and spec.get(k) is None}
+    if missing:
+        raise ScenarioError(f"missing {what} keys: {sorted(missing)}")
+    out = {}
+    for name, field in fields.items():
+        value = spec.get(name)
+        try:
+            if isinstance(field, dict):
+                out[name] = decode(value, field, name)
+            elif value is None:
+                out[name] = field[1]
+            else:
+                out[name] = (field if callable(field) else field[0])(value)
+        except (TypeError, OverflowError) as exc:
+            raise ScenarioError(f"{what} key {name!r}: {exc}") from None
+    return out
+
+
+def number(v) -> float:
+    """``float(v)`` of a JSON number; strings and booleans are not numbers."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise TypeError(f"expected a number, got {v!r}")
+    return float(v)
+
+
+def integer(v) -> int:
+    """``int(v)`` of a JSON number with an integral value."""
+    if not number(v).is_integer():
+        raise TypeError(f"expected an integer, got {v!r}")
+    return int(v)
+
+
+def text(v) -> str:
+    if not isinstance(v, str):
+        raise TypeError(f"expected a string, got {v!r}")
+    return v
+
+
+def list_of(convert):
+    """Converter of a JSON list whose entries all convert by ``convert``."""
+    def conv(v):
+        if not isinstance(v, (list, tuple)):
+            raise TypeError(f"expected a list, got {v!r}")
+        return tuple(map(convert, v))
+    return conv
+
+
+def tuple_of(*converts):
+    """Converter of a JSON list of ``len(converts)`` entries, one each."""
+    def conv(v):
+        if not isinstance(v, (list, tuple)) or len(v) != len(converts):
+            raise TypeError(f"expected a list of {len(converts)} entries, got {v!r}")
+        return tuple(c(x) for c, x in zip(converts, v))
+    return conv

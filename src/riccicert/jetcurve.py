@@ -20,11 +20,12 @@ from __future__ import annotations
 import bisect as _bisect
 import functools
 import math
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
-from .errors import DomainError, KinkSideRequired, PreconditionError
+from .errors import (DomainError, KinkSideRequired, PreconditionError,
+                     ScenarioError, decode, integer, list_of, number, tuple_of)
 
 __all__ = [
     "Jet3",
@@ -151,14 +152,21 @@ class Node:
         raise NotImplementedError
 
     def to_dict(self) -> dict:
-        raise NotImplementedError
+        """The kind and every field; a nested node becomes its dict, a tuple a list."""
+        def plain(v):
+            if isinstance(v, Node):
+                return v.to_dict()
+            return [plain(x) for x in v] if isinstance(v, tuple) else v
+
+        return {"kind": self.kind,
+                **{f.name: plain(getattr(self, f.name)) for f in fields(self)}}
 
 
 @dataclass(frozen=True)
 class Poly(Node):
     """Polynomial sum(c_i * (x - center)^i) with coefficients in ascending order."""
 
-    coeffs: tuple
+    coeffs: tuple[float, ...]
     center: float = 0.0
 
     kind = "poly"
@@ -173,9 +181,6 @@ class Poly(Node):
             d1 = d1 * t + v
             v = v * t + c
         return Jet3(v, d1, d2, d3)
-
-    def to_dict(self) -> dict:
-        return {"kind": "poly", "coeffs": list(self.coeffs), "center": self.center}
 
 
 @dataclass(frozen=True)
@@ -195,14 +200,6 @@ class Cos(Node):
         c, s = lib.cos(u), lib.sin(u)
         return Jet3(a * c, -a * b * s, -a * b * b * c, a * b**3 * s)
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": "cos",
-            "amplitude": self.amplitude,
-            "frequency": self.frequency,
-            "phase": self.phase,
-        }
-
 
 @dataclass(frozen=True)
 class Sin(Node):
@@ -221,14 +218,6 @@ class Sin(Node):
         c, s = lib.cos(u), lib.sin(u)
         return Jet3(a * s, a * b * c, -a * b * b * s, -a * b**3 * c)
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": "sin",
-            "amplitude": self.amplitude,
-            "frequency": self.frequency,
-            "phase": self.phase,
-        }
-
 
 @dataclass(frozen=True)
 class Exp(Node):
@@ -245,14 +234,6 @@ class Exp(Node):
         u = b * x + self.shift
         v = self.amplitude * _lib(u).exp(u)
         return Jet3(v, b * v, b * b * v, b**3 * v)
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": "exp",
-            "amplitude": self.amplitude,
-            "rate": self.rate,
-            "shift": self.shift,
-        }
 
 
 @dataclass(frozen=True)
@@ -278,14 +259,6 @@ class Log(Node):
             2.0 * a * b**3 / u**3,
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": "log",
-            "amplitude": self.amplitude,
-            "rate": self.rate,
-            "shift": self.shift,
-        }
-
 
 @dataclass(frozen=True)
 class Scale(Node):
@@ -299,13 +272,10 @@ class Scale(Node):
     def jet(self, x: float) -> Jet3:
         return self.arg.jet(x).scaled(self.factor)
 
-    def to_dict(self) -> dict:
-        return {"kind": "scale", "factor": self.factor, "arg": self.arg.to_dict()}
-
 
 @dataclass(frozen=True)
 class Sum(Node):
-    terms: tuple
+    terms: tuple[Node, ...]
 
     kind = "sum"
 
@@ -315,13 +285,10 @@ class Sum(Node):
             out = out + t.jet(x)
         return out
 
-    def to_dict(self) -> dict:
-        return {"kind": "sum", "terms": [t.to_dict() for t in self.terms]}
-
 
 @dataclass(frozen=True)
 class Product(Node):
-    factors: tuple
+    factors: tuple[Node, ...]
 
     kind = "product"
 
@@ -330,9 +297,6 @@ class Product(Node):
         for f in self.factors:
             out = out * f.jet(x)
         return out
-
-    def to_dict(self) -> dict:
-        return {"kind": "product", "factors": [f.to_dict() for f in self.factors]}
 
 
 @dataclass(frozen=True)
@@ -357,9 +321,6 @@ class Recip(Node):
             (-u.d3 + (6.0 * u.d1 * u.d2 - 6.0 * u.d1**3 * w) * w) * w2,
         )
 
-    def to_dict(self) -> dict:
-        return {"kind": "recip", "arg": self.arg.to_dict()}
-
 
 @dataclass(frozen=True)
 class ExpOf(Node):
@@ -379,9 +340,6 @@ class ExpOf(Node):
             (u.d3 + 3.0 * u.d1 * u.d2 + u.d1**3) * e,
         )
 
-    def to_dict(self) -> dict:
-        return {"kind": "exp_of", "arg": self.arg.to_dict()}
-
 
 @dataclass(frozen=True)
 class AffineOf(Node):
@@ -398,36 +356,27 @@ class AffineOf(Node):
         u = self.arg.jet(b * x + self.shift)
         return Jet3(u.value, b * u.d1, b * b * u.d2, b**3 * u.d3)
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": "affine_of",
-            "scale": self.scale,
-            "shift": self.shift,
-            "arg": self.arg.to_dict(),
-        }
 
-
-_NODE_KINDS = {
-    "poly": lambda d: Poly(tuple(float(c) for c in d["coeffs"]), float(d.get("center", 0.0))),
-    "cos": lambda d: Cos(float(d["amplitude"]), float(d.get("frequency", 1.0)), float(d.get("phase", 0.0))),
-    "sin": lambda d: Sin(float(d["amplitude"]), float(d.get("frequency", 1.0)), float(d.get("phase", 0.0))),
-    "exp": lambda d: Exp(float(d["amplitude"]), float(d.get("rate", 1.0)), float(d.get("shift", 0.0))),
-    "log": lambda d: Log(float(d["amplitude"]), float(d.get("rate", 1.0)), float(d.get("shift", 0.0))),
-    "scale": lambda d: Scale(node_from_dict(d["arg"]), float(d["factor"])),
-    "sum": lambda d: Sum(tuple(node_from_dict(t) for t in d["terms"])),
-    "product": lambda d: Product(tuple(node_from_dict(f) for f in d["factors"])),
-    "recip": lambda d: Recip(node_from_dict(d["arg"])),
-    "exp_of": lambda d: ExpOf(node_from_dict(d["arg"])),
-    "affine_of": lambda d: AffineOf(node_from_dict(d["arg"]), float(d["scale"]), float(d.get("shift", 0.0))),
-}
+_NODE_KINDS = {cls.kind: cls for cls in (Poly, Cos, Sin, Exp, Log, Scale, Sum,
+                                         Product, Recip, ExpOf, AffineOf)}
 
 
 def node_from_dict(d: dict) -> Node:
-    try:
-        builder = _NODE_KINDS[d["kind"]]
-    except KeyError as exc:
-        raise PreconditionError(f"unknown curve node kind {d.get('kind')!r}") from exc
-    return builder(d)
+    """The node of a :meth:`Node.to_dict` dict; its fields are decoded by
+    their annotations, and a malformed dict raises ScenarioError."""
+    kind = d.get("kind") if isinstance(d, dict) else None
+    if not isinstance(kind, str) or kind not in _NODE_KINDS:
+        raise ScenarioError(f"curve node of no known kind: {d!r}")
+    cls = _NODE_KINDS[kind]
+    table = {f.name: _FIELD_DECODERS[f.type] if f.default is MISSING
+             else (_FIELD_DECODERS[f.type], f.default) for f in fields(cls)}
+    spec = {k: v for k, v in d.items() if k != "kind"}
+    return cls(**decode(spec, table, f"{kind} node"))
+
+
+_FIELD_DECODERS = {"float": number, "Node": node_from_dict,
+                   "tuple[float, ...]": list_of(number),
+                   "tuple[Node, ...]": list_of(node_from_dict)}
 
 
 def constant(c: float) -> Poly:
@@ -566,11 +515,18 @@ class Jet3Curve:
         return out
 
     def value(self, x: float) -> float:
-        # Values are continuous even at kinks, so no side is needed.
+        """Value at ``x``, continuous even at kinks; a non-finite value raises
+        DomainError naming the first such point."""
         if isinstance(x, np.ndarray):
-            return self._jet_array(x, "right").value
-        xc, node = self._piece_at(x, None)
-        return node.jet(xc).value
+            out = self._jet_array(x, "right").value
+            bad = _first(~np.isfinite(out), x)
+        else:
+            xc, node = self._piece_at(x, None)
+            out = node.jet(xc).value
+            bad = _first(not math.isfinite(out), x)
+        if bad:
+            raise DomainError(f"non-finite value at x={bad[0]!r}")
+        return out
 
     # -- constructors and transforms ----------------------------------------
 
@@ -639,12 +595,14 @@ class Jet3Curve:
 
     @staticmethod
     def from_dict(d: dict) -> "Jet3Curve":
-        pieces = tuple(
-            (float(p["lo"]), float(p["hi"]), node_from_dict(p["fn"]))
-            for p in d["pieces"]
-        )
-        kinks = tuple((float(x), int(order)) for x, order in d.get("kinks", []))
-        return Jet3Curve((float(d["domain"][0]), float(d["domain"][1])), pieces, kinks)
+        def piece(p):
+            return tuple(decode(p, {"lo": number, "hi": number,
+                                    "fn": node_from_dict}, "piece").values())
+
+        return Jet3Curve(**decode(d, {"domain": tuple_of(number, number),
+                                      "pieces": list_of(piece),
+                                      "kinks": (list_of(tuple_of(number, integer)), ())},
+                                  "curve"))
 
 
 def affine_combine(c1: Jet3Curve, c2: Jet3Curve, w: float) -> Jet3Curve:

@@ -56,29 +56,21 @@ _QUINTIC_MATRIX = np.array(
 
 @dataclass(frozen=True)
 class SplineSegment:
-    """Polynomial on ``[center - half_width, center + half_width]``.
+    """Polynomial on ``[-half_width, half_width]`` in the window-centered
+    variable ``a``; ``coefficients`` are ascending powers of ``a``."""
 
-    ``coefficients`` are ascending powers of the local variable
-    ``a = x - center``.
-    """
-
-    center: float
     half_width: float
-    degree: int
     coefficients: tuple
-
-    def node(self) -> Poly:
-        return Poly(self.coefficients, center=self.center)
 
     def jet_local(self, a: float) -> Jet3:
         return Poly(self.coefficients).jet(a)
 
 
-def _solve(matrix: np.ndarray, rhs, width: float, center: float, degree: int) -> SplineSegment:
+def _solve(matrix: np.ndarray, rhs, width: float) -> SplineSegment:
     scaled = np.linalg.solve(matrix, np.asarray(rhs, dtype=float))
     coeffs = tuple(float(scaled[j]) / width**j for j in range(len(scaled)))
-    seg = SplineSegment(center, width, degree, coeffs)
-    _check_interpolation(seg, rhs, order=(degree - 1) // 2)
+    seg = SplineSegment(width, coeffs)
+    _check_interpolation(seg, rhs, order=len(rhs) // 2 - 1)
     return seg
 
 
@@ -101,15 +93,15 @@ def hermite_cubic(left: Jet3, right: Jet3, eps: float) -> SplineSegment:
     """Unique cubic with p(+-eps) = F(+-eps), p'(+-eps) = F'(+-eps).
 
     Jets are taken in the window-centered coordinate: ``left`` is the jet at
-    ``-eps``, ``right`` at ``+eps``. The returned segment has center 0; shift
-    it with ``dataclasses.replace`` or use :func:`smooth_c1`.
+    ``-eps``, ``right`` at ``+eps``; :func:`smooth_c1` places the segment at
+    its kink.
     """
     if not eps > 0.0:
         raise PreconditionError(f"eps must be positive, got {eps!r}")
     if not (left.is_finite() and right.is_finite()):
         raise PreconditionError("endpoint jets must be finite")
     rhs = (left.value, eps * left.d1, right.value, eps * right.d1)
-    return _solve(_CUBIC_MATRIX, rhs, eps, 0.0, 3)
+    return _solve(_CUBIC_MATRIX, rhs, eps)
 
 
 def hermite_quintic(left: Jet3, right: Jet3, delta: float) -> SplineSegment:
@@ -126,7 +118,7 @@ def hermite_quintic(left: Jet3, right: Jet3, delta: float) -> SplineSegment:
         delta * right.d1,
         delta * delta * right.d2,
     )
-    return _solve(_QUINTIC_MATRIX, rhs, delta, 0.0, 5)
+    return _solve(_QUINTIC_MATRIX, rhs, delta)
 
 
 def _check_window(curve: Jet3Curve, lo: float, hi: float, allow=()):
@@ -153,8 +145,6 @@ def smooth_c1(curve: Jet3Curve, kink: float, eps: float) -> Jet3Curve:
     if not eps > 0.0:
         raise PreconditionError(f"eps must be positive, got {eps!r}")
     order = curve.kink_order(kink)
-    if order == 0:
-        raise PreconditionError("cannot smooth a value discontinuity")
     lo, hi = kink - eps, kink + eps
     _check_window(curve, lo, hi, allow={kink})
     seg = hermite_cubic(curve.jet(lo), curve.jet(hi), eps)

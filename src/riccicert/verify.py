@@ -195,7 +195,7 @@ def grid_min(f, grid: GridSpec, threshold: float = 1e-6,
     )
 
 
-def bisect_param(pred, lo: float, hi: float, tol: float, max_iters: int = 200) -> float:
+def bisect_param(pred, lo: float, hi: float, tol: float) -> float:
     """Threshold of a monotone predicate, returned on the passing side.
 
     ``pred(lo)`` and ``pred(hi)`` must differ; monotonicity is the caller's
@@ -210,7 +210,7 @@ def bisect_param(pred, lo: float, hi: float, tol: float, max_iters: int = 200) -
             f"predicate agrees at both endpoints ({lo!r}: {p_lo}, {hi!r}: {p_hi}); no crossing"
         )
     passing, failing = (lo, hi) if p_lo else (hi, lo)
-    for _ in range(max_iters):
+    for _ in range(200):  # at most 200 halvings, a factor 2**-200
         if abs(passing - failing) <= tol:
             break
         mid = 0.5 * (passing + failing)

@@ -51,6 +51,8 @@ __all__ = [
 
 ENDPOINT_KINDS = ("closed_k", "closed_h", "boundary")
 _CLOSE_TOL = 1e-6
+# Guard band of a closed end, as a fraction of the domain length.
+_GUARD_FRAC = 1e-6
 
 
 @dataclass(frozen=True)
@@ -94,7 +96,6 @@ class DoublyWarpedMetric:
     n: int
     start_kind: str = "boundary"
     end_kind: str = "boundary"
-    guard_frac: float = 1e-6
 
     def __post_init__(self):
         if self.k.domain != self.h.domain:
@@ -140,7 +141,7 @@ class DoublyWarpedMetric:
 
     def _check_positivity(self, samples: int = 64):
         lo, hi = self.domain
-        guard = self.guard_frac * (hi - lo)
+        guard = _GUARD_FRAC * (hi - lo)
         s = np.linspace(lo + guard, hi - guard, samples)
         bad = _first((self.k.value(s) <= 0.0) | (self.h.value(s) <= 0.0), s)
         if bad:
@@ -169,13 +170,14 @@ class DoublyWarpedMetric:
         return replace(self, k=stretch(self.k), h=stretch(self.h))
 
 
-def _closed_ends(s, domain, guard: float, start_kind: str, end_kind: str):
-    """Masks of the points of ``s`` within ``guard`` of a closed start / end.
+def _closed_ends(s, domain, start_kind: str, end_kind: str):
+    """Masks of the points of ``s`` in the guard band of a closed start / end.
 
     Every other point must lie in the guarded domain; the first that does
     not raises DomainError.
     """
     lo, hi = domain
+    guard = _GUARD_FRAC * (hi - lo)
     at_start = (s - lo <= guard) & (start_kind != "boundary")
     at_end = (hi - s <= guard) & ~at_start & (end_kind != "boundary")
     outside = ~(at_start | at_end) & ((s < lo - guard) | (s > hi + guard))
@@ -235,8 +237,7 @@ def sectional(g: DoublyWarpedMetric, s: float) -> CurvatureSample:
     A float64 array ``s`` gives a sample of arrays, one entry per point.
     """
     lo, hi = g.domain
-    at_start, at_end = _closed_ends(s, g.domain, g.guard_frac * (hi - lo),
-                                    g.start_kind, g.end_kind)
+    at_start, at_end = _closed_ends(s, g.domain, g.start_kind, g.end_kind)
     # The limit forms read the jets at the collapsing end itself.
     x = np.where(at_start, lo, np.where(at_end, hi, s))
     return curvature_from_jets(g.k.jet(x), g.h.jet(x), g.m, g.n,
@@ -247,7 +248,7 @@ def sectional(g: DoublyWarpedMetric, s: float) -> CurvatureSample:
 def level_set_second_form(g: DoublyWarpedMetric, s: float):
     """Principal curvatures (k'/k, h'/h) of the slice {s} w.r.t. +ds."""
     lo, hi = g.domain
-    guard = g.guard_frac * (hi - lo)
+    guard = _GUARD_FRAC * (hi - lo)
     if s <= lo + guard or s >= hi - guard:
         raise DomainError(f"level-set second form needs interior s, got {s!r}")
     jk, jh = g.k.jet(s), g.h.jet(s)
@@ -317,9 +318,8 @@ class WarpedMetricPath:
         """Curvature of the metric at ``lam`` at ``s``; equal-shape float64
         arrays ``lam`` and ``s`` give a sample of arrays, one entry per point."""
         u = self.weight(lam)
-        lo, hi = self.k0.domain
-        at_start, at_end = _closed_ends(s, (lo, hi), 1e-6 * (hi - lo),
-                                        self.start_kind, self.end_kind)
+        at_start, at_end = _closed_ends(s, self.k0.domain, self.start_kind,
+                                        self.end_kind)
         # Jets combine linearly in u. Unlike a DoublyWarpedMetric, the path
         # reads them at s itself inside the guard bands.
         jk0, jk1, jh0, jh1 = self.endpoint_jets(s)

@@ -1,10 +1,13 @@
+import copy
 import json
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from riccicert import cli
 from riccicert.cli import canonical_json, main, run_scenario
 from riccicert.jetcurve import Cos, Jet3Curve, Poly, Sin
 
@@ -154,3 +157,105 @@ def test_unknown_sub_key_exits_two(tmp_path, name, key, sub):
     assert code == 2
     assert f"unknown {key} keys: ['bogus']" == report["error"]["message"]
     assert not (tmp_path / "report.json").exists()
+
+
+DROP = object()
+
+
+def edit(tree, path, value):
+    """A copy of the JSON ``tree`` with the entry at ``path`` set to
+    ``value`` (DROP deletes it); the empty path replaces the whole tree."""
+    if not path:
+        return value
+    tree = copy.deepcopy(tree)
+    cursor = tree
+    for key in path[:-1]:
+        cursor = cursor[key]
+    if value is DROP:
+        del cursor[path[-1]]
+    else:
+        cursor[path[-1]] = value
+    return tree
+
+
+CHART = ("left",)
+TERM = ("left", "H", "terms", 0)
+PIECE = ("k", "pieces", 0)
+
+
+@pytest.mark.parametrize("name, path, value", [
+    # ill-typed or ill-shaped values
+    ("triangle.json", ("r_values",), ["x"]),
+    ("triangle.json", ("r_values",), 5),
+    ("curvature_round_sphere.json", ("k", "pieces"), DROP),
+    ("curvature_round_sphere.json", PIECE + ("fn", "amplitude"), DROP),
+    ("curvature_round_sphere.json", ("m",), "3"),
+    ("curvature_round_sphere.json", ("m",), 3.5),
+    ("triangle.json", ("tilt",), 10**400),
+    ("curvature_round_sphere.json", ("k", "domain"), [0.0]),
+    ("spline_demo.json", ("curve", "kinks", 0), [0.0]),
+    ("glue_corner.json", CHART + ("fiber_dim",), True),
+    ("glue_corner.json", TERM + ("a",), 1.0),
+    ("concordance_bump.json", ("path",), 1.0),
+    # an unknown key at every nested level
+    ("spline_demo.json", ("curve", "pieces", 0, "fn", "centre"), 0.5),
+    ("curvature_round_sphere.json", PIECE + ("bogus",), 1),
+    ("curvature_round_sphere.json", ("k", "bogus"), 1),
+    ("glue_corner.json", TERM + ("bogus",), 1),
+    ("glue_corner.json", CHART + ("H", "bogus"), 1),
+    ("glue_corner.json", CHART + ("bogus",), 1),
+])
+def test_malformed_scenario_exits_two(tmp_path, name, path, value):
+    code, report = run_scenario(edit(load(name), path, value), tmp_path)
+    assert code == 2
+    assert report["error"]["kind"] == "scenario"
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_null_reads_as_absent(tmp_path):
+    plain = run_scenario(load("triangle.json"), tmp_path / "a")[1]
+    nulled = run_scenario({**load("triangle.json"), "tilt": None}, tmp_path / "b")
+    assert nulled[0] == 0 and nulled[1]["results"] == plain["results"]
+
+
+def mutations(tree, path=()):
+    """(path, value) of each one-site mutation of a JSON tree: an unknown key
+    added to an object, an object or list replaced by a number, a number
+    replaced by a non-numeric string."""
+    if isinstance(tree, dict):
+        yield path + ("zz_unknown",), 1
+    if isinstance(tree, (dict, list)):
+        yield path, 7
+        items = tree.items() if isinstance(tree, dict) else enumerate(tree)
+        for key, child in items:
+            yield from mutations(child, path + (key,))
+    elif isinstance(tree, (int, float)) and not isinstance(tree, bool):
+        yield path, "x"
+
+
+@settings(max_examples=120, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_mutated_shipped_scenarios_exit_two(tmp_path, data):
+    name = data.draw(st.sampled_from(sorted(p.name for p in SCENARIOS.glob("*.json"))))
+    scenario = load(name)
+    path, value = data.draw(st.sampled_from(list(mutations(scenario))))
+    source = tmp_path / "mutated.json"
+    source.write_text(json.dumps(edit(scenario, path, value)))
+    code, report = run_scenario(source, tmp_path / "out")
+    assert code == 2, (name, path, value)
+    assert report["error"]["kind"] == "scenario"
+    assert not (tmp_path / "out").exists()
+
+
+def test_internal_error_exits_four(tmp_path, monkeypatch, capsys):
+    def explode(params, ctx):
+        raise RuntimeError("injected")
+
+    _, fields = cli.COMMANDS["triangle"]
+    monkeypatch.setitem(cli.COMMANDS, "triangle", (explode, fields))
+    assert main([str(SCENARIOS / "triangle.json"), "--out", str(tmp_path)]) == 4
+    err = capsys.readouterr().err
+    assert json.loads(err.splitlines()[0]) == {"error": {
+        "kind": "internal", "type": "RuntimeError", "message": "injected"}}
+    assert "Traceback" in err

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from oracles import _jet_safe, sectional_fd, warped_slice_metric
 from riccicert.constructions import (
     ConcordanceParams,
-    ProfileShape,
     HandleParams,
     RoundRadiusPath,
     concordance_schedule,

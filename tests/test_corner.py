@@ -1,5 +1,7 @@
 import dataclasses
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from riccicert.jetcurve import Cos, Exp, Jet3Curve, Poly, Scale, Sin
 from riccicert.verify import GridSpec, bisect_param, grid_min
 
 SQ3 = math.sqrt(3.0)
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def simple_chart(side, mu, phi, H_terms, a_len=1.0, b_rng=(-1.5, 1.5), fiber=3):
@@ -468,6 +471,16 @@ def test_chart_requires_normalization():
     with pytest.raises(PreconditionError):
         simple_chart("left", Poly((1.0,)), Poly((0.2,)),
                      [(Poly((1.0,)), Poly((1.0,)))])
+
+
+def test_chart_with_non_finite_mu_is_refused():
+    # |nan - 1| > 1e-12 is false: only a finiteness check on mu's value
+    # keeps a NaN mu(0) from passing the normalization check.
+    scenario = json.loads((SCENARIOS / "glue_corner.json").read_text())
+    left = CornerChart.from_dict(scenario["left"])
+    mu = Jet3Curve.from_node(Poly((1.0, math.nan)), left.a_range)
+    with pytest.raises(DomainError, match="non-finite value at x=0.0"):
+        dataclasses.replace(left, mu=mu)
 
 
 def test_serialization_round_trip():

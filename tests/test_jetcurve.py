@@ -19,6 +19,7 @@ from riccicert.jetcurve import (
     Scale,
     Sin,
     Sum,
+    _NODE_KINDS,
     affine_combine,
     node_from_dict,
 )
@@ -211,11 +212,41 @@ def test_serialization_round_trip_bit_exact():
     for x in np.linspace(-1.0, 1.0, 17):
         side = "left" if clone.kink_order(x) else None
         assert clone.jet(x, side).as_tuple() == curve.jet(x, side).as_tuple()
+    # every node kind, each on its own curve
+    nodes = (left, right, Log(0.5, 2.0, 3.0), Scale(Sin(1.0, 3.0, 0.5), -2.0),
+             Recip(Poly((2.0, 0.5), 0.125)), ExpOf(Cos(0.25)),
+             AffineOf(Sin(1.5), 0.5, 0.25))
+    kinds = set()
+    for node in nodes:
+        curve = Jet3Curve.from_node(node, (-1.0, 1.0))
+        clone = Jet3Curve.from_dict(curve.to_dict())
+        assert clone == curve
+        x = np.linspace(-1.0, 1.0, 17)
+        assert np.array_equal(clone.jet(x).as_tuple(), curve.jet(x).as_tuple())
+        todo = [curve.to_dict()["pieces"][0]["fn"]]
+        while todo:
+            d = todo.pop()
+            kinds.add(d["kind"])
+            todo += [v for v in d.values() if isinstance(v, dict)]
+            todo += [v for vs in d.values() if isinstance(vs, list)
+                     for v in vs if isinstance(v, dict)]
+    assert kinds == set(_NODE_KINDS)
 
 
 def test_node_from_dict_rejects_unknown_kind():
     with pytest.raises(PreconditionError):
         node_from_dict({"kind": "nope"})
+
+
+def test_value_names_the_first_non_finite_point():
+    # 1 + 1e308 x overflows to inf from x = 2 on; nothing raises on the way
+    curve = Jet3Curve.from_node(Poly((1.0, 1e308)), (0.0, 4.0))
+    assert curve.value(1.0) == 1e308
+    with pytest.raises(DomainError, match="x=2.0"):
+        curve.value(2.0)
+    with np.errstate(over="ignore"):
+        with pytest.raises(DomainError, match=r"x=(np.float64\()?2\.0"):
+            curve.value(np.array([0.0, 1.0, 2.0, 3.0]))
 
 
 def test_reversed_curve():

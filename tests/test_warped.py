@@ -275,7 +275,6 @@ def test_interior_nonpositive_warping_rejected_at_eval():
     object.__setattr__(g, "n", 3)
     object.__setattr__(g, "start_kind", "boundary")
     object.__setattr__(g, "end_kind", "boundary")
-    object.__setattr__(g, "guard_frac", 1e-6)
     with pytest.raises(DomainError):
         sectional(g, 0.9)
 
