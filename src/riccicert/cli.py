@@ -176,14 +176,14 @@ def _run_glue_corner(p, ctx):
     count, factor = p["grid"]["count"], p["grid"]["factor"]
     depth = ctx.depth(p["grid"]["depth"])
 
-    def certify(chart, delta):
-        n = max(count, int(8.0 * (a_hi - a_lo) / delta))
+    def certify(e):
+        chart = cor.glue_and_smooth(left, right, e, ratio * e)
+        n = max(count, int(8.0 * (a_hi - a_lo) / (ratio * e)))
         grid = GridSpec.line(a_lo, a_hi, n, depth, factor)
-        cvx = cor.convexity_certificate(chart, grid, threshold)
-        ccv = cor.concavity_certificate(chart, grid, threshold)
-        return cvx, ccv
+        return (chart, cor.convexity_certificate(chart, grid, threshold),
+                cor.concavity_certificate(chart, grid, threshold))
 
-    eps, searched = p["eps"], None
+    eps, searched, probed = p["eps"], None, {}
     if eps is None:
         searched = dict(p["search"])
         if searched["hi"] is None:
@@ -191,17 +191,17 @@ def _run_glue_corner(p, ctx):
 
         def passes(e):
             try:
-                chart = cor.glue_and_smooth(left, right, e, ratio * e)
+                probed[e] = certify(e)
             except PreconditionError:
                 return False
-            cvx, ccv = certify(chart, ratio * e)
+            _, cvx, ccv = probed[e]
             return cvx.passed and ccv.passed
 
+        # bisect_param returns a probed eps, so its charts are reused.
         eps = bisect_param(passes, searched["lo"], searched["hi"], searched["tol"])
 
     delta = ratio * eps
-    glued = cor.glue_and_smooth(left, right, eps, delta)
-    cvx, ccv = certify(glued, delta)
+    glued, cvx, ccv = probed[eps] if eps in probed else certify(eps)
     ctx.certificate("convexity", cvx)
     ctx.certificate("concavity", ccv)
 
@@ -245,20 +245,23 @@ def _run_isotopy(p, ctx):
         cert2 = stage2.min_ricci(grid2, threshold)
         return profile, target, stage1, stage2, cert1, cert2
 
-    nu, searched = p["nu"], None
+    nu, searched, probed = p["nu"], None, {}
     if nu is None:
         searched = p["nu_search"]
 
         def passes(nu_try):
             try:
-                _, _, _, _, c1, c2 = stage_certs(nu_try)
+                probed[nu_try] = stage_certs(nu_try)
             except PreconditionError:
                 return False
+            *_, c1, c2 = probed[nu_try]
             return c1.passed and c2.passed
 
+        # bisect_param returns a probed nu, so its certificates are reused.
         nu = bisect_param(passes, searched["lo"], searched["hi"], searched["tol"])
 
-    profile, target, stage1, stage2, cert1, cert2 = stage_certs(nu)
+    profile, target, stage1, stage2, cert1, cert2 = (
+        probed[nu] if nu in probed else stage_certs(nu))
     ctx.certificate("stage1_min_ricci", cert1)
     ctx.certificate("stage2_min_ricci", cert2)
     for chk in profile.report.checks + target.report.checks:

@@ -41,7 +41,8 @@ from .jetcurve import (
     constant,
 )
 from .spline import hermite_quintic, two_stage_smooth
-from .verify import GridSpec, PositivityCertificate, bisect_param, grid_min
+from .verify import (GridSpec, PositivityCertificate, bisect_param, blockwise,
+                     grid_min)
 from .warped import DoublyWarpedMetric, WarpedMetricPath
 
 __all__ = [
@@ -946,7 +947,8 @@ def concordance_search(path, nu: float, *, t_count: int = 160,
         for side, th_lo, th_hi in (("below", 0.0, theta0),
                                    ("above", theta0, 0.5 * math.pi)):
             certs[f"ricci_theta_{side}"] = grid_min(
-                lambda pts, e=ell: bounds_at(pts[:, 0], pts[:, 1], e),
+                lambda pts, e=ell: blockwise(
+                    lambda th, u: bounds_at(th, u, e), pts[:, 0], pts[:, 1]),
                 GridSpec.box([(th_lo, th_hi, theta_count), (ell, 2.0 * ell, t_count)],
                              depth=cert_depth),
                 threshold=threshold, quantity_id=f"ricci_bound_theta_{side}_t2norm",

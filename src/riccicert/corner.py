@@ -44,7 +44,7 @@ from .errors import (DomainError, PreconditionError, decode, integer, list_of,
                      text)
 from .jetcurve import _MATCH_TOL, BiJet, Jet3Curve, _first, _pointwise
 from .spline import two_stage_smooth
-from .verify import GridSpec, PositivityCertificate, grid_min
+from .verify import GridSpec, PositivityCertificate, blockwise, grid_min
 
 __all__ = [
     "BiWarp",
@@ -394,17 +394,18 @@ def convexity_certificate(chart: CornerChart, grid: GridSpec,
                           threshold: float = 1e-6) -> PositivityCertificate:
     """Certificate that min(tau_clear, zed_clear) > threshold along the face."""
 
-    def margin(pts):
-        form = face_second_form(chart, pts[:, 0])
+    def margin(a):
+        form = face_second_form(chart, a)
         return np.minimum(form.tau_clear, form.zed_clear)
 
-    return grid_min(margin, grid, threshold=threshold,
-                    quantity_id="face_convexity", batched=True)
+    return grid_min(lambda pts: blockwise(margin, pts[:, 0]), grid,
+                    threshold=threshold, quantity_id="face_convexity",
+                    batched=True)
 
 
 def concavity_certificate(chart: CornerChart, grid: GridSpec,
                           threshold: float = 1e-6) -> PositivityCertificate:
     """Certificate that -face_profile_hessian > threshold along the face."""
-    return grid_min(lambda pts: -face_profile_hessian(chart, pts[:, 0]), grid,
-                    threshold=threshold, quantity_id="face_concavity",
-                    batched=True)
+    return grid_min(
+        lambda pts: blockwise(lambda a: -face_profile_hessian(chart, a), pts[:, 0]),
+        grid, threshold=threshold, quantity_id="face_concavity", batched=True)

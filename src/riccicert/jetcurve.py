@@ -425,7 +425,7 @@ class Jet3Curve:
             for k in range(min(need, 4)):
                 vl, vr = jl.deriv(k), jr.deriv(k)
                 tol = _MATCH_TOL * max(1.0, abs(vl), abs(vr))
-                if abs(vl - vr) > tol:
+                if not abs(vl - vr) <= tol:  # a NaN fails too
                     raise PreconditionError(
                         f"pieces mismatch at breakpoint {b!r}: order {k} "
                         f"({vl!r} vs {vr!r}), declared continuity {need - 1}"

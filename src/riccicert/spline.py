@@ -68,7 +68,12 @@ class SplineSegment:
 
 def _solve(matrix: np.ndarray, rhs, width: float) -> SplineSegment:
     scaled = np.linalg.solve(matrix, np.asarray(rhs, dtype=float))
-    coeffs = tuple(float(scaled[j]) / width**j for j in range(len(scaled)))
+    try:
+        coeffs = tuple(float(scaled[j]) / width**j for j in range(len(scaled)))
+    except (ZeroDivisionError, OverflowError) as exc:
+        raise PreconditionError(
+            f"half-width {width!r} out of range for the Hermite solve: {exc}"
+        ) from exc
     seg = SplineSegment(width, coeffs)
     _check_interpolation(seg, rhs, order=len(rhs) // 2 - 1)
     return seg
@@ -82,8 +87,8 @@ def _check_interpolation(seg: SplineSegment, rhs, order: int) -> None:
         for k in range(stride):
             want = rhs[i * stride + k] / w**k
             got = jet.deriv(k)
-            if abs(got - want) > 1e-9 * max(1.0, abs(want)):
-                raise ArithmeticError(
+            if not abs(got - want) <= 1e-9 * max(1.0, abs(want)):
+                raise PreconditionError(
                     f"Hermite solve lost endpoint data: order {k} at a={a!r}: "
                     f"{got!r} != {want!r}"
                 )
@@ -134,6 +139,18 @@ def _check_window(curve: Jet3Curve, lo: float, hi: float, allow=()):
             )
 
 
+def _window_node(hermite, curve: Jet3Curve, center: float, width: float) -> Poly:
+    """The ``hermite`` polynomial replacing ``curve`` on ``center +- width``;
+    a failed solve is a PreconditionError naming the window."""
+    lo, hi = center - width, center + width
+    left, right = curve.jet(lo), curve.jet(hi)
+    try:
+        seg = hermite(left, right, width)
+    except PreconditionError as exc:
+        raise PreconditionError(f"smoothing window [{lo!r}, {hi!r}]: {exc}") from exc
+    return Poly(seg.coefficients, center=center)
+
+
 def smooth_c1(curve: Jet3Curve, kink: float, eps: float) -> Jet3Curve:
     """C1 smoothing: replace ``[kink - eps, kink + eps]`` by the Hermite cubic.
 
@@ -147,8 +164,7 @@ def smooth_c1(curve: Jet3Curve, kink: float, eps: float) -> Jet3Curve:
     order = curve.kink_order(kink)
     lo, hi = kink - eps, kink + eps
     _check_window(curve, lo, hi, allow={kink})
-    seg = hermite_cubic(curve.jet(lo), curve.jet(hi), eps)
-    node = Poly(seg.coefficients, center=kink)
+    node = _window_node(hermite_cubic, curve, kink, eps)
     drop = (kink,) if order is not None else ()
     return curve.replace_window(lo, hi, node, drop_kinks=drop,
                                 add_kinks=((lo, 2), (hi, 2)))
@@ -177,8 +193,7 @@ def smooth_c2(curve: Jet3Curve, kinks, delta: float) -> Jet3Curve:
             )
         lo, hi = x - delta, x + delta
         _check_window(out, lo, hi, allow={x})
-        seg = hermite_quintic(out.jet(lo), out.jet(hi), delta)
-        node = Poly(seg.coefficients, center=x)
+        node = _window_node(hermite_quintic, out, x, delta)
         drop = (x,) if order is not None else ()
         out = out.replace_window(lo, hi, node, drop_kinks=drop,
                                  add_kinks=((lo, 3), (hi, 3)))

@@ -4,8 +4,11 @@ Certification here is a falsification-resistant heuristic, not interval
 arithmetic: a margin function is scanned on a fixed grid, the worst cells are
 refined a configurable number of times, and the whole trace is reported so a
 reviewer can judge margin stability. Every riccicert margin is batched: it
-takes an array of points per call. The scalar form, one point per call,
-remains for external callers; grids are fixed up front and the min is
+takes the points of one scan level (the coarse grid, then each refinement
+depth) per call, so it can share work across the level. A curvature kernel
+inside it runs through :func:`blockwise`, which bounds the kernel's
+temporaries to ``_BLOCK`` points at a time. The scalar form, one point per
+call, remains for external callers; grids are fixed up front and the min is
 order-independent, so both forms give identical certificates. Any
 non-finite margin fails the certificate.
 """
@@ -19,9 +22,11 @@ import numpy as np
 
 from .errors import EvaluationError, PreconditionError, SearchError
 
-__all__ = ["GridSpec", "PositivityCertificate", "grid_min", "bisect_param"]
+__all__ = ["GridSpec", "PositivityCertificate", "grid_min", "bisect_param",
+           "blockwise"]
 
-# Points per call of a batched margin: bounds the size of its temporaries.
+# Points per call of a kernel run by blockwise, which bounds its
+# temporaries, and per call when a failing scan level is re-run.
 _BLOCK = 4096
 
 
@@ -114,19 +119,39 @@ def _call(f, pt, batched: bool) -> float:
 
 
 def _evaluate(f, points, batched: bool) -> np.ndarray:
+    if not batched:
+        return np.array([_call(f, pt, False) for pt in points])
     values = np.empty(len(points))
-    for start in range(0, len(points), _BLOCK):
-        block = points[start:start + _BLOCK]
-        try:
-            values[start:start + len(block)] = (
-                f(block) if batched else [f(*pt) for pt in block])
-        except Exception:  # noqa: BLE001 - re-raised for the failing point
-            # Re-run the block point by point so the error names the first
-            # failing point in scan order.
-            for pt in block:
-                _call(f, pt, batched)
-            raise
+    try:
+        values[:] = f(points)
+    except Exception:  # noqa: BLE001 - re-raised for the failing point
+        # Re-run the level block by block, and a failing block point by
+        # point, so the error names the first failing point in scan order.
+        for start in range(0, len(points), _BLOCK):
+            block = points[start:start + _BLOCK]
+            try:
+                f(block)
+            except Exception:  # noqa: BLE001 - narrowed to its point
+                for pt in block:
+                    _call(f, pt, True)
+        raise
     return values
+
+
+def blockwise(fn, *arrays) -> np.ndarray:
+    """``fn(*arrays)``, run on consecutive slices of at most ``_BLOCK``
+    points of the equal-length ``arrays`` and concatenated."""
+    n = len(arrays[0])
+    return np.concatenate([fn(*(a[i:i + _BLOCK] for a in arrays))
+                           for i in range(0, n, _BLOCK)])
+
+
+def _lowest(values: np.ndarray, n: int) -> np.ndarray:
+    """Indices of the ``n`` smallest of ``values`` (no NaN), ties in index
+    order: ``np.argsort(values, kind="stable")[:n]`` without sorting it all."""
+    kth = np.partition(values, n - 1)[n - 1]
+    candidates = np.flatnonzero(values <= kth)
+    return candidates[np.argsort(values[candidates], kind="stable")[:n]]
 
 
 def _cell_points(lo, hi, count: int):
@@ -144,11 +169,12 @@ def grid_min(f, grid: GridSpec, threshold: float = 1e-6,
     """Certificate for ``min f > threshold`` over the grid's box.
 
     A ``batched`` margin ``f(points) -> values``, the form of every riccicert
-    certificate, takes up to ``_BLOCK`` points per call as a ``(count, dims)``
-    array. The scalar form ``f(*point) -> float``, called once per grid
-    point, remains for external callers. After the coarse scan, the cells
-    holding the bottom 5% of margins are re-sampled ``grid.factor`` times
-    finer, ``grid.depth`` times over.
+    certificate, is called once per scan level with all of the level's points
+    as a ``(count, dims)`` array; bounding its temporaries is its own job
+    (see :func:`blockwise`). The scalar form ``f(*point) -> float``, called
+    once per grid point, remains for external callers. After the coarse
+    scan, the cells holding the bottom 5% of margins are re-sampled
+    ``grid.factor`` times finer, ``grid.depth`` times over.
     """
     lo = np.array([a for a, _, _ in grid.axes])
     hi = np.array([b for _, b, _ in grid.axes])
@@ -162,7 +188,7 @@ def grid_min(f, grid: GridSpec, threshold: float = 1e-6,
                                for (a, b, c), i in zip(grid.axes, idx)], axis=-1)
         else:
             n_refine = max(1, math.ceil(0.05 * len(values)))
-            centers = points[np.argsort(values, kind="stable")[:n_refine]]
+            centers = points[_lowest(values, n_refine)]
             half = steps / grid.factor**(depth - 1)
             a = np.maximum(lo, centers - half)
             b = np.minimum(hi, centers + half)

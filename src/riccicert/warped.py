@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import DomainError, PreconditionError
 from .jetcurve import Jet3, Jet3Curve, _first, _pointwise, affine_combine
-from .verify import GridSpec, PositivityCertificate, grid_min
+from .verify import GridSpec, PositivityCertificate, blockwise, grid_min
 
 __all__ = [
     "DoublyWarpedMetric",
@@ -261,7 +261,7 @@ def min_ricci(g: DoublyWarpedMetric, grid: GridSpec,
               threshold: float = 1e-6) -> PositivityCertificate:
     """Certificate that min(Ric_s, Ric_k, Ric_h) > threshold over the domain."""
     return grid_min(
-        lambda pts: sectional(g, pts[:, 0]).min_ric(),
+        lambda pts: blockwise(lambda s: sectional(g, s).min_ric(), pts[:, 0]),
         grid,
         threshold=threshold,
         quantity_id="min_ricci",
@@ -306,36 +306,63 @@ class WarpedMetricPath:
             h = affine_combine(self.h0, self.h1, u)
         return DoublyWarpedMetric(k, h, self.m, self.n, self.start_kind, self.end_kind)
 
+    def _level_jets(self, s: np.ndarray):
+        """The sorted distinct values of ``s`` and the jets of k0, k1, h0, h1
+        there, each distinct curve evaluated once: (lambda, s) grids repeat
+        every s on each lambda row, and stage 1 of the isotopy has h0 = h1."""
+        x, curves = _distinct(s), (self.k0, self.k1, self.h0, self.h1)
+        jets = {key: c.jet(x) for key, c in {id(c): c for c in curves}.items()}
+        return x, tuple(jets[id(c)] for c in curves)
+
     def endpoint_jets(self, s: np.ndarray):
         """Array jets of k0, k1, h0, h1 at ``s``."""
-        # (lambda, s) grids repeat each s value on every lambda row.
-        s_distinct, back = np.unique(s, return_inverse=True)
-        return tuple(Jet3(*(v[back] for v in c.jet(s_distinct).as_tuple()))
-                     for c in (self.k0, self.k1, self.h0, self.h1))
+        return _gather(*self._level_jets(s), s)
 
-    @_pointwise
-    def sectional(self, lam: float, s: float) -> CurvatureSample:
-        """Curvature of the metric at ``lam`` at ``s``; equal-shape float64
-        arrays ``lam`` and ``s`` give a sample of arrays, one entry per point."""
+    def _sample(self, x, jets, lam, s) -> CurvatureSample:
+        """Curvature at (``lam``, ``s``) from the ``_level_jets`` ``x, jets``
+        of a set of points holding every value of ``s``."""
         u = self.weight(lam)
         at_start, at_end = _closed_ends(s, self.k0.domain, self.start_kind,
                                         self.end_kind)
         # Jets combine linearly in u. Unlike a DoublyWarpedMetric, the path
         # reads them at s itself inside the guard bands.
-        jk0, jk1, jh0, jh1 = self.endpoint_jets(s)
+        jk0, jk1, jh0, jh1 = _gather(x, jets, s)
         w = 1.0 - u
         return curvature_from_jets(jk0.scaled(w) + jk1.scaled(u),
                                    jh0.scaled(w) + jh1.scaled(u),
                                    self.m, self.n, self.start_kind, self.end_kind,
                                    s=s, at_start=at_start, at_end=at_end)
 
+    @_pointwise
+    def sectional(self, lam: float, s: float) -> CurvatureSample:
+        """Curvature of the metric at ``lam`` at ``s``; equal-shape float64
+        arrays ``lam`` and ``s`` give a sample of arrays, one entry per point."""
+        return self._sample(*self._level_jets(s), lam, s)
+
     def min_ricci(self, grid: GridSpec,
                   threshold: float = 1e-6) -> PositivityCertificate:
-        """Grid is (lambda, s); margin is the worst diagonal Ricci value."""
-        return grid_min(
-            lambda pts: self.sectional(pts[:, 0], pts[:, 1]).min_ric(),
-            grid,
-            threshold=threshold,
-            quantity_id="path_min_ricci",
-            batched=True,
-        )
+        """Grid is (lambda, s); margin is the worst diagonal Ricci value.
+
+        Each scan level evaluates the endpoint curves once, then the kernel
+        block by block.
+        """
+        def margin(pts):
+            level = self._level_jets(pts[:, 1])
+            return blockwise(lambda lam, s: self._sample(*level, lam, s).min_ric(),
+                             pts[:, 0], pts[:, 1])
+
+        return grid_min(margin, grid, threshold=threshold,
+                        quantity_id="path_min_ricci", batched=True)
+
+
+def _distinct(s):
+    """The sorted distinct values of ``s``, as ``np.unique`` gives them;
+    that one hashes them and imports ``numpy.ma`` (0.5 MB) to do so."""
+    v = np.sort(s)
+    return v[np.concatenate(([True], v[1:] != v[:-1]))]
+
+
+def _gather(x, jets, s):
+    """Each of ``jets``, taken at the sorted ``x``, read at ``s``."""
+    back = np.searchsorted(x, s)
+    return tuple(Jet3(*(v[back] for v in j.as_tuple())) for j in jets)

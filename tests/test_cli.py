@@ -80,6 +80,18 @@ def test_precondition_violation_exits_three(tmp_path):
     assert report["error"]["kind"] == "PreconditionError"
 
 
+@pytest.mark.parametrize("eps, delta", [(1e-30, 1e-31), (1e-170, 1e-171)])
+def test_too_narrow_smoothing_window_exits_three(tmp_path, eps, delta):
+    # float64 cannot carry these Hermite solves: the first loses the
+    # endpoint data, and in the second delta**5 underflows to 0.
+    scenario = dict(load("spline_demo.json"), eps=eps, delta=delta)
+    code, report = run_scenario(scenario, tmp_path / "out")
+    assert code == 3
+    assert report["error"]["kind"] == "PreconditionError"
+    assert report["error"]["message"].startswith("smoothing window [")
+    assert not (tmp_path / "out").exists()
+
+
 def test_reports_are_byte_identical(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     assert run_scenario(load("triangle.json"), a)[0] == 0

@@ -1,4 +1,7 @@
+import json
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -537,6 +540,56 @@ def test_batched_path_margin_on_refinement_cells(profile, target, which):
     assert len(points) > 9 * 33  # refinement levels were evaluated
     assert {0.0, profile.T} <= set(points[:, 1])
     _assert_margins_bitwise(path, points[:, 0], points[:, 1], values)
+    # min_ricci's per-level jets give the same certificate, bit for bit.
+    assert path.min_ricci(grid) == replace(cert, quantity_id="path_min_ricci")
+
+
+@pytest.mark.parametrize("which, distinct", [(1, 3), (2, 4)])
+def test_path_certificate_evaluates_each_curve_once_per_level(
+        profile, target, monkeypatch, which, distinct):
+    # Stage 1 shares h0 and h1 (the profile's h); stage 2 has four curves.
+    path = _stage(profile, target, which)
+    jet, seen = Jet3Curve.jet, []
+
+    def counted(self, x, side=None):
+        if isinstance(x, np.ndarray):
+            seen.append(id(self))
+        return jet(self, x, side)
+
+    monkeypatch.setattr(Jet3Curve, "jet", counted)
+    a, b = path.lam_range
+    path.min_ricci(GridSpec.box([(a, b, 9), (0.0, profile.T, 33)],
+                                depth=2, factor=2))
+    levels = 3
+    assert len(seen) == levels * distinct
+    assert all(len(set(seen[i:i + distinct])) == distinct
+               for i in range(0, len(seen), distinct))
+
+
+@pytest.mark.parametrize("name, certificates", [("isotopy.json", 18),
+                                                ("glue_corner.json", 20)])
+def test_search_reports_the_winning_probe_without_recomputing(
+        tmp_path, monkeypatch, name, certificates):
+    # Ten bisection probes; the isotopy probe at nu = 0.2 fails
+    # synthesis. The reported certificates are those of the returned probe.
+    import riccicert.constructions as cons
+    import riccicert.corner as cor
+    import riccicert.warped as warped
+    from riccicert.cli import run_scenario
+
+    qids = []
+
+    def counted(f, grid, **kw):
+        qids.append(kw["quantity_id"])
+        return grid_min(f, grid, **kw)
+
+    for mod in (cons, cor, warped):
+        monkeypatch.setattr(mod, "grid_min", counted)
+    scenario = json.loads((Path(__file__).resolve().parent.parent
+                           / "scenarios" / name).read_text())
+    code, _ = run_scenario(scenario, tmp_path)
+    assert code == 0
+    assert len(qids) == certificates
 
 
 @settings(max_examples=25, deadline=None)

@@ -116,6 +116,14 @@ def test_piece_mismatch_rejected():
         )
 
 
+def test_nan_piece_at_breakpoint_rejected():
+    # abs(1.0 - nan) > tol is false, so a plain comparison accepts the join.
+    with pytest.raises(PreconditionError, match="breakpoint 0.5"):
+        Jet3Curve.piecewise(
+            [(0.0, 0.5, Poly((1.0,))), (0.5, 1.0, Poly((math.nan,)))]
+        )
+
+
 # ---------------------------------------------------------------------------
 # properties
 # ---------------------------------------------------------------------------

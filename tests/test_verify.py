@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from riccicert.errors import EvaluationError, PreconditionError, SearchError
-from riccicert.verify import GridSpec, bisect_param, grid_min
+from riccicert.verify import GridSpec, _lowest, bisect_param, grid_min
 
 
 def test_quadratic_minimum_at_interior():
@@ -69,12 +69,43 @@ def test_scalar_and_batched_margins_give_same_certificate():
     def f_batched(points):
         return np.sin(3 * points[:, 0]) * np.cos(2 * points[:, 1]) + 1.5
 
-    # 33 x 33 coarse points and 3 refinement levels span several blocks.
+    # A 2-D grid and 3 refinement levels, one batched call per level.
     grid = GridSpec.box([(0, 2, 33), (0, 2, 33)], depth=3)
     a = grid_min(f, grid)
     b = grid_min(f_batched, grid, batched=True)
     assert a == b
     assert a.to_dict() == b.to_dict()
+
+
+@pytest.mark.parametrize("axes, depth, factor", [
+    ([(0, 1, 101)], 3, 4),
+    ([(0, 2, 101), (0, 1, 65)], 2, 2),  # a coarse level of 6,565 points
+])
+def test_batched_margin_gets_one_call_per_level(axes, depth, factor):
+    sizes = []
+
+    def f(points):
+        sizes.append(len(points))
+        return np.sin(3.0 * points).sum(axis=1) + 2.0
+
+    grid_min(f, GridSpec.box(axes, depth=depth, factor=factor), batched=True)
+    expected = [math.prod(count for _, _, count in axes)]
+    for _ in range(depth):
+        cells = math.ceil(0.05 * expected[-1])
+        expected.append(cells * (2 * factor + 1) ** len(axes))
+    assert sizes == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from([-1.0, -0.0, 0.0, 0.5, math.inf]),
+                          st.floats(-2.0, 2.0)), min_size=1, max_size=80),
+       st.data())
+def test_lowest_equals_stable_argsort_prefix(values, data):
+    # Refinement cells: heavy ties and +inf (a non-finite margin) included.
+    values = np.array(values)
+    n = data.draw(st.integers(1, len(values)))
+    assert (_lowest(values, n).tolist()
+            == np.argsort(values, kind="stable")[:n].tolist())
 
 
 @pytest.mark.parametrize("batched", [False, True])
@@ -142,6 +173,24 @@ def test_batched_evaluation_error_names_first_failing_point():
     with pytest.raises(EvaluationError) as err:
         grid_min(f, GridSpec.line(0, 1, 11), batched=True)
     assert err.value.coords == (np.linspace(0, 1, 11)[6],)
+
+
+def test_failing_level_is_narrowed_block_by_block():
+    # A 10,001-point level fails in its third 4,096-point block: only that
+    # block is re-run point by point.
+    sizes = []
+
+    def f(points):
+        sizes.append(len(points))
+        if (points[:, 0] > 0.9).any():
+            raise ValueError("boom")
+        return np.ones(len(points))
+
+    with pytest.raises(EvaluationError) as err:
+        grid_min(f, GridSpec.line(0, 1, 10001), batched=True)
+    assert err.value.coords == (np.linspace(0, 1, 10001)[9001],)
+    assert sizes[:4] == [10001, 4096, 4096, 1809]
+    assert len(sizes) == 4 + 9001 - 2 * 4096 + 1
 
 
 def test_grid_spec_validation():
