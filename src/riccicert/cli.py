@@ -57,6 +57,28 @@ def _search(lo, hi, tol=1e-3):
     return {"lo": (number, lo), "hi": (number, hi), "tol": (number, tol)}
 
 
+def _searched(certify, value, search):
+    """``(value, certify(value, False))``, or with ``value`` None the probe
+    that bisecting over ``search`` returns, which passed. A search probe
+    ``certify(x, True)`` returns None at its first failing certificate, so
+    only complete, passing probes are kept."""
+    if value is not None:
+        return value, certify(value, False)
+    probed = {}
+
+    def passes(x):
+        try:
+            probe = certify(x, True)
+        except PreconditionError:
+            return False
+        if probe is not None:
+            probed[x] = probe
+        return probe is not None
+
+    value = bisect_param(passes, search["lo"], search["hi"], search["tol"])
+    return value, probed[value]
+
+
 # ---------------------------------------------------------------------------
 # canonical serialization
 # ---------------------------------------------------------------------------
@@ -176,32 +198,23 @@ def _run_glue_corner(p, ctx):
     count, factor = p["grid"]["count"], p["grid"]["factor"]
     depth = ctx.depth(p["grid"]["depth"])
 
-    def certify(e):
+    def certify(e, search):
         chart = cor.glue_and_smooth(left, right, e, ratio * e)
         n = max(count, int(8.0 * (a_hi - a_lo) / (ratio * e)))
         grid = GridSpec.line(a_lo, a_hi, n, depth, factor)
-        return (chart, cor.convexity_certificate(chart, grid, threshold),
-                cor.concavity_certificate(chart, grid, threshold))
+        cvx = cor.convexity_certificate(chart, grid, threshold)
+        if search and not cvx.passed:
+            return None
+        ccv = cor.concavity_certificate(chart, grid, threshold)
+        return None if search and not ccv.passed else (chart, cvx, ccv)
 
-    eps, searched, probed = p["eps"], None, {}
-    if eps is None:
+    searched = None
+    if p["eps"] is None:
         searched = dict(p["search"])
         if searched["hi"] is None:
             searched["hi"] = 0.45 * min(-left.a_range[0], right.a_range[1])
-
-        def passes(e):
-            try:
-                probed[e] = certify(e)
-            except PreconditionError:
-                return False
-            _, cvx, ccv = probed[e]
-            return cvx.passed and ccv.passed
-
-        # bisect_param returns a probed eps, so its charts are reused.
-        eps = bisect_param(passes, searched["lo"], searched["hi"], searched["tol"])
-
+    eps, (glued, cvx, ccv) = _searched(certify, p["eps"], searched)
     delta = ratio * eps
-    glued, cvx, ccv = probed[eps] if eps in probed else certify(eps)
     ctx.certificate("convexity", cvx)
     ctx.certificate("concavity", ccv)
 
@@ -232,36 +245,25 @@ def _run_isotopy(p, ctx):
     lam_count, s_count = p["grid"]["lambda_count"], p["grid"]["s_count"]
     depth, factor = ctx.depth(p["grid"]["depth"]), p["grid"]["factor"]
 
-    def stage_certs(nu):
+    def stage_certs(nu, search):
         profile = cons.make_boundary_profile(R, nu, b1)
         target = cons.make_isotopy_target(profile)
         stage1 = cons.isotopy_stage1(profile, target, m, n)
         grid1 = GridSpec.box([(0.0, 1.0, lam_count), (0.0, profile.T, s_count)],
                              depth, factor)
         cert1 = stage1.min_ricci(grid1, threshold)
+        if search and not cert1.passed:
+            return None
         stage2 = cons.isotopy_stage2(target.k1, target.h1, R, m, n)
         grid2 = GridSpec.box([(1.0, 2.0, lam_count), (0.0, profile.T, s_count)],
                              depth, factor)
         cert2 = stage2.min_ricci(grid2, threshold)
-        return profile, target, stage1, stage2, cert1, cert2
+        return (None if search and not cert2.passed
+                else (profile, target, stage1, stage2, cert1, cert2))
 
-    nu, searched, probed = p["nu"], None, {}
-    if nu is None:
-        searched = p["nu_search"]
-
-        def passes(nu_try):
-            try:
-                probed[nu_try] = stage_certs(nu_try)
-            except PreconditionError:
-                return False
-            *_, c1, c2 = probed[nu_try]
-            return c1.passed and c2.passed
-
-        # bisect_param returns a probed nu, so its certificates are reused.
-        nu = bisect_param(passes, searched["lo"], searched["hi"], searched["tol"])
-
-    profile, target, stage1, stage2, cert1, cert2 = (
-        probed[nu] if nu in probed else stage_certs(nu))
+    searched = None if p["nu"] is not None else p["nu_search"]
+    nu, (profile, target, stage1, stage2, cert1, cert2) = _searched(
+        stage_certs, p["nu"], searched)
     ctx.certificate("stage1_min_ricci", cert1)
     ctx.certificate("stage2_min_ricci", cert2)
     for chk in profile.report.checks + target.report.checks:

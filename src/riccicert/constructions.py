@@ -232,10 +232,10 @@ def _dive_curve(lo: float, T: float, start_value: float, start_slope: float,
                 bump_width: float) -> Jet3Curve:
     """Concave curve on [lo, T] with prescribed start data and closure at T.
 
-    Built as k = start data minus the double integral of
-    w = floor + bump, where the bump amplitude is set so the total mass
-    makes k'(T) = -1; the caller places the bump center so k(T) = 0.
-    The floor keeps k'' strictly negative outside the bump.
+    Built as k = start data minus the double integral of w = floor + bump;
+    the bump amplitude makes k'(T) = -1, and as the integral of (T - s) *
+    bump is (T - c) * mass, the caller's value pin is affine in the bump
+    center c, placed by one secant step. The floor keeps k'' < 0 outside it.
     """
     mass = 1.0 + start_slope - floor_mass
     if mass <= 0.0:
@@ -278,29 +278,26 @@ def _recenter(coeffs, old_center: float, new_center: float):
     return out
 
 
-def _solve_dive_center(build, target_fn, lo: float, hi: float,
+def _solve_dive_center(build, residual, lo: float, hi: float,
                        what: str, tol: float = 1e-12):
-    """Bisect the bump center so the built dive hits its value pin."""
-    f_lo, f_hi = target_fn(build(lo)), target_fn(build(hi))
-    if f_lo == 0.0:
-        return lo
-    if f_hi == 0.0:
-        return hi
-    if (f_lo > 0.0) == (f_hi > 0.0):
+    """``(center, build(center))`` with the dive meeting its value pin.
+
+    The residual is affine in the center, so one secant step from the
+    bracket builds lands on its root; a residual above ``tol`` there raises.
+    """
+    f_lo, f_hi = residual(build(lo)), residual(build(hi))
+    if not (f_lo <= 0.0 <= f_hi or f_hi <= 0.0 <= f_lo):
         raise ConditionError(
             f"{what}: dive does not fit (residual {f_lo:.3e} at {lo!r}, "
             f"{f_hi:.3e} at {hi!r}); the value pin exceeds the room left "
             "after T2", report=None)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        f_mid = target_fn(build(mid))
-        if (f_mid > 0.0) == (f_lo > 0.0):
-            lo, f_lo = mid, f_mid
-        else:
-            hi, f_hi = mid, f_mid
-        if hi - lo < tol:
-            break
-    return 0.5 * (lo + hi)
+    center = lo if f_lo == 0.0 else lo + (hi - lo) * f_lo / (f_lo - f_hi)
+    curve = build(center)
+    f = residual(curve)
+    if not abs(f) <= tol:  # NaN included
+        raise ConditionError(f"{what}: residual {f:.3e} at the secant center "
+                             f"{center!r} exceeds {tol:.0e}", report=None)
+    return center, curve
 
 
 # ---------------------------------------------------------------------------
@@ -416,10 +413,8 @@ def make_boundary_profile(R: float, nu: float, b1: float) -> BoundaryProfile:
         return _dive_curve(s_c, T, k_c, 0.0, floor_pieces, floor_mass,
                            center, w0)
 
-    c0 = _solve_dive_center(build_dive,
-                            lambda kd: kd.jet(T).value,
-                            lo_c, hi_c, "profile k dive")
-    dive = build_dive(c0)
+    _, dive = _solve_dive_center(build_dive, lambda kd: kd.jet(T).value,
+                                 lo_c, hi_c, "profile k dive")
     flat = Poly((cb, 0.0, 0.0, 0.0, cb * nu / s_c ** 4))
     k_raw = Jet3Curve.piecewise(
         [(0.0, s_c, flat)] + [(plo, phi, n) for plo, phi, n in dive.pieces],
@@ -534,9 +529,10 @@ def make_isotopy_target(profile: BoundaryProfile) -> IsotopyTarget:
 
     k1 is strictly concave by construction: minus the double integral of a
     small even floor (which keeps k1' strictly inside (-nu cos b1, 0) up to
-    T2 and k1'' < 0 everywhere) plus a bump placed after T2 that performs
-    the dive; the bump center pins k1(T1) = k0(T1). h1 reuses the profile's
-    h, which already satisfies the stronger concavity clause.
+    T2 and k1'' < 0 everywhere) plus a bump after T2 that performs the dive,
+    its center placed by one secant step on the residual k1(T1) - k0(T1),
+    which is affine in it. h1 reuses the profile's h, which already
+    satisfies the stronger concavity clause.
     """
     T, T1, T2 = profile.T, profile.T1, profile.T2
     nu, cb = profile.nu, math.cos(profile.b1)
@@ -561,8 +557,8 @@ def make_isotopy_target(profile: BoundaryProfile) -> IsotopyTarget:
         shift = -k_shape.jet(T).value
         return (k_shape.value(T1) + shift) - v1
 
-    center = _solve_dive_center(build, residual, lo_c, hi_c, "k1 dive")
-    k_shape = build(center)
+    center, k_shape = _solve_dive_center(build, residual, lo_c, hi_c,
+                                         "k1 dive")
     shift = -k_shape.jet(T).value
     k1 = Jet3Curve.piecewise(
         [(plo, phi, Sum((node, Poly((shift,)))))

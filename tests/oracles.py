@@ -6,14 +6,15 @@ and the Riemann tensor numerically, and reads off sectional / Ricci values.
 The sign conventions are pinned by ``test_oracle_self_check`` against the
 round sphere, so these routines can arbitrate the closed forms in the
 package. ``_jet_safe`` is the one jet-based piece: the per-point reference
-for the package's array evaluations.
+for the package's array evaluations. ``bisect_dive_center`` is the
+bisection reference for the secant step that places a dive's bump center.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from riccicert.errors import KinkSideRequired
+from riccicert.errors import ConditionError, KinkSideRequired
 
 _STENCIL = ((-2, 1.0 / 12.0), (-1, -8.0 / 12.0), (1, 8.0 / 12.0), (2, -1.0 / 12.0))
 
@@ -88,6 +89,32 @@ def _jet_safe(curve, x):
         return curve.jet(x)
     except KinkSideRequired:
         return curve.jet(x, side="left")
+
+
+def bisect_dive_center(build, residual, lo, hi, what, tol=1e-12):
+    """The bump center of a dive by up to 200 bisection steps of the residual
+    over [lo, hi], narrowed to ``tol``: the reference that the secant step of
+    ``constructions._solve_dive_center`` is compared against."""
+    f_lo, f_hi = residual(build(lo)), residual(build(hi))
+    if f_lo == 0.0:
+        return lo
+    if f_hi == 0.0:
+        return hi
+    if (f_lo > 0.0) == (f_hi > 0.0):
+        raise ConditionError(
+            f"{what}: dive does not fit (residual {f_lo:.3e} at {lo!r}, "
+            f"{f_hi:.3e} at {hi!r}); the value pin exceeds the room left "
+            "after T2", report=None)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        f_mid = residual(build(mid))
+        if (f_mid > 0.0) == (f_lo > 0.0):
+            lo, f_lo = mid, f_mid
+        else:
+            hi, f_hi = mid, f_mid
+        if hi - lo < tol:
+            break
+    return 0.5 * (lo + hi)
 
 
 # ---------------------------------------------------------------------------

@@ -56,6 +56,24 @@ def test_failing_certificate_exits_one(tmp_path):
     assert not report["passed"]
 
 
+@pytest.mark.parametrize("name, key, failing, passing", [
+    ("isotopy.json", "nu", "stage1_min_ricci", "stage2_min_ricci"),
+    ("glue_corner.json", "eps", "convexity", "concavity"),
+])
+def test_explicit_parameter_reports_both_certificates(tmp_path, name, key,
+                                                      failing, passing):
+    # Without a search nothing stops at the first failing certificate.
+    scenario = load(name)
+    scenario[key] = 0.05
+    code, report = run_scenario(scenario, tmp_path)
+    assert code == 1
+    written = json.loads((tmp_path / "report.json").read_text())
+    assert written["certificates"] == report["certificates"]
+    assert not report["certificates"][failing]["passed"]
+    assert report["certificates"][passing]["passed"]
+    assert report["results"][{"nu": "nu_search", "eps": "search"}[key]] is None
+
+
 def test_unknown_key_exits_two(tmp_path):
     scenario = {"command": "triangle", "r_values": [0.1], "bogus": 1}
     code, report = run_scenario(scenario, tmp_path)

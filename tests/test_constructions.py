@@ -2,12 +2,15 @@ import json
 import math
 from dataclasses import replace
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import _jet_safe, sectional_fd, warped_slice_metric
+from oracles import (_jet_safe, bisect_dive_center, sectional_fd,
+                     warped_slice_metric)
+import riccicert.constructions as cons
 from riccicert.constructions import (
     ConcordanceParams,
     HandleParams,
@@ -27,7 +30,7 @@ from riccicert.constructions import (
 from riccicert.errors import ConditionError, PreconditionError, SearchError
 from riccicert.jetcurve import Jet3Curve, Poly, Sin, Sum
 from riccicert.verify import GridSpec, grid_min
-from riccicert.warped import DoublyWarpedMetric, sectional
+from riccicert.warped import DoublyWarpedMetric, min_ricci, sectional
 
 R_TEST = 2.0
 B1 = 0.795  # keeps the stage-1 dive feasible after T2 at R = 2
@@ -174,6 +177,108 @@ def test_target_slope_band(profile, target):
     for s in np.linspace(0.05, profile.T2, 150):
         d1 = target.k1.jet(s).d1
         assert -nu_cb < d1 < 0.0
+
+
+# ---------------------------------------------------------------------------
+# dive centers
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=30, deadline=None)
+@given(R=st.floats(2.0, 2.08), b1=st.floats(0.785, 0.815),
+       nu=st.floats(1e-4, 0.1))
+def test_secant_dive_centers_match_bisection(R, b1, nu):
+    # Over the isotopy bench box, each solve of the profile and the target
+    # gives the bisected center to 1e-12, or both raise the same type.
+    solve, outcomes = cons._solve_dive_center, []
+
+    def both(build, residual, lo, hi, what):
+        try:
+            want = bisect_dive_center(build, residual, lo, hi, what)
+        except Exception as exc:
+            want = type(exc)
+        try:
+            center, curve = solve(build, residual, lo, hi, what)
+        except Exception as exc:
+            outcomes.append((what, want, type(exc)))
+            raise
+        outcomes.append((what, want, center))
+        return center, curve
+
+    with patch.object(cons, "_solve_dive_center", both):
+        try:
+            make_isotopy_target(make_boundary_profile(R, nu, b1))
+        except PreconditionError:
+            pass
+    assert outcomes and outcomes[0][0] == "profile k dive"
+    for what, want, got in outcomes:
+        if isinstance(want, type) or isinstance(got, type):
+            assert want is got, what
+        else:
+            assert abs(got - want) <= 1e-12, what
+
+
+def test_dive_center_without_a_sign_change_raises():
+    with pytest.raises(ConditionError, match=(
+            r"^k1 dive: dive does not fit \(residual 1\.000e\+00 at 0\.0, "
+            r"2\.000e\+00 at 1\.0\); the value pin exceeds the room left "
+            r"after T2$")):
+        cons._solve_dive_center(lambda c: c, lambda c: 1.0 + c, 0.0, 1.0,
+                                "k1 dive")
+
+
+def test_dive_center_of_an_affine_residual_takes_three_builds():
+    built = []
+
+    def build(c):
+        built.append(c)
+        return c
+
+    center, curve = cons._solve_dive_center(build, lambda c: 0.75 - 3.0 * c,
+                                            0.0, 1.0, "stub")
+    assert center == curve == 0.25 and built == [0.0, 1.0, 0.25]
+
+
+@pytest.mark.parametrize("residual", [
+    lambda c: c ** 3 - 0.125,                         # not affine
+    lambda c: math.nan if 0.0 < c < 1.0 else c - 0.5,  # NaN at the root
+    lambda c: math.nan,                                # NaN everywhere
+    lambda c: math.nan if c == 0.0 else c - 0.5,       # NaN at one end
+])
+def test_dive_center_refuses_a_residual_the_secant_does_not_solve(residual):
+    with pytest.raises(ConditionError, match="^stub: "):
+        cons._solve_dive_center(lambda c: c, residual, 0.0, 1.0, "stub")
+
+
+def test_isotopy_pass_builds_each_dive_at_most_three_times(tmp_path,
+                                                           monkeypatch):
+    # Ten nu probes solve 20 dives; the probe at nu = 0.2 stops at the k1
+    # dive's bracket after two builds.
+    from riccicert.cli import run_scenario
+    dive_curve, built = cons._dive_curve, []
+
+    def counted(*args):
+        built.append(args)
+        return dive_curve(*args)
+
+    monkeypatch.setattr(cons, "_dive_curve", counted)
+    code, _ = run_scenario(json.loads((Path(__file__).resolve().parent.parent
+                                       / "scenarios" / "isotopy.json")
+                                      .read_text()), tmp_path)
+    assert code == 0
+    assert len(built) == 19 * 3 + 2
+
+
+def test_profile_metric_fails_in_the_known_band_at_the_shipped_nu():
+    # At the shipped report's nu, the lambda = 0 end of stage 1 (the profile
+    # metric) is Ricci-negative on [1.94786, 1.95022]; a 4,096-point scan
+    # finds the band.
+    profile = make_boundary_profile(2.0, 0.021183203125, 0.795)
+    g = profile.metric(3, 3)
+    assert sectional(g, 1.949).Ric_s == pytest.approx(-0.01373, abs=1e-5)
+    cert = min_ricci(g, GridSpec.line(0.0, profile.T, 4096, 2, 2))
+    assert not cert.passed
+    assert 1.94786 <= cert.argmin[0] <= 1.95022
 
 
 def test_stage1_endpoints_bit_exact(profile, target):
@@ -566,12 +671,14 @@ def test_path_certificate_evaluates_each_curve_once_per_level(
                for i in range(0, len(seen), distinct))
 
 
-@pytest.mark.parametrize("name, certificates", [("isotopy.json", 18),
-                                                ("glue_corner.json", 20)])
+@pytest.mark.parametrize("name, certificates", [("isotopy.json", 14),
+                                                ("glue_corner.json", 14)])
 def test_search_reports_the_winning_probe_without_recomputing(
         tmp_path, monkeypatch, name, certificates):
-    # Ten bisection probes; the isotopy probe at nu = 0.2 fails
-    # synthesis. The reported certificates are those of the returned probe.
+    # Ten bisection probes; the isotopy probe at nu = 0.2 fails synthesis,
+    # and a probe stops at its first failing certificate: stage 1 on 4 of
+    # the 9 synthesized nu probes, convexity on 6 of the 10 eps probes. The
+    # reported certificates are those of the returned probe.
     import riccicert.constructions as cons
     import riccicert.corner as cor
     import riccicert.warped as warped

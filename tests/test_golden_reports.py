@@ -23,7 +23,7 @@ GOLDEN = {
     "glue_corner.json":
         "56e60384dfac30a9e05ebc973405b9926f76304d0d2d4501ee43e1d970d50dc2",
     "isotopy.json":
-        "2f0f3018f20352e86d2ef462504e27b260f2f5694b347727338dc1dfa489f0d2",
+        "3c9110c296a11d1630908dbcf4fb331cdb1ec75497a0d374842d669bc085337a",
     "spline_demo.json":
         "4e4561d7c32bb5cc8f16bf260047b1acfc31c999f4e317611e61746749aafc2f",
     "triangle.json":
@@ -45,7 +45,7 @@ GOLDEN_CSV = {
     },
     "isotopy.json": {
         "warping.csv":
-            "9878992aca77d88fbf6858f1d7f72a0bcd868cc26b424e2a2bdc35808f64b4c9",
+            "79f065d46b0d32c90f165700a6254eb73d358b394baae581eef13e6aef1bccd4",
     },
     "spline_demo.json": {
         "spline.csv":
