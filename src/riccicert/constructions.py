@@ -1,8 +1,7 @@
 """Named metric families and the multi-step construction procedures.
 
-Four builds live here:
+Three builds live here:
 
-* the handle metric ``dx^2 + f_nu^2(x) ds_m^2 + (2R)^2 sin^2(x/2R) ds_{n-1}^2``;
 * the boundary-sphere profile (k, h): a nearly-constant k joined by a
   two-stage-smoothed corner to a cosine arc closing at s = T, and a sine arc
   h flattening to the constant R, with every profile condition checked
@@ -20,7 +19,7 @@ Constructing any object with a violated numeric condition raises
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -48,8 +47,6 @@ from .warped import DoublyWarpedMetric, WarpedMetricPath
 __all__ = [
     "ConditionCheck",
     "ConditionReport",
-    "HandleParams",
-    "make_handle",
     "BoundaryProfile",
     "make_boundary_profile",
     "IsotopyTarget",
@@ -116,71 +113,6 @@ def _check(name, margin, note="") -> ConditionCheck:
 def _grid_extreme(fn, lo, hi, count=256, reduce=np.min):
     """``reduce`` of the array function ``fn`` on ``count`` points of [lo, hi]."""
     return reduce(fn(np.linspace(lo, hi, count)))
-
-
-# ---------------------------------------------------------------------------
-# handle metric
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class HandleParams:
-    """Parameters of the handle metric; ``fnu_power`` shapes f_nu = 1 + nu u^p.
-
-    The default power is the smallest integer > pi R / 3 (at least 4), which
-    keeps the first three derivatives of f_nu zero at 0 and makes
-    f_nu'(pi R/3) = nu p / (pi R / 3) > nu.
-    """
-
-    R: float
-    nu: float
-    m: int
-    n: int
-    fnu_power: int | None = None
-
-    def __post_init__(self):
-        if not self.R > 1.0:
-            raise PreconditionError(f"R must exceed 1, got {self.R!r}")
-        if not 0.0 < self.nu < 1.0:
-            raise PreconditionError(f"nu must lie in (0, 1), got {self.nu!r}")
-        power = self.power
-        if power < 4:
-            raise PreconditionError(f"fnu_power must be >= 4, got {power}")
-        L = math.pi * self.R / 3.0
-        if not power > L:
-            raise PreconditionError(
-                f"fnu_power {power} too small: need > pi R/3 = {L!r} for f'(end) > nu"
-            )
-
-    @property
-    def power(self) -> int:
-        if self.fnu_power is not None:
-            return self.fnu_power
-        return max(4, math.floor(math.pi * self.R / 3.0) + 1)
-
-
-def fnu_curve(p: HandleParams) -> Jet3Curve:
-    """f_nu(x) = 1 + nu (x / (pi R/3))^power on [0, pi R/3]."""
-    L = math.pi * p.R / 3.0
-    power = p.power
-    coeffs = [0.0] * (power + 1)
-    coeffs[0] = 1.0
-    coeffs[power] = p.nu / L**power
-    return Jet3Curve.from_node(Poly(tuple(coeffs)), (0.0, L))
-
-
-def make_handle(p: HandleParams) -> DoublyWarpedMetric:
-    """The handle metric as a doubly warped product on [0, pi R/3].
-
-    The (n-1)-sphere factor ``2R sin(x/2R)`` collapses at x = 0 (closed_h
-    end); the m-sphere factor is f_nu, so the outer boundary's level-set
-    second form carries the f'/f > 0 component the gluing needs.
-    """
-    L = math.pi * p.R / 3.0
-    k = fnu_curve(p)
-    h = Jet3Curve.from_node(Sin(2.0 * p.R, 0.5 / p.R), (0.0, L))
-    return DoublyWarpedMetric(k, h, p.m, p.n, start_kind="closed_h",
-                              end_kind="boundary")
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +370,7 @@ def _last_nonneg_d2(curve: Jet3Curve, lo: float, hi: float,
                     count: int = 2048) -> float:
     s = np.linspace(lo, hi, count)
     hits = np.flatnonzero(curve.jet(s).d2 >= 0.0)
-    worst = s[hits[-1]] if hits.size else lo
+    worst = float(s[hits[-1]]) if hits.size else lo
     return worst + (hi - lo) / (count - 1)
 
 
@@ -448,7 +380,7 @@ def _near_R_onset(h: Jet3Curve, R: float, tol: float, lo: float,
     s = np.linspace(hi, lo, count)
     far = np.abs(h.value(s) - R) > tol
     first_far = int(np.argmax(far)) if far.any() else count
-    return s[first_far - 1] if first_far else hi
+    return float(s[first_far - 1]) if first_far else hi
 
 
 def _profile_report(k, h, R, nu, b1, a, T0, T1, T2, T3, T, s_j) -> ConditionReport:
@@ -700,11 +632,7 @@ class RoundRadiusPath:
 
 @dataclass(frozen=True)
 class ConcordanceParams:
-    """Chosen constants of the concordance metric G = dt^2 + t^2 rho^2 g_lam.
-
-    ``path`` is the certified slice family the search ran against; it is
-    carried for downstream evaluation and excluded from serialization.
-    """
+    """Chosen constants of the concordance metric G = dt^2 + t^2 rho^2 g_lam."""
 
     t0: float
     t1: float
@@ -712,7 +640,6 @@ class ConcordanceParams:
     r1: float
     nu: float
     C: float
-    path: object = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if not 1.0 < self.t0 < self.t1:
@@ -783,82 +710,29 @@ def concordance_schedule(p: ConcordanceParams):
     return rho, lam
 
 
-def estimate_C(path, grid: GridSpec) -> float:
+def estimate_C(path: RoundRadiusPath, grid: GridSpec) -> float:
     """Numerical bound for the slice-family constant C of the cylinder bounds.
 
-    C dominates |II|, |d/ds II| and |Ric(X, d/ds)| of ds^2 + g_s over the
-    path, in unit frames. For affine warped paths II is diagonal with values
-    (dk/ds)/k and (dh/ds)/h, its s-derivative is minus the square, and the
-    only mixed Ricci term is m (dk/ds)'/k + (n-1)(dh/ds)'/h. Round-radius
-    paths have II = r'/r and no mixed term. The supremum over the grid is
-    inflated by 1.1 and floored at 1e-6.
+    C dominates |II| and |d/ds II| of ds^2 + g_s over the path, in unit
+    frames. Round-radius paths have II = r'/r and no mixed Ricci term. The
+    supremum over the grid is inflated by 1.1 and floored at 1e-6.
     """
-    if isinstance(path, RoundRadiusPath):
-        (lo, hi, count), = grid.axes
-        j = path.r.jet(np.linspace(lo, hi, count))
-        b = j.d1 / j.value
-        db = j.d2 / j.value - b * b
-        return max(1.1 * float(max(np.max(np.abs(b)), np.max(np.abs(db)))), 1e-6)
-    if isinstance(path, WarpedMetricPath):
-        return max(1.1 * _warped_path_sup(path, grid), 1e-6)
-    raise PreconditionError(f"unsupported path type {type(path).__name__}")
-
-
-def _path_grid(grid: GridSpec):
-    """(lambda, s) arrays of the coarse points of a path grid, lambda-major."""
-    (llo, lhi, lcount), (slo, shi, scount) = grid.axes
-    lam, s = np.meshgrid(np.linspace(llo, lhi, lcount),
-                         np.linspace(slo, shi, scount), indexing="ij")
-    return lam.ravel(), s.ravel()
-
-
-def _warped_path_sup(path: WarpedMetricPath, grid: GridSpec) -> float:
-    lam, s = _path_grid(grid)
-    T = path.k0.domain[1]
-    guard = 1e-6 * T
-    u = path.weight(lam)
-    jk0, jk1, jh0, jh1 = path.endpoint_jets(s)
-    k = jk0.scaled(1.0 - u) + jk1.scaled(u)
-    h = jh0.scaled(1.0 - u) + jh1.scaled(u)
-    dk = jk1 + jk0.scaled(-1.0)  # d/du of the family, per point
-    dh = jh1 + jh0.scaled(-1.0)
-    with np.errstate(all="ignore"):
-        # Collapsed ends: replace 0/0 by the derivative ratio.
-        k_end, h_end = np.abs(k.value) < guard, np.abs(h.value) < guard
-        b_k = np.where(k_end, dk.d1 / k.d1, dk.value / k.value)
-        mixed_k = np.where(k_end, path.m * dk.d2 / k.d1, path.m * dk.d1 / k.value)
-        b_h = np.where(h_end, dh.d1 / h.d1, dh.value / h.value)
-        mixed_h = np.where(h_end, (path.n - 1) * dh.d2 / h.d1,
-                           (path.n - 1) * dh.d1 / h.value)
-    return float(max(0.0, np.max(np.abs(b_k)), np.max(np.abs(b_h)),
-                     np.max(b_k * b_k), np.max(b_h * b_h),
-                     np.max(np.abs(mixed_k + mixed_h))))
-
-
-def _path_global_minima(path, grid: GridSpec):
-    """(min Ricci certificate, min sectional) of the slice metrics."""
-    cert = path.min_ricci(grid)
-    if isinstance(path, RoundRadiusPath):
-        (lo, hi, count), = grid.axes
-        return cert, float(np.min(1.0 / path.r.value(np.linspace(lo, hi, count)) ** 2))
-    c = path.sectional(*_path_grid(grid))
-    return cert, float(min(np.min(K) for K in c.sectionals))
-
-
-def _slice_dim(path) -> int:
-    if isinstance(path, RoundRadiusPath):
-        return path.n
-    return 1 + path.m + (path.n - 1)
+    (lo, hi, count), = grid.axes
+    j = path.r.jet(np.linspace(lo, hi, count))
+    b = j.d1 / j.value
+    db = j.d2 / j.value - b * b
+    return max(1.1 * float(max(np.max(np.abs(b)), np.max(np.abs(db)))), 1e-6)
 
 
 # Doublings of t0 (from 4) before the concordance search gives up.
 _MAX_DOUBLINGS = 400
 
 
-def concordance_search(path, nu: float, *, t_count: int = 160,
+def concordance_search(path: RoundRadiusPath, nu: float, *, t_count: int = 160,
                        theta_count: int = 48, cert_depth: int = 1,
                        threshold: float = 1e-6):
-    """Deterministic parameter search for the concordance metric.
+    """Deterministic parameter search for the concordance metric over a
+    round-radius slice family; any other path type raises PreconditionError.
 
     Picks r1 (0.9 of the binding bound among 2 r1 < nu and
     Ric_min > 2 r1^2), r0 = r1 exp(-(C+1)), then doubles t0 until the
@@ -866,26 +740,28 @@ def concordance_search(path, nu: float, *, t_count: int = 160,
     (theta, ln t) in both theta regimes split at theta0 (the largest angle
     where the time-coefficient inequality still dominates the mixed term)
     and the boundary principal-curvature margins hold: > -nu at the scaled
-    t0 end, > 0 at t1 = t0^2. Returns (params, certificates dict).
+    t0 end, > 0 at t1 = t0^2. Returns (params, certificates, boundary
+    margins).
 
     All bounds are the Gamma/alpha/beta curvature-bound expressions of the
     cylinder, multiplied by t^2 so margins are O(1); the
     mixed term enters with its polarization factor 2.
     """
+    if not isinstance(path, RoundRadiusPath):
+        raise PreconditionError(f"unsupported path type {type(path).__name__}")
     if not 0.0 < nu < 1.0:
         raise PreconditionError(f"nu must lie in (0, 1), got {nu!r}")
-    n = _slice_dim(path)
-    path_grid = (GridSpec.line(0.0, 1.0, 257)
-                 if isinstance(path, RoundRadiusPath)
-                 else GridSpec.box([(0.0, 1.0, 33),
-                                    (path.k0.domain[0], path.k0.domain[1], 129)]))
+    n = path.n
+    path_grid = GridSpec.line(0.0, 1.0, 257)
 
-    path_cert, sec_min = _path_global_minima(path, path_grid)
+    path_cert = path.min_ricci(path_grid)
     if not path_cert.passed:
         raise PreconditionError(
             f"slice metrics are not Ricci-positive (min {path_cert.min_margin:.3e})"
         )
     ric_min = path_cert.min_margin
+    # Round slices: every sectional curvature is 1/r^2.
+    sec_min = float(np.min(1.0 / path.r.value(np.linspace(*path_grid.axes[0])) ** 2))
 
     r1 = 0.9 * min(0.5 * nu, math.sqrt(0.5 * ric_min))
     C = estimate_C(path, path_grid)
@@ -952,7 +828,7 @@ def concordance_search(path, nu: float, *, t_count: int = 160,
         ric_ok = all(c.passed for c in certs.values())
         if ric_ok:
             params = ConcordanceParams(t0=t0, t1=t0 * t0, r0=r0, r1=r1,
-                                       nu=nu, C=C, path=path)
+                                       nu=nu, C=C)
             certs["path_ricci"] = path_cert
             boundary = {
                 "t0_end_margin": margin_t0,

@@ -45,7 +45,6 @@ __all__ = [
     "WarpedMetricPath",
     "curvature_from_jets",
     "sectional",
-    "level_set_second_form",
     "min_ricci",
 ]
 
@@ -245,18 +244,6 @@ def sectional(g: DoublyWarpedMetric, s: float) -> CurvatureSample:
                                s=s, at_start=at_start, at_end=at_end)
 
 
-def level_set_second_form(g: DoublyWarpedMetric, s: float):
-    """Principal curvatures (k'/k, h'/h) of the slice {s} w.r.t. +ds."""
-    lo, hi = g.domain
-    guard = _GUARD_FRAC * (hi - lo)
-    if s <= lo + guard or s >= hi - guard:
-        raise DomainError(f"level-set second form needs interior s, got {s!r}")
-    jk, jh = g.k.jet(s), g.h.jet(s)
-    if jk.value <= 0.0 or jh.value <= 0.0:
-        raise DomainError(f"nonpositive warping at s={s!r}")
-    return (jk.d1 / jk.value, jh.d1 / jh.value)
-
-
 def min_ricci(g: DoublyWarpedMetric, grid: GridSpec,
               threshold: float = 1e-6) -> PositivityCertificate:
     """Certificate that min(Ric_s, Ric_k, Ric_h) > threshold over the domain."""
@@ -313,10 +300,6 @@ class WarpedMetricPath:
         x, curves = _distinct(s), (self.k0, self.k1, self.h0, self.h1)
         jets = {key: c.jet(x) for key, c in {id(c): c for c in curves}.items()}
         return x, tuple(jets[id(c)] for c in curves)
-
-    def endpoint_jets(self, s: np.ndarray):
-        """Array jets of k0, k1, h0, h1 at ``s``."""
-        return _gather(*self._level_jets(s), s)
 
     def _sample(self, x, jets, lam, s) -> CurvatureSample:
         """Curvature at (``lam``, ``s``) from the ``_level_jets`` ``x, jets``

@@ -13,17 +13,14 @@ from oracles import (_jet_safe, bisect_dive_center, sectional_fd,
 import riccicert.constructions as cons
 from riccicert.constructions import (
     ConcordanceParams,
-    HandleParams,
     RoundRadiusPath,
     concordance_schedule,
     concordance_search,
     estimate_C,
-    fnu_curve,
     gamma_weight,
     isotopy_stage1,
     isotopy_stage2,
     make_boundary_profile,
-    make_handle,
     make_isotopy_target,
     solve_geodesic_triangle,
 )
@@ -52,28 +49,6 @@ def target(profile):
 # ---------------------------------------------------------------------------
 
 
-def test_fnu_invariants():
-    p = HandleParams(R=2.0, nu=0.05, m=3, n=3)
-    f = fnu_curve(p)
-    L = math.pi * p.R / 3.0
-    jet0 = f.jet(0.0)
-    assert jet0.value == 1.0
-    assert jet0.d1 == 0.0 and jet0.d3 == 0.0
-    assert f.jet(L).d1 > p.nu  # f'(end) > nu
-
-
-def test_fnu_uniform_convergence_linear_in_nu():
-    devs = []
-    for nu in (0.1, 0.05, 0.025):
-        f = fnu_curve(HandleParams(R=2.0, nu=nu, m=3, n=3))
-        L = math.pi * 2.0 / 3.0
-        devs.append(max(abs(f.value(x) - 1.0)
-                        for x in np.linspace(0.0, math.pi * 2.0 / 3.0, 101)))
-    assert devs[0] == pytest.approx(0.1, rel=1e-12)  # max at the far end
-    assert devs[0] / devs[1] == pytest.approx(2.0, rel=1e-9)
-    assert devs[1] / devs[2] == pytest.approx(2.0, rel=1e-9)
-
-
 def test_handle_nu_zero_limit_ricci_values():
     # f = 1 exactly: Ric_s = (n-1)/(16), Ric_k = m-1, Ric_h = (n-1)/16 at R=2
     R, m, n = 2.0, 3, 3
@@ -86,31 +61,6 @@ def test_handle_nu_zero_limit_ricci_values():
     assert c.Ric_s == pytest.approx((n - 1) / (4.0 * R * R), abs=1e-12)
     assert c.Ric_k == pytest.approx(m - 1.0, abs=1e-12)
     assert c.Ric_h == pytest.approx((n - 1) / (4.0 * R * R), abs=1e-12)
-
-
-def test_handle_positive_ricci_at_small_nu():
-    g = make_handle(HandleParams(R=2.0, nu=0.01, m=3, n=3))
-    lo, hi = g.domain
-    cert = g.min_ricci(GridSpec.line(lo, hi, 256, depth=1))
-    assert cert.passed
-    assert cert.min_margin > 0.01  # regression floor; measured ~ 0.04
-
-
-def test_handle_boundary_second_form_positive():
-    from riccicert.warped import level_set_second_form
-    g = make_handle(HandleParams(R=2.0, nu=0.05, m=3, n=3))
-    lo, hi = g.domain
-    pk, ph = level_set_second_form(g, hi - 1e-5)
-    assert pk > 0.05  # the f'/f component the gluing needs
-
-
-def test_handle_params_validation():
-    with pytest.raises(PreconditionError):
-        HandleParams(R=0.5, nu=0.1, m=3, n=3)
-    with pytest.raises(PreconditionError):
-        HandleParams(R=2.0, nu=0.0, m=3, n=3)
-    with pytest.raises(PreconditionError):
-        HandleParams(R=8.0, nu=0.1, m=3, n=3, fnu_power=4)  # power <= pi R/3
 
 
 # ---------------------------------------------------------------------------
@@ -225,6 +175,17 @@ def test_dive_center_without_a_sign_change_raises():
             r"after T2$")):
         cons._solve_dive_center(lambda c: c, lambda c: 1.0 + c, 0.0, 1.0,
                                 "k1 dive")
+
+
+def test_profile_breakpoints_are_python_floats():
+    # The k1 bracket starts past T2, so a numpy-scalar T2 would print as
+    # np.float64(...) in the message of the nu = 0.2 search probe.
+    profile = make_boundary_profile(R_TEST, 0.2, B1)
+    assert type(profile.T1) is float and type(profile.T2) is float
+    with pytest.raises(ConditionError, match=(
+            r"^k1 dive: dive does not fit \(residual -4\.919e-02 at "
+            r"2\.371539564955209, ")):
+        make_isotopy_target(profile)
 
 
 def test_dive_center_of_an_affine_residual_takes_three_builds():
@@ -399,13 +360,6 @@ def test_estimate_C_round_bump_matches_hand_formula():
     assert got == pytest.approx(want, rel=1e-3)
 
 
-def test_estimate_C_warped_path_finite(profile, target):
-    path = isotopy_stage1(profile, target, 3, 3)
-    grid = GridSpec.box([(0.0, 1.0, 17), (0.0, profile.T, 65)])
-    C = estimate_C(path, grid)
-    assert 0.0 < C < 10.0
-
-
 # ---------------------------------------------------------------------------
 # the concordance search
 # ---------------------------------------------------------------------------
@@ -443,6 +397,12 @@ def test_search_is_deterministic():
 def test_search_rejects_nu_edge_cases():
     with pytest.raises(PreconditionError):
         concordance_search(bump_path(), nu=0.0)
+
+
+def test_concordance_search_refuses_a_warped_path(profile, target):
+    path = isotopy_stage1(profile, target, 3, 3)
+    with pytest.raises(PreconditionError, match="unsupported path type WarpedMetricPath"):
+        concordance_search(path, nu=0.05)
 
 
 def cylinder_bound_reference(theta, u, ell, *, n, r1, L, C, sec_min):

@@ -10,7 +10,6 @@ from riccicert.verify import GridSpec
 from riccicert.warped import (
     DoublyWarpedMetric,
     WarpedMetricPath,
-    level_set_second_form,
     min_ricci,
     sectional,
 )
@@ -75,21 +74,6 @@ def test_interior_samples_converge_to_closed_end_limits():
         for name in ("K_sh", "K_hh", "K_kh"):
             lim = getattr(limits, name)
             assert abs(getattr(c, name) - lim) <= 2.0 * dist * max(1.0, abs(lim))
-
-
-def test_level_set_second_form_round_sphere():
-    g = round_sphere(1.0)
-    pk, ph = level_set_second_form(g, math.pi / 4.0)
-    assert pk == pytest.approx(-1.0, abs=1e-12)
-    assert ph == pytest.approx(1.0, abs=1e-12)
-
-
-def test_level_set_second_form_product():
-    dom = (0.0, 1.0)
-    g = DoublyWarpedMetric(
-        Jet3Curve.from_node(Poly((1.3,)), dom),
-        Jet3Curve.from_node(Poly((0.7,)), dom), 3, 3)
-    assert level_set_second_form(g, 0.5) == (0.0, 0.0)
 
 
 def test_min_ricci_round_sphere_margin():
