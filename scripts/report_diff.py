@@ -10,7 +10,8 @@ writes. Files are paired by their path relative to the directory. For every
 old and new value and, for two numbers, their distance in float64 units in
 the last place (ULPs); any other change (a flag, a string, a field that
 appears or disappears) has ``-`` for the distance. For every CSV it prints, per changed column,
-how many cells moved and the largest absolute move. The output is markdown,
+how many cells moved, the largest absolute move and the largest move in
+ULPs (``-`` if a moved cell is not a number). The output is markdown,
 so it can go into a changelog as it stands. Exit status: 0 when every paired
 file is byte-identical, 1 otherwise, 2 on a usage error.
 """
@@ -80,20 +81,25 @@ def csv_rows(old_path: Path, new_path: Path):
     (h_old, c_old), (h_new, c_new) = _read_csv(old_path), _read_csv(new_path)
     if h_old != h_new or len(c_old) != len(c_new):
         return [("(shape)", f"{len(h_old)} columns x {len(c_old)} rows",
-                 f"{len(h_new)} columns x {len(c_new)} rows")]
+                 f"{len(h_new)} columns x {len(c_new)} rows", "-")]
     rows = []
     for j, name in enumerate(h_old):
-        moved, worst = 0, 0.0
+        moved, worst, ulps = 0, 0.0, 0
         for r_old, r_new in zip(c_old, c_new):
             if r_old[j] == r_new[j]:
                 continue
             moved += 1
             try:
-                worst = max(worst, abs(float(r_new[j]) - float(r_old[j])))
+                a, b = float(r_old[j]), float(r_new[j])
             except ValueError:
-                worst = math.nan
+                worst, ulps = math.nan, None
+                continue
+            worst = max(worst, abs(b - a))
+            if ulps is not None:
+                ulps = max(ulps, ulp_distance(a, b))
         if moved:
-            rows.append((name, str(moved), repr(worst)))
+            rows.append((name, str(moved), repr(worst),
+                         "-" if ulps is None else str(ulps)))
     return rows
 
 
@@ -127,7 +133,7 @@ def main(argv):
             body = _table(("field", "old", "new", "ULPs"),
                           report_rows(old_path, new_path))
         elif rel.suffix == ".csv":
-            body = _table(("column", "cells moved", "max abs move"),
+            body = _table(("column", "cells moved", "max abs move", "max ULPs"),
                           csv_rows(old_path, new_path))
         else:
             body = "bytes differ"

@@ -26,7 +26,7 @@ from . import constructions as cons
 from . import corner as cor
 from .errors import (EvaluationError, PreconditionError, ScenarioError,
                      SearchError, decode, integer, list_of, number, text)
-from .jetcurve import Cos, Jet3Curve, Poly, Sin, Sum
+from .jetcurve import Jet3Curve, Poly, Sin, Sum
 from .spline import two_stage_smooth
 from .verify import GridSpec, bisect_param
 from .warped import CurvatureSample, DoublyWarpedMetric, sectional
@@ -249,14 +249,14 @@ def _run_isotopy(p, ctx):
         profile = cons.make_boundary_profile(R, nu, b1)
         target = cons.make_isotopy_target(profile)
         stage1 = cons.isotopy_stage1(profile, target, m, n)
-        grid1 = GridSpec.box([(0.0, 1.0, lam_count), (0.0, profile.T, s_count)],
-                             depth, factor)
+        grid1 = GridSpec.box([(*stage1.lam_range, lam_count),
+                              (0.0, profile.T, s_count)], depth, factor)
         cert1 = stage1.min_ricci(grid1, threshold)
         if search and not cert1.passed:
             return None
         stage2 = cons.isotopy_stage2(target.k1, target.h1, R, m, n)
-        grid2 = GridSpec.box([(1.0, 2.0, lam_count), (0.0, profile.T, s_count)],
-                             depth, factor)
+        grid2 = GridSpec.box([(*stage2.lam_range, lam_count),
+                              (0.0, profile.T, s_count)], depth, factor)
         cert2 = stage2.min_ricci(grid2, threshold)
         return (None if search and not cert2.passed
                 else (profile, target, stage1, stage2, cert1, cert2))
@@ -266,10 +266,9 @@ def _run_isotopy(p, ctx):
         stage_certs, p["nu"], searched)
     ctx.certificate("stage1_min_ricci", cert1)
     ctx.certificate("stage2_min_ricci", cert2)
-    for chk in profile.report.checks + target.report.checks:
-        ctx.check(chk.name, chk.margin, chk.note)
+    ctx.checks += profile.report.checks + target.report.checks
 
-    g_end = stage2.metric_at(2.0)
+    g_end = stage2.metric_at(stage2.lam_range[1])
     c = sectional(g_end, np.linspace(0.0, profile.T, 400))
     dev = float(max(np.max(np.abs(K - 1.0 / R**2)) for K in c.sectionals))
     ctx.check("round_endpoint", 1e-8 - dev,
@@ -278,7 +277,7 @@ def _run_isotopy(p, ctx):
     s = np.linspace(0.0, profile.T, p["samples"])
     ctx.csv("warping.csv", ("s", "k0", "h0", "k1", "k_round", "h_round"),
             zip(s, profile.k.value(s), profile.h.value(s), target.k1.value(s),
-                Cos(R, 1.0 / R).jet(s).value, Sin(R, 1.0 / R).jet(s).value))
+                stage2.k1.value(s), stage2.h1.value(s)))
     return {"nu": nu, "nu_search": searched,
             "breakpoints": {"T0": profile.T0, "T1": profile.T1,
                             "T2": profile.T2, "T3": profile.T3,
@@ -320,16 +319,10 @@ def _run_concordance(p, ctx):
               boundary["t1_end_requirement"])
 
     rho, lam = cons.concordance_schedule(params)
-    worst = 0.0
-    rows = []
-    for t in np.exp(np.linspace(math.log(params.t0), math.log(params.t1),
-                                p["schedule_samples"])):
-        jl, jr = lam.jet(t), rho.jet(t)
-        g = cons.gamma_weight(t)
-        worst = max(worst, abs(params.alpha * jl.d1 - g),
-                    abs(params.beta * jr.d1 / jr.value + g))
-        rows.append((t, jl.value, jr.value))
-    ctx.csv("schedule.csv", ("t", "lambda", "rho"), rows)
+    t, lam_t, rho_t, residual = cons.sample_schedule(params, rho, lam,
+                                                     p["schedule_samples"])
+    worst = float(np.max(residual))
+    ctx.csv("schedule.csv", ("t", "lambda", "rho"), zip(t, lam_t, rho_t))
     ctx.check("schedule_residuals", 1e-10 - worst,
               "|alpha lam' - Gamma| and |beta rho'/rho + Gamma| below 1e-10")
     ends = {
@@ -379,8 +372,7 @@ class _Context:
         self.certificates[name] = cert
 
     def check(self, name, margin, note=""):
-        self.checks.append({"name": name, "margin": float(margin),
-                            "passed": bool(margin > 0.0), "note": note})
+        self.checks.append(cons._check(name, margin, note))
 
     def csv(self, name, header, rows):
         self.out_dir.mkdir(parents=True, exist_ok=True)
@@ -428,13 +420,13 @@ def run_scenario(scenario, out_dir, threads: int = 1, grid_depth=None,
         return 3, report
 
     passed = (all(c.passed for c in ctx.certificates.values())
-              and all(c["passed"] for c in ctx.checks))
+              and all(c.passed for c in ctx.checks))
     report = {
         "command": name,
         "parameters": scenario,
         "results": results,
         "certificates": {k: v.to_dict() for k, v in ctx.certificates.items()},
-        "checks": ctx.checks,
+        "checks": [c.to_dict() for c in ctx.checks],
         "passed": passed,
         "artifacts": {"csv": ctx.artifacts},
     }

@@ -36,7 +36,6 @@ from .jetcurve import (
     Sin,
     Sum,
     _first,
-    _lib,
     constant,
 )
 from .spline import hermite_quintic, two_stage_smooth
@@ -57,6 +56,7 @@ __all__ = [
     "ConcordanceParams",
     "concordance_schedule",
     "gamma_weight",
+    "sample_schedule",
     "estimate_C",
     "concordance_search",
     "TriangleSolution",
@@ -77,7 +77,7 @@ class ConditionCheck:
     note: str = ""
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))  # flat fields; asdict's deep copy costs 40x
 
 
 @dataclass(frozen=True)
@@ -675,10 +675,22 @@ class ConcordanceParams:
                 "beta": self.beta, "R": self.end_radius_factor}
 
 
-def gamma_weight(t: float) -> float:
+def gamma_weight(t):
     """Gamma(t) = 1 / (t ln^2 t), the common speed of both schedules."""
-    u = _lib(t).log(t)
+    u = np.log(t)
     return 1.0 / (t * u * u)
+
+
+def sample_schedule(p: ConcordanceParams, rho: Jet3Curve, lam: Jet3Curve,
+                    count: int):
+    """``(t, lam(t), rho(t), residual)`` at ``count`` log-uniform t on
+    [t0, t1], where residual = max(|alpha lam' - Gamma|, |beta rho'/rho + Gamma|)
+    is the defect of the schedule ODEs at each point."""
+    t = np.exp(np.linspace(math.log(p.t0), math.log(p.t1), count))
+    jl, jr, g = lam.jet(t), rho.jet(t), gamma_weight(t)
+    residual = np.maximum(np.abs(p.alpha * jl.d1 - g),
+                          np.abs(p.beta * jr.d1 / jr.value + g))
+    return t, jl.value, jr.value, residual
 
 
 def concordance_schedule(p: ConcordanceParams):
@@ -699,10 +711,7 @@ def concordance_schedule(p: ConcordanceParams):
         Scale(ExpOf(Scale(Recip(Log(1.0)), 1.0 / beta)),
               p.r1 * math.exp(-1.0 / (beta * l0))), dom)
 
-    t = np.exp(np.linspace(math.log(p.t0), math.log(p.t1), 1000))
-    jl, jr, g = lam.jet(t), rho.jet(t), gamma_weight(t)
-    worst = float(np.max(np.maximum(np.abs(alpha * jl.d1 - g),
-                                    np.abs(beta * jr.d1 / jr.value + g))))
+    worst = float(np.max(sample_schedule(p, rho, lam, 1000)[3]))
     if not worst <= 1e-10:
         raise ConditionError(
             f"schedule residuals {worst:.3e} exceed 1e-10", report=None
@@ -738,10 +747,10 @@ def concordance_search(path: RoundRadiusPath, nu: float, *, t_count: int = 160,
     Ric_min > 2 r1^2), r0 = r1 exp(-(C+1)), then doubles t0 until the
     normalized curvature bounds certify positive Ricci over
     (theta, ln t) in both theta regimes split at theta0 (the largest angle
-    where the time-coefficient inequality still dominates the mixed term)
-    and the boundary principal-curvature margins hold: > -nu at the scaled
-    t0 end, > 0 at t1 = t0^2. Returns (params, certificates, boundary
-    margins).
+    where the time-coefficient inequality still dominates the mixed term;
+    SearchError if there is none) and the boundary principal-curvature
+    margins hold: > -nu at the scaled t0 end, > 0 at t1 = t0^2. Returns
+    (params, certificates, boundary margins).
 
     All bounds are the Gamma/alpha/beta curvature-bound expressions of the
     cylinder, multiplied by t^2 so margins are O(1); the
@@ -787,16 +796,18 @@ def concordance_search(path: RoundRadiusPath, nu: float, *, t_count: int = 160,
         return (ct * ct * b_time - 2.0 * np.abs(st * ct) * b_mixed
                 + st * st * b_space)
 
-    def theta_split(ell) -> float:
-        def ok(theta):
-            ct, st = math.cos(theta), math.sin(theta)
-            return (ct * ct * n * (L - C) - st * ct * C / r0) > (L - C)
+    def split_ok(theta):
+        ct, st = math.cos(theta), math.sin(theta)
+        return (ct * ct * n * (L - C) - st * ct * C / r0) > (L - C)
 
-        if not ok(1e-9):
-            return 0.0
-        return bisect_param(ok, 1e-9, 0.5 * math.pi - 1e-9, tol=1e-6)
+    # theta0 does not depend on t0, so it is bisected once, before the doublings.
+    if not split_ok(1e-9):
+        raise SearchError(
+            "no theta split: theta0 = 0, because the time-coefficient inequality "
+            f"fails at theta -> 0 (n = {n}, C = {C:.3e}, r0 = {r0:.3e})")
+    theta0 = bisect_param(split_ok, 1e-9, 0.5 * math.pi - 1e-9, tol=1e-6)
 
-    def coarse_ok(ell, theta0):
+    def coarse_ok(ell):
         # Cheap gate before running the full certificates: the margins are
         # smooth in (theta, ln t), so a thin grid finds the right doubling.
         th, u = np.meshgrid(np.linspace(0.0, 0.5 * math.pi, 25),
@@ -807,12 +818,11 @@ def concordance_search(path: RoundRadiusPath, nu: float, *, t_count: int = 160,
     trace = []
     for _ in range(_MAX_DOUBLINGS):
         ell = math.log(t0)
-        theta0 = theta_split(ell)
         margin_t0 = nu - r1 * (1.0 + 2.0 * (L + C) / ell)
         margin_t1 = 1.0 + (L - C) / (2.0 * ell)
-        trace.append((t0, theta0, margin_t0, margin_t1))
-        if (theta0 <= 0.0 or margin_t0 <= threshold or margin_t1 <= threshold
-                or not coarse_ok(ell, theta0)):
+        trace.append((t0, margin_t0, margin_t1))
+        if (margin_t0 <= threshold or margin_t1 <= threshold
+                or not coarse_ok(ell)):
             t0 *= 2.0
             continue
         certs = {}
@@ -841,8 +851,8 @@ def concordance_search(path: RoundRadiusPath, nu: float, *, t_count: int = 160,
         t0 *= 2.0
     raise SearchError(
         f"concordance search exceeded {_MAX_DOUBLINGS} doublings of t0; "
-        f"last: theta0 {trace[-1][1]:.3e}, t0-end margin {trace[-1][2]:.3e}, "
-        f"t1-end margin {trace[-1][3]:.3e}", trace=trace,
+        f"last: t0-end margin {trace[-1][1]:.3e}, "
+        f"t1-end margin {trace[-1][2]:.3e}", trace=trace,
     )
 
 

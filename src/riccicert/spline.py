@@ -66,7 +66,17 @@ class SplineSegment:
         return Poly(self.coefficients).jet(a)
 
 
-def _solve(matrix: np.ndarray, rhs, width: float) -> SplineSegment:
+def _hermite(left: Jet3, right: Jet3, width: float, order: int,
+             name: str) -> SplineSegment:
+    """The polynomial matching derivatives through ``order`` (1 or 2) of the
+    jets ``left`` at ``-width`` and ``right`` at ``+width``."""
+    if not width > 0.0:
+        raise PreconditionError(f"{name} must be positive, got {width!r}")
+    if not (left.is_finite() and right.is_finite()):
+        raise PreconditionError("endpoint jets must be finite")
+    scale = (1.0, width, width * width)[:order + 1]
+    rhs = [c * jet.deriv(k) for jet in (left, right) for k, c in enumerate(scale)]
+    matrix = _CUBIC_MATRIX if order == 1 else _QUINTIC_MATRIX
     scaled = np.linalg.solve(matrix, np.asarray(rhs, dtype=float))
     try:
         coeffs = tuple(float(scaled[j]) / width**j for j in range(len(scaled)))
@@ -75,23 +85,17 @@ def _solve(matrix: np.ndarray, rhs, width: float) -> SplineSegment:
             f"half-width {width!r} out of range for the Hermite solve: {exc}"
         ) from exc
     seg = SplineSegment(width, coeffs)
-    _check_interpolation(seg, rhs, order=len(rhs) // 2 - 1)
-    return seg
-
-
-def _check_interpolation(seg: SplineSegment, rhs, order: int) -> None:
-    w = seg.half_width
-    stride = order + 1
-    for i, a in enumerate((-w, w)):
+    for i, a in enumerate((-width, width)):
         jet = seg.jet_local(a)
-        for k in range(stride):
-            want = rhs[i * stride + k] / w**k
+        for k in range(order + 1):
+            want = rhs[i * (order + 1) + k] / width**k
             got = jet.deriv(k)
             if not abs(got - want) <= 1e-9 * max(1.0, abs(want)):
                 raise PreconditionError(
                     f"Hermite solve lost endpoint data: order {k} at a={a!r}: "
                     f"{got!r} != {want!r}"
                 )
+    return seg
 
 
 def hermite_cubic(left: Jet3, right: Jet3, eps: float) -> SplineSegment:
@@ -101,29 +105,12 @@ def hermite_cubic(left: Jet3, right: Jet3, eps: float) -> SplineSegment:
     ``-eps``, ``right`` at ``+eps``; :func:`smooth_c1` places the segment at
     its kink.
     """
-    if not eps > 0.0:
-        raise PreconditionError(f"eps must be positive, got {eps!r}")
-    if not (left.is_finite() and right.is_finite()):
-        raise PreconditionError("endpoint jets must be finite")
-    rhs = (left.value, eps * left.d1, right.value, eps * right.d1)
-    return _solve(_CUBIC_MATRIX, rhs, eps)
+    return _hermite(left, right, eps, 1, "eps")
 
 
 def hermite_quintic(left: Jet3, right: Jet3, delta: float) -> SplineSegment:
     """Unique quintic matching value, first and second derivatives at +-delta."""
-    if not delta > 0.0:
-        raise PreconditionError(f"delta must be positive, got {delta!r}")
-    if not (left.is_finite() and right.is_finite()):
-        raise PreconditionError("endpoint jets must be finite")
-    rhs = (
-        left.value,
-        delta * left.d1,
-        delta * delta * left.d2,
-        right.value,
-        delta * right.d1,
-        delta * delta * right.d2,
-    )
-    return _solve(_QUINTIC_MATRIX, rhs, delta)
+    return _hermite(left, right, delta, 2, "delta")
 
 
 def _check_window(curve: Jet3Curve, lo: float, hi: float, allow=()):
@@ -139,16 +126,23 @@ def _check_window(curve: Jet3Curve, lo: float, hi: float, allow=()):
             )
 
 
-def _window_node(hermite, curve: Jet3Curve, center: float, width: float) -> Poly:
-    """The ``hermite`` polynomial replacing ``curve`` on ``center +- width``;
-    a failed solve is a PreconditionError naming the window."""
+def _smooth_window(hermite, curve: Jet3Curve, center: float, width: float,
+                   new_order: int) -> Jet3Curve:
+    """``curve`` with ``center +- width`` replaced by the ``hermite``
+    polynomial through its jets at the window ends, which become kinks of
+    ``new_order``; a kink marked at ``center`` is dropped, and a failed solve
+    is a PreconditionError naming the window."""
     lo, hi = center - width, center + width
+    _check_window(curve, lo, hi, allow={center})
     left, right = curve.jet(lo), curve.jet(hi)
     try:
         seg = hermite(left, right, width)
     except PreconditionError as exc:
         raise PreconditionError(f"smoothing window [{lo!r}, {hi!r}]: {exc}") from exc
-    return Poly(seg.coefficients, center=center)
+    drop = (center,) if curve.kink_order(center) is not None else ()
+    return curve.replace_window(lo, hi, Poly(seg.coefficients, center=center),
+                                drop_kinks=drop,
+                                add_kinks=((lo, new_order), (hi, new_order)))
 
 
 def smooth_c1(curve: Jet3Curve, kink: float, eps: float) -> Jet3Curve:
@@ -161,13 +155,7 @@ def smooth_c1(curve: Jet3Curve, kink: float, eps: float) -> Jet3Curve:
     """
     if not eps > 0.0:
         raise PreconditionError(f"eps must be positive, got {eps!r}")
-    order = curve.kink_order(kink)
-    lo, hi = kink - eps, kink + eps
-    _check_window(curve, lo, hi, allow={kink})
-    node = _window_node(hermite_cubic, curve, kink, eps)
-    drop = (kink,) if order is not None else ()
-    return curve.replace_window(lo, hi, node, drop_kinks=drop,
-                                add_kinks=((lo, 2), (hi, 2)))
+    return _smooth_window(hermite_cubic, curve, kink, eps, 2)
 
 
 def smooth_c2(curve: Jet3Curve, kinks, delta: float) -> Jet3Curve:
@@ -191,12 +179,7 @@ def smooth_c2(curve: Jet3Curve, kinks, delta: float) -> Jet3Curve:
             raise PreconditionError(
                 f"kink at {x!r} has order {order}; smooth_c2 needs C1 input"
             )
-        lo, hi = x - delta, x + delta
-        _check_window(out, lo, hi, allow={x})
-        node = _window_node(hermite_quintic, out, x, delta)
-        drop = (x,) if order is not None else ()
-        out = out.replace_window(lo, hi, node, drop_kinks=drop,
-                                 add_kinks=((lo, 3), (hi, 3)))
+        out = _smooth_window(hermite_quintic, out, x, delta, 3)
     return out
 
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from riccicert import cli
+from riccicert import constructions as cons
 from riccicert.cli import canonical_json, main, run_scenario
 from riccicert.jetcurve import Cos, Jet3Curve, Poly, Sin
 
@@ -108,6 +109,31 @@ def test_too_narrow_smoothing_window_exits_three(tmp_path, eps, delta):
     assert report["error"]["kind"] == "PreconditionError"
     assert report["error"]["message"].startswith("smoothing window [")
     assert not (tmp_path / "out").exists()
+
+
+def test_no_theta_split_exits_three(tmp_path):
+    scenario = load("concordance_bump.json")
+    scenario["path"]["amplitude"] = -0.8
+    code, report = run_scenario(scenario, tmp_path)
+    assert code == 3
+    assert report["error"]["kind"] == "SearchError"
+    assert report["error"]["message"].startswith("no theta split: theta0 = 0")
+
+
+def test_schedule_csv_is_the_sampled_schedule(tmp_path):
+    code, report = run_scenario(load("concordance_bump.json"), tmp_path)
+    assert code == 0
+    params = cons.ConcordanceParams(**{k: report["results"]["params"][k]
+                                       for k in ("t0", "t1", "r0", "r1", "nu", "C")})
+    rho, lam = cons.concordance_schedule(params)
+    t, _, _, residual = cons.sample_schedule(params, rho, lam, 200)
+    rows = np.loadtxt(tmp_path / "schedule.csv", delimiter=",", skiprows=1)
+    assert np.array_equal(rows[:, 0], t)
+    assert np.array_equal(rows[:, 1], lam.jet(t).value)
+    assert np.array_equal(rows[:, 2], rho.jet(t).value)
+    assert report["results"]["schedule_residual"] == float(np.max(residual))
+    checks = {c["name"]: c for c in report["checks"]}
+    assert checks["schedule_residuals"]["margin"] == 1e-10 - np.max(residual)
 
 
 def test_reports_are_byte_identical(tmp_path):

@@ -318,6 +318,24 @@ def test_schedule_bijection_endpoints():
     assert rho.value(p.t1) == pytest.approx(p.r0, abs=1e-12)
 
 
+def test_sampled_schedule_is_one_array_call_per_curve():
+    p = ConcordanceParams(t0=4.0, t1=16.0, r0=0.02, r1=0.2, nu=0.5, C=1.2)
+    rho, lam = concordance_schedule(p)
+    t, lam_t, rho_t, residual = cons.sample_schedule(p, rho, lam, 200)
+    assert t.shape == lam_t.shape == rho_t.shape == residual.shape == (200,)
+    assert t[0] == pytest.approx(4.0, rel=1e-15)
+    assert t[-1] == pytest.approx(16.0, rel=1e-15)
+    assert np.array_equal(lam_t, lam.jet(t).value)
+    assert np.array_equal(rho_t, rho.jet(t).value)
+    assert np.all(residual < 1e-10)
+    # The per-point float path on math is the reference; numpy's exp may
+    # differ from libm's in the last bits.
+    tol = 8 * np.finfo(float).eps
+    for got, curve in ((lam_t, lam), (rho_t, rho)):
+        ref = np.array([curve.jet(x).value for x in t.tolist()])
+        assert np.allclose(got, ref, rtol=tol, atol=0.0)
+
+
 def test_schedule_residual_identities():
     p = ConcordanceParams(t0=4.0, t1=16.0, r0=0.02, r1=0.2, nu=0.5, C=1.2)
     rho, lam = concordance_schedule(p)
@@ -392,6 +410,30 @@ def test_search_is_deterministic():
     b = concordance_search(bump_path(), nu=0.05)
     assert a[0] == b[0]
     assert a[1]["ricci_theta_below"].min_margin == b[1]["ricci_theta_below"].min_margin
+
+
+def test_theta0_is_bisected_once_per_search(monkeypatch):
+    # theta0 does not depend on t0; the shipped search makes 104 doublings.
+    real, calls = cons.bisect_param, []
+
+    def counted(*args, **kw):
+        calls.append(args[1:])
+        return real(*args, **kw)
+
+    monkeypatch.setattr(cons, "bisect_param", counted)
+    params, _, boundary = concordance_search(bump_path(), nu=0.05)
+    assert params.t0 > 4.0 * 2.0**100
+    assert len(calls) == 1
+    assert 0.0 < boundary["theta0"] < 0.5 * math.pi
+
+
+def test_no_theta_split_is_named_not_reported_as_a_doubling_overrun():
+    # amplitude -0.8 makes C so large that the time-coefficient inequality
+    # fails at theta -> 0: no theta split exists, whatever t0 is.
+    node = Sum((Poly((1.0,)), Sin(-0.8, math.pi)))
+    path = RoundRadiusPath(Jet3Curve.from_node(node, (0.0, 1.0)), 3)
+    with pytest.raises(SearchError, match=r"no theta split: theta0 = 0"):
+        concordance_search(path, nu=0.05)
 
 
 def test_search_rejects_nu_edge_cases():

@@ -33,7 +33,7 @@ GOLDEN = {
 GOLDEN_CSV = {
     "concordance_bump.json": {
         "schedule.csv":
-            "98adda37d4e8d5fec00b617892ac10a6854219c3764f9f4488a9193a40645abb",
+            "34512044d0e83c64bd026bb64665b267af2f26c001429eee9708a90ba72072a4",
     },
     "curvature_round_sphere.json": {
         "curvature.csv":

@@ -33,6 +33,6 @@ def test_changed_fields_and_csv_columns_are_listed(tmp_path, capsys):
     assert "| checks[a].margin | 0.5 | 0.5000000000000001 | 1 |" in out
     assert "| passed | True | False | - |" in out
     assert "results.nu" not in out
-    assert "| k | 1 | 1.0000000000287557e-07 |" in out
+    assert "| k | 1 | 1.0000000000287557e-07 | 1801439851 |" in out
     assert "byte-identical: 1 file(s): run/same.csv" in out
     assert report_diff.main(["report_diff.py", str(old), str(old)]) == 0
