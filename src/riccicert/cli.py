@@ -416,6 +416,10 @@ def run_scenario(scenario, out_dir, threads: int = 1, grid_depth=None,
             report["error"]["conditions"] = exc.report.to_dict()
         if getattr(exc, "coords", None) is not None:
             report["error"]["coords"] = list(exc.coords)
+        if getattr(exc, "trace", None) is not None:
+            report["error"]["trace"] = [
+                [x if x is None or math.isfinite(x) else None for x in row]
+                for row in exc.trace]
         print(canonical_json(report), file=sys.stderr)
         return 3, report
 

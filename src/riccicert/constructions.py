@@ -807,22 +807,25 @@ def concordance_search(path: RoundRadiusPath, nu: float, *, t_count: int = 160,
             f"fails at theta -> 0 (n = {n}, C = {C:.3e}, r0 = {r0:.3e})")
     theta0 = bisect_param(split_ok, 1e-9, 0.5 * math.pi - 1e-9, tol=1e-6)
 
-    def coarse_ok(ell):
+    def coarse_min(ell):
         # Cheap gate before running the full certificates: the margins are
         # smooth in (theta, ln t), so a thin grid finds the right doubling.
         th, u = np.meshgrid(np.linspace(0.0, 0.5 * math.pi, 25),
                             np.linspace(ell, 2.0 * ell, 33), indexing="ij")
-        return bool(np.min(bounds_at(th, u, ell)) > threshold)
+        return float(np.min(bounds_at(th, u, ell)))
 
     t0 = 4.0
+    # One row per doubling: t0, both end margins, and the coarse Ricci
+    # minimum (None when an end margin failed first).
     trace = []
     for _ in range(_MAX_DOUBLINGS):
         ell = math.log(t0)
         margin_t0 = nu - r1 * (1.0 + 2.0 * (L + C) / ell)
         margin_t1 = 1.0 + (L - C) / (2.0 * ell)
-        trace.append((t0, margin_t0, margin_t1))
-        if (margin_t0 <= threshold or margin_t1 <= threshold
-                or not coarse_ok(ell)):
+        gate = (coarse_min(ell)
+                if margin_t0 > threshold and margin_t1 > threshold else None)
+        trace.append((t0, margin_t0, margin_t1, gate))
+        if gate is None or not gate > threshold:
             t0 *= 2.0
             continue
         certs = {}
@@ -849,10 +852,15 @@ def concordance_search(path: RoundRadiusPath, nu: float, *, t_count: int = 160,
             }
             return params, certs, boundary
         t0 *= 2.0
+    _, margin_t0, margin_t1, gate = trace[-1]
+    failed = ("an end margin" if gate is None
+              else "the coarse Ricci gate" if not gate > threshold
+              else "a Ricci certificate")
     raise SearchError(
         f"concordance search exceeded {_MAX_DOUBLINGS} doublings of t0; "
-        f"last: t0-end margin {trace[-1][1]:.3e}, "
-        f"t1-end margin {trace[-1][2]:.3e}", trace=trace,
+        f"the last failed {failed}: t0-end margin {margin_t0:.3e}, "
+        f"t1-end margin {margin_t1:.3e}, coarse Ricci minimum "
+        + ("not reached" if gate is None else f"{gate:.3e}"), trace=trace,
     )
 
 

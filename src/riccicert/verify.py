@@ -5,7 +5,8 @@ arithmetic: a margin function is scanned on a fixed grid, the worst cells are
 refined a configurable number of times, and the whole trace is reported so a
 reviewer can judge margin stability. Every riccicert margin is batched: it
 takes the points of one scan level (the coarse grid, then each refinement
-depth) per call, so it can share work across the level. A curvature kernel
+depth) per call, so it can share work across the level's points, repeated
+points included: refinement cells overlap. A curvature kernel
 inside it runs through :func:`blockwise`, which bounds the kernel's
 temporaries to ``_BLOCK`` points at a time. The scalar form, one point per
 call, remains for external callers; grids are fixed up front and the min is

@@ -97,15 +97,8 @@ class DoublyWarpedMetric:
     end_kind: str = "boundary"
 
     def __post_init__(self):
-        if self.k.domain != self.h.domain:
-            raise PreconditionError(
-                f"k and h domains differ: {self.k.domain!r} vs {self.h.domain!r}"
-            )
-        if self.m < 2 or self.n < 2:
-            raise PreconditionError(f"need m, n >= 2, got m={self.m}, n={self.n}")
-        for kind in (self.start_kind, self.end_kind):
-            if kind not in ENDPOINT_KINDS:
-                raise PreconditionError(f"unknown endpoint kind {kind!r}")
+        _check_warpings({"k": self.k, "h": self.h}, self.m, self.n,
+                        self.start_kind, self.end_kind)
         self._check_closure()
         self._check_positivity()
 
@@ -167,6 +160,23 @@ class DoublyWarpedMetric:
             return Jet3Curve((curve.domain[0] * c, curve.domain[1] * c), pieces, kinks)
 
         return replace(self, k=stretch(self.k), h=stretch(self.h))
+
+
+def _check_warpings(curves: dict, m: int, n: int, start_kind: str,
+                    end_kind: str):
+    """PreconditionError unless the named ``curves`` share one domain,
+    m, n >= 2 and both endpoint kinds are known. Evaluates no jets."""
+    (first, a), *rest = curves.items()
+    for name, c in rest:
+        if c.domain != a.domain:
+            raise PreconditionError(
+                f"{first} and {name} domains differ: {a.domain!r} vs {c.domain!r}"
+            )
+    if m < 2 or n < 2:
+        raise PreconditionError(f"need m, n >= 2, got m={m}, n={n}")
+    for kind in (start_kind, end_kind):
+        if kind not in ENDPOINT_KINDS:
+            raise PreconditionError(f"unknown endpoint kind {kind!r}")
 
 
 def _closed_ends(s, domain, start_kind: str, end_kind: str):
@@ -275,6 +285,15 @@ class WarpedMetricPath:
     end_kind: str
     lam_range: tuple = (0.0, 1.0)
 
+    def __post_init__(self):
+        _check_warpings({"k0": self.k0, "k1": self.k1, "h0": self.h0,
+                         "h1": self.h1}, self.m, self.n,
+                        self.start_kind, self.end_kind)
+        a, b = self.lam_range
+        if not a < b:
+            raise PreconditionError(
+                f"lambda range out of order: {self.lam_range!r}")
+
     def weight(self, lam: float) -> float:
         a, b = self.lam_range
         bad = _first((lam < a - 1e-12) | (lam > b + 1e-12), lam)
@@ -294,22 +313,24 @@ class WarpedMetricPath:
         return DoublyWarpedMetric(k, h, self.m, self.n, self.start_kind, self.end_kind)
 
     def _level_jets(self, s: np.ndarray):
-        """The sorted distinct values of ``s`` and the jets of k0, k1, h0, h1
-        there, each distinct curve evaluated once: (lambda, s) grids repeat
-        every s on each lambda row, and stage 1 of the isotopy has h0 = h1."""
-        x, curves = _distinct(s), (self.k0, self.k1, self.h0, self.h1)
+        """The sorted distinct values ``x`` of ``s``, the index of each point
+        of ``s`` in ``x``, and the jets of k0, k1, h0, h1 at ``x``, each
+        distinct curve evaluated once: (lambda, s) grids repeat every s on
+        each lambda row, and stage 1 of the isotopy has h0 = h1."""
+        (x, j), curves = _index(s), (self.k0, self.k1, self.h0, self.h1)
         jets = {key: c.jet(x) for key, c in {id(c): c for c in curves}.items()}
-        return x, tuple(jets[id(c)] for c in curves)
+        return x, j, tuple(jets[id(c)] for c in curves)
 
-    def _sample(self, x, jets, lam, s) -> CurvatureSample:
-        """Curvature at (``lam``, ``s``) from the ``_level_jets`` ``x, jets``
-        of a set of points holding every value of ``s``."""
+    def _sample(self, jets, j, lam, s) -> CurvatureSample:
+        """Curvature at (``lam``, ``s``), where ``jets`` are ``_level_jets``
+        jets and ``j`` indexes them at ``s``."""
         u = self.weight(lam)
         at_start, at_end = _closed_ends(s, self.k0.domain, self.start_kind,
                                         self.end_kind)
         # Jets combine linearly in u. Unlike a DoublyWarpedMetric, the path
         # reads them at s itself inside the guard bands.
-        jk0, jk1, jh0, jh1 = _gather(x, jets, s)
+        jk0, jk1, jh0, jh1 = (Jet3(*(v[j] for v in jet.as_tuple()))
+                              for jet in jets)
         w = 1.0 - u
         return curvature_from_jets(jk0.scaled(w) + jk1.scaled(u),
                                    jh0.scaled(w) + jh1.scaled(u),
@@ -320,32 +341,54 @@ class WarpedMetricPath:
     def sectional(self, lam: float, s: float) -> CurvatureSample:
         """Curvature of the metric at ``lam`` at ``s``; equal-shape float64
         arrays ``lam`` and ``s`` give a sample of arrays, one entry per point."""
-        return self._sample(*self._level_jets(s), lam, s)
+        _, j, jets = self._level_jets(s)
+        return self._sample(jets, j, lam, s)
 
     def min_ricci(self, grid: GridSpec,
                   threshold: float = 1e-6) -> PositivityCertificate:
         """Grid is (lambda, s); margin is the worst diagonal Ricci value.
 
         Each scan level evaluates the endpoint curves once, then the kernel
-        block by block.
+        block by block, once per distinct (lambda, s) pair: refinement cells
+        overlap, so most of a refinement level's points repeat. The values
+        are scattered back to every point. After the jets the kernel only
+        adds, multiplies, divides, compares and selects, elementwise, so a
+        point's value does not depend on the points it is batched with.
         """
         def margin(pts):
-            level = self._level_jets(pts[:, 1])
-            return blockwise(lambda lam, s: self._sample(*level, lam, s).min_ric(),
-                             pts[:, 0], pts[:, 1])
+            x, j, jets = self._level_jets(pts[:, 1])
+            lams, i = _index_runs(pts[:, 0])
+            # Mark each point's (lambda, s) index pair in a bitmap of all
+            # pairs; a refinement level's points cluster, so it stays small.
+            key = i * len(x) + j
+            seen = np.zeros(len(lams) * len(x), dtype=bool)
+            seen[key] = True
+            pairs = np.flatnonzero(seen)
+
+            def kernel(lam, s, j):
+                return self._sample(jets, j, lam, s).min_ric()
+
+            if len(pairs) == len(pts):  # no point repeats, as on a coarse grid
+                return blockwise(kernel, pts[:, 0], pts[:, 1], j)
+            li, sj = np.divmod(pairs, len(x))
+            return blockwise(kernel, lams[li], x[sj], sj)[np.cumsum(seen)[key] - 1]
 
         return grid_min(margin, grid, threshold=threshold,
                         quantity_id="path_min_ricci", batched=True)
 
 
-def _distinct(s):
-    """The sorted distinct values of ``s``, as ``np.unique`` gives them;
-    that one hashes them and imports ``numpy.ma`` (0.5 MB) to do so."""
-    v = np.sort(s)
-    return v[np.concatenate(([True], v[1:] != v[:-1]))]
+def _index(v):
+    """The sorted distinct values of ``v`` and the index of each entry of
+    ``v`` among them; ``np.unique`` hashes floats and imports ``numpy.ma``
+    (0.5 MB) to do so."""
+    x = np.sort(v)
+    x = x[np.concatenate(([True], x[1:] != x[:-1]))]
+    return x, np.searchsorted(x, v)
 
 
-def _gather(x, jets, s):
-    """Each of ``jets``, taken at the sorted ``x``, read at ``s``."""
-    back = np.searchsorted(x, s)
-    return tuple(Jet3(*(v[back] for v in j.as_tuple())) for j in jets)
+def _index_runs(v):
+    """``_index(v)`` for a ``v`` that comes in runs of equal values, as the
+    lambda values of a scan level do: each run is looked up once."""
+    start = np.flatnonzero(np.concatenate(([True], v[1:] != v[:-1])))
+    x, i = _index(v[start])
+    return x, np.repeat(i, np.diff(start, append=len(v)))

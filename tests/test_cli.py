@@ -10,6 +10,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from riccicert import cli
 from riccicert import constructions as cons
 from riccicert.cli import canonical_json, main, run_scenario
+from riccicert.errors import SearchError
 from riccicert.jetcurve import Cos, Jet3Curve, Poly, Sin
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -118,6 +119,40 @@ def test_no_theta_split_exits_three(tmp_path):
     assert code == 3
     assert report["error"]["kind"] == "SearchError"
     assert report["error"]["message"].startswith("no theta split: theta0 = 0")
+
+
+@pytest.mark.parametrize("amplitude", [0.3, -0.3])
+def test_doubling_overrun_reports_its_trace_and_failed_gate(tmp_path,
+                                                            amplitude):
+    # Each doubling that reaches the coarse Ricci gate fails it; the end
+    # margins of the last are positive, so the message must name the gate.
+    scenario = load("concordance_bump.json")
+    scenario["path"]["amplitude"] = amplitude
+    code, report = run_scenario(scenario, tmp_path)
+    assert code == 3
+    error = report["error"]
+    assert error["kind"] == "SearchError"
+    trace = error["trace"]
+    assert len(trace) == cons._MAX_DOUBLINGS
+    assert trace[0][0] == 4.0 and all(len(row) == 4 for row in trace)
+    t0, margin_t0, margin_t1, gate = trace[-1]
+    assert margin_t0 > 0.0 and margin_t1 > 0.0 and gate < 0.0
+    assert error["message"].endswith(
+        f"the last failed the coarse Ricci gate: t0-end margin {margin_t0:.3e}, "
+        f"t1-end margin {margin_t1:.3e}, coarse Ricci minimum {gate:.3e}")
+    assert json.loads(canonical_json(report)) == report
+
+
+def test_error_trace_writes_nonfinite_entries_as_null(tmp_path, monkeypatch):
+    def overrun(path, nu, **kw):
+        raise SearchError("overrun", trace=[(4.0, math.nan, math.inf, None),
+                                                 (8.0, -math.inf, 1.0, 0.5)])
+
+    monkeypatch.setattr(cons, "concordance_search", overrun)
+    code, report = run_scenario(load("concordance_bump.json"), tmp_path)
+    assert code == 3
+    assert report["error"]["trace"] == [[4.0, None, None, None],
+                                        [8.0, None, 1.0, 0.5]]
 
 
 def test_schedule_csv_is_the_sampled_schedule(tmp_path):

@@ -436,6 +436,20 @@ def test_no_theta_split_is_named_not_reported_as_a_doubling_overrun():
         concordance_search(path, nu=0.05)
 
 
+def test_doubling_trace_records_the_coarse_gate_where_it_ran():
+    node = Sum((Poly((1.0,)), Sin(0.3, math.pi)))
+    path = RoundRadiusPath(Jet3Curve.from_node(node, (0.0, 1.0)), 3)
+    with pytest.raises(SearchError, match="failed the coarse Ricci gate") as err:
+        concordance_search(path, nu=0.05)
+    trace = err.value.trace
+    # The gate runs only where both end margins hold, and it fails there.
+    assert trace[0][3] is None
+    for _, margin_t0, margin_t1, gate in trace:
+        ends_ok = margin_t0 > 1e-6 and margin_t1 > 1e-6
+        assert (gate is not None) == ends_ok
+        assert gate is None or gate <= 1e-6
+
+
 def test_search_rejects_nu_edge_cases():
     with pytest.raises(PreconditionError):
         concordance_search(bump_path(), nu=0.0)
@@ -701,6 +715,60 @@ def test_search_reports_the_winning_probe_without_recomputing(
     assert len(qids) == certificates
 
 
+def _path_margin(path):
+    """The margin function ``path.min_ricci`` hands to ``grid_min``."""
+    import riccicert.warped as warped
+    margins = []
+    with patch.object(warped, "grid_min",
+                      lambda f, grid, **kw: margins.append(f)):
+        path.min_ricci(GridSpec.box([(*path.lam_range, 2), (0.0, 1.0, 2)]))
+    return margins[0]
+
+
+def _formula_counts(grid):
+    """Points per scan level of ``grid_min``: the coarse product, then
+    ceil(5% of the previous level) cells of (2 factor + 1)^dims points."""
+    counts = [math.prod(c for _, _, c in grid.axes)]
+    for _ in range(grid.depth):
+        cells = max(1, math.ceil(0.05 * counts[-1]))
+        counts.append(cells * (2 * grid.factor + 1) ** len(grid.axes))
+    return counts
+
+
+@pytest.mark.parametrize("which", [1, 2])
+def test_path_kernel_sees_each_distinct_point_of_a_level_once(
+        profile, target, monkeypatch, which):
+    import riccicert.warped as warped
+    path = _stage(profile, target, which)
+    kernel, seen = warped.curvature_from_jets, [0]
+
+    def counted(*args, **kw):
+        seen[0] += len(kw["s"])
+        return kernel(*args, **kw)
+
+    levels = []
+
+    def spied(f, grid, **kw):
+        def margin(points):
+            before = seen[0]
+            values = f(points)
+            levels.append((len(points), len(np.unique(points, axis=0)),
+                           seen[0] - before))
+            return values
+        return grid_min(margin, grid, **kw)
+
+    monkeypatch.setattr(warped, "curvature_from_jets", counted)
+    monkeypatch.setattr(warped, "grid_min", spied)
+    a, b = path.lam_range
+    grid = GridSpec.box([(a, b, 9), (0.0, profile.T, 33)], depth=2, factor=2)
+    path.min_ricci(grid)
+    assert [n for n, _, _ in levels] == _formula_counts(grid)
+    assert all(kernel_points == distinct
+               for _, distinct, kernel_points in levels)
+    # The refinement cells overlap, so the saving is real.
+    assert all(distinct < n for n, distinct, _ in levels[1:])
+
+
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 10_000), which=st.sampled_from([1, 2]))
 def test_batched_path_margin_matches_scalar_reference(profile, target, seed,
@@ -719,3 +787,27 @@ def test_batched_path_margin_matches_scalar_reference(profile, target, seed,
     lam = rng.choice([a, b, *rng.uniform(a, b, 4)], size=len(s))
     got = path.sectional(lam, s).min_ric()
     _assert_margins_bitwise(path, lam, s, got)
+    # The certificate's margin evaluates each distinct point once; every
+    # copy of a repeated point, in any order, gets the reference bits.
+    margin = _path_margin(path)
+    assert margin(np.stack([lam, s], axis=-1)).tobytes() == got.tobytes()
+    order = rng.permutation(np.concatenate([np.arange(len(s)),
+                                            rng.integers(0, len(s), len(s))]))
+    pts = np.stack([lam[order], s[order]], axis=-1)
+    ref = np.array([_path_min_ric_scalar(path, a, b) for a, b in pts])
+    assert margin(pts).tobytes() == ref.tobytes()
+
+
+def test_path_margin_error_names_the_first_failing_point_in_scan_order(
+        profile, target):
+    from riccicert.errors import EvaluationError
+    from riccicert.verify import _evaluate
+    path = _stage(profile, target, 1)
+    T = profile.T
+    # (0, -1) sorts first among the distinct pairs; (0.5, T + 1) comes
+    # first in scan order, and is repeated.
+    pts = np.array([[0.5, 1.0], [0.5, T + 1.0], [0.0, 0.2], [0.0, -1.0],
+                    [0.5, T + 1.0], [0.5, 1.0], [0.0, -1.0]])
+    with pytest.raises(EvaluationError) as err:
+        _evaluate(_path_margin(path), pts, True)
+    assert err.value.coords == (0.5, T + 1.0)

@@ -1,0 +1,21 @@
+import importlib.util
+from pathlib import Path
+
+_ROOT = Path(__file__).resolve().parent.parent
+_SPEC = importlib.util.spec_from_file_location(
+    "level_traffic", _ROOT / "scripts" / "level_traffic.py")
+level_traffic = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(level_traffic)
+
+
+def test_glue_corner_levels_and_totals(capsys):
+    from riccicert import verify
+    evaluate, grid_min = verify._evaluate, verify.grid_min
+    scenario = _ROOT / "scenarios" / "glue_corner.json"
+    assert level_traffic.main(["level_traffic.py", str(scenario)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "glue_corner.json (exit 0)"
+    assert "  coarse total: 5,755 points -> 5,755 distinct" in out
+    assert "  refinement total: 4,518 points -> 3,086 distinct" in out
+    # The wrappers are removed again.
+    assert (verify._evaluate, verify.grid_min) == (evaluate, grid_min)

@@ -286,3 +286,23 @@ def test_path_sectional_interpolates():
                             start_kind="boundary", end_kind="boundary")
     c = path.sectional(0.5, 1.0)
     assert c.K_kk == pytest.approx(1.0 / 1.5**2, rel=1e-12)
+
+
+@pytest.mark.parametrize("change, match", [
+    ({"start_kind": "closed_x"}, "unknown endpoint kind 'closed_x'"),
+    ({"k1": "longer"}, r"k0 and k1 domains differ"),
+    ({"m": 1}, "need m, n >= 2"),
+    ({"lam_range": (1.0, 0.0)}, r"lambda range out of order: \(1.0, 0.0\)"),
+    ({"lam_range": (0.5, 0.5)}, "lambda range out of order"),
+])
+def test_path_rejects_an_invalid_family(change, match):
+    g = round_sphere(1.0)
+    T = g.domain[1]
+    if change.get("k1") == "longer":
+        change = {"k1": Jet3Curve.from_node(Cos(1.0, 1.0), (0.0, T + 0.5))}
+    spec = dict(k0=g.k, k1=g.k, h0=g.h, h1=g.h, m=3, n=3,
+                start_kind="closed_h", end_kind="closed_k")
+    WarpedMetricPath(**spec)
+    with pytest.raises(PreconditionError, match=match):
+        WarpedMetricPath(**{**spec, **change})
+
