@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Run every scenario in scenarios/ and print a one-line summary per run."""
+"""Run every scenario in scenarios/ through the CLI entry point and print a
+one-line summary per run; each writes its outputs to out/<scenario name>/."""
 
 import sys
 from pathlib import Path
@@ -7,17 +8,17 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from riccicert.cli import run_scenario  # noqa: E402
+from riccicert.cli import main as cli_main  # noqa: E402
+
+STATUS = {0: "ok", 1: "FAILED CERTIFICATE", 2: "SCENARIO ERROR",
+          3: "PRECONDITION", 4: "INTERNAL ERROR"}
 
 
 def main():
-    out_root = ROOT / "out"
     worst = 0
     for scenario in sorted((ROOT / "scenarios").glob("*.json")):
-        code, report = run_scenario(scenario, out_root / scenario.stem)
-        status = {0: "ok", 1: "FAILED CERTIFICATE", 2: "PARSE ERROR",
-                  3: "PRECONDITION"}[code]
-        print(f"{scenario.name:32s} exit {code}  {status}")
+        code = cli_main([str(scenario), "--out", str(ROOT / "out" / scenario.stem)])
+        print(f"{scenario.name:32s} exit {code}  {STATUS[code]}")
         worst = max(worst, code)
     return worst
 

@@ -2,13 +2,16 @@
 """Sweep the corner-smoothing window size and record certificate margins.
 
 Shows the two failure regimes on either side of the valid band: exact-spline
-curvature overshoot for small eps, O(eps) drift for large eps. Writes
+curvature overshoot for small eps, O(eps) drift for large eps. Each point is
+the shipped ``glue_corner.json`` run by the CLI with an explicit ``eps``, so
+delta, the grid and both certificates are the command's own. Writes
 out/corner_eps_sweep.csv.
 """
 
 import csv
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -16,39 +19,25 @@ sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np  # noqa: E402
 
-from riccicert.corner import (  # noqa: E402
-    CornerChart,
-    concavity_certificate,
-    convexity_certificate,
-    glue_and_smooth,
-)
-from riccicert.errors import PreconditionError  # noqa: E402
-from riccicert.verify import GridSpec  # noqa: E402
+from riccicert.cli import run_scenario  # noqa: E402
 
 
 def main():
     scenario = json.loads((ROOT / "scenarios" / "glue_corner.json").read_text())
-    left = CornerChart.from_dict(scenario["left"])
-    right = CornerChart.from_dict(scenario["right"])
-    a_lo, a_hi = left.a_range[0], right.a_range[1]
-
     out = ROOT / "out"
     out.mkdir(exist_ok=True)
     rows = []
-    for eps in np.geomspace(0.015, 0.22, 14):
-        delta = eps / 5.0
-        try:
-            glued = glue_and_smooth(left, right, eps, delta)
-        except PreconditionError as exc:
-            print(f"eps={eps:.4f}: {exc}")
-            continue
-        n = max(241, int(8 * (a_hi - a_lo) / delta))
-        grid = GridSpec.line(a_lo, a_hi, n, depth=3)
-        cvx = convexity_certificate(glued, grid)
-        ccv = concavity_certificate(glued, grid)
-        rows.append((eps, delta, cvx.min_margin, ccv.min_margin))
-        print(f"eps={eps:.4f}  convexity {cvx.min_margin:+.5f}  "
-              f"concavity {ccv.min_margin:+.5f}")
+    with tempfile.TemporaryDirectory() as tmp:
+        for eps in np.geomspace(0.015, 0.22, 14):
+            code, report = run_scenario(dict(scenario, eps=float(eps)), tmp)
+            if "error" in report:
+                print(f"eps={eps:.4f}: exit {code}: {report['error']['message']}")
+                continue
+            r = report["results"]
+            rows.append((eps, r["delta"], r["convexity_margin"],
+                         r["concavity_margin"]))
+            print(f"eps={eps:.4f}  convexity {r['convexity_margin']:+.5f}  "
+                  f"concavity {r['concavity_margin']:+.5f}")
 
     with (out / "corner_eps_sweep.csv").open("w", newline="") as fh:
         writer = csv.writer(fh)

@@ -2,11 +2,15 @@
 """Sweep nu and record the worst Ricci value along both isotopy stages.
 
 The construction works "for nu sufficiently small"; this sweep locates the
-actual threshold. Writes out/isotopy_nu_sweep.csv.
+actual threshold. Each point is the shipped ``isotopy.json`` run by the CLI
+with an explicit ``nu`` on a coarser grid (32 lambda x 160 s points, one
+refinement level). Writes out/isotopy_nu_sweep.csv.
 """
 
 import csv
+import json
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -14,37 +18,27 @@ sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np  # noqa: E402
 
-from riccicert.constructions import (  # noqa: E402
-    isotopy_stage1,
-    isotopy_stage2,
-    make_boundary_profile,
-    make_isotopy_target,
-)
-from riccicert.errors import ConditionError, PreconditionError  # noqa: E402
-from riccicert.verify import GridSpec  # noqa: E402
+from riccicert.cli import run_scenario  # noqa: E402
 
-R, M, N, B1 = 2.0, 3, 3, 0.795
+GRID = {"lambda_count": 32, "s_count": 160, "depth": 1, "factor": 4}
 
 
 def main():
+    scenario = json.loads((ROOT / "scenarios" / "isotopy.json").read_text())
     out = ROOT / "out"
     out.mkdir(exist_ok=True)
     rows = []
-    for nu in np.geomspace(0.002, 0.08, 12):
-        try:
-            profile = make_boundary_profile(R, nu, B1)
-            target = make_isotopy_target(profile)
-        except (ConditionError, PreconditionError) as exc:
-            print(f"nu={nu:.4f}: synthesis failed: {exc}")
-            continue
-        p1 = isotopy_stage1(profile, target, M, N)
-        p2 = isotopy_stage2(target.k1, target.h1, R, M, N)
-        g1 = GridSpec.box([(0.0, 1.0, 32), (0.0, profile.T, 160)], depth=1)
-        g2 = GridSpec.box([(1.0, 2.0, 32), (0.0, profile.T, 160)], depth=1)
-        m1 = p1.min_ricci(g1).min_margin
-        m2 = p2.min_ricci(g2).min_margin
-        rows.append((nu, m1, m2))
-        print(f"nu={nu:.4f}  stage1 {m1:+.5f}  stage2 {m2:+.5f}")
+    with tempfile.TemporaryDirectory() as tmp:
+        for nu in np.geomspace(0.002, 0.08, 12):
+            code, report = run_scenario(dict(scenario, nu=float(nu), grid=GRID),
+                                        tmp)
+            if "error" in report:
+                print(f"nu={nu:.4f}: exit {code}: {report['error']['message']}")
+                continue
+            m1 = report["results"]["stage1_margin"]
+            m2 = report["results"]["stage2_margin"]
+            rows.append((nu, m1, m2))
+            print(f"nu={nu:.4f}  stage1 {m1:+.5f}  stage2 {m2:+.5f}")
 
     with (out / "isotopy_nu_sweep.csv").open("w", newline="") as fh:
         writer = csv.writer(fh)

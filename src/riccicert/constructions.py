@@ -448,8 +448,6 @@ class IsotopyTarget:
     k1: Jet3Curve
     h1: Jet3Curve
     report: ConditionReport
-    bump_center: float
-    gamma: float
 
 
 # The slope of the target k1's floor reaches this fraction of nu cos b1 at T2.
@@ -489,8 +487,7 @@ def make_isotopy_target(profile: BoundaryProfile) -> IsotopyTarget:
         shift = -k_shape.jet(T).value
         return (k_shape.value(T1) + shift) - v1
 
-    center, k_shape = _solve_dive_center(build, residual, lo_c, hi_c,
-                                         "k1 dive")
+    _, k_shape = _solve_dive_center(build, residual, lo_c, hi_c, "k1 dive")
     shift = -k_shape.jet(T).value
     k1 = Jet3Curve.piecewise(
         [(plo, phi, Sum((node, Poly((shift,)))))
@@ -498,8 +495,7 @@ def make_isotopy_target(profile: BoundaryProfile) -> IsotopyTarget:
     h1 = profile.h
 
     report = _target_report(profile, k1, h1, nu, cb)
-    target = IsotopyTarget(k1=k1, h1=h1, report=report, bump_center=center,
-                         gamma=gamma)
+    target = IsotopyTarget(k1=k1, h1=h1, report=report)
     report.raise_if_failed("isotopy target synthesis")
     return target
 

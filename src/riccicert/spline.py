@@ -8,6 +8,10 @@ jumps at the window ends, then a C2 stage on ``delta``-windows around those
 two points. The output agrees with the input outside the windows,
 bit-identically.
 
+The receiving :class:`Jet3Curve` checks each window: its jets refuse an end
+outside the domain, and its seams must match through the declared order, so
+a Hermite solve that loses its endpoint data is refused there.
+
 Segment coefficients are found by solving the Hermite system in the scaled
 local variable a/width, where the matrix is constant and perfectly
 conditioned; the closed-form rational expressions live in the test suite as
@@ -20,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, PreconditionError
+from .errors import PreconditionError
 from .jetcurve import Jet3, Jet3Curve, Poly
 
 __all__ = [
@@ -84,18 +88,7 @@ def _hermite(left: Jet3, right: Jet3, width: float, order: int,
         raise PreconditionError(
             f"half-width {width!r} out of range for the Hermite solve: {exc}"
         ) from exc
-    seg = SplineSegment(width, coeffs)
-    for i, a in enumerate((-width, width)):
-        jet = seg.jet_local(a)
-        for k in range(order + 1):
-            want = rhs[i * (order + 1) + k] / width**k
-            got = jet.deriv(k)
-            if not abs(got - want) <= 1e-9 * max(1.0, abs(want)):
-                raise PreconditionError(
-                    f"Hermite solve lost endpoint data: order {k} at a={a!r}: "
-                    f"{got!r} != {want!r}"
-                )
-    return seg
+    return SplineSegment(width, coeffs)
 
 
 def hermite_cubic(left: Jet3, right: Jet3, eps: float) -> SplineSegment:
@@ -114,11 +107,6 @@ def hermite_quintic(left: Jet3, right: Jet3, delta: float) -> SplineSegment:
 
 
 def _check_window(curve: Jet3Curve, lo: float, hi: float, allow=()):
-    d_lo, d_hi = curve.domain
-    if lo < d_lo or hi > d_hi:
-        raise DomainError(
-            f"smoothing window [{lo!r}, {hi!r}] exits domain [{d_lo!r}, {d_hi!r}]"
-        )
     for x, order in curve.kinks:
         if lo <= x <= hi and x not in allow:
             raise PreconditionError(
@@ -130,19 +118,18 @@ def _smooth_window(hermite, curve: Jet3Curve, center: float, width: float,
                    new_order: int) -> Jet3Curve:
     """``curve`` with ``center +- width`` replaced by the ``hermite``
     polynomial through its jets at the window ends, which become kinks of
-    ``new_order``; a kink marked at ``center`` is dropped, and a failed solve
-    is a PreconditionError naming the window."""
+    ``new_order``; a kink marked at ``center`` is dropped. A failed jet, solve
+    or seam raises its own error class, with the window named."""
     lo, hi = center - width, center + width
     _check_window(curve, lo, hi, allow={center})
-    left, right = curve.jet(lo), curve.jet(hi)
-    try:
-        seg = hermite(left, right, width)
-    except PreconditionError as exc:
-        raise PreconditionError(f"smoothing window [{lo!r}, {hi!r}]: {exc}") from exc
     drop = (center,) if curve.kink_order(center) is not None else ()
-    return curve.replace_window(lo, hi, Poly(seg.coefficients, center=center),
-                                drop_kinks=drop,
-                                add_kinks=((lo, new_order), (hi, new_order)))
+    try:
+        seg = hermite(curve.jet(lo), curve.jet(hi), width)
+        return curve.replace_window(lo, hi, Poly(seg.coefficients, center=center),
+                                    drop_kinks=drop,
+                                    add_kinks=((lo, new_order), (hi, new_order)))
+    except PreconditionError as exc:
+        raise type(exc)(f"smoothing window [{lo!r}, {hi!r}]: {exc}") from exc
 
 
 def smooth_c1(curve: Jet3Curve, kink: float, eps: float) -> Jet3Curve:
@@ -188,10 +175,9 @@ def two_stage_smooth(curve: Jet3Curve, kink: float, eps: float, delta: float) ->
 
     Requires ``delta < eps`` so the second-stage windows are disjoint, and
     ``[kink - eps - delta, kink + eps + delta]`` inside the domain with no
-    other kinks.
+    other kinks; the three stage windows cover it and each checks its part.
     """
     if not 0.0 < delta < eps:
         raise PreconditionError(f"need 0 < delta < eps, got eps={eps!r}, delta={delta!r}")
-    _check_window(curve, kink - eps - delta, kink + eps + delta, allow={kink})
     stage1 = smooth_c1(curve, kink, eps)
     return smooth_c2(stage1, (kink - eps, kink + eps), delta)

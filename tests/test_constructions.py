@@ -249,6 +249,19 @@ def test_stage1_endpoints_bit_exact(profile, target):
     assert path.metric_at(1.0).h is target.h1
 
 
+def test_profile_metric_and_stage1_agree_inside_the_guard_bands(profile,
+                                                                 target):
+    # The lambda = 0 end of stage 1 is the profile metric; strictly inside
+    # a closed end's guard band both read the jets at s and take the limits.
+    g, path = profile.metric(3, 3), isotopy_stage1(profile, target, 3, 3)
+    guard = 1e-6 * profile.T
+    s = np.array([0.25 * guard, 0.5 * guard, profile.T - 0.5 * guard])
+    want, got = sectional(g, s), path.sectional(np.zeros_like(s), s)
+    for a, b in zip(want.as_row(), got.as_row()):
+        assert a.tobytes() == b.tobytes()
+    assert sectional(g, float(s[1])) == path.sectional(0.0, float(s[1]))
+
+
 def test_stage1_ricci_positive(profile, target):
     path = isotopy_stage1(profile, target, 3, 3)
     grid = GridSpec.box([(0.0, 1.0, 24), (0.0, profile.T, 128)], depth=1)

@@ -1,11 +1,14 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
-from riccicert.errors import PreconditionError
+import riccicert.spline as spline
+from riccicert.errors import DomainError, PreconditionError
 from riccicert.jetcurve import Cos, Jet3, Jet3Curve, Poly
 from riccicert.spline import (
+    SplineSegment,
     hermite_cubic,
     hermite_quintic,
     smooth_c1,
@@ -307,6 +310,60 @@ def test_bad_windows_rejected():
     stage1 = smooth_c1(absval(), 0.0, 0.5)
     with pytest.raises(PreconditionError):
         smooth_c2(stage1, (-0.5, 0.5), 0.6)  # overlapping windows
+
+
+def with_marked_point(x):
+    """absval() with a declared order-3 kink at ``x``, where it is smooth."""
+    pieces = [(-1.0, 0.0, Poly((0.0, -1.0))), (0.0, 1.0, Poly((0.0, 1.0)))]
+    i = 0 if x < 0.0 else 1
+    (a, b, node), marks = pieces[i], sorted([(0.0, 1), (x, 3)])
+    pieces[i:i + 1] = [(a, x, node), (x, b, node)]
+    return Jet3Curve.piecewise(pieces, kinks=marks)
+
+
+@pytest.mark.parametrize("x, center, width", [
+    (0.05, 0.0, 0.1),     # stage 1
+    (-0.115, -0.1, 0.02),  # stage 2, left
+    (0.11, 0.1, 0.02),     # stage 2, right
+])
+def test_two_stage_refuses_a_foreign_kink_in_each_stage_window(x, center, width):
+    window = f"[{center - width!r}, {center + width!r}]"
+    with pytest.raises(PreconditionError, match=rf"window {re.escape(window)} "
+                       rf"overlaps foreign kink at {x!r}"):
+        two_stage_smooth(with_marked_point(x), 0.0, 0.1, 0.02)
+
+
+def lossy(solve, k):
+    """``solve`` with the order-``k`` coefficient off by 1e-6."""
+    def wrapped(left, right, width):
+        seg = solve(left, right, width)
+        coeffs = list(seg.coefficients)
+        coeffs[k] += 1e-6
+        return SplineSegment(seg.half_width, tuple(coeffs))
+    return wrapped
+
+
+@pytest.mark.parametrize("name, k, run, window", [
+    ("hermite_cubic", 0, lambda: smooth_c1(absval(), 0.0, 0.5), "[-0.5, 0.5]"),
+    ("hermite_cubic", 1, lambda: smooth_c1(absval(), 0.0, 0.5), "[-0.5, 0.5]"),
+    ("hermite_quintic", 2,
+     lambda: smooth_c2(smooth_c1(absval(), 0.0, 0.5), (-0.5, 0.5), 0.1),
+     "[-0.6, -0.4]"),
+])
+def test_a_solve_that_loses_endpoint_data_is_refused(monkeypatch, name, k, run,
+                                                     window):
+    monkeypatch.setattr(spline, name, lossy(getattr(spline, name), k))
+    with pytest.raises(PreconditionError) as info:
+        run()
+    assert str(info.value).startswith(f"smoothing window {window}: pieces mismatch")
+    assert type(info.value) is type(info.value.__cause__) is PreconditionError
+
+
+def test_a_window_outside_the_domain_names_the_window():
+    with pytest.raises(DomainError) as info:
+        smooth_c1(absval(), 0.0, 2.0)
+    assert str(info.value).startswith("smoothing window [-2.0, 2.0]: ")
+    assert type(info.value.__cause__) is DomainError
 
 
 def test_smooth_c2_rejects_corner_input():

@@ -232,6 +232,20 @@ def test_vanishing_warping_needs_matching_kind():
         sectional(g, 0.0)
 
 
+@pytest.mark.parametrize("s", [-1.0, -1e-3, 5.0, 0.5 * math.pi + 1e-3,
+                               np.array([0.5, -1.0]), np.array([5.0, 0.5])])
+def test_closed_ends_refuse_points_outside_the_domain(s):
+    # A closed end's guard band takes limit forms only inside [0, pi/2].
+    g = round_sphere(1.0)
+    path = WarpedMetricPath(k0=g.k, k1=g.k, h0=g.h, h1=g.h, m=3, n=3,
+                            start_kind="closed_h", end_kind="closed_k")
+    with pytest.raises(DomainError, match="outside domain"):
+        sectional(g, s)
+    with pytest.raises(DomainError, match="outside domain"):
+        path.sectional(np.full_like(s, 0.5) if isinstance(s, np.ndarray)
+                       else 0.5, s)
+
+
 def test_closure_requires_counterpart_evenness():
     dom = (0.0, 1.5)
     with pytest.raises(PreconditionError):
