@@ -25,7 +25,7 @@ import numpy as np
 from . import constructions as cons
 from . import corner as cor
 from .errors import (EvaluationError, PreconditionError, ScenarioError,
-                     SearchError, decode, integer, list_of, number, text)
+                     SearchError, decode, integer, list_of, number, positive_int, text)
 from .jetcurve import Jet3Curve, Poly, Sin, Sum
 from .spline import two_stage_smooth
 from .verify import GridSpec, bisect_param
@@ -132,7 +132,7 @@ def _write_csv(path: Path, header, rows):
 
 
 @command("spline-demo", curve=_from_dict(Jet3Curve), kink=number, eps=number,
-         delta=number, samples=(integer, 512))
+         delta=number, samples=(positive_int, 512))
 def _run_spline_demo(p, ctx):
     curve, kink, eps, delta = p["curve"], p["kink"], p["eps"], p["delta"]
     smoothed = two_stage_smooth(curve, kink, eps, delta)
@@ -161,7 +161,7 @@ def _run_spline_demo(p, ctx):
 @command("curvature", m=integer, n=integer, k=_from_dict(Jet3Curve),
          h=_from_dict(Jet3Curve), start_kind=(text, "boundary"),
          end_kind=(text, "boundary"), grid=_grid(1000, 0),
-         threshold=(number, 1e-6), samples=(integer, 200),
+         threshold=(number, 1e-6), samples=(positive_int, 200),
          expect_constant=(number, None))
 def _run_curvature(p, ctx):
     g = DoublyWarpedMetric(p["k"], p["h"], p["m"], p["n"], p["start_kind"],
@@ -189,7 +189,7 @@ def _run_curvature(p, ctx):
 @command("glue-corner", left=_from_dict(cor.CornerChart),
          right=_from_dict(cor.CornerChart), eps=(number, None),
          delta_ratio=(number, 0.2), search=_search(0.02, None),
-         grid=_grid(241, 3), threshold=(number, 1e-6), samples=(integer, 200))
+         grid=_grid(241, 3), threshold=(number, 1e-6), samples=(positive_int, 200))
 def _run_glue_corner(p, ctx):
     left, right = p["left"], p["right"]
     angle = cor.dihedral_angle(left, right)
@@ -239,7 +239,7 @@ def _run_glue_corner(p, ctx):
          nu=(number, None), nu_search=_search(1e-4, 0.2),
          grid={"lambda_count": (integer, 64), "s_count": (integer, 256),
                "depth": (integer, 2), "factor": (integer, 2)},
-         threshold=(number, 1e-6), samples=(integer, 400))
+         threshold=(number, 1e-6), samples=(positive_int, 400))
 def _run_isotopy(p, ctx):
     R, m, n, b1, threshold = p["R"], p["m"], p["n"], p["b1"], p["threshold"]
     lam_count, s_count = p["grid"]["lambda_count"], p["grid"]["s_count"]
@@ -306,7 +306,7 @@ def _round_radius_path(spec):
 @command("concordance", path=_round_radius_path, nu=number,
          t_count=(integer, 160), theta_count=(integer, 48),
          cert_depth=(integer, 1), threshold=(number, 1e-6),
-         schedule_samples=(integer, 200))
+         schedule_samples=(positive_int, 200))
 def _run_concordance(p, ctx):
     params, certs, boundary = cons.concordance_search(
         p["path"], p["nu"], t_count=p["t_count"], theta_count=p["theta_count"],

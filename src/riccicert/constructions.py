@@ -88,9 +88,6 @@ class ConditionReport:
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def failing(self):
-        return [c for c in self.checks if not c.passed]
-
     def margin(self, name: str) -> float:
         for c in self.checks:
             if c.name == name:
@@ -102,7 +99,8 @@ class ConditionReport:
 
     def raise_if_failed(self, context: str):
         if not self.passed:
-            bad = ", ".join(f"{c.name} (margin {c.margin:.3e})" for c in self.failing())
+            bad = ", ".join(f"{c.name} (margin {c.margin:.3e})"
+                            for c in self.checks if not c.passed)
             raise ConditionError(f"{context}: failed condition(s): {bad}", report=self)
 
 
@@ -110,9 +108,9 @@ def _check(name, margin, note="") -> ConditionCheck:
     return ConditionCheck(name, float(margin), bool(margin > 0.0), note)
 
 
-def _grid_extreme(fn, lo, hi, count=256, reduce=np.min):
-    """``reduce`` of the array function ``fn`` on ``count`` points of [lo, hi]."""
-    return reduce(fn(np.linspace(lo, hi, count)))
+def _grid_extreme(fn, lo, hi, reduce=np.min):
+    """``reduce`` of the array function ``fn`` on _CHECK_COUNT points of [lo, hi]."""
+    return reduce(fn(np.linspace(lo, hi, _CHECK_COUNT)))
 
 
 # ---------------------------------------------------------------------------
@@ -159,39 +157,29 @@ def _bump_coeffs(amplitude: float, width: float):
     return out
 
 
-def _dive_curve(lo: float, T: float, start_value: float, start_slope: float,
-                floor_pieces, floor_mass: float, bump_center: float,
-                bump_width: float) -> Jet3Curve:
-    """Concave curve on [lo, T] with prescribed start data and closure at T.
+def _dive_curve(lo: float, T: float, start_value: float, floor, floor_mass: float,
+                bump_center: float, bump_width: float) -> Jet3Curve:
+    """Concave k on [lo, T]: k(lo) = start_value, k'(lo) = 0, closure at T.
 
-    Built as k = start data minus the double integral of w = floor + bump;
-    the bump amplitude makes k'(T) = -1, and as the integral of (T - s) *
+    Built as k = start_value minus the double integral of w = floor + bump,
+    with ``floor`` one polynomial ``(center, coeffs)`` on all of [lo, T].
+    The bump amplitude makes k'(T) = -1, and as the integral of (T - s) *
     bump is (T - c) * mass, the caller's value pin is affine in the bump
     center c, placed by one secant step. The floor keeps k'' < 0 outside it.
     """
-    mass = 1.0 + start_slope - floor_mass
+    mass = 1.0 - floor_mass
     if mass <= 0.0:
         raise PreconditionError("dive bump mass must be positive")
-    amp = mass / (bump_width * _BUMP_NORM)
     c, W = bump_center, bump_width
-    merged = []
-    for plo, phi, pc, pcoef in floor_pieces:
-        for seg_lo, seg_hi in ((plo, min(phi, c - W)),
-                               (max(plo, c - W), min(phi, c + W)),
-                               (max(plo, c + W), phi)):
-            if seg_lo >= seg_hi:
-                continue
-            mid = 0.5 * (seg_lo + seg_hi)
-            if c - W <= mid <= c + W:
-                coef = _recenter(pcoef, pc, c)
-                bump = _bump_coeffs(amp, W)
-                coef = [x + (bump[i] if i < len(bump) else 0.0)
-                        for i, x in enumerate(coef + [0.0] * (9 - len(coef)))]
-                merged.append((seg_lo, seg_hi, c, coef))
-            else:
-                merged.append((seg_lo, seg_hi, pc, pcoef))
-    w1 = _antiderivative(merged)                  # integral of w from lo
-    kp = _scaled_shifted(w1, -1.0, start_slope)   # k' = slope0 - integral
+    fc, fcoef = floor
+    bump = _bump_coeffs(mass / (W * _BUMP_NORM), W)
+    for i, a in enumerate(_recenter(fcoef, fc, c)):
+        bump[i] += a
+    w = [(lo, c - W, fc, fcoef), (c - W, min(T, c + W), c, bump)]
+    if c + W < T:
+        w.append((c + W, T, fc, fcoef))
+    w1 = _antiderivative(w)                  # integral of w from lo
+    kp = _scaled_shifted(w1, -1.0, 0.0)      # k' = -integral
     k = _antiderivative(kp)
     _, _, c0, coef0 = k[0]  # the first piece starts at lo
     k = _scaled_shifted(k, 1.0, start_value - _horner(coef0, lo - c0))
@@ -210,12 +198,11 @@ def _recenter(coeffs, old_center: float, new_center: float):
     return out
 
 
-def _solve_dive_center(build, residual, lo: float, hi: float,
-                       what: str, tol: float = 1e-12):
+def _solve_dive_center(build, residual, lo: float, hi: float, what: str):
     """``(center, build(center))`` with the dive meeting its value pin.
 
     The residual is affine in the center, so one secant step from the
-    bracket builds lands on its root; a residual above ``tol`` there raises.
+    bracket builds lands on its root; a residual above 1e-12 there raises.
     """
     f_lo, f_hi = residual(build(lo)), residual(build(hi))
     if not (f_lo <= 0.0 <= f_hi or f_hi <= 0.0 <= f_lo):
@@ -226,9 +213,9 @@ def _solve_dive_center(build, residual, lo: float, hi: float,
     center = lo if f_lo == 0.0 else lo + (hi - lo) * f_lo / (f_lo - f_hi)
     curve = build(center)
     f = residual(curve)
-    if not abs(f) <= tol:  # NaN included
+    if not abs(f) <= 1e-12:  # NaN included
         raise ConditionError(f"{what}: residual {f:.3e} at the secant center "
-                             f"{center!r} exceeds {tol:.0e}", report=None)
+                             f"{center!r} exceeds 1e-12", report=None)
     return center, curve
 
 
@@ -250,7 +237,8 @@ _BRIDGE_BACK = 0.11
 _BUMP_HALFWIDTH = 0.10  # of the dive bumps of k and of the target's k1
 _FLOOR_FRAC = 0.5
 _TOL_R_FRAC = 1e-3
-_CHECK_COUNT = 384
+_CHECK_COUNT = 384  # points of each sampled condition check
+_ONSET_COUNT = 2048  # points of the T1 and T2 onset scans
 _INSET_FRAC = 0.01
 
 
@@ -339,10 +327,9 @@ def make_boundary_profile(R: float, nu: float, b1: float) -> BoundaryProfile:
     hi_c = T - w0
     if lo_c >= hi_c:
         raise PreconditionError("no room for the k dive bump")
-    floor_pieces = [(s_c, T, T, (0.0, -c_nu / lam))]
 
     def build_dive(center):
-        return _dive_curve(s_c, T, k_c, 0.0, floor_pieces, floor_mass,
+        return _dive_curve(s_c, T, k_c, (T, (0.0, -c_nu / lam)), floor_mass,
                            center, w0)
 
     _, dive = _solve_dive_center(build_dive, lambda kd: kd.jet(T).value,
@@ -366,26 +353,23 @@ def make_boundary_profile(R: float, nu: float, b1: float) -> BoundaryProfile:
     return profile
 
 
-def _last_nonneg_d2(curve: Jet3Curve, lo: float, hi: float,
-                    count: int = 2048) -> float:
-    s = np.linspace(lo, hi, count)
+def _last_nonneg_d2(curve: Jet3Curve, lo: float, hi: float) -> float:
+    s = np.linspace(lo, hi, _ONSET_COUNT)
     hits = np.flatnonzero(curve.jet(s).d2 >= 0.0)
     worst = float(s[hits[-1]]) if hits.size else lo
-    return worst + (hi - lo) / (count - 1)
+    return worst + (hi - lo) / (_ONSET_COUNT - 1)
 
 
-def _near_R_onset(h: Jet3Curve, R: float, tol: float, lo: float,
-                  hi: float, count: int = 2048) -> float:
+def _near_R_onset(h: Jet3Curve, R: float, tol: float, lo: float, hi: float) -> float:
     """Smallest s of the sample run down from ``hi`` with |h - R| <= tol."""
-    s = np.linspace(hi, lo, count)
+    s = np.linspace(hi, lo, _ONSET_COUNT)
     far = np.abs(h.value(s) - R) > tol
-    first_far = int(np.argmax(far)) if far.any() else count
+    first_far = int(np.argmax(far)) if far.any() else _ONSET_COUNT
     return float(s[first_far - 1]) if first_far else hi
 
 
 def _profile_report(k, h, R, nu, b1, a, T0, T1, T2, T3, T, s_j) -> ConditionReport:
     cb = math.cos(b1)
-    count = _CHECK_COUNT
     eta = _INSET_FRAC
 
     checks = [
@@ -393,7 +377,7 @@ def _profile_report(k, h, R, nu, b1, a, T0, T1, T2, T3, T, s_j) -> ConditionRepo
                min(T1 - T0, T2 - T1, T3 - T2, T - T3), "breakpoint ordering"),
         _check("k_near_const_before_T0",
                nu * cb * (1.0 + 1e-9)
-               - _grid_extreme(lambda s: abs(k.value(s) - cb), 0.0, T0, count,
+               - _grid_extreme(lambda s: abs(k.value(s) - cb), 0.0, T0,
                                reduce=np.max),
                "max |k - cos b1| within nu cos b1"),
         _check("k_even_at_0",
@@ -401,7 +385,7 @@ def _profile_report(k, h, R, nu, b1, a, T0, T1, T2, T3, T, s_j) -> ConditionRepo
                "odd derivatives vanish at s=0"),
         _check("k_concave_after_T1",
                _grid_extreme(lambda s: -k.jet(s).d2,
-                             T1, T - eta * (T - T1), count),
+                             T1, T - eta * (T - T1)),
                "k'' < 0 on (T1, T), checked with a 1% inset at T"),
         _check("k_closes_at_T",
                1e-8 - max(abs(k.jet(T).value), abs(k.jet(T).d1 + 1.0),
@@ -409,7 +393,7 @@ def _profile_report(k, h, R, nu, b1, a, T0, T1, T2, T3, T, s_j) -> ConditionRepo
                "k(T)=0, k'(T)=-1, k''(T)=0"),
         _check("k_slope_bounded",
                1e-9 + 1.0 - _grid_extreme(lambda s: abs(k.jet(s).d1), 0.0, T,
-                                          count, reduce=np.max),
+                                          reduce=np.max),
                "|k'| <= 1"),
         _check("h_closes_at_0",
                1e-9 - max(abs(h.jet(0.0).value), abs(h.jet(0.0).d1 - 1.0),
@@ -417,20 +401,20 @@ def _profile_report(k, h, R, nu, b1, a, T0, T1, T2, T3, T, s_j) -> ConditionRepo
                "h(0)=0, h'(0)=1, h''(0)=0"),
         _check("h_ratio_before_T1",
                _grid_extreme(lambda s: -h.jet(s).d2 / h.value(s) - 1.0 / (5.0 * R),
-                             eta * T1, T1, count),
+                             eta * T1, T1),
                "-h''/h > 1/(5R) on (0, T1]"),
         _check("h_concave_before_T2",
                _grid_extreme(lambda s: -h.jet(s).d2,
-                             eta * T2, T2 - eta * (T3 - T2), count),
+                             eta * T2, T2 - eta * (T3 - T2)),
                "h'' < 0 on (0, T2), checked with insets"),
         _check("h_near_R_after_T2",
                _TOL_R_FRAC * R
-               - _grid_extreme(lambda s: abs(h.value(s) - R), T2, T, count,
+               - _grid_extreme(lambda s: abs(h.value(s) - R), T2, T,
                                reduce=np.max),
                "|h - R| small beyond T2"),
         _check("h_flat_after_T3",
                1e-12 - _grid_extreme(lambda s: abs(h.value(s) - R), T3, T,
-                                     count, reduce=np.max),
+                                     reduce=np.max),
                "h identically R beyond T3"),
     ]
     return ConditionReport(tuple(checks))
@@ -475,11 +459,10 @@ def make_isotopy_target(profile: BoundaryProfile) -> IsotopyTarget:
     hi_c = T - w_b
     if lo_c >= hi_c:
         raise PreconditionError("no room for the k1 dive bump after T2")
-    floor_pieces = [(0.0, T, 0.0, (gamma, 0.0, -gamma / T ** 2))]
 
     def build(center):
-        return _dive_curve(0.0, T, 0.0, 0.0, floor_pieces, floor_mass,
-                           center, w_b)
+        return _dive_curve(0.0, T, 0.0, (0.0, (gamma, 0.0, -gamma / T ** 2)),
+                           floor_mass, center, w_b)
 
     def residual(k_shape):
         # build() anchors the start value at 0; shift so k1(T) = 0 instead,
@@ -502,7 +485,6 @@ def make_isotopy_target(profile: BoundaryProfile) -> IsotopyTarget:
 
 def _target_report(profile: BoundaryProfile, k1, h1, nu, cb) -> ConditionReport:
     T, T0, T1, T2, T3 = profile.T, profile.T0, profile.T1, profile.T2, profile.T3
-    count = _CHECK_COUNT
     eta = _INSET_FRAC
 
     checks = [
@@ -517,32 +499,32 @@ def _target_report(profile: BoundaryProfile, k1, h1, nu, cb) -> ConditionReport:
                1e-8 - abs(k1.value(T1) - profile.k.value(T1)),
                "k1(T1) = k0(T1)"),
         _check("k1_concave",
-               _grid_extreme(lambda s: -k1.jet(s).d2, 0.0, T - eta * T, count),
+               _grid_extreme(lambda s: -k1.jet(s).d2, 0.0, T - eta * T),
                "k1'' < 0 on [0, T)"),
         _check("k1_slope_band_to_T2",
                _grid_extreme(lambda s: np.minimum(-k1.jet(s).d1, nu * cb + k1.jet(s).d1),
-                             eta * T2, T2, count),
+                             eta * T2, T2),
                "-nu cos b1 < k1' < 0 on (0, T2]"),
         _check("k1_positive",
-               _grid_extreme(lambda s: k1.value(s), 0.0, T - eta * T, count),
+               _grid_extreme(lambda s: k1.value(s), 0.0, T - eta * T),
                "k1 > 0 before T"),
         _check("h1_equals_h0_before_T0",
                1e-12 - _grid_extreme(lambda s: abs(h1.value(s)
                                                    - profile.h.value(s)),
-                                     0.0, T0, count, reduce=np.max),
+                                     0.0, T0, reduce=np.max),
                "h1 = h0 below T0 (same curve)"),
         _check("h1_is_R_after_T3",
                1e-12 - _grid_extreme(lambda s: abs(h1.value(s) - profile.R),
-                                     T3, T, count, reduce=np.max),
+                                     T3, T, reduce=np.max),
                "h1 = R beyond T3"),
         _check("h1_concave_before_T3",
                _grid_extreme(lambda s: -h1.jet(s).d2,
-                             eta * T3, T3 - eta * (T - T3), count),
+                             eta * T3, T3 - eta * (T - T3)),
                "h1'' < 0 on (0, T3), checked with insets"),
         _check("h1_close_to_h0",
                1e-12 - _grid_extreme(lambda s: abs(h1.value(s)
                                                    - profile.h.value(s)),
-                                     0.0, T, count, reduce=np.max),
+                                     0.0, T, reduce=np.max),
                "h0 within 0 of h1 (shared curve)"),
     ]
     return ConditionReport(tuple(checks))
@@ -557,8 +539,6 @@ def isotopy_stage1(profile: BoundaryProfile, target: IsotopyTarget,
                    m: int, n: int) -> WarpedMetricPath:
     """Affine path from the profile metric to (k1, h1) over lambda in [0, 1]."""
     target.report.raise_if_failed("isotopy stage 1 target")
-    if target.k1.domain != profile.k.domain:
-        raise PreconditionError("target domain differs from profile domain")
     return WarpedMetricPath(
         k0=profile.k, k1=target.k1, h0=profile.h, h1=target.h1,
         m=m, n=n, start_kind="closed_h", end_kind="closed_k",
@@ -581,7 +561,7 @@ def isotopy_stage2(k1: Jet3Curve, h1: Jet3Curve, R: float,
         )
     for name, curve in (("k1", k1), ("h1", h1)):
         worst = _grid_extreme(lambda s, c=curve: -c.jet(s).d2,
-                              1e-3 * T, T - 1e-3 * T, 384)
+                              1e-3 * T, T - 1e-3 * T)
         if worst < -1e-9:
             raise PreconditionError(
                 f"{name} is not weakly concave: min(-{name}'') = {worst:.3e}"
@@ -759,7 +739,7 @@ def concordance_search(path: RoundRadiusPath, nu: float, *, t_count: int = 160,
     n = path.n
     path_grid = GridSpec.line(0.0, 1.0, 257)
 
-    path_cert = path.min_ricci(path_grid)
+    path_cert = path.min_ricci(path_grid, threshold)
     if not path_cert.passed:
         raise PreconditionError(
             f"slice metrics are not Ricci-positive (min {path_cert.min_margin:.3e})"

@@ -2,6 +2,8 @@
 every scenario object, down to curve nodes, is read by :func:`decode`
 against a table of its fields, so malformed input raises ScenarioError."""
 
+import math
+
 
 class PreconditionError(ValueError):
     """An operation was invoked on inputs violating its stated preconditions."""
@@ -52,8 +54,8 @@ def decode(spec, fields: dict, what: str) -> dict:
 
     A field is a converter (required), a ``(converter, default)`` pair whose
     default is used as is, or the table of a sub-object named by its key. A
-    null value reads as absent. A converter's TypeError (wrong type or shape)
-    or OverflowError (out of range) is reported with ``what`` and the key.
+    null value reads as absent. A converter's TypeError (wrong type, shape or
+    value) or OverflowError (out of range) is reported with ``what`` and the key.
     """
     spec = {} if spec is None else spec
     if not isinstance(spec, dict):
@@ -80,9 +82,11 @@ def decode(spec, fields: dict, what: str) -> dict:
 
 
 def number(v) -> float:
-    """``float(v)`` of a JSON number; strings and booleans are not numbers."""
+    """``float(v)`` of a finite JSON number, not a string or a boolean."""
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise TypeError(f"expected a number, got {v!r}")
+    if not math.isfinite(v):
+        raise TypeError(f"expected a finite number, got {v!r}")
     return float(v)
 
 
@@ -90,6 +94,13 @@ def integer(v) -> int:
     """``int(v)`` of a JSON number with an integral value."""
     if not number(v).is_integer():
         raise TypeError(f"expected an integer, got {v!r}")
+    return int(v)
+
+
+def positive_int(v) -> int:
+    """``integer(v)`` of a count that must be at least 1."""
+    if integer(v) < 1:
+        raise TypeError(f"expected a positive integer, got {v!r}")
     return int(v)
 
 

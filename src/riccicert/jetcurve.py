@@ -56,13 +56,13 @@ def _lib(x):
 
 
 def _first(bad, *values):
-    """``values`` at the first point where ``bad`` holds (scalars or arrays), or None."""
+    """``values`` where ``bad`` first holds, or None; a one-point array gives floats."""
     if not isinstance(bad, np.ndarray):
         return values if bad else None
     if not bad.any():
         return None
     i = int(np.argmax(bad))
-    return tuple(v[i] for v in values)
+    return tuple(v.item() if bad.size == 1 else v[i] for v in values)
 
 
 def _pointwise(fn):

@@ -55,6 +55,7 @@ ENDPOINT_KINDS = ("closed_k", "closed_h", "boundary")
 _CLOSE_TOL = 1e-6
 # Guard band of a closed end, as a fraction of the domain length.
 _GUARD_FRAC = 1e-6
+_POSITIVITY_SAMPLES = 64  # interior points where k and h are checked positive
 
 
 @dataclass(frozen=True)
@@ -134,18 +135,15 @@ class DoublyWarpedMetric:
                     f"endpoint closure violated: |{name}| = {abs(err):.3e} > {_CLOSE_TOL}"
                 )
 
-    def _check_positivity(self, samples: int = 64):
+    def _check_positivity(self):
         lo, hi = self.domain
         guard = _GUARD_FRAC * (hi - lo)
-        s = np.linspace(lo + guard, hi - guard, samples)
+        s = np.linspace(lo + guard, hi - guard, _POSITIVITY_SAMPLES)
         bad = _first((self.k.value(s) <= 0.0) | (self.h.value(s) <= 0.0), s)
         if bad:
             raise PreconditionError(
                 f"nonpositive warping at interior point s={bad[0]!r}"
             )
-
-    def sectional(self, s: float) -> CurvatureSample:
-        return sectional(self, s)
 
     def min_ricci(self, grid: GridSpec, threshold: float = 1e-6) -> PositivityCertificate:
         return min_ricci(self, grid, threshold)

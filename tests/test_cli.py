@@ -339,6 +339,48 @@ def test_mutated_shipped_scenarios_exit_two(tmp_path, data):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("count", [0, -1])
+@pytest.mark.parametrize("name, key", [
+    ("spline_demo.json", "samples"),
+    ("curvature_round_sphere.json", "samples"),
+    ("glue_corner.json", "samples"),
+    ("isotopy.json", "samples"),
+    ("concordance_bump.json", "schedule_samples"),
+])
+def test_sample_counts_below_one_exit_two(tmp_path, name, key, count):
+    code, report = run_scenario({**load(name), key: count}, tmp_path)
+    assert code == 2
+    assert report["error"] == {"kind": "scenario", "message": (
+        f"scenario key {key!r}: expected a positive integer, got {count}")}
+
+
+@pytest.mark.parametrize("name, key, value", [
+    ("curvature_round_sphere.json", "threshold", math.nan),
+    ("curvature_round_sphere.json", "threshold", math.inf),
+    ("concordance_bump.json", "threshold", -math.inf),
+    ("triangle.json", "tilt", math.nan),
+])
+def test_non_finite_numbers_in_a_scenario_file_exit_two(tmp_path, name, key,
+                                                        value):
+    # Python's json reads NaN, Infinity and -Infinity as floats.
+    source = tmp_path / "scenario.json"
+    source.write_text(json.dumps({**load(name), key: value}))
+    assert ("NaN" if math.isnan(value) else "Infinity") in source.read_text()
+    code, report = run_scenario(source, tmp_path / "out")
+    assert code == 2
+    assert report["error"] == {"kind": "scenario", "message": (
+        f"scenario key {key!r}: expected a finite number, got {value!r}")}
+
+
+def test_concordance_threshold_reaches_every_certificate(tmp_path):
+    _, report = run_scenario({**load("concordance_bump.json"),
+                              "threshold": 0.001}, tmp_path)
+    assert {name: cert["threshold"]
+            for name, cert in report["certificates"].items()} == {
+        "path_ricci": 0.001, "ricci_theta_below": 0.001,
+        "ricci_theta_above": 0.001}
+
+
 def test_internal_error_exits_four(tmp_path, monkeypatch, capsys):
     def explode(params, ctx):
         raise RuntimeError("injected")

@@ -269,6 +269,13 @@ def test_stage1_ricci_positive(profile, target):
     assert cert.passed
 
 
+def test_stage1_refuses_a_target_on_another_domain(profile, target):
+    # The path's own warping check compares the four domains.
+    k1 = Jet3Curve.from_node(Poly((1.0,)), (0.0, 2.0 * profile.T))
+    with pytest.raises(PreconditionError):
+        isotopy_stage1(profile, replace(target, k1=k1), 3, 3)
+
+
 def test_stage2_requires_concavity_and_domain(profile, target):
     with pytest.raises(PreconditionError):
         isotopy_stage2(target.k1, target.h1, 3.0, 3, 3)  # wrong domain for R=3

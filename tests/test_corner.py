@@ -18,7 +18,7 @@ from riccicert.corner import (
     face_second_form,
     glue_and_smooth,
 )
-from riccicert.errors import DomainError, PreconditionError
+from riccicert.errors import DomainError, EvaluationError, PreconditionError
 from riccicert.jetcurve import Cos, Exp, Jet3Curve, Poly, Scale, Sin
 from riccicert.verify import GridSpec, bisect_param, grid_min
 
@@ -286,6 +286,12 @@ def test_dihedral_right_angle_wedge():
     assert dihedral_angle(*flat_pair(1.0, -1.0)) == pytest.approx(math.pi / 2)
 
 
+def test_glue_refuses_charts_in_the_wrong_order():
+    L, R = flat_pair(0.0, 0.0)
+    with pytest.raises(PreconditionError, match=r"expects \(left, right\) charts"):
+        glue_and_smooth(R, L, 0.1, 0.02)
+
+
 def test_dihedral_reflex_corner_rejected_by_glue():
     L, R = flat_pair(-1.0, 1.0)
     assert dihedral_angle(L, R) > math.pi
@@ -462,6 +468,20 @@ def test_face_graph_exit_detected():
                          [(Poly((1.0,)), Poly((1.0,)))], b_rng=(-0.5, 0.5))
     with pytest.raises(DomainError):
         face_second_form(ok_ch, -10.0)
+
+
+def test_face_graph_exit_between_the_chart_samples_fails_the_scan():
+    # phi = 0.6 sin(23 pi a) vanishes at the 24 points of [-1, 0] that the
+    # constructor checks, but reaches +-0.6 between them, outside the
+    # b-range [-0.5, 0.5]: the b-factors' jets refuse those face points.
+    ch = simple_chart("left", Poly((1.0,)), Sin(0.6, 23.0 * math.pi),
+                      [(Poly((1.0,)), Poly((1.0,)))], b_rng=(-0.5, 0.5))
+    with pytest.raises(DomainError):
+        face_second_form(ch, -0.5 / 23.0)
+    for certificate in (convexity_certificate, concavity_certificate):
+        with pytest.raises(EvaluationError) as info:
+            certificate(ch, GridSpec.line(-1.0, 0.0, 101))
+        assert isinstance(info.value.__cause__, DomainError)
 
 
 def test_chart_requires_normalization():

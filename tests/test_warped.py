@@ -246,6 +246,18 @@ def test_closed_ends_refuse_points_outside_the_domain(s):
                        else 0.5, s)
 
 
+def test_a_float_outside_the_domain_is_named_as_a_float():
+    # A float goes through the array kernel as a one-point array; the error
+    # names it as the caller wrote it, not as np.float64(-1.0).
+    g = round_sphere(1.0)
+    path = WarpedMetricPath(k0=g.k, k1=g.k, h0=g.h, h1=g.h, m=3, n=3,
+                            start_kind="closed_h", end_kind="closed_k")
+    with pytest.raises(DomainError, match=r"^x=-1\.0 outside domain"):
+        sectional(g, -1.0)
+    with pytest.raises(DomainError, match=r"^x=-1\.0 outside domain"):
+        path.sectional(0.5, -1.0)
+
+
 def test_closure_requires_counterpart_evenness():
     dom = (0.0, 1.5)
     with pytest.raises(PreconditionError):
