@@ -14,7 +14,6 @@ sorted, and no timestamps are included.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -118,12 +117,24 @@ def canonical_json(obj, indent=0) -> str:
     return _fmt(obj)
 
 
-def _write_csv(path: Path, header, rows):
+_CSV_BLOCK = 4096  # rows per formatted block: bounds the temporary copies
+
+
+def _write_csv(path: Path, header, columns):
+    """Write equal-length float ``columns`` under ``header``: ``%.17g`` cells,
+    comma separators, CRLF line ends and no quoting, which are the bytes that
+    ``csv.writer`` writes for rows of ``format(float(v), ".17g")`` cells."""
+    columns = [np.asarray(c, dtype=float) for c in columns]
+    nrows = len(columns[0])
+    if len(header) != len(columns) or any(len(c) != nrows for c in columns):
+        raise ValueError(f"CSV {path.name}: {len(header)} header names for "
+                         f"columns of lengths {[len(c) for c in columns]}")
+    row = ",".join(["%.17g"] * len(columns)) + "\r\n"
     with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([format(float(v), ".17g") for v in row])
+        fh.write(",".join(header) + "\r\n")
+        for i in range(0, nrows, _CSV_BLOCK):
+            block = np.column_stack([c[i:i + _CSV_BLOCK] for c in columns])
+            fh.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +153,7 @@ def _run_spline_demo(p, ctx):
     a, b = curve.jet(x), smoothed.jet(x)  # left limits at kinks
     ctx.csv("spline.csv",
             ("x", "in_value", "in_d1", "in_d2", "out_value", "out_d1", "out_d2"),
-            zip(x, a.value, a.d1, a.d2, b.value, b.d1, b.d2))
+            (x, a.value, a.d1, a.d2, b.value, b.d1, b.d2))
 
     seam = 0.0
     for x, _ in smoothed.kinks:
@@ -174,8 +185,7 @@ def _run_curvature(p, ctx):
     ctx.certificate("min_ricci", cert)
 
     samples = sectional(g, np.linspace(lo, hi, p["samples"]))
-    ctx.csv("curvature.csv", CurvatureSample.CSV_HEADER,
-            zip(*samples.as_row()))
+    ctx.csv("curvature.csv", CurvatureSample.CSV_HEADER, samples.as_row())
     results = {"domain": [lo, hi], "min_ricci": cert.min_margin}
     if p["expect_constant"] is not None:
         want = p["expect_constant"]
@@ -221,8 +231,8 @@ def _run_glue_corner(p, ctx):
     a = np.linspace(a_lo, a_hi, p["samples"])
     ctx.csv("face_forms.csv",
             cor.FaceSecondForm.CSV_HEADER + ("profile_hessian",),
-            zip(*cor.face_second_form(glued, a).as_row(),
-                cor.face_profile_hessian(glued, a)))
+            (*cor.face_second_form(glued, a).as_row(),
+             cor.face_profile_hessian(glued, a)))
 
     a = np.linspace(a_lo, a_hi, 257)
     a = a[np.abs(a) > eps + delta]
@@ -276,8 +286,8 @@ def _run_isotopy(p, ctx):
 
     s = np.linspace(0.0, profile.T, p["samples"])
     ctx.csv("warping.csv", ("s", "k0", "h0", "k1", "k_round", "h_round"),
-            zip(s, profile.k.value(s), profile.h.value(s), target.k1.value(s),
-                stage2.k1.value(s), stage2.h1.value(s)))
+            (s, profile.k.value(s), profile.h.value(s), target.k1.value(s),
+             stage2.k1.value(s), stage2.h1.value(s)))
     return {"nu": nu, "nu_search": searched,
             "breakpoints": {"T0": profile.T0, "T1": profile.T1,
                             "T2": profile.T2, "T3": profile.T3,
@@ -322,7 +332,7 @@ def _run_concordance(p, ctx):
     t, lam_t, rho_t, residual = cons.sample_schedule(params, rho, lam,
                                                      p["schedule_samples"])
     worst = float(np.max(residual))
-    ctx.csv("schedule.csv", ("t", "lambda", "rho"), zip(t, lam_t, rho_t))
+    ctx.csv("schedule.csv", ("t", "lambda", "rho"), (t, lam_t, rho_t))
     ctx.check("schedule_residuals", 1e-10 - worst,
               "|alpha lam' - Gamma| and |beta rho'/rho + Gamma| below 1e-10")
     ends = {
@@ -374,9 +384,10 @@ class _Context:
     def check(self, name, margin, note=""):
         self.checks.append(cons._check(name, margin, note))
 
-    def csv(self, name, header, rows):
+    def csv(self, name, header, columns):
+        """Write ``name`` from a tuple of equal-length float arrays."""
         self.out_dir.mkdir(parents=True, exist_ok=True)
-        _write_csv(self.out_dir / name, header, rows)
+        _write_csv(self.out_dir / name, header, columns)
         self.artifacts.append(name)
 
 

@@ -4,6 +4,12 @@ against a table of its fields, so malformed input raises ScenarioError."""
 
 import math
 
+import numpy as np
+
+# The largest count numpy can size an array axis by: a larger sample or grid
+# count is refused before anything is allocated.
+MAX_COUNT = int(np.iinfo(np.intp).max)
+
 
 class PreconditionError(ValueError):
     """An operation was invoked on inputs violating its stated preconditions."""
@@ -98,10 +104,13 @@ def integer(v) -> int:
 
 
 def positive_int(v) -> int:
-    """``integer(v)`` of a count that must be at least 1."""
-    if integer(v) < 1:
+    """``integer(v)`` of a count from 1 to ``MAX_COUNT``."""
+    count = integer(v)
+    if count < 1:
         raise TypeError(f"expected a positive integer, got {v!r}")
-    return int(v)
+    if count > MAX_COUNT:
+        raise TypeError(f"expected a count up to {MAX_COUNT}, got {v!r}")
+    return count
 
 
 def text(v) -> str:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EvaluationError, PreconditionError, SearchError
+from .errors import MAX_COUNT, EvaluationError, PreconditionError, SearchError
 
 __all__ = ["GridSpec", "PositivityCertificate", "grid_min", "bisect_param",
            "blockwise"]
@@ -45,12 +45,20 @@ class GridSpec:
         for lo, hi, count in self.axes:
             if not (lo < hi):
                 raise PreconditionError(f"axis bounds out of order: ({lo!r}, {hi!r})")
-            if count < 2:
-                raise PreconditionError("axis counts must be >= 2")
+            if not 2 <= count <= MAX_COUNT:
+                raise PreconditionError(f"axis counts must be in [2, {MAX_COUNT}]")
         if self.depth < 0:
             raise PreconditionError("refinement depth must be >= 0")
         if self.factor < 2:
             raise PreconditionError("refinement factor must be >= 2")
+        # Level d's cells are factor**(d - 1) times finer than the coarse
+        # step; past 2**52 they only re-sample the same float64 points.
+        # Compared as logarithms, so no power of a huge depth is built.
+        deepest = 1 + math.floor(52 / math.log2(self.factor))
+        if self.depth > deepest:
+            raise PreconditionError(
+                f"refinement depth must be <= {deepest} with factor {self.factor}: "
+                "deeper levels re-sample the same float64 points")
 
     @staticmethod
     def line(lo: float, hi: float, count: int, depth: int = 0, factor: int = 4) -> "GridSpec":

@@ -8,9 +8,12 @@ round sphere, so these routines can arbitrate the closed forms in the
 package. ``_jet_safe`` is the one jet-based piece: the per-point reference
 for the package's array evaluations. ``bisect_dive_center`` is the
 bisection reference for the secant step that places a dive's bump center.
+``write_csv_rows`` is the row-by-row reference for the CLI's CSV bytes.
 """
 
 from __future__ import annotations
+
+import csv
 
 import numpy as np
 
@@ -236,3 +239,13 @@ def warped_full_metric(k, h, m, n):
         return np.diag(diag)
 
     return fn
+
+
+def write_csv_rows(path, header, rows):
+    """One ``csv.writer`` row per row of ``format(float(v), ".17g")`` cells:
+    the writer ``cli._write_csv`` replaced, whose bytes it must keep."""
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([format(float(v), ".17g") for v in row])

@@ -354,6 +354,38 @@ def test_sample_counts_below_one_exit_two(tmp_path, name, key, count):
         f"scenario key {key!r}: expected a positive integer, got {count}")}
 
 
+@pytest.mark.parametrize("name, key", [
+    ("curvature_round_sphere.json", "samples"),
+    ("concordance_bump.json", "schedule_samples"),
+])
+def test_sample_counts_above_array_size_exit_two(tmp_path, name, key):
+    code, report = run_scenario({**load(name), key: 1e300}, tmp_path)
+    assert code == 2
+    assert report["error"] == {"kind": "scenario", "message": (
+        f"scenario key {key!r}: expected a count up to "
+        f"{np.iinfo(np.intp).max}, got 1e+300")}
+
+
+@pytest.mark.parametrize("key, message", [
+    ("count", "axis counts must be in [2, "),
+    ("depth", "refinement depth must be <= 27 with factor 4"),
+])
+def test_grid_sizes_past_float64_or_array_size_exit_three(tmp_path, key,
+                                                          message):
+    scenario = load("curvature_round_sphere.json")
+    scenario["grid"] = {**scenario["grid"], key: 1e300}
+    code, report = run_scenario(scenario, tmp_path)
+    assert code == 3
+    assert report["error"]["kind"] == "PreconditionError"
+    assert report["error"]["message"].startswith(message)
+
+
+def test_grid_depth_override_past_float64_exits_three(tmp_path):
+    code = main([str(SCENARIOS / "curvature_round_sphere.json"),
+                 "--out", str(tmp_path), "--grid-depth", str(10**400)])
+    assert code == 3
+
+
 @pytest.mark.parametrize("name, key, value", [
     ("curvature_round_sphere.json", "threshold", math.nan),
     ("curvature_round_sphere.json", "threshold", math.inf),

@@ -202,6 +202,19 @@ def test_grid_spec_validation():
         GridSpec(((0.0, 1.0, 4),), depth=-1)
     with pytest.raises(PreconditionError):
         GridSpec(((0.0, 1.0, 4),), factor=1)
+    with pytest.raises(PreconditionError):
+        GridSpec.line(0.0, 1.0, np.iinfo(np.intp).max + 1)
+
+
+@pytest.mark.parametrize("factor, deepest", [(2, 53), (3, 33), (4, 27),
+                                             (2**52, 2), (2**53, 1)])
+def test_grid_depth_stops_at_float64_resolution(factor, deepest):
+    # (depth - 1) * log2(factor) <= 52: a deeper level's cells would be
+    # finer than 2**-52 of the coarse step.
+    GridSpec(((0.0, 1.0, 4),), deepest, factor)
+    for depth in (deepest + 1, 10**400):
+        with pytest.raises(PreconditionError, match=f"<= {deepest} with"):
+            GridSpec(((0.0, 1.0, 4),), depth, factor)
 
 
 def test_bisect_threshold_from_both_sides():
