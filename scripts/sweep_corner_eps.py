@@ -8,7 +8,6 @@ delta, the grid and both certificates are the command's own. Writes
 out/corner_eps_sweep.csv.
 """
 
-import csv
 import json
 import sys
 import tempfile
@@ -19,7 +18,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np  # noqa: E402
 
-from riccicert.cli import run_scenario  # noqa: E402
+from riccicert.cli import _write_csv, run_scenario  # noqa: E402
 
 
 def main():
@@ -39,10 +38,9 @@ def main():
             print(f"eps={eps:.4f}  convexity {r['convexity_margin']:+.5f}  "
                   f"concavity {r['concavity_margin']:+.5f}")
 
-    with (out / "corner_eps_sweep.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("eps", "delta", "convexity_margin", "concavity_margin"))
-        writer.writerows(rows)
+    header = ("eps", "delta", "convexity_margin", "concavity_margin")
+    _write_csv(out / "corner_eps_sweep.csv", header,
+               np.reshape(rows, (-1, len(header))).T)
     print(f"wrote {out / 'corner_eps_sweep.csv'}")
 
 

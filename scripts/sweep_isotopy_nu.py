@@ -7,7 +7,6 @@ with an explicit ``nu`` on a coarser grid (32 lambda x 160 s points, one
 refinement level). Writes out/isotopy_nu_sweep.csv.
 """
 
-import csv
 import json
 import sys
 import tempfile
@@ -18,7 +17,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np  # noqa: E402
 
-from riccicert.cli import run_scenario  # noqa: E402
+from riccicert.cli import _write_csv, run_scenario  # noqa: E402
 
 GRID = {"lambda_count": 32, "s_count": 160, "depth": 1, "factor": 4}
 
@@ -40,10 +39,9 @@ def main():
             rows.append((nu, m1, m2))
             print(f"nu={nu:.4f}  stage1 {m1:+.5f}  stage2 {m2:+.5f}")
 
-    with (out / "isotopy_nu_sweep.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("nu", "stage1_min_ricci", "stage2_min_ricci"))
-        writer.writerows(rows)
+    header = ("nu", "stage1_min_ricci", "stage2_min_ricci")
+    _write_csv(out / "isotopy_nu_sweep.csv", header,
+               np.reshape(rows, (-1, len(header))).T)
     print(f"wrote {out / 'isotopy_nu_sweep.csv'}")
 
 

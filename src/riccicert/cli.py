@@ -278,7 +278,8 @@ def _run_isotopy(p, ctx):
     ctx.certificate("stage2_min_ricci", cert2)
     ctx.checks += profile.report.checks + target.report.checks
 
-    g_end = stage2.metric_at(stage2.lam_range[1])
+    g_end = DoublyWarpedMetric(stage2.k1, stage2.h1, m, n, stage2.start_kind,
+                               stage2.end_kind)
     c = sectional(g_end, np.linspace(0.0, profile.T, 400))
     dev = float(max(np.max(np.abs(K - 1.0 / R**2)) for K in c.sectionals))
     ctx.check("round_endpoint", 1e-8 - dev,
@@ -395,8 +396,12 @@ def run_scenario(scenario, out_dir, threads: int = 1, grid_depth=None,
                  emit_json: bool = False):
     """Run one scenario (dict or path); returns (exit_code, report_dict).
 
-    ``threads`` is accepted for compatibility and ignored: scans run on
-    arrays in one thread.
+    A ``ScenarioError`` returns exit 2, and a ``PreconditionError``,
+    ``SearchError`` or ``EvaluationError`` exit 3, each with an error
+    report. Any other exception propagates to the caller as raised: only
+    ``main`` turns it into exit 4, so an in-process caller sees the crash
+    itself. ``threads`` is accepted for compatibility and ignored: scans
+    run on arrays in one thread.
     """
     out = Path(out_dir)
     ctx = _Context(out, grid_depth)

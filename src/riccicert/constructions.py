@@ -41,7 +41,7 @@ from .jetcurve import (
 from .spline import hermite_quintic, two_stage_smooth
 from .verify import (GridSpec, PositivityCertificate, bisect_param, blockwise,
                      grid_min)
-from .warped import DoublyWarpedMetric, WarpedMetricPath
+from .warped import DoublyWarpedMetric, WarpedMetricPath, closure_defect
 
 __all__ = [
     "ConditionCheck",
@@ -388,16 +388,14 @@ def _profile_report(k, h, R, nu, b1, a, T0, T1, T2, T3, T, s_j) -> ConditionRepo
                              T1, T - eta * (T - T1)),
                "k'' < 0 on (T1, T), checked with a 1% inset at T"),
         _check("k_closes_at_T",
-               1e-8 - max(abs(k.jet(T).value), abs(k.jet(T).d1 + 1.0),
-                          abs(k.jet(T).d2)),
+               1e-8 - closure_defect(k, T, -1.0),
                "k(T)=0, k'(T)=-1, k''(T)=0"),
         _check("k_slope_bounded",
                1e-9 + 1.0 - _grid_extreme(lambda s: abs(k.jet(s).d1), 0.0, T,
                                           reduce=np.max),
                "|k'| <= 1"),
         _check("h_closes_at_0",
-               1e-9 - max(abs(h.jet(0.0).value), abs(h.jet(0.0).d1 - 1.0),
-                          abs(h.jet(0.0).d2)),
+               1e-9 - closure_defect(h, 0.0, 1.0),
                "h(0)=0, h'(0)=1, h''(0)=0"),
         _check("h_ratio_before_T1",
                _grid_extreme(lambda s: -h.jet(s).d2 / h.value(s) - 1.0 / (5.0 * R),
@@ -492,8 +490,7 @@ def _target_report(profile: BoundaryProfile, k1, h1, nu, cb) -> ConditionReport:
                1e-9 - max(abs(k1.jet(0.0).d1), abs(k1.jet(0.0).d3)),
                "k1 odd derivatives vanish at 0"),
         _check("k1_closes_at_T",
-               1e-8 - max(abs(k1.jet(T).value), abs(k1.jet(T).d1 + 1.0),
-                          abs(k1.jet(T).d2)),
+               1e-8 - closure_defect(k1, T, -1.0),
                "k1(T)=0, k1'(T)=-1, k1''(T)=0"),
         _check("k1_matches_k0_at_T1",
                1e-8 - abs(k1.value(T1) - profile.k.value(T1)),

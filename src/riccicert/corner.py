@@ -338,11 +338,8 @@ def _check_glue_face(left: BiWarp, right: BiWarp):
 
 
 def _union_curve(cl: Jet3Curve, cr: Jet3Curve) -> Jet3Curve:
-    vl, vr = cl.value(0.0), cr.value(0.0)
-    if abs(vl - vr) > _MATCH_TOL * max(1.0, abs(vl), abs(vr)):
-        raise PreconditionError(
-            f"chart functions disagree at the glue: {vl!r} vs {vr!r}"
-        )
+    """``cl`` and ``cr`` as one curve with a corner at a = 0; the curve
+    refuses them unless their values match there."""
     pieces = cl.pieces + cr.pieces
     kinks = cl.kinks + ((0.0, 1),) + cr.kinks
     return Jet3Curve((cl.domain[0], cr.domain[1]), pieces, kinks)

@@ -42,7 +42,6 @@ __all__ = [
     "ExpOf",
     "AffineOf",
     "Jet3Curve",
-    "affine_combine",
     "node_from_dict",
     "constant",
 ]
@@ -564,11 +563,11 @@ class Jet3Curve:
         new_pieces.sort(key=lambda p: p[0])
         dropped = set(drop_kinks)
         kept = [kk for kk in self.kinks if kk[0] not in dropped]
-        for loc, _ in kept:
+        for loc, order in kept:
             if lo < loc < hi:
                 raise PreconditionError(
-                    f"undropped kink at {loc!r} inside replacement window"
-                )
+                    f"window [{lo!r}, {hi!r}] overlaps foreign kink at {loc!r} "
+                    f"(order {order})")
         return Jet3Curve(self.domain, tuple(new_pieces), tuple(kept) + tuple(add_kinks))
 
     def reversed(self) -> "Jet3Curve":
@@ -603,28 +602,3 @@ class Jet3Curve:
                                       "pieces": list_of(piece),
                                       "kinks": (list_of(tuple_of(number, integer)), ())},
                                   "curve"))
-
-
-def affine_combine(c1: Jet3Curve, c2: Jet3Curve, w: float) -> Jet3Curve:
-    """Pointwise ``(1 - w) * c1 + w * c2`` with jets combined linearly.
-
-    Domains must match exactly. Kinks of either input are kept (with the
-    lower order when both mark the same point), which is conservative: the
-    combination cannot be smoother than its worst input unless weights kill
-    a term.
-    """
-    if c1.domain != c2.domain:
-        raise PreconditionError(f"domain mismatch: {c1.domain!r} vs {c2.domain!r}")
-    cuts = sorted({a for a, _, _ in c1.pieces} | {a for a, _, _ in c2.pieces}
-                  | {c1.domain[1]})
-    pieces = []
-    for a, b in zip(cuts, cuts[1:]):
-        mid = 0.5 * (a + b)
-        _, n1 = c1._piece_at(mid, None)
-        _, n2 = c2._piece_at(mid, None)
-        pieces.append((a, b, Sum((Scale(n1, 1.0 - w), Scale(n2, w)))))
-    merged: dict = {}
-    for x, order in c1.kinks + c2.kinks:
-        merged[x] = min(order, merged.get(x, 4))
-    kinks = tuple(sorted(merged.items()))
-    return Jet3Curve(c1.domain, tuple(pieces), kinks)

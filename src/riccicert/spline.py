@@ -9,8 +9,9 @@ two points. The output agrees with the input outside the windows,
 bit-identically.
 
 The receiving :class:`Jet3Curve` checks each window: its jets refuse an end
-outside the domain, and its seams must match through the declared order, so
-a Hermite solve that loses its endpoint data is refused there.
+outside the domain or on a marked kink, ``replace_window`` refuses a foreign
+kink inside the window, and its seams must match through the declared order,
+so a Hermite solve that loses its endpoint data is refused there.
 
 Segment coefficients are found by solving the Hermite system in the scaled
 local variable a/width, where the matrix is constant and perfectly
@@ -106,22 +107,15 @@ def hermite_quintic(left: Jet3, right: Jet3, delta: float) -> SplineSegment:
     return _hermite(left, right, delta, 2, "delta")
 
 
-def _check_window(curve: Jet3Curve, lo: float, hi: float, allow=()):
-    for x, order in curve.kinks:
-        if lo <= x <= hi and x not in allow:
-            raise PreconditionError(
-                f"window [{lo!r}, {hi!r}] overlaps foreign kink at {x!r} (order {order})"
-            )
-
-
 def _smooth_window(hermite, curve: Jet3Curve, center: float, width: float,
                    new_order: int) -> Jet3Curve:
     """``curve`` with ``center +- width`` replaced by the ``hermite``
     polynomial through its jets at the window ends, which become kinks of
-    ``new_order``; a kink marked at ``center`` is dropped. A failed jet, solve
-    or seam raises its own error class, with the window named."""
+    ``new_order``; a kink marked at ``center`` is dropped. The curve refuses
+    any other kink in the window: its jets one at either end, and
+    ``replace_window`` one inside. A failed jet, solve, seam or kink check
+    raises its own error class, with the window named."""
     lo, hi = center - width, center + width
-    _check_window(curve, lo, hi, allow={center})
     drop = (center,) if curve.kink_order(center) is not None else ()
     try:
         seg = hermite(curve.jet(lo), curve.jet(hi), width)

@@ -51,6 +51,10 @@ class GridSpec:
             raise PreconditionError("refinement depth must be >= 0")
         if self.factor < 2:
             raise PreconditionError("refinement factor must be >= 2")
+        if 2 * self.factor + 1 > MAX_COUNT:
+            raise PreconditionError(
+                f"refinement factor must be <= {(MAX_COUNT - 1) // 2}: a refined "
+                "cell is sampled at 2 * factor + 1 points per axis")
         # Level d's cells are factor**(d - 1) times finer than the coarse
         # step; past 2**52 they only re-sample the same float64 points.
         # Compared as logarithms, so no power of a huge depth is built.

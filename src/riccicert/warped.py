@@ -39,7 +39,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DomainError, PreconditionError
-from .jetcurve import Jet3, Jet3Curve, _first, _pointwise, affine_combine
+from .jetcurve import Jet3, Jet3Curve, _first, _pointwise
 from .verify import GridSpec, PositivityCertificate, blockwise, grid_min
 
 __all__ = [
@@ -48,7 +48,7 @@ __all__ = [
     "WarpedMetricPath",
     "curvature_from_jets",
     "sectional",
-    "min_ricci",
+    "closure_defect",
 ]
 
 ENDPOINT_KINDS = ("closed_k", "closed_h", "boundary")
@@ -111,29 +111,18 @@ class DoublyWarpedMetric:
         return self.k.domain
 
     def _check_closure(self):
-        lo, hi = self.domain
-        checks = []
-        if self.start_kind == "closed_h":
-            jh, jk = self.h.jet(lo), self.k.jet(lo)
-            checks += [("h(0)", jh.value), ("h'(0)-1", jh.d1 - 1.0),
-                       ("h''(0)", jh.d2), ("k'(0)", jk.d1)]
-        if self.start_kind == "closed_k":
-            jk, jh = self.k.jet(lo), self.h.jet(lo)
-            checks += [("k(0)", jk.value), ("k'(0)-1", jk.d1 - 1.0),
-                       ("k''(0)", jk.d2), ("h'(0)", jh.d1)]
-        if self.end_kind == "closed_k":
-            jk, jh = self.k.jet(hi), self.h.jet(hi)
-            checks += [("k(T)", jk.value), ("k'(T)+1", jk.d1 + 1.0),
-                       ("k''(T)", jk.d2), ("h'(T)", jh.d1)]
-        if self.end_kind == "closed_h":
-            jh, jk = self.h.jet(hi), self.k.jet(hi)
-            checks += [("h(T)", jh.value), ("h'(T)+1", jh.d1 + 1.0),
-                       ("h''(T)", jh.d2), ("k'(T)", jk.d1)]
-        for name, err in checks:
-            if abs(err) > _CLOSE_TOL:
+        for x, kind, slope in zip(self.domain, (self.start_kind, self.end_kind),
+                                  (1.0, -1.0)):
+            if kind == "boundary":
+                continue
+            c, o = "kh" if kind == "closed_k" else "hk"
+            defect = max(closure_defect(getattr(self, c), x, slope),
+                         abs(getattr(self, o).jet(x).d1))
+            if defect > _CLOSE_TOL:
                 raise PreconditionError(
-                    f"endpoint closure violated: |{name}| = {abs(err):.3e} > {_CLOSE_TOL}"
-                )
+                    f"endpoint closure violated at s={x!r}: {kind} needs {c} = 0, "
+                    f"{c}' = {slope:+g}, {c}'' = 0 and {o}' = 0, off by "
+                    f"{defect:.3e} > {_CLOSE_TOL}")
 
     def _check_positivity(self):
         lo, hi = self.domain
@@ -146,7 +135,14 @@ class DoublyWarpedMetric:
             )
 
     def min_ricci(self, grid: GridSpec, threshold: float = 1e-6) -> PositivityCertificate:
-        return min_ricci(self, grid, threshold)
+        """Certificate that min(Ric_s, Ric_k, Ric_h) > threshold over the domain."""
+        return grid_min(
+            lambda pts: blockwise(lambda s: sectional(self, s).min_ric(), pts[:, 0]),
+            grid,
+            threshold=threshold,
+            quantity_id="min_ricci",
+            batched=True,
+        )
 
     def scaled(self, c: float) -> "DoublyWarpedMetric":
         """The metric with (k, h, s) -> (c k(s/c), c h(s/c), c s)."""
@@ -161,6 +157,14 @@ class DoublyWarpedMetric:
             return Jet3Curve((curve.domain[0] * c, curve.domain[1] * c), pieces, kinks)
 
         return replace(self, k=stretch(self.k), h=stretch(self.h))
+
+
+def closure_defect(curve: Jet3Curve, x: float, slope: float) -> float:
+    """How far ``curve`` is from closing its fiber smoothly at ``x``:
+    max(|c(x)|, |c'(x) - slope|, |c''(x)|), with slope +1 at a start and -1
+    at an end."""
+    j = curve.jet(x)
+    return max(abs(j.value), abs(j.d1 - slope), abs(j.d2))
 
 
 def _check_warpings(curves: dict, m: int, n: int, start_kind: str,
@@ -244,25 +248,13 @@ def sectional(g: DoublyWarpedMetric, s: float) -> CurvatureSample:
                                s=s, at_start=at_start, at_end=at_end)
 
 
-def min_ricci(g: DoublyWarpedMetric, grid: GridSpec,
-              threshold: float = 1e-6) -> PositivityCertificate:
-    """Certificate that min(Ric_s, Ric_k, Ric_h) > threshold over the domain."""
-    return grid_min(
-        lambda pts: blockwise(lambda s: sectional(g, s).min_ric(), pts[:, 0]),
-        grid,
-        threshold=threshold,
-        quantity_id="min_ricci",
-        batched=True,
-    )
-
-
 @dataclass(frozen=True)
 class WarpedMetricPath:
     """Affine family g_lam with k_lam = (1-u) k0 + u k1 (same for h), where
     u = (lam - lam_range[0]) / (lam_range[1] - lam_range[0]).
 
-    Owns path-wise positivity queries; the endpoint metrics are recovered
-    bit-exactly at the range ends.
+    Owns path-wise positivity queries; the end metrics are those of
+    (k0, h0) and (k1, h1).
     """
 
     k0: Jet3Curve
@@ -290,17 +282,6 @@ class WarpedMetricPath:
         if bad:
             raise DomainError(f"lambda={bad[0]!r} outside {self.lam_range!r}")
         return (lam - a) / (b - a)
-
-    def metric_at(self, lam: float) -> DoublyWarpedMetric:
-        u = self.weight(lam)
-        if u == 0.0:
-            k, h = self.k0, self.h0
-        elif u == 1.0:
-            k, h = self.k1, self.h1
-        else:
-            k = affine_combine(self.k0, self.k1, u)
-            h = affine_combine(self.h0, self.h1, u)
-        return DoublyWarpedMetric(k, h, self.m, self.n, self.start_kind, self.end_kind)
 
     def _level_jets(self, s: np.ndarray):
         """The sorted distinct values ``x`` of ``s``, the index of each point

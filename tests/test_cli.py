@@ -380,6 +380,17 @@ def test_grid_sizes_past_float64_or_array_size_exit_three(tmp_path, key,
     assert report["error"]["message"].startswith(message)
 
 
+def test_grid_factor_past_array_size_exits_three(tmp_path, capsys):
+    # Refined at depth 1, such a factor asked numpy for a 2e300-point
+    # linspace and exited 4.
+    scenario = load("curvature_round_sphere.json")
+    scenario["grid"] = {"count": 100, "depth": 1, "factor": 1e300}
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    assert main([str(path), "--out", str(tmp_path / "out")]) == 3
+    assert "refinement factor must be <=" in capsys.readouterr().err
+
+
 def test_grid_depth_override_past_float64_exits_three(tmp_path):
     code = main([str(SCENARIOS / "curvature_round_sphere.json"),
                  "--out", str(tmp_path), "--grid-depth", str(10**400)])

@@ -27,7 +27,7 @@ from riccicert.constructions import (
 from riccicert.errors import ConditionError, PreconditionError, SearchError
 from riccicert.jetcurve import Jet3Curve, Poly, Sin, Sum
 from riccicert.verify import GridSpec, grid_min
-from riccicert.warped import DoublyWarpedMetric, min_ricci, sectional
+from riccicert.warped import DoublyWarpedMetric, sectional
 
 R_TEST = 2.0
 B1 = 0.795  # keeps the stage-1 dive feasible after T2 at R = 2
@@ -237,16 +237,15 @@ def test_profile_metric_fails_in_the_known_band_at_the_shipped_nu():
     profile = make_boundary_profile(2.0, 0.021183203125, 0.795)
     g = profile.metric(3, 3)
     assert sectional(g, 1.949).Ric_s == pytest.approx(-0.01373, abs=1e-5)
-    cert = min_ricci(g, GridSpec.line(0.0, profile.T, 4096, 2, 2))
+    cert = g.min_ricci(GridSpec.line(0.0, profile.T, 4096, 2, 2))
     assert not cert.passed
     assert 1.94786 <= cert.argmin[0] <= 1.95022
 
 
 def test_stage1_endpoints_bit_exact(profile, target):
     path = isotopy_stage1(profile, target, 3, 3)
-    assert path.metric_at(0.0).k is profile.k
-    assert path.metric_at(1.0).k is target.k1
-    assert path.metric_at(1.0).h is target.h1
+    assert path.k0 is profile.k and path.h0 is profile.h
+    assert path.k1 is target.k1 and path.h1 is target.h1
 
 
 def test_profile_metric_and_stage1_agree_inside_the_guard_bands(profile,
@@ -288,7 +287,8 @@ def test_stage2_ricci_positive_and_ends_round(profile, target):
     path = isotopy_stage2(target.k1, target.h1, R_TEST, 3, 3)
     grid = GridSpec.box([(1.0, 2.0, 24), (0.0, profile.T, 128)], depth=1)
     assert path.min_ricci(grid).passed
-    g2 = path.metric_at(2.0)
+    g2 = DoublyWarpedMetric(path.k1, path.h1, 3, 3, path.start_kind,
+                            path.end_kind)
     for s in np.linspace(0.0, profile.T, 64):
         c = sectional(g2, s)
         for v in (c.K_sk, c.K_sh, c.K_kk, c.K_hh, c.K_kh):
@@ -298,19 +298,17 @@ def test_stage2_ricci_positive_and_ends_round(profile, target):
 def test_stage_concatenation_shares_the_metric(profile, target):
     p1 = isotopy_stage1(profile, target, 3, 3)
     p2 = isotopy_stage2(target.k1, target.h1, R_TEST, 3, 3)
-    end = p1.metric_at(1.0)
-    start = p2.metric_at(1.0)
-    assert end.k is start.k and end.h is start.h
+    assert p1.k1 is p2.k0 and p1.h1 is p2.h0
 
 
 def test_stage1_derivative_identities_along_path(profile, target):
-    # k_lam'(0) = 0 and h_lam'(0) = 1 for every lambda
+    # k_lam'(0) = 0, h_lam'(0) = 1 and k_lam'(T) = -1 for every lambda: the
+    # path is affine in lambda, so its two end pairs decide them.
     path = isotopy_stage1(profile, target, 3, 3)
-    for lam in (0.0, 0.3, 0.7, 1.0):
-        g = path.metric_at(lam)
-        assert g.k.jet(0.0).d1 == pytest.approx(0.0, abs=1e-12)
-        assert g.h.jet(0.0).d1 == pytest.approx(1.0, abs=1e-12)
-        assert g.k.jet(profile.T).d1 == pytest.approx(-1.0, abs=1e-9)
+    for k, h in ((path.k0, path.h0), (path.k1, path.h1)):
+        assert k.jet(0.0).d1 == pytest.approx(0.0, abs=1e-12)
+        assert h.jet(0.0).d1 == pytest.approx(1.0, abs=1e-12)
+        assert k.jet(profile.T).d1 == pytest.approx(-1.0, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------

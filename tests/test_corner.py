@@ -366,6 +366,19 @@ def test_glue_rejects_mismatched_boundaries():
         glue_and_smooth(left, right_bad, 0.1, 0.02)
 
 
+def test_glue_refuses_an_a_factor_mismatch_where_h_agrees():
+    # H = f1(a) g(b) + f2(a) g(b): both charts have H(0, b) = g(b), but
+    # f1(0) is 0.6 on the left and 0.4 on the right, so the union of f1
+    # breaks at a = 0.
+    g = Poly((1.0, 0.1))
+    L = simple_chart("left", Poly((1.0,)), Poly((0.0,)),
+                     [(Poly((0.6, 0.1)), g), (Poly((0.4,)), g)])
+    R = simple_chart("right", Poly((1.0,)), Poly((0.0,)),
+                     [(Poly((0.4, -0.1)), g), (Poly((0.6,)), g)])
+    with pytest.raises(PreconditionError, match=r"0\.6 vs 0\.4"):
+        glue_and_smooth(L, R, 0.2, 0.04)
+
+
 def test_glue_rejects_nonpositive_second_form_sum():
     # s = 0 makes d_a(H^2) continuous: the b-slice sum is 0, not > 0
     left, right = corner_pair(s=0.0)

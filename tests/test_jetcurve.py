@@ -20,7 +20,6 @@ from riccicert.jetcurve import (
     Sin,
     Sum,
     _NODE_KINDS,
-    affine_combine,
     node_from_dict,
 )
 
@@ -53,38 +52,6 @@ def test_absolute_value_left_jet():
 def test_cubic_monomial_jet():
     curve = Jet3Curve.from_node(Poly((0.0, 0.0, 0.0, 1.0)), (0.0, 2.0))
     assert curve.jet(1.0).as_tuple() == (1.0, 3.0, 6.0, 6.0)
-
-
-def test_affine_combine_constants():
-    c1 = Jet3Curve.from_node(Poly((1.0,)), (0.0, 1.0))
-    c2 = Jet3Curve.from_node(Poly((3.0,)), (0.0, 1.0))
-    out = affine_combine(c1, c2, 0.5)
-    assert out.jet(0.3).value == pytest.approx(2.0, abs=1e-15)
-
-
-def test_affine_combine_identity_weight():
-    c1 = Jet3Curve.from_node(Cos(1.0, 2.0), (0.0, 1.0))
-    c2 = Jet3Curve.from_node(Exp(1.0, -1.0), (0.0, 1.0))
-    out = affine_combine(c1, c2, 0.0)
-    for x in np.linspace(0.0, 1.0, 11):
-        assert out.jet(x).as_tuple() == pytest.approx(c1.jet(x).as_tuple(),
-                                                      rel=1e-15, abs=1e-15)
-
-
-def test_affine_combine_cos_with_constant():
-    # 0.75 cos(s) + 0.25 at s = 0: jet (1, 0, -0.75, 0)
-    c1 = Jet3Curve.from_node(Cos(1.0), (-1.0, 1.0))
-    c2 = Jet3Curve.from_node(Poly((1.0,)), (-1.0, 1.0))
-    out = affine_combine(c1, c2, 0.25)
-    assert out.jet(0.0).as_tuple() == pytest.approx((1.0, 0.0, -0.75, 0.0),
-                                                    abs=1e-15)
-
-
-def test_affine_combine_domain_mismatch():
-    c1 = Jet3Curve.from_node(Poly((1.0,)), (0.0, 1.0))
-    c2 = Jet3Curve.from_node(Poly((1.0,)), (0.0, 2.0))
-    with pytest.raises(PreconditionError):
-        affine_combine(c1, c2, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -170,24 +137,6 @@ def test_jets_match_finite_differences(seed):
     assert jet.is_finite()
     scale = max(1.0, abs(jet.d1))
     assert fd1(node, x) == pytest.approx(jet.d1, rel=1e-7, abs=1e-7 * scale)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(min_value=0, max_value=10_000),
-       st.floats(min_value=0.0, max_value=1.0))
-def test_affine_combine_is_linear_in_jets(seed, w):
-    rng = np.random.default_rng(seed)
-    dom = (-1.0, 1.0)
-    c1 = Jet3Curve.from_node(random_node(rng), dom)
-    c2 = Jet3Curve.from_node(random_node(rng), dom)
-    out = affine_combine(c1, c2, w)
-    for x in rng.uniform(-1.0, 1.0, size=4):
-        j1, j2 = c1.jet(x), c2.jet(x)
-        want = j1.scaled(1.0 - w) + j2.scaled(w)
-        got = out.jet(x)
-        for k in range(4):
-            tol = 1e-12 * max(1.0, abs(want.deriv(k)))
-            assert abs(got.deriv(k) - want.deriv(k)) <= tol
 
 
 def test_fd_consistency_order_at_least_two():

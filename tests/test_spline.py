@@ -333,6 +333,19 @@ def test_two_stage_refuses_a_foreign_kink_in_each_stage_window(x, center, width)
         two_stage_smooth(with_marked_point(x), 0.0, 0.1, 0.02)
 
 
+@pytest.mark.parametrize("center, width, end", [
+    (0.0, 0.1, 0),    # stage 1, left end
+    (0.0, 0.1, 1),    # stage 1, right end
+    (-0.1, 0.02, 0),  # stage 2, left window's left end
+    (0.1, 0.02, 1),   # stage 2, right window's right end
+])
+def test_two_stage_refuses_a_kink_at_a_stage_window_end(center, width, end):
+    window = (center - width, center + width)
+    with pytest.raises(PreconditionError) as info:
+        two_stage_smooth(with_marked_point(window[end]), 0.0, 0.1, 0.02)
+    assert f"[{window[0]!r}, {window[1]!r}]" in str(info.value)
+
+
 def lossy(solve, k):
     """``solve`` with the order-``k`` coefficient off by 1e-6."""
     def wrapped(left, right, width):

@@ -204,6 +204,10 @@ def test_grid_spec_validation():
         GridSpec(((0.0, 1.0, 4),), factor=1)
     with pytest.raises(PreconditionError):
         GridSpec.line(0.0, 1.0, np.iinfo(np.intp).max + 1)
+    # A refined cell is sampled at 2 * factor + 1 points per axis.
+    GridSpec.line(0.0, 1.0, 3, factor=np.iinfo(np.intp).max // 2)
+    with pytest.raises(PreconditionError, match="refinement factor must be <="):
+        GridSpec.line(0.0, 1.0, 3, factor=2**62)
 
 
 @pytest.mark.parametrize("factor, deepest", [(2, 53), (3, 33), (4, 27),

@@ -10,7 +10,6 @@ from riccicert.verify import GridSpec
 from riccicert.warped import (
     DoublyWarpedMetric,
     WarpedMetricPath,
-    min_ricci,
     sectional,
 )
 
@@ -80,7 +79,7 @@ def test_min_ricci_round_sphere_margin():
     # Ricci of the round metric is (m + n - 1) / R^2 in every direction.
     for m, n in ((3, 3), (2, 4)):
         g = round_sphere(1.0, m, n)
-        cert = min_ricci(g, GridSpec.line(0.0, 0.5 * math.pi, 500))
+        cert = g.min_ricci(GridSpec.line(0.0, 0.5 * math.pi, 500))
         assert cert.min_margin == pytest.approx(m + n - 1, abs=1e-8)
 
 
@@ -89,7 +88,7 @@ def test_min_ricci_flat_product_margin_zero():
     g = DoublyWarpedMetric(
         Jet3Curve.from_node(Poly((1.0,)), dom),
         Jet3Curve.from_node(Poly((1.0,)), dom), 3, 3)
-    cert = min_ricci(g, GridSpec.line(0.0, 1.0, 101))
+    cert = g.min_ricci(GridSpec.line(0.0, 1.0, 101))
     assert cert.min_margin == pytest.approx(0.0, abs=1e-14)
     assert not cert.passed  # strict positivity fails at threshold 1e-6
 
@@ -268,6 +267,35 @@ def test_closure_requires_counterpart_evenness():
             start_kind="closed_h")
 
 
+def closed_end_metric(kind, at_end, defect=None):
+    """A metric on [0, 1] closed by ``kind`` at one end: the collapsing
+    warping is u - u^3/6 in the inward distance u to that end, the other one
+    is 1. ``defect`` adds 1e-3 to the collapsing warping's value, slope or
+    second derivative there, or to the other warping's slope."""
+    x, sign = (1.0, -1.0) if at_end else (0.0, 1.0)
+    collapsing = [0.0, sign, 0.0, -sign / 6.0]
+    other = [1.0, 0.0]
+    if defect == "counterpart slope":
+        other[1] += 1e-3
+    elif defect is not None:
+        collapsing[("value", "slope", "second derivative").index(defect)] += 1e-3
+    c = Jet3Curve.from_node(Poly(tuple(collapsing), center=x), (0.0, 1.0))
+    o = Jet3Curve.from_node(Poly(tuple(other), center=x), (0.0, 1.0))
+    k, h = (c, o) if kind == "closed_k" else (o, c)
+    kinds = ("boundary", kind) if at_end else (kind, "boundary")
+    return DoublyWarpedMetric(k, h, 3, 3, *kinds)
+
+
+@pytest.mark.parametrize("kind", ["closed_h", "closed_k"])
+@pytest.mark.parametrize("at_end", [False, True])
+@pytest.mark.parametrize("defect", ["value", "slope", "second derivative",
+                                    "counterpart slope"])
+def test_each_closed_end_refuses_each_closure_defect(kind, at_end, defect):
+    closed_end_metric(kind, at_end)
+    with pytest.raises(PreconditionError, match="endpoint closure violated"):
+        closed_end_metric(kind, at_end, defect)
+
+
 def test_dimension_validation():
     dom = (0.0, 1.0)
     with pytest.raises(PreconditionError):
@@ -299,8 +327,8 @@ def test_path_endpoints_are_bit_exact():
     g1 = round_sphere(1.0)
     path = WarpedMetricPath(k0=g0.k, k1=g1.k, h0=g0.h, h1=g1.h, m=3, n=3,
                             start_kind="closed_h", end_kind="closed_k")
-    assert path.metric_at(0.0).k is g0.k
-    assert path.metric_at(1.0).k is g1.k
+    assert path.k0 is g0.k and path.h0 is g0.h
+    assert path.k1 is g1.k and path.h1 is g1.h
 
 
 def test_path_sectional_interpolates():
