@@ -64,6 +64,31 @@ def _first(bad, *values):
     return tuple(v.item() if bad.size == 1 else v[i] for v in values)
 
 
+_ORDERS = np.array([1.0, 2.0, 3.0])
+
+
+def _horner_rows(coeffs, t):
+    """Rows ``(v, d1, d2, d3)`` of ``sum(coeffs[d] * t**d)`` for an array
+    ``t``, where ``coeffs`` is an array of rows ``coeffs[d]`` that broadcast
+    against ``t``.
+
+    This is the float recurrence of :meth:`Poly.jet` run on all four rows at
+    once, ``state = state * t + (c, 1 v, 2 d1, 3 d2)``: each element sees the
+    same IEEE operations in the same order (``1.0 * v == v``), and leading
+    zero coefficients keep the state at +0.0, so a zero-padded row gives the
+    bits of the unpadded polynomial.
+    """
+    terms = np.empty((len(coeffs), 4) + t.shape)
+    terms[:, 0] = coeffs
+    orders = _ORDERS.reshape((3,) + (1,) * t.ndim)
+    state = np.zeros((4,) + t.shape)
+    for term in terms[::-1]:
+        np.multiply(orders, state[:3], out=term[1:])
+        state *= t
+        state += term
+    return state
+
+
 def _pointwise(fn):
     """Let ``fn(obj, *xs)``, written for float64 arrays, take floats too: they
     go in as 1-point arrays, and the result (an array, or a dataclass of
@@ -146,6 +171,19 @@ class Node:
     """Base for analytic expression nodes. Subclasses implement ``jet``."""
 
     kind = "node"
+    # The field whose cube the third derivative takes as a float, if any.
+    cubed = None
+
+    def __post_init__(self):
+        if self.cubed is None:
+            return
+        b = getattr(self, self.cubed)
+        try:
+            float(b) ** 3
+        except OverflowError:
+            raise PreconditionError(
+                f"{self.kind} node {self.cubed} {b!r}: its cube, which the "
+                "third derivative takes, overflows float64") from None
 
     def jet(self, x: float) -> Jet3:
         raise NotImplementedError
@@ -172,6 +210,9 @@ class Poly(Node):
 
     def jet(self, x: float) -> Jet3:
         t = x - self.center
+        if isinstance(t, np.ndarray):
+            coeffs = np.array(self.coeffs, dtype=float).reshape((-1,) + (1,) * t.ndim)
+            return Jet3(*_horner_rows(coeffs, t))
         v = d1 = d2 = d3 = 0.0
         # Horner simultaneously for p, p', p'', p'''.
         for c in reversed(self.coeffs):
@@ -191,6 +232,7 @@ class Cos(Node):
     phase: float = 0.0
 
     kind = "cos"
+    cubed = "frequency"
 
     def jet(self, x: float) -> Jet3:
         a, b = self.amplitude, self.frequency
@@ -209,6 +251,7 @@ class Sin(Node):
     phase: float = 0.0
 
     kind = "sin"
+    cubed = "frequency"
 
     def jet(self, x: float) -> Jet3:
         a, b = self.amplitude, self.frequency
@@ -227,6 +270,7 @@ class Exp(Node):
     shift: float = 0.0
 
     kind = "exp"
+    cubed = "rate"
 
     def jet(self, x: float) -> Jet3:
         b = self.rate
@@ -244,6 +288,7 @@ class Log(Node):
     shift: float = 0.0
 
     kind = "log"
+    cubed = "rate"
 
     def jet(self, x: float) -> Jet3:
         a, b = self.amplitude, self.rate
@@ -349,6 +394,7 @@ class AffineOf(Node):
     shift: float = 0.0
 
     kind = "affine_of"
+    cubed = "scale"
 
     def jet(self, x: float) -> Jet3:
         b = self.scale
@@ -459,6 +505,24 @@ class Jet3Curve:
             i = len(self.pieces) - 1
         return x, self.pieces[i][2]
 
+    @functools.cached_property
+    def _layout(self):
+        """Per piece: its start, whether that start is a marked kink, and
+        whether it is a ``Poly``; and the ``Poly`` pieces as one zero-padded
+        table of ascending coefficients (row d holds degree d, one column per
+        piece) with their centres."""
+        starts = np.array([a for a, _, _ in self.pieces])
+        at_kink = np.array([self.kink_order(a) is not None for a, _, _ in self.pieces])
+        is_poly = np.array([type(n) is Poly for _, _, n in self.pieces])
+        polys = [(j, self.pieces[j][2]) for j in np.flatnonzero(is_poly)]
+        table = np.zeros((max((len(n.coeffs) for _, n in polys), default=0),
+                          len(self.pieces)))
+        centers = np.zeros(len(self.pieces))
+        for j, n in polys:
+            table[:len(n.coeffs), j] = n.coeffs
+            centers[j] = n.center
+        return starts, at_kink, is_poly, table, centers
+
     def _jet_array(self, x: np.ndarray, side) -> Jet3:
         # _piece_at for an array; side=None takes the left piece at kinks.
         lo, hi = self.domain
@@ -466,21 +530,29 @@ class Jet3Curve:
         bad = _first((x < lo - slack) | (x > hi + slack), x)
         if bad:
             raise DomainError(f"x={bad[0]!r} outside domain [{lo!r}, {hi!r}]")
-        x_c = np.clip(x, lo, hi)
+        x_c = x.clip(lo, hi)
         if len(self.pieces) == 1:
             return self.pieces[0][2].jet(x_c)
-        starts = np.array([p[0] for p in self.pieces])
-        i = np.maximum(np.searchsorted(starts, x_c, side="right") - 1, 0)
+        starts, at_kink, is_poly, table, centers = self._layout
+        i = np.searchsorted(starts, x_c, side="right") - 1  # x_c >= starts[0]
         if side != "right":
             # The left piece owns a shared breakpoint for side="left", and a
             # marked kink for side=None.
             left = (i > 0) & (starts[i] == x_c)
             if side is None:
-                left &= np.isin(x, [loc for loc, _ in self.kinks])
+                left &= at_kink[i]
             i -= left
         i[x_c == hi] = len(self.pieces) - 1
-        parts = [np.empty_like(x_c) for _ in range(4)]
-        for j in np.flatnonzero(np.bincount(i, minlength=len(self.pieces))):
+        # All points on Poly pieces take one Horner pass; each other piece in
+        # use is evaluated by its own node on its own points.
+        if is_poly.all():
+            return Jet3(*_horner_rows(table[:, i], x_c - centers[i]))
+        parts = np.empty((4,) + x_c.shape)
+        fused = is_poly[i]
+        k = i[fused]
+        parts[:, fused] = _horner_rows(table[:, k], x_c[fused] - centers[k])
+        used = np.bincount(i, minlength=len(self.pieces)) > 0
+        for j in np.flatnonzero(used & ~is_poly):
             sel = i == j
             for dest, v in zip(parts, self.pieces[j][2].jet(x_c[sel]).as_tuple()):
                 dest[sel] = v

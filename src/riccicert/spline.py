@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PreconditionError
+from .errors import KinkSideRequired, PreconditionError
 from .jetcurve import Jet3, Jet3Curve, Poly
 
 __all__ = [
@@ -114,7 +114,8 @@ def _smooth_window(hermite, curve: Jet3Curve, center: float, width: float,
     ``new_order``; a kink marked at ``center`` is dropped. The curve refuses
     any other kink in the window: its jets one at either end, and
     ``replace_window`` one inside. A failed jet, solve, seam or kink check
-    raises its own error class, with the window named."""
+    raises its own error class, with the window named; a kink at an end
+    raises PreconditionError naming the window and the kink."""
     lo, hi = center - width, center + width
     drop = (center,) if curve.kink_order(center) is not None else ()
     try:
@@ -122,6 +123,11 @@ def _smooth_window(hermite, curve: Jet3Curve, center: float, width: float,
         return curve.replace_window(lo, hi, Poly(seg.coefficients, center=center),
                                     drop_kinks=drop,
                                     add_kinks=((lo, new_order), (hi, new_order)))
+    except KinkSideRequired:
+        end = lo if curve.kink_order(lo) is not None else hi
+        raise PreconditionError(
+            f"smoothing window [{lo!r}, {hi!r}] ends on the kink at {end!r} "
+            f"(order {curve.kink_order(end)})") from None
     except PreconditionError as exc:
         raise type(exc)(f"smoothing window [{lo!r}, {hi!r}]: {exc}") from exc
 

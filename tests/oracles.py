@@ -5,10 +5,12 @@ callables with fourth-order central stencils, assembles Christoffel symbols
 and the Riemann tensor numerically, and reads off sectional / Ricci values.
 The sign conventions are pinned by ``test_oracle_self_check`` against the
 round sphere, so these routines can arbitrate the closed forms in the
-package. ``_jet_safe`` is the one jet-based piece: the per-point reference
-for the package's array evaluations. ``bisect_dive_center`` is the
-bisection reference for the secant step that places a dive's bump center.
-``write_csv_rows`` is the row-by-row reference for the CLI's CSV bytes.
+package. ``_jet_safe`` is the per-point reference for the package's array
+evaluations, and ``jet_per_piece`` the per-piece reference for a curve's
+array jet, whose bits the fused polynomial pass must keep.
+``bisect_dive_center`` is the bisection reference for the secant step that
+places a dive's bump center. ``write_csv_rows`` is the row-by-row reference
+for the CLI's CSV bytes.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import csv
 import numpy as np
 
 from riccicert.errors import ConditionError, KinkSideRequired
+from riccicert.jetcurve import Jet3, Poly
 
 _STENCIL = ((-2, 1.0 / 12.0), (-1, -8.0 / 12.0), (1, 8.0 / 12.0), (2, -1.0 / 12.0))
 
@@ -92,6 +95,46 @@ def _jet_safe(curve, x):
         return curve.jet(x)
     except KinkSideRequired:
         return curve.jet(x, side="left")
+
+
+def poly_jet_loop(poly, x):
+    """The jet of ``poly`` at the array ``x`` by the float Horner recurrence of
+    ``Poly.jet``, one row at a time."""
+    t = x - poly.center
+    v = d1 = d2 = d3 = 0.0
+    for c in reversed(poly.coeffs):
+        d3 = d3 * t + 3.0 * d2
+        d2 = d2 * t + 2.0 * d1
+        d1 = d1 * t + v
+        v = v * t + c
+    return Jet3(v, d1, d2, d3)
+
+
+def jet_per_piece(curve, x, side):
+    """The array jet of ``curve`` at ``x`` in range, by one masked node call per
+    piece in use (``poly_jet_loop`` for a ``Poly``): the dispatch that
+    ``Jet3Curve`` replaced with one Horner pass over its ``Poly`` pieces."""
+    def node_jet(node, xs):
+        return poly_jet_loop(node, xs) if type(node) is Poly else node.jet(xs)
+
+    lo, hi = curve.domain
+    x_c = np.clip(x, lo, hi)
+    if len(curve.pieces) == 1:
+        return node_jet(curve.pieces[0][2], x_c)
+    starts = np.array([p[0] for p in curve.pieces])
+    i = np.maximum(np.searchsorted(starts, x_c, side="right") - 1, 0)
+    if side != "right":
+        left = (i > 0) & (starts[i] == x_c)
+        if side is None:
+            left &= np.isin(x, [loc for loc, _ in curve.kinks])
+        i -= left
+    i[x_c == hi] = len(curve.pieces) - 1
+    parts = [np.empty_like(x_c) for _ in range(4)]
+    for j in np.flatnonzero(np.bincount(i, minlength=len(curve.pieces))):
+        sel = i == j
+        for dest, v in zip(parts, node_jet(curve.pieces[j][2], x_c[sel]).as_tuple()):
+            dest[sel] = v
+    return Jet3(*parts)
 
 
 def bisect_dive_center(build, residual, lo, hi, what, tol=1e-12):

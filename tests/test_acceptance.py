@@ -18,7 +18,6 @@ from oracles import ricci_fd, sectional_fd, warped_full_metric, warped_slice_met
 from riccicert.cli import run_scenario
 from riccicert.jetcurve import Cos, Jet3, Jet3Curve, Poly, Sin, Sum
 from riccicert.spline import hermite_cubic, hermite_quintic
-from riccicert.verify import GridSpec
 from riccicert.warped import DoublyWarpedMetric, sectional
 
 ROOT = Path(__file__).resolve().parent.parent

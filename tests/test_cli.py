@@ -11,7 +11,7 @@ from riccicert import cli
 from riccicert import constructions as cons
 from riccicert.cli import canonical_json, main, run_scenario
 from riccicert.errors import SearchError
-from riccicert.jetcurve import Cos, Jet3Curve, Poly, Sin
+from riccicert.jetcurve import Cos, Jet3Curve, Poly
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
@@ -389,6 +389,18 @@ def test_grid_factor_past_array_size_exits_three(tmp_path, capsys):
     path.write_text(json.dumps(scenario))
     assert main([str(path), "--out", str(tmp_path / "out")]) == 3
     assert "refinement factor must be <=" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("curve", ["k", "h"])
+def test_a_frequency_whose_cube_overflows_exits_three(tmp_path, capsys, curve):
+    # Sin.jet and Cos.jet take frequency**3 as a float, which raised
+    # OverflowError and exited 4.
+    scenario = edit(load("curvature_round_sphere.json"),
+                    (curve, "pieces", 0, "fn", "frequency"), 1e300)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    assert main([str(path), "--out", str(tmp_path / "out")]) == 3
+    assert "node frequency 1e+300: its cube" in capsys.readouterr().err
 
 
 def test_grid_depth_override_past_float64_exits_three(tmp_path):

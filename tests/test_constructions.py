@@ -8,8 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import (_jet_safe, bisect_dive_center, sectional_fd,
-                     warped_slice_metric)
+from oracles import _jet_safe, bisect_dive_center, sectional_fd
 import riccicert.constructions as cons
 from riccicert.constructions import (
     ConcordanceParams,

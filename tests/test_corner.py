@@ -19,7 +19,7 @@ from riccicert.corner import (
     glue_and_smooth,
 )
 from riccicert.errors import DomainError, EvaluationError, PreconditionError
-from riccicert.jetcurve import Cos, Exp, Jet3Curve, Poly, Scale, Sin
+from riccicert.jetcurve import Cos, Exp, Jet3Curve, Poly, Sin
 from riccicert.verify import GridSpec, bisect_param, grid_min
 
 SQ3 = math.sqrt(3.0)

@@ -1,8 +1,9 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, reject, settings, strategies as st
 
 from riccicert.errors import DomainError, KinkSideRequired, PreconditionError
 from riccicert.jetcurve import (
@@ -10,7 +11,6 @@ from riccicert.jetcurve import (
     Cos,
     Exp,
     ExpOf,
-    Jet3,
     Jet3Curve,
     Log,
     Poly,
@@ -22,6 +22,7 @@ from riccicert.jetcurve import (
     _NODE_KINDS,
     node_from_dict,
 )
+from oracles import jet_per_piece, poly_jet_loop
 
 STEP_STENCIL = ((-2, 1 / 12), (-1, -8 / 12), (1, 8 / 12), (2, -1 / 12))
 
@@ -81,6 +82,19 @@ def test_piece_mismatch_rejected():
         Jet3Curve.piecewise(
             [(0.0, 1.0, Poly((0.0,))), (1.0, 2.0, Poly((5.0,)))]
         )
+
+
+@pytest.mark.parametrize("make, field", [
+    (lambda b: Sin(1.0, b), "frequency"),
+    (lambda b: Cos(1.0, b), "frequency"),
+    (lambda b: Exp(1.0, b), "rate"),
+    (lambda b: Log(1.0, b, 1.0), "rate"),
+    (lambda b: AffineOf(Poly((1.0,)), b), "scale"),
+])
+def test_a_parameter_whose_cube_overflows_is_refused(make, field):
+    make(-5e102)  # cubes to -1.25e308, in range
+    with pytest.raises(PreconditionError, match=f"node {field} -1e\\+103: its cube"):
+        make(-1e103)
 
 
 def test_nan_piece_at_breakpoint_rejected():
@@ -299,3 +313,106 @@ def test_array_jet_errors_name_the_first_bad_point():
         curve.jet(np.array([0.5, -0.5, -0.25]))
     with pytest.raises(DomainError, match="outside domain"):
         curve.jet(np.array([0.5, 2.0]))
+
+
+# ---------------------------------------------------------------------------
+# the fused Horner pass keeps the bits of per-piece evaluation
+# ---------------------------------------------------------------------------
+
+# Signed zeros stress the +0.0 state that zero padding must keep.
+_COEFFS = st.sampled_from([0.0, -0.0]) | st.floats(-2.0, 2.0)
+_CENTERS = st.floats(-1.5, 0.5)  # |x - center| <= 2 on the domains below
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_COEFFS, min_size=1, max_size=12), _CENTERS,
+       st.lists(st.sampled_from([0.0, -0.0, 1e300]) | st.floats(-1.5, 0.5),
+                min_size=1, max_size=20))
+def test_array_poly_jet_is_the_float_recurrence_bit_for_bit(coeffs, center, xs):
+    poly = Poly(tuple(coeffs), center)
+    x = np.array(xs)
+    with np.errstate(all="ignore"):
+        got, want = poly.jet(x), poly_jet_loop(poly, x)
+    for g, w in zip(got.as_tuple(), want.as_tuple()):
+        assert g.tobytes() == w.tobytes()
+
+
+def _node(draw, kind, b=None, target=None):
+    """A fresh node of ``kind``, shifted to take the value ``target`` at ``b``
+    if one is given (a Sin piece then becomes a Sum)."""
+    if kind == "const":
+        return Poly((draw(_COEFFS) if target is None else target,))
+    if kind == "poly":
+        coeffs = draw(st.lists(_COEFFS, min_size=2, max_size=12))  # degrees 1-11
+        node = Poly(tuple(coeffs), draw(_CENTERS))
+        if target is None:
+            return node
+        coeffs[0] += target - node.jet(b).value
+        return Poly(tuple(coeffs), node.center)
+    wave = Sin(draw(st.floats(0.5, 2.0)), draw(st.floats(0.3, 2.0)),
+               draw(st.floats(-1.0, 1.0)))
+    return wave if target is None else Sum((wave, Poly((target - wave.jet(b).value,))))
+
+
+def _twin(node, b):
+    """A different node equal to ``node`` through order 3 up to rounding: a
+    Poly expanded about ``b`` (rounded once), a Sin negated half a period on."""
+    if type(node) is Sum:
+        return Sum((_twin(node.terms[0], b),) + node.terms[1:])
+    if type(node) is Sin:
+        return Sin(-node.amplitude, node.frequency, node.phase + math.pi)
+    d = Fraction(b) - Fraction(node.center)
+    c = [Fraction(v) for v in node.coeffs]
+    return Poly(tuple(float(sum(c[j] * math.comb(j, k) * d ** (j - k)
+                                for j in range(k, len(c))))
+                      for k in range(len(c))), b)
+
+
+@st.composite
+def mixed_curves(draw):
+    """A curve of Poly, constant, Sin and Sum pieces on a domain in
+    [-1.5, 0.5]. A breakpoint either starts a value-matched new node at a
+    marked order-1 kink, or keeps the previous node or its twin (continuous
+    through order 3), marked or not; a kink may also sit inside a piece."""
+    lo = draw(st.floats(-1.5, -0.5))
+    hi = draw(st.floats(lo + 0.25, 0.5))
+    cuts = sorted(set(draw(st.lists(st.floats(lo, hi, exclude_min=True,
+                                              exclude_max=True), max_size=5))))
+    kinds = st.sampled_from(["poly", "const", "sin"])
+    node = _node(draw, draw(kinds))
+    segments, kinks = [], []
+    for a, b in zip([lo] + cuts, cuts + [hi]):
+        segments.append((a, b, node))
+        if b == hi:
+            break
+        if draw(st.booleans()):
+            node = _node(draw, draw(kinds), b, node.jet(b).value)
+            kinks.append((b, 1))
+            continue
+        if draw(st.booleans()):
+            node = _twin(node, b)
+        if draw(st.booleans()):
+            kinks.append((b, 1))
+    inner = draw(st.floats(lo, hi, exclude_min=True, exclude_max=True))
+    if inner not in cuts and draw(st.booleans()):
+        kinks.append((inner, 1))
+    try:
+        return Jet3Curve.piecewise(segments, kinks=sorted(kinks))
+    except PreconditionError:
+        reject()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_array_jet_matches_per_piece_dispatch_bit_for_bit(data):
+    curve = data.draw(mixed_curves())
+    lo, hi = curve.domain
+    slack = 1e-13 * max(1.0, abs(lo), abs(hi))  # inside the domain check's slack
+    marked = list(curve.breakpoints) + [loc for loc, _ in curve.kinks]
+    on_marks = st.sampled_from(marked + [lo, hi, lo - slack, hi + slack])
+    xs = data.draw(st.lists(on_marks | st.floats(lo, hi), min_size=1, max_size=40))
+    side = data.draw(st.sampled_from([None, "left", "right"]))
+    x = np.array(xs)
+    got, want = curve.jet(x, side), jet_per_piece(curve, x, side)
+    for g, w in zip(got.as_tuple(), want.as_tuple()):
+        assert np.asarray(g).tobytes() == np.asarray(w).tobytes()

@@ -5,7 +5,7 @@ import pytest
 
 from oracles import ricci_fd, sectional_fd, warped_full_metric, warped_slice_metric
 from riccicert.errors import DomainError, PreconditionError
-from riccicert.jetcurve import AffineOf, Cos, Exp, Jet3Curve, Poly, Scale, Sin, Sum
+from riccicert.jetcurve import Cos, Jet3Curve, Poly, Sin, Sum
 from riccicert.verify import GridSpec
 from riccicert.warped import (
     DoublyWarpedMetric,
