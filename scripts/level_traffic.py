@@ -5,12 +5,15 @@ Usage: python3 scripts/level_traffic.py [SCENARIO.json ...]
 
 Runs each scenario (default: every file in scenarios/) once and prints, per
 certificate and scan level, the number of points ``grid_min`` hands to the
-margin function and the number of distinct points among them. Refinement
-cells overlap, so a refinement level repeats points; a margin that
-evaluates each distinct point once does the distinct count of work. The
-count is taken from outside the program, by wrapping ``verify._evaluate``,
-which ``grid_min`` calls once per level. Reports go to a temporary
-directory; only stdout is written.
+margin function, the number of distinct points among them, and the number
+of axis values in the level's open mesh (the sum over boxes and axes of
+each box's count on that axis). Refinement cells overlap, so a refinement
+level repeats points; a margin that evaluates each distinct point once does
+the distinct count of work, and a separable margin, which evaluates each
+axis value once, does the axis-value count. The counts are taken from
+outside the program, by wrapping ``verify._evaluate``, which ``grid_min``
+calls once per level. Reports go to a temporary directory; only stdout is
+written.
 """
 
 import sys
@@ -28,7 +31,7 @@ from riccicert.cli import run_scenario  # noqa: E402
 
 def traffic(scenario: Path):
     """``(exit code, rows)`` of one run; a row is ``(certificate,
-    quantity id, level, points, distinct)``."""
+    quantity id, level, points, distinct, axis values)``."""
     rows, label = [], {}
     evaluate, grid_min = verify._evaluate, verify.grid_min
 
@@ -38,11 +41,11 @@ def traffic(scenario: Path):
         label["level"] = 0
         return grid_min(f, grid, *args, **kw)
 
-    def counted(f, points, batched):
+    def counted(f, points, mesh, batched):
         rows.append((label["cert"], label["qid"], label["level"], len(points),
-                     len(np.unique(points, axis=0))))
+                     len(np.unique(points, axis=0)), sum(x.size for x in mesh)))
         label["level"] += 1
-        return evaluate(f, points, batched)
+        return evaluate(f, points, mesh, batched)
 
     # grid_min is imported by name into the modules that certify.
     owners = [m for name, m in sys.modules.items()
@@ -69,14 +72,16 @@ def main(argv):
         print(f"{path.name} (exit {code})")
         if rows:
             print(f"  {'cert':>4}  {'quantity':30}  {'level':>5}  "
-                  f"{'points':>8}  {'distinct':>8}")
-        for cert, qid, level, points, distinct in rows:
-            print(f"  {cert:4d}  {qid:30}  {level:5d}  {points:8d}  {distinct:8d}")
+                  f"{'points':>8}  {'distinct':>8}  {'axis values':>11}")
+        for cert, qid, level, points, distinct, values in rows:
+            print(f"  {cert:4d}  {qid:30}  {level:5d}  {points:8d}  "
+                  f"{distinct:8d}  {values:11d}")
         for name, pick in (("coarse", lambda lv: lv == 0),
                            ("refinement", lambda lv: lv > 0)):
-            points = sum(r[3] for r in rows if pick(r[2]))
-            distinct = sum(r[4] for r in rows if pick(r[2]))
-            print(f"  {name} total: {points:,} points -> {distinct:,} distinct")
+            points, distinct, values = (sum(r[k] for r in rows if pick(r[2]))
+                                        for k in (3, 4, 5))
+            print(f"  {name} total: {points:,} points -> {distinct:,} distinct"
+                  f" -> {values:,} axis values")
     return 0
 
 

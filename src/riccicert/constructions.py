@@ -39,8 +39,7 @@ from .jetcurve import (
     constant,
 )
 from .spline import hermite_quintic, two_stage_smooth
-from .verify import (GridSpec, PositivityCertificate, bisect_param, blockwise,
-                     grid_min)
+from .verify import GridSpec, PositivityCertificate, bisect_param, grid_min
 from .warped import DoublyWarpedMetric, WarpedMetricPath, closure_defect
 
 __all__ = [
@@ -597,7 +596,7 @@ class RoundRadiusPath:
     def min_ricci(self, grid: GridSpec,
                   threshold: float = 1e-6) -> PositivityCertificate:
         return grid_min(
-            lambda pts: (self.n - 1) / self.r.jet(pts[:, 0]).value ** 2,
+            lambda pts, mesh: (self.n - 1) / self.r.jet(pts[:, 0]).value ** 2,
             grid, threshold=threshold, quantity_id="path_min_ricci",
             batched=True,
         )
@@ -750,14 +749,21 @@ def concordance_search(path: RoundRadiusPath, nu: float, *, t_count: int = 160,
     r0 = r1 * math.exp(-(C + 1.0))
     L = math.log(r1) - math.log(r0)  # = C + 1
 
-    def rho_of(u, ell, beta):
-        return r1 * np.exp(-(1.0 / beta) * (1.0 / ell - 1.0 / u))
+    # Each bound is a sum of three products of a theta factor and a u
+    # factor, so a scan level's open mesh takes the transcendentals once per
+    # axis value, not once per point. The factors are computed on arrays
+    # only: numpy's array exp, sin, cos and powers give the same bits for
+    # any layout of their input, while a scalar power need not.
+    def theta_factors(theta):
+        ct, st = np.cos(theta), np.sin(theta)
+        return ct * ct, 2.0 * np.abs(st * ct), st * st
 
-    def bounds_at(theta, u, ell):
+    def u_factors(u, ell):
+        """(time, mixed, space) bounds at ``u = ln t``, multiplied by t^2."""
         alpha = 0.5 / ell
         beta = alpha / L
         inv_a, inv_b = 1.0 / alpha, 1.0 / beta
-        rho = rho_of(u, ell, beta)
+        rho = r1 * np.exp(-(1.0 / beta) * (1.0 / ell - 1.0 / u))
         shape = 1.0 / u**2 - 2.0 / u**3
         sec_time = (inv_b - C * inv_a) * shape - 4.0 * (inv_b + C * inv_a) ** 2 / u**4
         b_time = n * sec_time
@@ -765,9 +771,11 @@ def concordance_search(path: RoundRadiusPath, nu: float, *, t_count: int = 160,
                      - C * ((inv_a + inv_b) / u**2 + (inv_a + inv_b) ** 2 / u**4))
         b_space = sec_time + (n - 1) * sec_space
         b_mixed = C * inv_a / (u * u * rho)
-        ct, st = np.cos(theta), np.sin(theta)
-        return (ct * ct * b_time - 2.0 * np.abs(st * ct) * b_mixed
-                + st * st * b_space)
+        return b_time, b_mixed, b_space
+
+    def bound(a, b):
+        """cos^2 b_time - 2 |sin cos| b_mixed + sin^2 b_space, broadcast."""
+        return a[0] * b[0] - a[1] * b[1] + a[2] * b[2]
 
     def split_ok(theta):
         ct, st = math.cos(theta), math.sin(theta)
@@ -780,12 +788,14 @@ def concordance_search(path: RoundRadiusPath, nu: float, *, t_count: int = 160,
             f"fails at theta -> 0 (n = {n}, C = {C:.3e}, r0 = {r0:.3e})")
     theta0 = bisect_param(split_ok, 1e-9, 0.5 * math.pi - 1e-9, tol=1e-6)
 
+    # Cheap gate before running the full certificates: the margins are
+    # smooth in (theta, ln t), so a thin 25 x 33 grid finds the right
+    # doubling. Its theta factors do not depend on t0.
+    gate_theta = theta_factors(np.linspace(0.0, 0.5 * math.pi, 25)[:, None])
+
     def coarse_min(ell):
-        # Cheap gate before running the full certificates: the margins are
-        # smooth in (theta, ln t), so a thin grid finds the right doubling.
-        th, u = np.meshgrid(np.linspace(0.0, 0.5 * math.pi, 25),
-                            np.linspace(ell, 2.0 * ell, 33), indexing="ij")
-        return float(np.min(bounds_at(th, u, ell)))
+        u = np.linspace(ell, 2.0 * ell, 33)
+        return float(np.min(bound(gate_theta, u_factors(u, ell))))
 
     t0 = 4.0
     # One row per doubling: t0, both end margins, and the coarse Ricci
@@ -805,8 +815,8 @@ def concordance_search(path: RoundRadiusPath, nu: float, *, t_count: int = 160,
         for side, th_lo, th_hi in (("below", 0.0, theta0),
                                    ("above", theta0, 0.5 * math.pi)):
             certs[f"ricci_theta_{side}"] = grid_min(
-                lambda pts, e=ell: blockwise(
-                    lambda th, u: bounds_at(th, u, e), pts[:, 0], pts[:, 1]),
+                lambda pts, mesh, e=ell: bound(theta_factors(mesh[0]),
+                                               u_factors(mesh[1], e)).reshape(-1),
                 GridSpec.box([(th_lo, th_hi, theta_count), (ell, 2.0 * ell, t_count)],
                              depth=cert_depth),
                 threshold=threshold, quantity_id=f"ricci_bound_theta_{side}_t2norm",

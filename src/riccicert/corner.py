@@ -392,7 +392,7 @@ def convexity_certificate(chart: CornerChart, grid: GridSpec,
         form = face_second_form(chart, a)
         return np.minimum(form.tau_clear, form.zed_clear)
 
-    return grid_min(lambda pts: blockwise(margin, pts[:, 0]), grid,
+    return grid_min(lambda pts, mesh: blockwise(margin, pts[:, 0]), grid,
                     threshold=threshold, quantity_id="face_convexity",
                     batched=True)
 
@@ -401,5 +401,6 @@ def concavity_certificate(chart: CornerChart, grid: GridSpec,
                           threshold: float = 1e-6) -> PositivityCertificate:
     """Certificate that -face_profile_hessian > threshold along the face."""
     return grid_min(
-        lambda pts: blockwise(lambda a: -face_profile_hessian(chart, a), pts[:, 0]),
+        lambda pts, mesh: blockwise(lambda a: -face_profile_hessian(chart, a),
+                                    pts[:, 0]),
         grid, threshold=threshold, quantity_id="face_concavity", batched=True)

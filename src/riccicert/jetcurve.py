@@ -64,6 +64,15 @@ def _first(bad, *values):
     return tuple(v.item() if bad.size == 1 else v[i] for v in values)
 
 
+def _cube(v):
+    """``v**3``; a float whose cube overflows gives +-inf, as an array does
+    (Python's float power raises OverflowError instead)."""
+    try:
+        return v**3
+    except OverflowError:
+        return math.copysign(math.inf, v)
+
+
 _ORDERS = np.array([1.0, 2.0, 3.0])
 
 
@@ -362,7 +371,7 @@ class Recip(Node):
             w,
             -u.d1 * w2,
             (2.0 * u.d1 * u.d1 * w - u.d2) * w2,
-            (-u.d3 + (6.0 * u.d1 * u.d2 - 6.0 * u.d1**3 * w) * w) * w2,
+            (-u.d3 + (6.0 * u.d1 * u.d2 - 6.0 * _cube(u.d1) * w) * w) * w2,
         )
 
 
@@ -381,7 +390,7 @@ class ExpOf(Node):
             e,
             u.d1 * e,
             (u.d2 + u.d1 * u.d1) * e,
-            (u.d3 + 3.0 * u.d1 * u.d2 + u.d1**3) * e,
+            (u.d3 + 3.0 * u.d1 * u.d2 + _cube(u.d1)) * e,
         )
 
 

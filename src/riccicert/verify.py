@@ -3,13 +3,16 @@
 Certification here is a falsification-resistant heuristic, not interval
 arithmetic: a margin function is scanned on a fixed grid, the worst cells are
 refined a configurable number of times, and the whole trace is reported so a
-reviewer can judge margin stability. Every riccicert margin is batched: it
-takes the points of one scan level (the coarse grid, then each refinement
-depth) per call, so it can share work across the level's points, repeated
-points included: refinement cells overlap. A curvature kernel
-inside it runs through :func:`blockwise`, which bounds the kernel's
-temporaries to ``_BLOCK`` points at a time. The scalar form, one point per
-call, remains for external callers; grids are fixed up front and the min is
+reviewer can judge margin stability. Every scan level (the coarse grid,
+then each refinement depth) is a set of boxes, each sampled on a product
+grid: the coarse level is one box, a refinement level its cells. Every
+riccicert margin is batched: it takes one level per call, as its points and
+as their open mesh, so it can share work across the level's points,
+repeated points included (refinement cells overlap), and a separable margin
+can evaluate each axis value once. A curvature kernel inside it runs
+through :func:`blockwise`, which bounds the kernel's temporaries to
+``_BLOCK`` points at a time. The scalar form, one point per call, remains
+for external callers; grids are fixed up front and the min is
 order-independent, so both forms give identical certificates. Any
 non-finite margin fails the certificate.
 """
@@ -122,33 +125,46 @@ def _finite_or_none(x):
     return x if math.isfinite(x) else None
 
 
+def _point_mesh(points):
+    """The open mesh of ``points`` (``(count, dims)``) taken as one-point
+    boxes: axis ``d`` is ``points[:, d]`` shaped ``(count, 1, ..., 1)``."""
+    count, dims = points.shape
+    return tuple(points[:, d].reshape((count,) + (1,) * dims)
+                 for d in range(dims))
+
+
 def _call(f, pt, batched: bool) -> float:
     try:
-        return float(f(pt[None, :])[0] if batched else f(*pt))
+        if batched:
+            return float(f(pt[None, :], _point_mesh(pt[None, :]))[0])
+        return float(f(*pt))
     except Exception as exc:  # noqa: BLE001 - context added, then re-raised
         raise EvaluationError(
             f"margin function failed at {tuple(pt)!r}: {exc}", coords=tuple(pt)
         ) from exc
 
 
-def _evaluate(f, points, batched: bool) -> np.ndarray:
+def _evaluate(f, points, mesh, batched: bool) -> np.ndarray:
     if not batched:
         return np.array([_call(f, pt, False) for pt in points])
-    values = np.empty(len(points))
     try:
-        values[:] = f(points)
+        result = f(points, mesh)
     except Exception:  # noqa: BLE001 - re-raised for the failing point
         # Re-run the level block by block, and a failing block point by
         # point, so the error names the first failing point in scan order.
         for start in range(0, len(points), _BLOCK):
             block = points[start:start + _BLOCK]
             try:
-                f(block)
+                f(block, _point_mesh(block))
             except Exception:  # noqa: BLE001 - narrowed to its point
                 for pt in block:
                     _call(f, pt, True)
         raise
-    return values
+    if np.shape(result) != (len(points),):
+        raise ValueError(
+            f"margin returned {np.size(result)} value(s), shape {np.shape(result)}, "
+            f"for {len(points)} points; a batched margin returns one value per point")
+    return np.asarray(result, dtype=float)
 
 
 def blockwise(fn, *arrays) -> np.ndarray:
@@ -167,27 +183,52 @@ def _lowest(values: np.ndarray, n: int) -> np.ndarray:
     return candidates[np.argsort(values[candidates], kind="stable")[:n]]
 
 
-def _cell_points(lo, hi, count: int):
-    """Grid points of the boxes ``lo[c] .. hi[c]`` (``(cells, dims)`` arrays),
-    ``count`` per axis: one row each, box after box, last axis fastest."""
-    dims = lo.shape[1]
-    coords = np.linspace(lo, hi, count, axis=-1)  # (cells, dims, count)
-    idx = np.indices((count,) * dims).reshape(dims, -1)
-    pts = coords[:, np.arange(dims)[:, None], idx]  # (cells, dims, points)
-    return pts.transpose(0, 2, 1).reshape(-1, dims)
+def _level(a, b, counts):
+    """The scan level of the boxes ``a[c] .. b[c]`` (``(boxes, dims)``
+    corners): ``(mesh, points)``.
+
+    ``mesh`` is an open mesh with one array per axis: axis ``d`` holds its
+    ``counts[d]`` coordinates per box, shaped ``(boxes, 1, ..., counts[d],
+    ..., 1)``. ``points`` is the broadcast mesh flattened in C order, one
+    row per point: box after box, last axis fastest.
+
+    An int ``counts`` samples every axis at that count with one
+    ``np.linspace`` over all boxes and axes, the refinement form; a tuple
+    takes one call per axis, the coarse form. The split matters at a zero
+    step (a degenerate cell, or a step that underflows): numpy then divides
+    before it multiplies for every value of that call.
+    """
+    boxes, dims = a.shape
+    if isinstance(counts, int):
+        coords = np.linspace(a, b, counts, axis=-1)  # (boxes, dims, count)
+        axes = [coords[:, d] for d in range(dims)]
+    else:
+        axes = [np.linspace(a[:, d], b[:, d], n, axis=-1)
+                for d, n in enumerate(counts)]
+    mesh = tuple(x.reshape((boxes,) + (1,) * d + (-1,) + (1,) * (dims - 1 - d))
+                 for d, x in enumerate(axes))
+    points = np.stack(np.broadcast_arrays(*mesh), axis=-1).reshape(-1, dims)
+    return mesh, points
 
 
 def grid_min(f, grid: GridSpec, threshold: float = 1e-6,
              quantity_id: str = "margin", batched: bool = False) -> PositivityCertificate:
     """Certificate for ``min f > threshold`` over the grid's box.
 
-    A ``batched`` margin ``f(points) -> values``, the form of every riccicert
-    certificate, is called once per scan level with all of the level's points
-    as a ``(count, dims)`` array; bounding its temporaries is its own job
-    (see :func:`blockwise`). The scalar form ``f(*point) -> float``, called
-    once per grid point, remains for external callers. After the coarse
-    scan, the cells holding the bottom 5% of margins are re-sampled
-    ``grid.factor`` times finer, ``grid.depth`` times over.
+    A ``batched`` margin ``f(points, mesh) -> values``, the form of every
+    riccicert certificate, is called once per scan level. ``points`` holds
+    all of the level's points as a ``(count, dims)`` array, and ``mesh`` is
+    the same level as an open mesh of boxes (see :func:`_level`), whose
+    broadcast, flattened in C order, is ``points``. ``values`` must hold
+    exactly one value per point, value ``i`` for ``points[i]``; any other
+    size raises ValueError. Bounding its temporaries is the margin's own job
+    (see :func:`blockwise`). When a level fails, it is re-run on blocks and
+    then single points, each with the mesh of its points taken as one-point
+    boxes, so the error names the first failing point in scan order. The
+    scalar form ``f(*point) -> float``, called once per grid point, remains
+    for external callers. After the coarse scan, the cells holding the
+    bottom 5% of margins are re-sampled ``grid.factor`` times finer,
+    ``grid.depth`` times over, at ``2 * grid.factor + 1`` points per axis.
     """
     lo = np.array([a for a, _, _ in grid.axes])
     hi = np.array([b for _, b, _ in grid.axes])
@@ -196,9 +237,8 @@ def grid_min(f, grid: GridSpec, threshold: float = 1e-6,
     bad_count, bad_at = 0, ()
     for depth in range(grid.depth + 1):
         if depth == 0:
-            idx = np.indices([c for _, _, c in grid.axes]).reshape(len(lo), -1)
-            points = np.stack([np.linspace(a, b, c)[i]
-                               for (a, b, c), i in zip(grid.axes, idx)], axis=-1)
+            mesh, points = _level(lo[None], hi[None],
+                                  tuple(c for _, _, c in grid.axes))
         else:
             n_refine = max(1, math.ceil(0.05 * len(values)))
             centers = points[_lowest(values, n_refine)]
@@ -208,8 +248,8 @@ def grid_min(f, grid: GridSpec, threshold: float = 1e-6,
             same = a == b
             a = np.where(same, np.maximum(lo, a - 1e-15), a)
             b = np.where(same, np.minimum(hi, b + 1e-15), b)
-            points = _cell_points(a, b, 2 * grid.factor + 1)
-        values = _evaluate(f, points, batched)
+            mesh, points = _level(a, b, 2 * grid.factor + 1)
+        values = _evaluate(f, points, mesh, batched)
         finite = np.isfinite(values)
         if not finite.all():
             if not bad_count:

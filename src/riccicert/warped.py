@@ -137,7 +137,8 @@ class DoublyWarpedMetric:
     def min_ricci(self, grid: GridSpec, threshold: float = 1e-6) -> PositivityCertificate:
         """Certificate that min(Ric_s, Ric_k, Ric_h) > threshold over the domain."""
         return grid_min(
-            lambda pts: blockwise(lambda s: sectional(self, s).min_ric(), pts[:, 0]),
+            lambda pts, mesh: blockwise(lambda s: sectional(self, s).min_ric(),
+                                        pts[:, 0]),
             grid,
             threshold=threshold,
             quantity_id="min_ricci",
@@ -325,7 +326,7 @@ class WarpedMetricPath:
         adds, multiplies, divides, compares and selects, elementwise, so a
         point's value does not depend on the points it is batched with.
         """
-        def margin(pts):
+        def margin(pts, mesh):
             x, j, jets = self._level_jets(pts[:, 1])
             lams, i = _index_runs(pts[:, 0])
             # Mark each point's (lambda, s) index pair in a bitmap of all

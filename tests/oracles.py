@@ -10,7 +10,11 @@ evaluations, and ``jet_per_piece`` the per-piece reference for a curve's
 array jet, whose bits the fused polynomial pass must keep.
 ``bisect_dive_center`` is the bisection reference for the secant step that
 places a dive's bump center. ``write_csv_rows`` is the row-by-row reference
-for the CLI's CSV bytes.
+for the CLI's CSV bytes. ``coarse_points`` and ``cell_points`` build a scan
+level's points by gathering from the axis coordinates, the reference for
+``grid_min``'s open meshes; ``concordance_bounds_at`` and
+``concordance_gate`` are the per-point concordance bound and its meshgrid
+gate, the reference for the separable bound.
 """
 
 from __future__ import annotations
@@ -292,3 +296,49 @@ def write_csv_rows(path, header, rows):
         writer.writerow(header)
         for row in rows:
             writer.writerow([format(float(v), ".17g") for v in row])
+
+
+def coarse_points(axes):
+    """The coarse scan level of the ``(lo, hi, count)`` axes: one row per
+    point, last axis fastest, gathered from each axis's ``np.linspace``."""
+    idx = np.indices([c for _, _, c in axes]).reshape(len(axes), -1)
+    return np.stack([np.linspace(a, b, c)[i]
+                     for (a, b, c), i in zip(axes, idx)], axis=-1)
+
+
+def cell_points(lo, hi, count):
+    """Grid points of the boxes ``lo[c] .. hi[c]`` (``(cells, dims)``
+    arrays), ``count`` per axis from one ``np.linspace`` over all of them:
+    one row each, box after box, last axis fastest."""
+    dims = lo.shape[1]
+    coords = np.linspace(lo, hi, count, axis=-1)  # (cells, dims, count)
+    idx = np.indices((count,) * dims).reshape(dims, -1)
+    pts = coords[:, np.arange(dims)[:, None], idx]  # (cells, dims, points)
+    return pts.transpose(0, 2, 1).reshape(-1, dims)
+
+
+def concordance_bounds_at(theta, u, ell, *, n, r1, L, C, sec_min):
+    """The t^2-normalized Ricci bound of the concordance cylinder at the
+    points ``(theta, u)`` (equal-shape arrays), computed point by point."""
+    alpha = 0.5 / ell
+    beta = alpha / L
+    inv_a, inv_b = 1.0 / alpha, 1.0 / beta
+    rho = r1 * np.exp(-(1.0 / beta) * (1.0 / ell - 1.0 / u))
+    shape = 1.0 / u**2 - 2.0 / u**3
+    sec_time = (inv_b - C * inv_a) * shape - 4.0 * (inv_b + C * inv_a) ** 2 / u**4
+    b_time = n * sec_time
+    sec_space = (sec_min / rho**2 - 1.0
+                 - C * ((inv_a + inv_b) / u**2 + (inv_a + inv_b) ** 2 / u**4))
+    b_space = sec_time + (n - 1) * sec_space
+    b_mixed = C * inv_a / (u * u * rho)
+    ct, st = np.cos(theta), np.sin(theta)
+    return (ct * ct * b_time - 2.0 * np.abs(st * ct) * b_mixed
+            + st * st * b_space)
+
+
+def concordance_gate(ell, **constants):
+    """The coarse Ricci gate of the concordance search at ``ell = ln t0``:
+    the least bound on a 25 x 33 ``np.meshgrid`` of (theta, u)."""
+    th, u = np.meshgrid(np.linspace(0.0, 0.5 * np.pi, 25),
+                        np.linspace(ell, 2.0 * ell, 33), indexing="ij")
+    return float(np.min(concordance_bounds_at(th, u, ell, **constants)))

@@ -403,6 +403,22 @@ def test_a_frequency_whose_cube_overflows_exits_three(tmp_path, capsys, curve):
     assert "node frequency 1e+300: its cube" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", ["recip", "exp_of"])
+def test_a_jet_whose_cube_overflows_exits_three(tmp_path, capsys, kind):
+    # Recip.jet and ExpOf.jet took u'**3 as a float, which raised
+    # OverflowError and exited 4; the infinite jet is now refused.
+    scenario = load("curvature_round_sphere.json")
+    k = scenario["k"]["pieces"][0]["fn"]
+    steep = {"kind": kind, "arg": {"kind": "poly", "coeffs": [1.0, 1e120]}}
+    scenario["k"]["pieces"][0]["fn"] = {
+        "kind": "sum", "terms": [k, {"kind": "scale", "factor": 1e-300,
+                                     "arg": steep}]}
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    assert main([str(path), "--out", str(tmp_path / "out")]) == 3
+    assert "non-finite jet at x=0.0" in capsys.readouterr().err
+
+
 def test_grid_depth_override_past_float64_exits_three(tmp_path):
     code = main([str(SCENARIOS / "curvature_round_sphere.json"),
                  "--out", str(tmp_path), "--grid-depth", str(10**400)])

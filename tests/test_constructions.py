@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import _jet_safe, bisect_dive_center, sectional_fd
+from oracles import (_jet_safe, bisect_dive_center, concordance_bounds_at,
+                     concordance_gate, sectional_fd)
 import riccicert.constructions as cons
 from riccicert.constructions import (
     ConcordanceParams,
@@ -25,7 +26,7 @@ from riccicert.constructions import (
 )
 from riccicert.errors import ConditionError, PreconditionError, SearchError
 from riccicert.jetcurve import Jet3Curve, Poly, Sin, Sum
-from riccicert.verify import GridSpec, grid_min
+from riccicert.verify import GridSpec, _point_mesh, grid_min
 from riccicert.warped import DoublyWarpedMetric, sectional
 
 R_TEST = 2.0
@@ -497,9 +498,23 @@ def cylinder_bound_reference(theta, u, ell, *, n, r1, L, C, sec_min):
             + st * st * b_space)
 
 
+def _concordance_constants(path, nu):
+    """The constants ``concordance_search`` fixes before doubling t0, by the
+    same expressions."""
+    path_grid = GridSpec.line(0.0, 1.0, 257)
+    ric_min = path.min_ricci(path_grid).min_margin
+    sec_min = float(np.min(1.0 / path.r.value(np.linspace(*path_grid.axes[0])) ** 2))
+    r1 = 0.9 * min(0.5 * nu, math.sqrt(0.5 * ric_min))
+    C = estimate_C(path, path_grid)
+    r0 = r1 * math.exp(-(C + 1.0))
+    return dict(n=path.n, r1=r1, C=C, sec_min=sec_min,
+                L=math.log(r1) - math.log(r0))
+
+
 def test_batched_concordance_margins_match_per_point_reference(monkeypatch):
     # numpy's exp and power may differ from libm's in the last bits, so the
     # batched margins match the loop form to a tolerance fixed from float64.
+    # The separable Ricci margin has the bits of the per-point numpy bound.
     import riccicert.constructions as cons
 
     path = bump_path()
@@ -508,9 +523,9 @@ def test_batched_concordance_margins_match_per_point_reference(monkeypatch):
     def spy(f, grid, **kw):
         assert kw["batched"]
 
-        def record(points):
-            values = f(points)
-            scans.append((kw["quantity_id"], grid, points.copy(), values))
+        def record(points, mesh):
+            values = f(points, mesh)
+            scans.append((kw["quantity_id"], grid, points.copy(), values, f))
             return values
 
         return grid_min(record, grid, **kw)
@@ -521,8 +536,10 @@ def test_batched_concordance_margins_match_per_point_reference(monkeypatch):
                   for x in np.linspace(0.0, 1.0, 257).tolist())
     consts = dict(n=path.n, r1=params.r1, C=params.C, sec_min=sec_min,
                   L=math.log(params.r1) - math.log(params.r0))
-    kinds = set()
-    for qid, grid, points, values in scans:
+    exact = _concordance_constants(path, 0.05)
+    assert (params.r1, params.C) == (exact["r1"], exact["C"])
+    kinds, ricci_levels = set(), 0
+    for qid, grid, points, values, f in scans:
         kinds.add(qid)
         if qid == "path_min_ricci":
             ref = [(path.n - 1) / path.r.jet(lam).value ** 2
@@ -531,11 +548,32 @@ def test_batched_concordance_margins_match_per_point_reference(monkeypatch):
             ell = grid.axes[1][0]
             ref = [cylinder_bound_reference(th, u, ell, **consts)
                    for th, u in points.tolist()]
+            bits = concordance_bounds_at(points[:, 0], points[:, 1], ell,
+                                         **exact).tobytes()
+            assert values.tobytes() == bits
+            # Any list of points is a mesh of one-point boxes.
+            assert f(points, _point_mesh(points)).tobytes() == bits
+            ricci_levels += 1
         ref = np.array(ref)
         tol = 64 * np.finfo(float).eps * np.maximum(1.0, np.abs(ref))
         assert np.all(np.abs(values - ref) <= tol), qid
     assert kinds == {"path_min_ricci", "ricci_bound_theta_below_t2norm",
                      "ricci_bound_theta_above_t2norm"}
+    assert ricci_levels == 8  # two t0 probes, two theta sides, two levels
+
+
+def test_coarse_gate_is_bitwise_the_meshgrid_gate(monkeypatch):
+    # The shipped search needs 104 doublings; stopped at 100, its trace holds
+    # the gate of every doubling whose end margins held.
+    monkeypatch.setattr(cons, "_MAX_DOUBLINGS", 100)
+    path = bump_path()
+    with pytest.raises(SearchError) as err:
+        concordance_search(path, nu=0.05)
+    consts = _concordance_constants(path, 0.05)
+    gates = [(t0, gate) for t0, _, _, gate in err.value.trace if gate is not None]
+    assert len(gates) == 94
+    for t0, gate in gates:
+        assert gate.hex() == concordance_gate(math.log(t0), **consts).hex()
 
 
 def test_concordance_scaled_slices(profile=None):
@@ -665,7 +703,7 @@ def test_batched_path_margin_on_refinement_cells(profile, target, which):
     a, b = path.lam_range
     blocks = []
 
-    def spy(points):
+    def spy(points, mesh):
         values = path.sectional(points[:, 0], points[:, 1]).min_ric()
         blocks.append((points.copy(), values))
         return values
@@ -766,9 +804,9 @@ def test_path_kernel_sees_each_distinct_point_of_a_level_once(
     levels = []
 
     def spied(f, grid, **kw):
-        def margin(points):
+        def margin(points, mesh):
             before = seen[0]
-            values = f(points)
+            values = f(points, mesh)
             levels.append((len(points), len(np.unique(points, axis=0)),
                            seen[0] - before))
             return values
@@ -807,12 +845,13 @@ def test_batched_path_margin_matches_scalar_reference(profile, target, seed,
     # The certificate's margin evaluates each distinct point once; every
     # copy of a repeated point, in any order, gets the reference bits.
     margin = _path_margin(path)
-    assert margin(np.stack([lam, s], axis=-1)).tobytes() == got.tobytes()
+    pts = np.stack([lam, s], axis=-1)
+    assert margin(pts, _point_mesh(pts)).tobytes() == got.tobytes()
     order = rng.permutation(np.concatenate([np.arange(len(s)),
                                             rng.integers(0, len(s), len(s))]))
     pts = np.stack([lam[order], s[order]], axis=-1)
     ref = np.array([_path_min_ric_scalar(path, a, b) for a, b in pts])
-    assert margin(pts).tobytes() == ref.tobytes()
+    assert margin(pts, _point_mesh(pts)).tobytes() == ref.tobytes()
 
 
 def test_path_margin_error_names_the_first_failing_point_in_scan_order(
@@ -826,5 +865,5 @@ def test_path_margin_error_names_the_first_failing_point_in_scan_order(
     pts = np.array([[0.5, 1.0], [0.5, T + 1.0], [0.0, 0.2], [0.0, -1.0],
                     [0.5, T + 1.0], [0.5, 1.0], [0.0, -1.0]])
     with pytest.raises(EvaluationError) as err:
-        _evaluate(_path_margin(path), pts, True)
+        _evaluate(_path_margin(path), pts, _point_mesh(pts), True)
     assert err.value.coords == (0.5, T + 1.0)

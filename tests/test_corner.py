@@ -198,7 +198,7 @@ def test_face_forms_bitwise_on_union_chart_kinks_and_refinement_cells():
     kinks = sorted(marked | {0.0, eps, -eps})
     refined = []
 
-    def spy(points):
+    def spy(points, mesh):
         refined.append(points[:, 0].copy())
         return -face_profile_hessian(glued, points[:, 0])
 

@@ -290,6 +290,18 @@ def test_array_jets_match_scalar_jets_to_a_few_ulp(kind):
                                    atol=8 * np.finfo(float).eps * np.max(np.abs(w)))
 
 
+@pytest.mark.parametrize("node, d3", [(Recip(Poly((1.0, 1e120))), -math.inf),
+                                      (ExpOf(Poly((1.0, 1e120))), math.inf)],
+                         ids=["recip", "exp_of"])
+def test_a_float_jet_whose_cube_overflows_is_infinite(node, d3):
+    # u.d1**3 of a float raised OverflowError, where an array gives inf.
+    jet = node.jet(0.0)
+    assert jet.d3 == d3 and math.isfinite(jet.value)
+    with np.errstate(over="ignore"):
+        array = node.jet(np.array([0.0]))
+    assert array.d3.tolist() == [d3]
+
+
 def test_array_piece_lookup_follows_scalar_rules():
     # A kink takes the left piece, a smooth breakpoint the right one, and the
     # far end the last piece; values use the right piece even at the kink.

@@ -15,7 +15,22 @@ def test_glue_corner_levels_and_totals(capsys):
     assert level_traffic.main(["level_traffic.py", str(scenario)]) == 0
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "glue_corner.json (exit 0)"
-    assert "  coarse total: 5,755 points -> 5,755 distinct" in out
-    assert "  refinement total: 4,518 points -> 3,086 distinct" in out
+    # One-axis boxes: every point is an axis value of its own box.
+    assert ("  coarse total: 5,755 points -> 5,755 distinct -> 5,755 axis values"
+            in out)
+    assert ("  refinement total: 4,518 points -> 3,086 distinct -> 4,518 axis values"
+            in out)
     # The wrappers are removed again.
     assert (verify._evaluate, verify.grid_min) == (evaluate, grid_min)
+
+
+def test_concordance_refinement_axis_values(capsys):
+    # Four depth-1 certificates (two t0 probes, two theta sides); each
+    # refinement level has 384 cells of 9 x 9 points, so a separable margin
+    # takes 384 * (9 + 9) = 6,912 axis values where 31,104 points repeat.
+    scenario = _ROOT / "scenarios" / "concordance_bump.json"
+    assert level_traffic.main(["level_traffic.py", str(scenario)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "concordance_bump.json (exit 0)"
+    assert ("  refinement total: 124,416 points -> 55,869 distinct"
+            " -> 27,648 axis values" in out)

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import cell_points, coarse_points
 from riccicert.errors import EvaluationError, PreconditionError, SearchError
-from riccicert.verify import GridSpec, _lowest, bisect_param, grid_min
+from riccicert.verify import GridSpec, _level, _lowest, bisect_param, grid_min
 
 
 def test_quadratic_minimum_at_interior():
@@ -66,7 +67,7 @@ def test_scalar_and_batched_margins_give_same_certificate():
     def f(x, y):
         return math.sin(3 * x) * math.cos(2 * y) + 1.5
 
-    def f_batched(points):
+    def f_batched(points, mesh):
         return np.sin(3 * points[:, 0]) * np.cos(2 * points[:, 1]) + 1.5
 
     # A 2-D grid and 3 refinement levels, one batched call per level.
@@ -84,7 +85,7 @@ def test_scalar_and_batched_margins_give_same_certificate():
 def test_batched_margin_gets_one_call_per_level(axes, depth, factor):
     sizes = []
 
-    def f(points):
+    def f(points, mesh):
         sizes.append(len(points))
         return np.sin(3.0 * points).sum(axis=1) + 2.0
 
@@ -114,7 +115,7 @@ def test_nan_margin_fails_certificate(batched):
     def f(x):
         return math.nan if x == 0.5 else 1.0
 
-    def f_batched(points):
+    def f_batched(points, mesh):
         return np.where(points[:, 0] == 0.5, math.nan, 1.0)
 
     cert = grid_min(f_batched if batched else f,
@@ -165,7 +166,7 @@ def test_evaluation_error_carries_coordinates():
 
 
 def test_batched_evaluation_error_names_first_failing_point():
-    def f(points):
+    def f(points, mesh):
         if (points[:, 0] > 0.5).any():
             raise ValueError("boom")
         return np.ones(len(points))
@@ -180,7 +181,7 @@ def test_failing_level_is_narrowed_block_by_block():
     # block is re-run point by point.
     sizes = []
 
-    def f(points):
+    def f(points, mesh):
         sizes.append(len(points))
         if (points[:, 0] > 0.9).any():
             raise ValueError("boom")
@@ -191,6 +192,107 @@ def test_failing_level_is_narrowed_block_by_block():
     assert err.value.coords == (np.linspace(0, 1, 10001)[9001],)
     assert sizes[:4] == [10001, 4096, 4096, 1809]
     assert len(sizes) == 4 + 9001 - 2 * 4096 + 1
+
+
+@pytest.mark.parametrize("margin, grid, points", [
+    (lambda p, mesh: np.array([1.0]),
+     GridSpec.box([(0, 1, 11), (0, 1, 7)], depth=2), 77),
+    (lambda p, mesh: 1.0 - p[:1, 0], GridSpec.line(0, 1, 11, depth=1), 11),
+], ids=["one-value", "first-point-only"])
+def test_batched_margin_of_the_wrong_size_is_refused(margin, grid, points):
+    # Both results were broadcast over the whole level: the first passed with
+    # min 1.0, the second although the true minimum is 0.
+    with pytest.raises(ValueError, match=rf"margin returned 1 value\(s\), "
+                       rf"shape \(1,\), for {points} points"):
+        grid_min(margin, grid, batched=True)
+
+
+def _mesh_points(mesh):
+    dims = len(mesh)
+    return np.stack(np.broadcast_arrays(*mesh), axis=-1).reshape(-1, dims)
+
+
+def test_every_level_hands_its_points_and_their_open_mesh():
+    levels = []
+
+    def f(points, mesh):
+        levels.append((points.copy(), mesh))
+        return np.sin(3.0 * points).sum(axis=1) + 2.0
+
+    grid_min(f, GridSpec.box([(0, 1, 5), (0, 2, 4), (-1, 1, 3)], depth=2,
+                             factor=2), batched=True)
+    assert [x.shape for x in levels[0][1]] == [(1, 5, 1, 1), (1, 1, 4, 1),
+                                               (1, 1, 1, 3)]
+    for points, mesh in levels[1:]:
+        boxes = len(points) // 5**3
+        assert [x.shape for x in mesh] == [(boxes, 5, 1, 1), (boxes, 1, 5, 1),
+                                           (boxes, 1, 1, 5)]
+    assert len(levels) == 3
+    for points, mesh in levels:
+        assert _mesh_points(mesh).tobytes() == points.tobytes()
+
+
+def test_narrowing_reruns_pass_a_mesh_of_one_point_boxes():
+    shapes = []
+
+    def f(points, mesh):
+        shapes.append([x.shape for x in mesh])
+        assert _mesh_points(mesh).tobytes() == points.tobytes()
+        if (points[:, 0] > 0.5).any():
+            raise ValueError("boom")
+        return np.ones(len(points))
+
+    with pytest.raises(EvaluationError) as err:
+        grid_min(f, GridSpec.box([(0, 1, 11), (0, 1, 3)]), batched=True)
+    assert err.value.coords == (np.linspace(0, 1, 11)[6], 0.0)
+    assert shapes[:2] == [[(1, 11, 1), (1, 1, 3)], [(33, 1, 1), (33, 1, 1)]]
+    assert shapes[2:] == [[(1, 1, 1), (1, 1, 1)]] * (6 * 3 + 1)
+
+
+@pytest.mark.parametrize("axes", [
+    [(-1.0, 2.0, 7)],
+    [(0.0, 1.0, 5), (-3.0, 3.0, 4)],
+    [(0.0, 1.0, 3), (16.0, 17.0, 6), (-1e-3, 1e-3, 2)],
+    # The second axis's step underflows to zero, which numpy's linspace
+    # handles by dividing first: only on that axis, as one call per axis.
+    [(0.3, 1.9, 4), (0.0, 5e-324, 4)],
+], ids=["1d", "2d", "3d", "zero-step"])
+def test_coarse_level_matches_gathered_points(axes):
+    lo = np.array([[a for a, _, _ in axes]])
+    hi = np.array([[b for _, b, _ in axes]])
+    mesh, points = _level(lo, hi, tuple(c for _, _, c in axes))
+    assert points.tobytes() == coarse_points(axes).tobytes()
+    assert _mesh_points(mesh).tobytes() == points.tobytes()
+
+
+@pytest.mark.parametrize("cells", ["clipped", "degenerate"])
+@pytest.mark.parametrize("factor", [2, 3, 4, 5])
+@pytest.mark.parametrize("dims", [1, 2, 3])
+def test_refinement_level_matches_gathered_points(dims, factor, cells):
+    # Cells as grid_min builds them: clipped at the box edges, and a
+    # degenerate cell widened by 1e-15 on each side. Near 16 that widening
+    # rounds away, so the second axis keeps a zero step, which switches
+    # numpy's whole linspace call to dividing first.
+    rng = np.random.default_rng(10 * dims + factor)
+    lo = np.array([-1.0, 16.0, 0.0])[:dims]
+    hi = np.array([1.0, 17.0, 1e-3])[:dims]
+    centers = rng.uniform(lo, hi, (40, dims))
+    centers[:4], centers[4:8] = lo, hi
+    half = (hi - lo) / 12 if cells == "clipped" else np.zeros(dims)
+    a = np.maximum(lo, centers - half)
+    b = np.minimum(hi, centers + half)
+    same = a == b
+    a = np.where(same, np.maximum(lo, a - 1e-15), a)
+    b = np.where(same, np.minimum(hi, b + 1e-15), b)
+    if cells == "degenerate":
+        assert (a[:, 0] < b[:, 0]).all()
+        assert dims == 1 or (a[:, 1] == b[:, 1]).all()
+    count = 2 * factor + 1
+    mesh, points = _level(a, b, count)
+    assert points.tobytes() == cell_points(a, b, count).tobytes()
+    assert _mesh_points(mesh).tobytes() == points.tobytes()
+    for d, x in enumerate(mesh):
+        assert x.shape == (40,) + (1,) * d + (count,) + (1,) * (dims - 1 - d)
 
 
 def test_grid_spec_validation():
