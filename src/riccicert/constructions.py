@@ -87,12 +87,6 @@ class ConditionReport:
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def margin(self, name: str) -> float:
-        for c in self.checks:
-            if c.name == name:
-                return c.margin
-        raise KeyError(name)
-
     def to_dict(self) -> dict:
         return {"passed": self.passed, "checks": [c.to_dict() for c in self.checks]}
 
@@ -632,13 +626,9 @@ class ConcordanceParams:
         return self.alpha / (math.log(self.r1) - math.log(self.r0))
 
     @property
-    def boundary_scale(self) -> float:
-        # G(nu) = (1 / (t0 r1))^2 G makes the t0 slice isometric to g_0.
-        return 1.0 / (self.t0 * self.r1)
-
-    @property
     def end_radius_factor(self) -> float:
-        # The t1 slice is then R^2 g_1 with R = t1 r0 / (t0 r1).
+        # G scaled by (1 / (t0 r1))^2 makes the t0 slice g_0 and the t1
+        # slice R^2 g_1 with R = t1 r0 / (t0 r1).
         return self.t1 * self.r0 / (self.t0 * self.r1)
 
     def to_dict(self) -> dict:

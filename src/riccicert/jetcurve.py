@@ -73,6 +73,15 @@ def _cube(v):
         return math.copysign(math.inf, v)
 
 
+def _exp(u):
+    """``exp(u)``; a float that overflows gives +inf, as an array does
+    (``math.exp`` raises OverflowError instead)."""
+    try:
+        return _lib(u).exp(u)
+    except OverflowError:
+        return math.inf
+
+
 _ORDERS = np.array([1.0, 2.0, 3.0])
 
 
@@ -284,7 +293,7 @@ class Exp(Node):
     def jet(self, x: float) -> Jet3:
         b = self.rate
         u = b * x + self.shift
-        v = self.amplitude * _lib(u).exp(u)
+        v = self.amplitude * _exp(u)
         return Jet3(v, b * v, b * b * v, b**3 * v)
 
 
@@ -385,7 +394,7 @@ class ExpOf(Node):
 
     def jet(self, x: float) -> Jet3:
         u = self.arg.jet(x)
-        e = _lib(u.value).exp(u.value)
+        e = _exp(u.value)
         return Jet3(
             e,
             u.d1 * e,
@@ -647,8 +656,8 @@ class Jet3Curve:
         for loc, order in kept:
             if lo < loc < hi:
                 raise PreconditionError(
-                    f"window [{lo!r}, {hi!r}] overlaps foreign kink at {loc!r} "
-                    f"(order {order})")
+                    f"foreign kink at {loc!r} (order {order}) lies inside the "
+                    "window")
         return Jet3Curve(self.domain, tuple(new_pieces), tuple(kept) + tuple(add_kinks))
 
     def reversed(self) -> "Jet3Curve":

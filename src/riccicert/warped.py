@@ -34,7 +34,7 @@ own domain and seams: their jets refuse a point outside the domain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -144,20 +144,6 @@ class DoublyWarpedMetric:
             quantity_id="min_ricci",
             batched=True,
         )
-
-    def scaled(self, c: float) -> "DoublyWarpedMetric":
-        """The metric with (k, h, s) -> (c k(s/c), c h(s/c), c s)."""
-        from .jetcurve import AffineOf, Scale
-
-        def stretch(curve: Jet3Curve) -> Jet3Curve:
-            pieces = tuple(
-                (a * c, b * c, Scale(AffineOf(node, 1.0 / c), c))
-                for a, b, node in curve.pieces
-            )
-            kinks = tuple((x * c, order) for x, order in curve.kinks)
-            return Jet3Curve((curve.domain[0] * c, curve.domain[1] * c), pieces, kinks)
-
-        return replace(self, k=stretch(self.k), h=stretch(self.h))
 
 
 def closure_defect(curve: Jet3Curve, x: float, slope: float) -> float:
@@ -284,18 +270,16 @@ class WarpedMetricPath:
             raise DomainError(f"lambda={bad[0]!r} outside {self.lam_range!r}")
         return (lam - a) / (b - a)
 
-    def _level_jets(self, s: np.ndarray):
-        """The sorted distinct values ``x`` of ``s``, the index of each point
-        of ``s`` in ``x``, and the jets of k0, k1, h0, h1 at ``x``, each
-        distinct curve evaluated once: (lambda, s) grids repeat every s on
-        each lambda row, and stage 1 of the isotopy has h0 = h1."""
-        (x, j), curves = _index(s), (self.k0, self.k1, self.h0, self.h1)
+    def _level_jets(self, x: np.ndarray):
+        """The jets of k0, k1, h0, h1 at the points ``x``, each distinct
+        curve evaluated once: stage 1 of the isotopy has h0 = h1."""
+        curves = (self.k0, self.k1, self.h0, self.h1)
         jets = {key: c.jet(x) for key, c in {id(c): c for c in curves}.items()}
-        return x, j, tuple(jets[id(c)] for c in curves)
+        return tuple(jets[id(c)] for c in curves)
 
     def _sample(self, jets, j, lam, s) -> CurvatureSample:
-        """Curvature at (``lam``, ``s``), where ``jets`` are ``_level_jets``
-        jets and ``j`` indexes them at ``s``."""
+        """Curvature at (``lam``, ``s``), where ``jets`` are the
+        ``_level_jets`` of some points and ``j`` indexes them at ``s``."""
         u = self.weight(lam)
         at_start, at_end = _closed_ends(s, self.k0.domain, self.start_kind,
                                         self.end_kind)
@@ -312,37 +296,35 @@ class WarpedMetricPath:
     def sectional(self, lam: float, s: float) -> CurvatureSample:
         """Curvature of the metric at ``lam`` at ``s``; equal-shape float64
         arrays ``lam`` and ``s`` give a sample of arrays, one entry per point."""
-        _, j, jets = self._level_jets(s)
-        return self._sample(jets, j, lam, s)
+        x, j = _index(s)
+        return self._sample(self._level_jets(x), j, lam, s)
 
     def min_ricci(self, grid: GridSpec,
                   threshold: float = 1e-6) -> PositivityCertificate:
         """Grid is (lambda, s); margin is the worst diagonal Ricci value.
 
-        Each scan level evaluates the endpoint curves once, then the kernel
-        block by block, once per distinct (lambda, s) pair: refinement cells
-        overlap, so most of a refinement level's points repeat. The values
-        are scattered back to every point. After the jets the kernel only
-        adds, multiplies, divides, compares and selects, elementwise, so a
-        point's value does not depend on the points it is batched with.
+        Each scan level takes its distinct lambda and s values from the
+        axes of its open mesh, evaluates the endpoint curves once at the
+        distinct s, then runs the kernel block by block, once per distinct
+        (lambda, s) pair: refinement cells overlap, so most of a refinement
+        level's points repeat. The values are scattered back to every point.
+        After the jets the kernel only adds, multiplies, divides, compares
+        and selects, elementwise, so a point's value does not depend on the
+        points it is batched with.
         """
-        def margin(pts, mesh):
-            x, j, jets = self._level_jets(pts[:, 1])
-            lams, i = _index_runs(pts[:, 0])
-            # Mark each point's (lambda, s) index pair in a bitmap of all
-            # pairs; a refinement level's points cluster, so it stays small.
-            key = i * len(x) + j
-            seen = np.zeros(len(lams) * len(x), dtype=bool)
-            seen[key] = True
-            pairs = np.flatnonzero(seen)
+        def margin(points, mesh):
+            (lams, i), (x, j) = (_index(m.ravel()) for m in mesh)
+            # One key per point; ``points`` is the broadcast mesh in C order.
+            keys = (i.reshape(mesh[0].shape) * len(x)
+                    + j.reshape(mesh[1].shape)).ravel()
+            pairs, inverse = _index(keys)
+            li, sj = np.divmod(pairs, len(x))
+            jets = self._level_jets(x)
 
             def kernel(lam, s, j):
                 return self._sample(jets, j, lam, s).min_ric()
 
-            if len(pairs) == len(pts):  # no point repeats, as on a coarse grid
-                return blockwise(kernel, pts[:, 0], pts[:, 1], j)
-            li, sj = np.divmod(pairs, len(x))
-            return blockwise(kernel, lams[li], x[sj], sj)[np.cumsum(seen)[key] - 1]
+            return blockwise(kernel, lams[li], x[sj], sj)[inverse]
 
         return grid_min(margin, grid, threshold=threshold,
                         quantity_id="path_min_ricci", batched=True)
@@ -356,10 +338,3 @@ def _index(v):
     x = x[np.concatenate(([True], x[1:] != x[:-1]))]
     return x, np.searchsorted(x, v)
 
-
-def _index_runs(v):
-    """``_index(v)`` for a ``v`` that comes in runs of equal values, as the
-    lambda values of a scan level do: each run is looked up once."""
-    start = np.flatnonzero(np.concatenate(([True], v[1:] != v[:-1])))
-    x, i = _index(v[start])
-    return x, np.repeat(i, np.diff(start, append=len(v)))

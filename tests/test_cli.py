@@ -419,6 +419,23 @@ def test_a_jet_whose_cube_overflows_exits_three(tmp_path, capsys, kind):
     assert "non-finite jet at x=0.0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("term", [
+    {"kind": "exp", "amplitude": 1e-300, "shift": 800.0},
+    {"kind": "scale", "factor": 1e-300,
+     "arg": {"kind": "exp_of", "arg": {"kind": "poly", "coeffs": [800.0]}}},
+], ids=["exp", "exp_of"])
+def test_a_jet_whose_exp_overflows_exits_three(tmp_path, capsys, term):
+    # Exp.jet and ExpOf.jet took math.exp of a float, which raised
+    # OverflowError and exited 4; the infinite jet is now refused.
+    scenario = load("curvature_round_sphere.json")
+    k = scenario["k"]["pieces"][0]["fn"]
+    scenario["k"]["pieces"][0]["fn"] = {"kind": "sum", "terms": [k, term]}
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    assert main([str(path), "--out", str(tmp_path / "out")]) == 3
+    assert "non-finite jet at x=0.0" in capsys.readouterr().err
+
+
 def test_grid_depth_override_past_float64_exits_three(tmp_path):
     code = main([str(SCENARIOS / "curvature_round_sphere.json"),
                  "--out", str(tmp_path), "--grid-depth", str(10**400)])

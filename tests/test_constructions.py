@@ -27,7 +27,7 @@ from riccicert.constructions import (
 from riccicert.errors import ConditionError, PreconditionError, SearchError
 from riccicert.jetcurve import Jet3Curve, Poly, Sin, Sum
 from riccicert.verify import GridSpec, _point_mesh, grid_min
-from riccicert.warped import DoublyWarpedMetric, sectional
+from riccicert.warped import DoublyWarpedMetric, WarpedMetricPath, sectional
 
 R_TEST = 2.0
 B1 = 0.795  # keeps the stage-1 dive feasible after T2 at R = 2
@@ -78,7 +78,8 @@ def test_profile_spec_example_parameters():
     # the nu = 0.05, b1 = pi/6 example: conditions pass (Ricci is separate)
     prof = make_boundary_profile(2.0, 0.05, math.pi / 6.0)
     assert prof.report.passed
-    assert prof.report.margin("h_ratio_before_T1") > 0.0
+    checks = {c.name: c for c in prof.report.checks}
+    assert checks["h_ratio_before_T1"].margin > 0.0
     # quantitative clause: -h''/h > 1/(5R) = 0.1 before T1
     for s in np.linspace(0.05, prof.T1, 100):
         jet = prof.h.jet(s)
@@ -577,11 +578,12 @@ def test_coarse_gate_is_bitwise_the_meshgrid_gate(monkeypatch):
 
 
 def test_concordance_scaled_slices(profile=None):
-    # the boundary-scale parameters reproduce iso:00/iso:10: the t0 slice is
-    # g_0 and the t1 slice is R^2 g_1 with R = t1 r0 / (t0 r1)
+    # the boundary-scale parameters reproduce iso:00/iso:10: G(nu) scaled by
+    # (1 / (t0 r1))^2 has the t0 slice g_0 and the t1 slice R^2 g_1 with
+    # R = t1 r0 / (t0 r1)
     params, _, _ = concordance_search(bump_path(), nu=0.05,
                                       t_count=40, theta_count=12)
-    scale = params.boundary_scale
+    scale = 1.0 / (params.t0 * params.r1)
     slice0 = (scale * params.t0 * params.r1) ** 2
     assert slice0 == pytest.approx(1.0, rel=1e-12)
     slice1 = (scale * params.t1 * params.r0) ** 2
@@ -822,6 +824,40 @@ def test_path_kernel_sees_each_distinct_point_of_a_level_once(
                for _, distinct, kernel_points in levels)
     # The refinement cells overlap, so the saving is real.
     assert all(distinct < n for n, distinct, _ in levels[1:])
+
+
+@pytest.mark.parametrize("which", [1, 2])
+def test_path_margin_on_a_refinement_level_clipped_at_every_edge(
+        profile, target, monkeypatch, which):
+    # Depth-1 cells of a 9 x 33 grid, centred on the four corners of the
+    # (lambda, s) box, next to two of them and inside: the corner cells clip
+    # at both lambda ends and at s = 0 and s = T, and neighbours overlap.
+    from riccicert.verify import _level
+    path = _stage(profile, target, which)
+    (a, b), T = path.lam_range, profile.T
+    lo, hi = np.array([a, 0.0]), np.array([b, T])
+    half = (hi - lo) / [8, 32]
+    centers = np.array([[a, 0.0], [a, T], [b, 0.0], [b, T],
+                        [a + half[0], 0.0], [b, T - half[1]],
+                        [0.5 * (a + b), 0.5 * T]])
+    mesh, points = _level(np.maximum(lo, centers - half),
+                          np.minimum(hi, centers + half), 5)
+    assert {a, b} <= set(points[:, 0]) and {0.0, T} <= set(points[:, 1])
+    distinct = np.unique(points, axis=0)
+    assert len(distinct) < len(points)
+    margin, seen = _path_margin(path), []
+    sample = WarpedMetricPath._sample
+
+    def spied(self, jets, j, lam, s):
+        seen.append(np.stack([lam, s], axis=-1))
+        return sample(self, jets, j, lam, s)
+
+    monkeypatch.setattr(WarpedMetricPath, "_sample", spied)
+    values = margin(points, mesh)
+    # The kernel sees each distinct (lambda, s) pair once, in sorted order.
+    assert np.concatenate(seen).tobytes() == distinct.tobytes()
+    monkeypatch.undo()
+    _assert_margins_bitwise(path, points[:, 0], points[:, 1], values)
 
 
 @settings(max_examples=25, deadline=None)

@@ -302,6 +302,21 @@ def test_a_float_jet_whose_cube_overflows_is_infinite(node, d3):
     assert array.d3.tolist() == [d3]
 
 
+@pytest.mark.parametrize("node", [Exp(1e-300, 1.0, 709.0),
+                                  Scale(ExpOf(Poly((709.0, 1.0))), 1e-300)],
+                         ids=["exp", "exp_of"])
+def test_a_jet_whose_exp_overflows_is_refused_at_the_same_point(node):
+    # exp(709 + x) overflows past x = 0.78: math.exp raised OverflowError
+    # there, where an array gives inf. Both forms now refuse x = 1.0 alike.
+    curve = Jet3Curve.from_node(node, (0.0, 2.0))
+    assert math.isfinite(curve.jet(0.5).value)
+    with pytest.raises(DomainError, match=r"non-finite jet at x=1\.0: "):
+        curve.jet(1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DomainError, match=r"non-finite jet at x=np\.float64\(1\.0\)$"):
+            curve.jet(np.array([0.0, 0.5, 1.0, 1.5]))
+
+
 def test_array_piece_lookup_follows_scalar_rules():
     # A kink takes the left piece, a smooth breakpoint the right one, and the
     # far end the last piece; values use the right piece even at the kink.

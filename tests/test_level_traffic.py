@@ -34,3 +34,17 @@ def test_concordance_refinement_axis_values(capsys):
     assert out[0] == "concordance_bump.json (exit 0)"
     assert ("  refinement total: 124,416 points -> 55,869 distinct"
             " -> 27,648 axis values" in out)
+
+
+def test_isotopy_levels_and_totals(capsys):
+    # The path margin sorts each level's axis values and runs its kernel on
+    # the distinct (lambda, s) pairs: refinement cells overlap, so 645,750
+    # points hold 106,974 distinct pairs on 258,300 axis values.
+    scenario = _ROOT / "scenarios" / "isotopy.json"
+    assert level_traffic.main(["level_traffic.py", str(scenario)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "isotopy.json (exit 0)"
+    assert ("  coarse total: 229,376 points -> 229,376 distinct -> 4,480 axis values"
+            in out)
+    assert ("  refinement total: 645,750 points -> 106,974 distinct"
+            " -> 258,300 axis values" in out)

@@ -1,5 +1,4 @@
 import math
-import re
 
 import numpy as np
 import pytest
@@ -328,9 +327,12 @@ def with_marked_point(x):
 ])
 def test_two_stage_refuses_a_foreign_kink_in_each_stage_window(x, center, width):
     window = f"[{center - width!r}, {center + width!r}]"
-    with pytest.raises(PreconditionError, match=rf"window {re.escape(window)} "
-                       rf"overlaps foreign kink at {x!r}"):
+    with pytest.raises(PreconditionError) as info:
         two_stage_smooth(with_marked_point(x), 0.0, 0.1, 0.02)
+    message = str(info.value)
+    assert message == (f"smoothing window {window}: foreign kink at {x!r} "
+                       "(order 3) lies inside the window")
+    assert message.count(window) == 1
 
 
 @pytest.mark.parametrize("center, width, end", [

@@ -5,7 +5,7 @@ import pytest
 
 from oracles import ricci_fd, sectional_fd, warped_full_metric, warped_slice_metric
 from riccicert.errors import DomainError, PreconditionError
-from riccicert.jetcurve import Cos, Jet3Curve, Poly, Sin, Sum
+from riccicert.jetcurve import AffineOf, Cos, Jet3Curve, Poly, Scale, Sin, Sum
 from riccicert.verify import GridSpec
 from riccicert.warped import (
     DoublyWarpedMetric,
@@ -176,10 +176,20 @@ def test_ricci_frame_weights_against_fd_oracle(m, n):
 # ---------------------------------------------------------------------------
 
 
+def stretched(curve, c):
+    """``c * curve(s / c)`` on the domain scaled by ``c``, piece by piece."""
+    pieces = tuple((a * c, b * c, Scale(AffineOf(node, 1.0 / c), c))
+                   for a, b, node in curve.pieces)
+    kinks = tuple((x * c, order) for x, order in curve.kinks)
+    return Jet3Curve(tuple(x * c for x in curve.domain), pieces, kinks)
+
+
 def test_scaling_covariance():
+    # (k, h, s) -> (c k(s/c), c h(s/c), c s) divides every sectional by c^2.
     g = round_sphere(1.0)
     c = 2.5
-    scaled = g.scaled(c)
+    scaled = DoublyWarpedMetric(stretched(g.k, c), stretched(g.h, c), g.m, g.n,
+                                g.start_kind, g.end_kind)
     for s in (0.2, 0.9, 1.4):
         a, b = sectional(g, s), sectional(scaled, c * s)
         for name in ("K_sk", "K_sh", "K_kk", "K_hh", "K_kh"):
@@ -305,16 +315,15 @@ def test_dimension_validation():
 
 
 def test_interior_nonpositive_warping_rejected_at_eval():
+    # A path validates its curves without evaluating them, so with k0 = k1
+    # it carries k = 0.5 - s, negative past s = 0.5, to the kernel.
     dom = (0.0, 1.0)
-    g = DoublyWarpedMetric.__new__(DoublyWarpedMetric)
-    object.__setattr__(g, "k", Jet3Curve.from_node(Poly((0.5, -1.0)), dom))
-    object.__setattr__(g, "h", Jet3Curve.from_node(Poly((1.0,)), dom))
-    object.__setattr__(g, "m", 3)
-    object.__setattr__(g, "n", 3)
-    object.__setattr__(g, "start_kind", "boundary")
-    object.__setattr__(g, "end_kind", "boundary")
-    with pytest.raises(DomainError):
-        sectional(g, 0.9)
+    k = Jet3Curve.from_node(Poly((0.5, -1.0)), dom)
+    h = Jet3Curve.from_node(Poly((1.0,)), dom)
+    path = WarpedMetricPath(k0=k, k1=k, h0=h, h1=h, m=3, n=3,
+                            start_kind="boundary", end_kind="boundary")
+    with pytest.raises(DomainError, match=r"warping vanishes at s=0\.9 "):
+        path.sectional(0.0, 0.9)
 
 
 # ---------------------------------------------------------------------------
