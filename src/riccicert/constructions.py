@@ -40,7 +40,7 @@ from .jetcurve import (
 )
 from .spline import hermite_quintic, two_stage_smooth
 from .verify import GridSpec, PositivityCertificate, bisect_param, grid_min
-from .warped import DoublyWarpedMetric, WarpedMetricPath, closure_defect
+from .warped import WarpedMetricPath, closure_defect
 
 __all__ = [
     "ConditionCheck",
@@ -118,20 +118,13 @@ _BUMP_NORM = 256.0 / 315.0  # integral of (1 - x^2)^4 over [-1, 1]
 # coefficients ascending in (s - center), for exact integration.
 
 
-def _horner(coeffs, t: float) -> float:
-    v = 0.0
-    for a in reversed(coeffs):
-        v = v * t + a
-    return v
-
-
 def _antiderivative(pieces):
     """The continuous antiderivative that vanishes at the first piece's start."""
     out, running = [], 0.0
     for lo, hi, c, coef in pieces:
         anti = [0.0] + [a / (i + 1) for i, a in enumerate(coef)]
-        anti[0] += running - _horner(anti, lo - c)
-        running = _horner(anti, hi - c)
+        anti[0] += running - Poly(tuple(anti), c).jet(lo).value
+        running = Poly(tuple(anti), c).jet(hi).value
         out.append((lo, hi, c, anti))
     return out
 
@@ -175,7 +168,7 @@ def _dive_curve(lo: float, T: float, start_value: float, floor, floor_mass: floa
     kp = _scaled_shifted(w1, -1.0, 0.0)      # k' = -integral
     k = _antiderivative(kp)
     _, _, c0, coef0 = k[0]  # the first piece starts at lo
-    k = _scaled_shifted(k, 1.0, start_value - _horner(coef0, lo - c0))
+    k = _scaled_shifted(k, 1.0, start_value - Poly(tuple(coef0), c0).jet(lo).value)
     return Jet3Curve.piecewise([(a, b, Poly(tuple(coef), center=c))
                                 for a, b, c, coef in k])
 
@@ -252,10 +245,6 @@ class BoundaryProfile:
     s_c: float
     s_j: float
     report: ConditionReport
-
-    def metric(self, m: int, n: int) -> DoublyWarpedMetric:
-        return DoublyWarpedMetric(self.k, self.h, m, n,
-                                  start_kind="closed_h", end_kind="closed_k")
 
 
 def make_boundary_profile(R: float, nu: float, b1: float) -> BoundaryProfile:
@@ -737,6 +726,9 @@ def concordance_search(path: RoundRadiusPath, nu: float, *, t_count: int = 160,
     r1 = 0.9 * min(0.5 * nu, math.sqrt(0.5 * ric_min))
     C = estimate_C(path, path_grid)
     r0 = r1 * math.exp(-(C + 1.0))
+    if not r0 > 0.0:
+        raise PreconditionError(
+            f"r0 = r1 exp(-(C + 1)) underflows to 0 (C = {C:.3e}, r1 = {r1:.3e})")
     L = math.log(r1) - math.log(r0)  # = C + 1
 
     # Each bound is a sum of three products of a theta factor and a u
@@ -802,6 +794,7 @@ def concordance_search(path: RoundRadiusPath, nu: float, *, t_count: int = 160,
             t0 *= 2.0
             continue
         certs = {}
+        # A doubling stops at its first failing certificate.
         for side, th_lo, th_hi in (("below", 0.0, theta0),
                                    ("above", theta0, 0.5 * math.pi)):
             certs[f"ricci_theta_{side}"] = grid_min(
@@ -811,8 +804,9 @@ def concordance_search(path: RoundRadiusPath, nu: float, *, t_count: int = 160,
                              depth=cert_depth),
                 threshold=threshold, quantity_id=f"ricci_bound_theta_{side}_t2norm",
                 batched=True)
-        ric_ok = all(c.passed for c in certs.values())
-        if ric_ok:
+            if not certs[f"ricci_theta_{side}"].passed:
+                break
+        else:
             params = ConcordanceParams(t0=t0, t1=t0 * t0, r0=r0, r1=r1,
                                        nu=nu, C=C)
             certs["path_ricci"] = path_cert

@@ -134,9 +134,6 @@ class Jet3:
     d2: float = 0.0
     d3: float = 0.0
 
-    def deriv(self, k: int) -> float:
-        return (self.value, self.d1, self.d2, self.d3)[k]
-
     def scaled(self, c: float) -> "Jet3":
         return Jet3(c * self.value, c * self.d1, c * self.d2, c * self.d3)
 
@@ -484,9 +481,9 @@ class Jet3Curve:
                 raise PreconditionError(f"kink order must be 1, 2 or 3, got {order!r}")
         for (a, b, left), (_, c, right) in zip(self.pieces, self.pieces[1:]):
             need = dict.get(kink_map, b, 4)
-            jl, jr = left.jet(b), right.jet(b)
+            jl, jr = left.jet(b).as_tuple(), right.jet(b).as_tuple()
             for k in range(min(need, 4)):
-                vl, vr = jl.deriv(k), jr.deriv(k)
+                vl, vr = jl[k], jr[k]
                 tol = _MATCH_TOL * max(1.0, abs(vl), abs(vr))
                 if not abs(vl - vr) <= tol:  # a NaN fails too
                     raise PreconditionError(
@@ -495,10 +492,6 @@ class Jet3Curve:
                     )
 
     # -- evaluation ---------------------------------------------------------
-
-    @property
-    def breakpoints(self):
-        return tuple(p[0] for p in self.pieces[1:])
 
     def kink_order(self, x: float):
         for loc, order in self.kinks:
@@ -604,18 +597,9 @@ class Jet3Curve:
         return out
 
     def value(self, x: float) -> float:
-        """Value at ``x``, continuous even at kinks; a non-finite value raises
-        DomainError naming the first such point."""
-        if isinstance(x, np.ndarray):
-            out = self._jet_array(x, "right").value
-            bad = _first(~np.isfinite(out), x)
-        else:
-            xc, node = self._piece_at(x, None)
-            out = node.jet(xc).value
-            bad = _first(not math.isfinite(out), x)
-        if bad:
-            raise DomainError(f"non-finite value at x={bad[0]!r}")
-        return out
+        """Value at ``x``, continuous even at kinks: the right-sided jet's, so
+        a point whose jet is not finite raises DomainError as ``jet`` does."""
+        return self.jet(x, side="right").value
 
     # -- constructors and transforms ----------------------------------------
 

@@ -80,7 +80,7 @@ def _hermite(left: Jet3, right: Jet3, width: float, order: int,
     if not (left.is_finite() and right.is_finite()):
         raise PreconditionError("endpoint jets must be finite")
     scale = (1.0, width, width * width)[:order + 1]
-    rhs = [c * jet.deriv(k) for jet in (left, right) for k, c in enumerate(scale)]
+    rhs = [c * v for jet in (left, right) for c, v in zip(scale, jet.as_tuple())]
     matrix = _CUBIC_MATRIX if order == 1 else _QUINTIC_MATRIX
     scaled = np.linalg.solve(matrix, np.asarray(rhs, dtype=float))
     try:

@@ -121,6 +121,17 @@ def test_no_theta_split_exits_three(tmp_path):
     assert report["error"]["message"].startswith("no theta split: theta0 = 0")
 
 
+def test_r0_underflow_exits_three(tmp_path, capsys):
+    # C is about 1,086 here, so r0 = r1 exp(-(C + 1)) is 0.0, and
+    # math.log(r0) raised ValueError and exited 4.
+    scenario = load("concordance_bump.json")
+    scenario["path"]["amplitude"] = 10.0
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    assert main([str(path), "--out", str(tmp_path / "out")]) == 3
+    assert "r0 = r1 exp(-(C + 1)) underflows to 0 (C = 1.08" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("amplitude", [0.3, -0.3])
 def test_doubling_overrun_reports_its_trace_and_failed_gate(tmp_path,
                                                             amplitude):

@@ -104,7 +104,7 @@ def test_profile_reports_failures():
 
 
 def test_profile_metric_is_ricci_positive(profile):
-    g = profile.metric(3, 3)
+    g = DoublyWarpedMetric(profile.k, profile.h, 3, 3, "closed_h", "closed_k")
     cert = g.min_ricci(GridSpec.line(0.0, profile.T, 512, depth=1))
     assert cert.passed
 
@@ -236,7 +236,7 @@ def test_profile_metric_fails_in_the_known_band_at_the_shipped_nu():
     # metric) is Ricci-negative on [1.94786, 1.95022]; a 4,096-point scan
     # finds the band.
     profile = make_boundary_profile(2.0, 0.021183203125, 0.795)
-    g = profile.metric(3, 3)
+    g = DoublyWarpedMetric(profile.k, profile.h, 3, 3, "closed_h", "closed_k")
     assert sectional(g, 1.949).Ric_s == pytest.approx(-0.01373, abs=1e-5)
     cert = g.min_ricci(GridSpec.line(0.0, profile.T, 4096, 2, 2))
     assert not cert.passed
@@ -253,7 +253,8 @@ def test_profile_metric_and_stage1_agree_inside_the_guard_bands(profile,
                                                                  target):
     # The lambda = 0 end of stage 1 is the profile metric; strictly inside
     # a closed end's guard band both read the jets at s and take the limits.
-    g, path = profile.metric(3, 3), isotopy_stage1(profile, target, 3, 3)
+    g = DoublyWarpedMetric(profile.k, profile.h, 3, 3, "closed_h", "closed_k")
+    path = isotopy_stage1(profile, target, 3, 3)
     guard = 1e-6 * profile.T
     s = np.array([0.25 * guard, 0.5 * guard, profile.T - 0.5 * guard])
     want, got = sectional(g, s), path.sectional(np.zeros_like(s), s)
@@ -560,7 +561,9 @@ def test_batched_concordance_margins_match_per_point_reference(monkeypatch):
         assert np.all(np.abs(values - ref) <= tol), qid
     assert kinds == {"path_min_ricci", "ricci_bound_theta_below_t2norm",
                      "ricci_bound_theta_above_t2norm"}
-    assert ricci_levels == 8  # two t0 probes, two theta sides, two levels
+    # Two levels each: the first t0 probe stops at its failing below-theta
+    # side, and the next passes both sides.
+    assert ricci_levels == 6
 
 
 def test_coarse_gate_is_bitwise_the_meshgrid_gate(monkeypatch):
@@ -867,8 +870,8 @@ def test_batched_path_margin_matches_scalar_reference(profile, target, seed,
     path = _stage(profile, target, which)
     rng = np.random.default_rng(seed)
     T = profile.T
-    breaks = {x for c in (path.k0, path.k1, path.h0, path.h1)
-              for x in c.breakpoints}
+    breaks = {a for c in (path.k0, path.k1, path.h0, path.h1)
+              for a, _, _ in c.pieces[1:]}
     kinks = {x for c in (path.k0, path.k1, path.h0, path.h1)
              for x, _ in c.kinks}
     assert kinks

@@ -507,12 +507,12 @@ def test_chart_requires_normalization():
 
 
 def test_chart_with_non_finite_mu_is_refused():
-    # |nan - 1| > 1e-12 is false: only a finiteness check on mu's value
+    # |nan - 1| > 1e-12 is false: only a finiteness check on mu's jet
     # keeps a NaN mu(0) from passing the normalization check.
     scenario = json.loads((SCENARIOS / "glue_corner.json").read_text())
     left = CornerChart.from_dict(scenario["left"])
     mu = Jet3Curve.from_node(Poly((1.0, math.nan)), left.a_range)
-    with pytest.raises(DomainError, match="non-finite value at x=0.0"):
+    with pytest.raises(DomainError, match="non-finite jet at x=0.0"):
         dataclasses.replace(left, mu=mu)
 
 

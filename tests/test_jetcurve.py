@@ -317,6 +317,23 @@ def test_a_jet_whose_exp_overflows_is_refused_at_the_same_point(node):
             curve.jet(np.array([0.0, 0.5, 1.0, 1.5]))
 
 
+@pytest.mark.parametrize("node, value, order, bad", [
+    (ExpOf(Poly((0.0, 1e120))), 1.0, 3, math.inf),
+    (Recip(Poly((1e-160, 1.0))), 1e160, 1, -math.inf),
+], ids=["exp_of", "recip"])
+def test_value_refuses_a_point_whose_jet_is_not_finite(node, value, order, bad):
+    # The value is finite but a derivative is not: value reads the
+    # right-sided jet, so it refuses the point as jet does.
+    assert node.jet(0.0).value == value
+    assert node.jet(0.0).as_tuple()[order] == bad
+    curve = Jet3Curve.from_node(node, (-1.0, 1.0))
+    with pytest.raises(DomainError, match=r"non-finite jet at x=0\.0"):
+        curve.value(0.0)
+    with np.errstate(over="ignore"):
+        with pytest.raises(DomainError, match=r"non-finite jet at x=0\.0$"):
+            curve.value(np.array([0.0]))
+
+
 def test_array_piece_lookup_follows_scalar_rules():
     # A kink takes the left piece, a smooth breakpoint the right one, and the
     # far end the last piece; values use the right piece even at the kink.
@@ -435,7 +452,7 @@ def test_array_jet_matches_per_piece_dispatch_bit_for_bit(data):
     curve = data.draw(mixed_curves())
     lo, hi = curve.domain
     slack = 1e-13 * max(1.0, abs(lo), abs(hi))  # inside the domain check's slack
-    marked = list(curve.breakpoints) + [loc for loc, _ in curve.kinks]
+    marked = [a for a, _, _ in curve.pieces[1:]] + [loc for loc, _ in curve.kinks]
     on_marks = st.sampled_from(marked + [lo, hi, lo - slack, hi + slack])
     xs = data.draw(st.lists(on_marks | st.floats(lo, hi), min_size=1, max_size=40))
     side = data.draw(st.sampled_from([None, "left", "right"]))

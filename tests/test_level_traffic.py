@@ -25,15 +25,16 @@ def test_glue_corner_levels_and_totals(capsys):
 
 
 def test_concordance_refinement_axis_values(capsys):
-    # Four depth-1 certificates (two t0 probes, two theta sides); each
-    # refinement level has 384 cells of 9 x 9 points, so a separable margin
-    # takes 384 * (9 + 9) = 6,912 axis values where 31,104 points repeat.
+    # Three depth-1 certificates (the first t0 probe stops at its failing
+    # below-theta side; the next passes both sides); each refinement level
+    # has 384 cells of 9 x 9 points, so a separable margin takes
+    # 384 * (9 + 9) = 6,912 axis values where 31,104 points repeat.
     scenario = _ROOT / "scenarios" / "concordance_bump.json"
     assert level_traffic.main(["level_traffic.py", str(scenario)]) == 0
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "concordance_bump.json (exit 0)"
-    assert ("  refinement total: 124,416 points -> 55,869 distinct"
-            " -> 27,648 axis values" in out)
+    assert ("  refinement total: 93,312 points -> 36,414 distinct"
+            " -> 20,736 axis values" in out)
 
 
 def test_isotopy_levels_and_totals(capsys):
