@@ -1,0 +1,119 @@
+#!/usr/bin/env python3
+"""Alternating parent/change benchmark pairs of two source checkouts.
+
+Usage:
+
+    python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --workload W \\
+        --pairs N --seconds S [--base-seed B]
+
+Pair i runs ``bench/run.py --workload W --seed B+i --seconds S --trace 0``
+once in each checkout, with that checkout as the working directory; the
+parent runs first in even pairs and the change in odd ones, so a drift of
+the machine's speed falls on both sides alike. The end-to-end metrics and
+their directions are read from ``BENCHMARK.json`` next to this script.
+
+Prints a markdown table with, for each metric, both medians, both
+quartiles, the ratio of the medians (change / parent) and the number of
+pairs the change won (strictly better; a tie is no win). Exit status: 0
+when every run reads ``correct: true``, 1 when a run does not or yields no
+result (the rest of the pairs are not run), 2 on a usage error.
+"""
+
+import argparse
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
+
+
+def summarize(parent_runs, change_runs, metrics):
+    """One row per ``(name, better)`` of ``metrics``, from two equal-length
+    lists of ``{name: value}`` dicts, pair i being the i-th of each.
+
+    A row holds the name, both sides' (first quartile, median, third
+    quartile), the ratio of the medians and the pairs the change won.
+    """
+    if len(parent_runs) != len(change_runs) or not parent_runs:
+        raise ValueError("need one or more runs on each side, in pairs")
+    rows = []
+    for name, better in metrics:
+        parent = [run[name] for run in parent_runs]
+        change = [run[name] for run in change_runs]
+        sign = {"lower": 1.0, "higher": -1.0}[better]
+        p_q = tuple(np.percentile(parent, (25, 50, 75)).tolist())
+        c_q = tuple(np.percentile(change, (25, 50, 75)).tolist())
+        rows.append({
+            "name": name, "parent": p_q, "change": c_q,
+            "ratio": c_q[1] / p_q[1],
+            "won": sum(sign * c < sign * p for p, c in zip(parent, change)),
+        })
+    return rows
+
+
+def format_table(rows, pairs):
+    lines = ["| metric | parent median [q1, q3] | change median [q1, q3] "
+             f"| change / parent | change won (of {pairs}) |",
+             "|---|---|---|---|---|"]
+    for row in rows:
+        cells = [f"{q[1]:.4g} [{q[0]:.4g}, {q[2]:.4g}]"
+                 for q in (row["parent"], row["change"])]
+        lines.append(f"| {row['name']} | {cells[0]} | {cells[1]} "
+                     f"| {row['ratio']:.3f} | {row['won']} |")
+    return "\n".join(lines)
+
+
+def run_once(checkout, workload, seed, seconds):
+    """The metric values of one untraced run; RuntimeError if the run gives
+    no result or its result does not read ``correct: true``."""
+    proc = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+        cwd=checkout, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    try:
+        result = json.loads(lines[-1])
+    except (IndexError, json.JSONDecodeError):
+        raise RuntimeError(f"exit {proc.returncode}, no result: "
+                           f"{proc.stderr.strip()[-400:]}") from None
+    if result.get("correct") is not True:
+        raise RuntimeError(f"correct: {result.get('correct')}; "
+                           f"{' '.join(lines[:-1])[-400:]}")
+    return {name: m["value"] for name, m in result["metrics"].items()}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("parent", type=Path)
+    parser.add_argument("change", type=Path)
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, required=True)
+    parser.add_argument("--seconds", type=float, required=True)
+    parser.add_argument("--base-seed", type=int, default=1)
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+    metrics = [(m["name"], m["better"])
+               for m in json.loads(BENCHMARK.read_text())["end_to_end"]]
+    runs = {"parent": [], "change": []}
+    for i in range(args.pairs):
+        seed = args.base_seed + i
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        for side in order:
+            try:
+                runs[side].append(run_once(getattr(args, side), args.workload,
+                                           seed, args.seconds))
+            except RuntimeError as err:
+                print(f"pair {i} ({side}, seed {seed}): {err}", file=sys.stderr)
+                return 1
+        print(f"pair {i} (seed {seed}) done", file=sys.stderr)
+    print(format_table(summarize(runs["parent"], runs["change"], metrics),
+                       args.pairs))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -686,6 +686,8 @@ def estimate_C(path: RoundRadiusPath, grid: GridSpec) -> float:
 
 # Doublings of t0 (from 4) before the concordance search gives up.
 _MAX_DOUBLINGS = 400
+# Doublings whose coarse Ricci gates are computed in one array pass.
+_GATE_BLOCK = 32
 
 
 def concordance_search(path: RoundRadiusPath, nu: float, *, t_count: int = 160,
@@ -740,17 +742,25 @@ def concordance_search(path: RoundRadiusPath, nu: float, *, t_count: int = 160,
         ct, st = np.cos(theta), np.sin(theta)
         return ct * ct, 2.0 * np.abs(st * ct), st * st
 
-    def u_factors(u, ell):
-        """(time, mixed, space) bounds at ``u = ln t``, multiplied by t^2."""
+    def ell_terms(ell):
+        """The terms of the bounds that depend on ``ell = ln t0`` alone, on
+        floats: a float power need not round as numpy's array square does."""
         alpha = 0.5 / ell
         beta = alpha / L
         inv_a, inv_b = 1.0 / alpha, 1.0 / beta
-        rho = r1 * np.exp(-(1.0 / beta) * (1.0 / ell - 1.0 / u))
+        return (1.0 / ell, inv_a, inv_b, inv_b - C * inv_a,
+                4.0 * (inv_b + C * inv_a) ** 2, inv_a + inv_b, (inv_a + inv_b) ** 2)
+
+    def u_factors(u, terms):
+        """(time, mixed, space) bounds at ``u = ln t``, multiplied by t^2,
+        from one ``ell_terms`` or from columns of them, one row per t0."""
+        inv_ell, inv_a, inv_b, time_lin, time_sq, space_lin, space_sq = terms
+        rho = r1 * np.exp(-inv_b * (inv_ell - 1.0 / u))
         shape = 1.0 / u**2 - 2.0 / u**3
-        sec_time = (inv_b - C * inv_a) * shape - 4.0 * (inv_b + C * inv_a) ** 2 / u**4
+        sec_time = time_lin * shape - time_sq / u**4
         b_time = n * sec_time
         sec_space = (sec_min / rho**2 - 1.0
-                     - C * ((inv_a + inv_b) / u**2 + (inv_a + inv_b) ** 2 / u**4))
+                     - C * (space_lin / u**2 + space_sq / u**4))
         b_space = sec_time + (n - 1) * sec_space
         b_mixed = C * inv_a / (u * u * rho)
         return b_time, b_mixed, b_space
@@ -772,22 +782,30 @@ def concordance_search(path: RoundRadiusPath, nu: float, *, t_count: int = 160,
 
     # Cheap gate before running the full certificates: the margins are
     # smooth in (theta, ln t), so a thin 25 x 33 grid finds the right
-    # doubling. Its theta factors do not depend on t0.
+    # doubling. Its theta factors do not depend on t0, and the gates of a
+    # block of doublings are computed in one array pass; every operation is
+    # elementwise, so each row has the bits of its own gate.
     gate_theta = theta_factors(np.linspace(0.0, 0.5 * math.pi, 25)[:, None])
 
-    def coarse_min(ell):
-        u = np.linspace(ell, 2.0 * ell, 33)
-        return float(np.min(bound(gate_theta, u_factors(u, ell))))
+    def coarse_mins(t0s):
+        ells = [math.log(t) for t in t0s]
+        terms = [np.array(col)[:, None] for col in zip(*map(ell_terms, ells))]
+        u = np.linspace(ells, 2.0 * np.array(ells), 33, axis=-1)
+        factors = [f[:, None, :] for f in u_factors(u, terms)]
+        return np.min(bound(gate_theta, factors), axis=(1, 2)).tolist()
 
     t0 = 4.0
     # One row per doubling: t0, both end margins, and the coarse Ricci
     # minimum (None when an end margin failed first).
     trace = []
-    for _ in range(_MAX_DOUBLINGS):
+    for i in range(_MAX_DOUBLINGS):
+        if i % _GATE_BLOCK == 0:
+            gates = coarse_mins([t0 * 2.0**j for j in
+                                 range(min(_GATE_BLOCK, _MAX_DOUBLINGS - i))])
         ell = math.log(t0)
         margin_t0 = nu - r1 * (1.0 + 2.0 * (L + C) / ell)
         margin_t1 = 1.0 + (L - C) / (2.0 * ell)
-        gate = (coarse_min(ell)
+        gate = (gates[i % _GATE_BLOCK]
                 if margin_t0 > threshold and margin_t1 > threshold else None)
         trace.append((t0, margin_t0, margin_t1, gate))
         if gate is None or not gate > threshold:
@@ -798,8 +816,8 @@ def concordance_search(path: RoundRadiusPath, nu: float, *, t_count: int = 160,
         for side, th_lo, th_hi in (("below", 0.0, theta0),
                                    ("above", theta0, 0.5 * math.pi)):
             certs[f"ricci_theta_{side}"] = grid_min(
-                lambda pts, mesh, e=ell: bound(theta_factors(mesh[0]),
-                                               u_factors(mesh[1], e)).reshape(-1),
+                lambda pts, mesh, k=ell_terms(ell): bound(
+                    theta_factors(mesh[0]), u_factors(mesh[1], k)).reshape(-1),
                 GridSpec.box([(th_lo, th_hi, theta_count), (ell, 2.0 * ell, t_count)],
                              depth=cert_depth),
                 threshold=threshold, quantity_id=f"ricci_bound_theta_{side}_t2norm",
@@ -867,6 +885,8 @@ def solve_geodesic_triangle(r: float, tilt: float = 1e-4,
     """
     if not 0.0 < r < 0.25 * math.pi:
         raise PreconditionError(f"r must lie in (0, pi/4), got {r!r}")
+    if not tilt > 0.0:
+        raise PreconditionError(f"tilt must be positive, got {tilt!r}")
     target = math.sin(2.0 * r)
 
     def angles(tau):

@@ -100,6 +100,16 @@ def test_precondition_violation_exits_three(tmp_path):
     assert report["error"]["kind"] == "PreconditionError"
 
 
+@pytest.mark.parametrize("tilt", [0.0, -1e-4])
+def test_triangle_tilt_not_above_zero_exits_three(tmp_path, tilt):
+    # The tilt keeps theta0 below pi/2: tilt 0 puts it at pi/2 exactly, and
+    # a negative tilt above it.
+    code, report = run_scenario({**load("triangle.json"), "tilt": tilt}, tmp_path)
+    assert code == 3
+    assert report["error"] == {"kind": "PreconditionError",
+                               "message": f"tilt must be positive, got {tilt!r}"}
+
+
 @pytest.mark.parametrize("eps, delta", [(1e-30, 1e-31), (1e-170, 1e-171)])
 def test_too_narrow_smoothing_window_exits_three(tmp_path, eps, delta):
     # float64 cannot carry these Hermite solves: the first loses the

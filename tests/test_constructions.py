@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from dataclasses import replace
 from pathlib import Path
 from unittest.mock import patch
@@ -566,16 +567,35 @@ def test_batched_concordance_margins_match_per_point_reference(monkeypatch):
     assert ricci_levels == 6
 
 
-def test_coarse_gate_is_bitwise_the_meshgrid_gate(monkeypatch):
-    # The shipped search needs 104 doublings; stopped at 100, its trace holds
-    # the gate of every doubling whose end margins held.
-    monkeypatch.setattr(cons, "_MAX_DOUBLINGS", 100)
-    path = bump_path()
-    with pytest.raises(SearchError) as err:
-        concordance_search(path, nu=0.05)
+@pytest.mark.parametrize("amplitude,max_doublings,gated", [
+    (0.1, 1, 0), (0.1, 33, 27), (0.1, 64, 58), (0.1, 100, 94),
+    (0.3, 400, 387), (-0.3, 400, 377), (-0.05, 50, 46)])
+def test_coarse_gate_is_bitwise_the_meshgrid_gate(monkeypatch, amplitude,
+                                                  max_doublings, gated):
+    # The shipped search (amplitude 0.1) needs 104 doublings; stopped
+    # earlier, its trace holds the gate of every doubling whose end margins
+    # held. Its limits end a gate block after its first row, at a block
+    # edge, and inside one. Amplitudes 0.3 and -0.3 run out of all 400
+    # doublings, so the last block holds 16 rows, and no row raises or
+    # warns. At -0.05 (certified at t0 = 4 * 2**55) the gates at
+    # t0 = 4 * 2**8, 4 * 2**18 and 4 * 2**38 move if inv_b + C inv_a and
+    # inv_a + inv_b are squared on arrays: a float's power rounds otherwise
+    # there.
+    monkeypatch.setattr(cons, "_MAX_DOUBLINGS", max_doublings)
+    node = Sum((Poly((1.0,)), Sin(amplitude, math.pi)))
+    path = RoundRadiusPath(Jet3Curve.from_node(node, (0.0, 1.0)), 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(SearchError, match=f"exceeded {max_doublings} doublings") as err:
+            concordance_search(path, nu=0.05)
+    trace = err.value.trace
+    assert len(trace) == max_doublings
+    # The gate runs exactly where both end margins hold.
+    assert all((gate is not None) == (m0 > 1e-6 and m1 > 1e-6)
+               for _, m0, m1, gate in trace)
+    gates = [(t0, gate) for t0, _, _, gate in trace if gate is not None]
+    assert len(gates) == gated
     consts = _concordance_constants(path, 0.05)
-    gates = [(t0, gate) for t0, _, _, gate in err.value.trace if gate is not None]
-    assert len(gates) == 94
     for t0, gate in gates:
         assert gate.hex() == concordance_gate(math.log(t0), **consts).hex()
 
