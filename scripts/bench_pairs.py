@@ -10,11 +10,22 @@ Pair i runs ``bench/run.py --workload W --seed B+i --seconds S --trace 0``
 once in each checkout, with that checkout as the working directory; the
 parent runs first in even pairs and the change in odd ones, so a drift of
 the machine's speed falls on both sides alike. The end-to-end metrics and
-their directions are read from ``BENCHMARK.json`` next to this script.
+their directions and bounds are read from ``BENCHMARK.json`` next to
+this script.
 
 Prints a markdown table with, for each metric, both medians, both
-quartiles, the ratio of the medians (change / parent) and the number of
-pairs the change won (strictly better; a tie is no win). Exit status: 0
+quartiles, the ratio of the medians (change / parent), the number of
+pairs the change won (strictly better; a tie is no win) and a verdict,
+the first of these that holds:
+
+- ``gain``: the change won at least 9 of every 10 pairs, and its median
+  beats the parent's by more than the parent's q3 - q1;
+- ``worse``: the change's median is worse than the parent's by more than
+  the metric's ``bound`` times the parent's median;
+- ``unresolved``: the parent's q3 - q1 exceeds ``bound`` times its median;
+- ``same``: none of the above.
+
+Exit status: 0
 when every run reads ``correct: true``, 1 when a run does not or yields no
 result (the rest of the pairs are not run), 2 on a usage error.
 """
@@ -31,38 +42,47 @@ BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
 
 
 def summarize(parent_runs, change_runs, metrics):
-    """One row per ``(name, better)`` of ``metrics``, from two equal-length
-    lists of ``{name: value}`` dicts, pair i being the i-th of each.
+    """One row per ``(name, better, bound)`` of ``metrics``, from two
+    equal-length lists of ``{name: value}`` dicts, pair i being the i-th of
+    each.
 
     A row holds the name, both sides' (first quartile, median, third
-    quartile), the ratio of the medians and the pairs the change won.
+    quartile), the ratio of the medians, the pairs the change won and the
+    verdict of the module docstring.
     """
     if len(parent_runs) != len(change_runs) or not parent_runs:
         raise ValueError("need one or more runs on each side, in pairs")
     rows = []
-    for name, better in metrics:
+    for name, better, bound in metrics:
         parent = [run[name] for run in parent_runs]
         change = [run[name] for run in change_runs]
         sign = {"lower": 1.0, "higher": -1.0}[better]
         p_q = tuple(np.percentile(parent, (25, 50, 75)).tolist())
         c_q = tuple(np.percentile(change, (25, 50, 75)).tolist())
-        rows.append({
-            "name": name, "parent": p_q, "change": c_q,
-            "ratio": c_q[1] / p_q[1],
-            "won": sum(sign * c < sign * p for p, c in zip(parent, change)),
-        })
+        won = sum(sign * c < sign * p for p, c in zip(parent, change))
+        spread, gap = p_q[2] - p_q[0], sign * (p_q[1] - c_q[1])
+        if 10 * won >= 9 * len(parent) and gap > spread:
+            verdict = "gain"
+        elif -gap > bound * abs(p_q[1]):
+            verdict = "worse"
+        elif spread > bound * abs(p_q[1]):
+            verdict = "unresolved"
+        else:
+            verdict = "same"
+        rows.append({"name": name, "parent": p_q, "change": c_q,
+                     "ratio": c_q[1] / p_q[1], "won": won, "verdict": verdict})
     return rows
 
 
 def format_table(rows, pairs):
     lines = ["| metric | parent median [q1, q3] | change median [q1, q3] "
-             f"| change / parent | change won (of {pairs}) |",
-             "|---|---|---|---|---|"]
+             f"| change / parent | change won (of {pairs}) | verdict |",
+             "|---|---|---|---|---|---|"]
     for row in rows:
         cells = [f"{q[1]:.4g} [{q[0]:.4g}, {q[2]:.4g}]"
                  for q in (row["parent"], row["change"])]
         lines.append(f"| {row['name']} | {cells[0]} | {cells[1]} "
-                     f"| {row['ratio']:.3f} | {row['won']} |")
+                     f"| {row['ratio']:.3f} | {row['won']} | {row['verdict']} |")
     return "\n".join(lines)
 
 
@@ -96,7 +116,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
-    metrics = [(m["name"], m["better"])
+    metrics = [(m["name"], m["better"], m["bound"])
                for m in json.loads(BENCHMARK.read_text())["end_to_end"]]
     runs = {"parent": [], "change": []}
     for i in range(args.pairs):

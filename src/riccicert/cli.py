@@ -264,7 +264,7 @@ def _run_isotopy(p, ctx):
         cert1 = stage1.min_ricci(grid1, threshold)
         if search and not cert1.passed:
             return None
-        stage2 = cons.isotopy_stage2(target.k1, target.h1, R, m, n)
+        stage2 = cons.isotopy_stage2(target.k1, profile.h, R, m, n)
         grid2 = GridSpec.box([(*stage2.lam_range, lam_count),
                               (0.0, profile.T, s_count)], depth, factor)
         cert2 = stage2.min_ricci(grid2, threshold)

@@ -143,11 +143,12 @@ def _bump_coeffs(amplitude: float, width: float):
     return out
 
 
-def _dive_curve(lo: float, T: float, start_value: float, floor, floor_mass: float,
+def _dive_curve(lo: float, T: float, anchor, floor, floor_mass: float,
                 bump_center: float, bump_width: float) -> Jet3Curve:
-    """Concave k on [lo, T]: k(lo) = start_value, k'(lo) = 0, closure at T.
+    """Concave k on [lo, T]: k(x) = v at ``anchor = (x, v)``, x being lo or
+    T, and k'(lo) = 0, k'(T) = -1, k''(T) = 0.
 
-    Built as k = start_value minus the double integral of w = floor + bump,
+    Built as a constant minus the double integral of w = floor + bump,
     with ``floor`` one polynomial ``(center, coeffs)`` on all of [lo, T].
     The bump amplitude makes k'(T) = -1, and as the integral of (T - s) *
     bump is (T - c) * mass, the caller's value pin is affine in the bump
@@ -167,8 +168,9 @@ def _dive_curve(lo: float, T: float, start_value: float, floor, floor_mass: floa
     w1 = _antiderivative(w)                  # integral of w from lo
     kp = _scaled_shifted(w1, -1.0, 0.0)      # k' = -integral
     k = _antiderivative(kp)
-    _, _, c0, coef0 = k[0]  # the first piece starts at lo
-    k = _scaled_shifted(k, 1.0, start_value - Poly(tuple(coef0), c0).jet(lo).value)
+    x, v = anchor
+    _, _, ca, coef = k[0] if x == lo else k[-1]
+    k = _scaled_shifted(k, 1.0, v - Poly(tuple(coef), ca).jet(x).value)
     return Jet3Curve.piecewise([(a, b, Poly(tuple(coef), center=c))
                                 for a, b, c, coef in k])
 
@@ -311,8 +313,8 @@ def make_boundary_profile(R: float, nu: float, b1: float) -> BoundaryProfile:
         raise PreconditionError("no room for the k dive bump")
 
     def build_dive(center):
-        return _dive_curve(s_c, T, k_c, (T, (0.0, -c_nu / lam)), floor_mass,
-                           center, w0)
+        return _dive_curve(s_c, T, (s_c, k_c), (T, (0.0, -c_nu / lam)),
+                           floor_mass, center, w0)
 
     _, dive = _solve_dive_center(build_dive, lambda kd: kd.jet(T).value,
                                  lo_c, hi_c, "profile k dive")
@@ -407,10 +409,10 @@ def _profile_report(k, h, R, nu, b1, a, T0, T1, T2, T3, T, s_j) -> ConditionRepo
 
 @dataclass(frozen=True)
 class IsotopyTarget:
-    """The pair (k1, h1) the stage-1 isotopy deforms the profile onto."""
+    """The k1 the stage-1 isotopy deforms the profile's k onto; h stays the
+    profile's."""
 
     k1: Jet3Curve
-    h1: Jet3Curve
     report: ConditionReport
 
 
@@ -419,14 +421,14 @@ _SLOPE_FRAC = 0.35
 
 
 def make_isotopy_target(profile: BoundaryProfile) -> IsotopyTarget:
-    """Synthesize (k1, h1) for the profile and verify the target conditions.
+    """Synthesize k1 for the profile and verify the target conditions.
 
     k1 is strictly concave by construction: minus the double integral of a
     small even floor (which keeps k1' strictly inside (-nu cos b1, 0) up to
     T2 and k1'' < 0 everywhere) plus a bump after T2 that performs the dive,
-    its center placed by one secant step on the residual k1(T1) - k0(T1),
-    which is affine in it. h1 reuses the profile's h, which already
-    satisfies the stronger concavity clause.
+    anchored at k1(T) = 0, its center placed by one secant step on the
+    residual k1(T1) - k0(T1), which is affine in it. h stays the profile's,
+    which already satisfies the stronger concavity clause.
     """
     T, T1, T2 = profile.T, profile.T1, profile.T2
     nu, cb = profile.nu, math.cos(profile.b1)
@@ -441,30 +443,19 @@ def make_isotopy_target(profile: BoundaryProfile) -> IsotopyTarget:
         raise PreconditionError("no room for the k1 dive bump after T2")
 
     def build(center):
-        return _dive_curve(0.0, T, 0.0, (0.0, (gamma, 0.0, -gamma / T ** 2)),
+        return _dive_curve(0.0, T, (T, 0.0), (0.0, (gamma, 0.0, -gamma / T ** 2)),
                            floor_mass, center, w_b)
 
-    def residual(k_shape):
-        # build() anchors the start value at 0; shift so k1(T) = 0 instead,
-        # then compare at T1.
-        shift = -k_shape.jet(T).value
-        return (k_shape.value(T1) + shift) - v1
-
-    _, k_shape = _solve_dive_center(build, residual, lo_c, hi_c, "k1 dive")
-    shift = -k_shape.jet(T).value
-    k1 = Jet3Curve.piecewise(
-        [(plo, phi, Sum((node, Poly((shift,)))))
-         for plo, phi, node in k_shape.pieces])
-    h1 = profile.h
-
-    report = _target_report(profile, k1, h1, nu, cb)
-    target = IsotopyTarget(k1=k1, h1=h1, report=report)
+    _, k1 = _solve_dive_center(build, lambda k: k.value(T1) - v1,
+                               lo_c, hi_c, "k1 dive")
+    report = _target_report(profile, k1, nu, cb)
+    target = IsotopyTarget(k1=k1, report=report)
     report.raise_if_failed("isotopy target synthesis")
     return target
 
 
-def _target_report(profile: BoundaryProfile, k1, h1, nu, cb) -> ConditionReport:
-    T, T0, T1, T2, T3 = profile.T, profile.T0, profile.T1, profile.T2, profile.T3
+def _target_report(profile: BoundaryProfile, k1, nu, cb) -> ConditionReport:
+    T, T1, T2, T3 = profile.T, profile.T1, profile.T2, profile.T3
     eta = _INSET_FRAC
 
     checks = [
@@ -487,24 +478,10 @@ def _target_report(profile: BoundaryProfile, k1, h1, nu, cb) -> ConditionReport:
         _check("k1_positive",
                _grid_extreme(lambda s: k1.value(s), 0.0, T - eta * T),
                "k1 > 0 before T"),
-        _check("h1_equals_h0_before_T0",
-               1e-12 - _grid_extreme(lambda s: abs(h1.value(s)
-                                                   - profile.h.value(s)),
-                                     0.0, T0, reduce=np.max),
-               "h1 = h0 below T0 (same curve)"),
-        _check("h1_is_R_after_T3",
-               1e-12 - _grid_extreme(lambda s: abs(h1.value(s) - profile.R),
-                                     T3, T, reduce=np.max),
-               "h1 = R beyond T3"),
         _check("h1_concave_before_T3",
-               _grid_extreme(lambda s: -h1.jet(s).d2,
+               _grid_extreme(lambda s: -profile.h.jet(s).d2,
                              eta * T3, T3 - eta * (T - T3)),
                "h1'' < 0 on (0, T3), checked with insets"),
-        _check("h1_close_to_h0",
-               1e-12 - _grid_extreme(lambda s: abs(h1.value(s)
-                                                   - profile.h.value(s)),
-                                     0.0, T, reduce=np.max),
-               "h0 within 0 of h1 (shared curve)"),
     ]
     return ConditionReport(tuple(checks))
 
@@ -516,10 +493,10 @@ def _target_report(profile: BoundaryProfile, k1, h1, nu, cb) -> ConditionReport:
 
 def isotopy_stage1(profile: BoundaryProfile, target: IsotopyTarget,
                    m: int, n: int) -> WarpedMetricPath:
-    """Affine path from the profile metric to (k1, h1) over lambda in [0, 1]."""
+    """Affine path from the profile metric to (k1, h) over lambda in [0, 1]."""
     target.report.raise_if_failed("isotopy stage 1 target")
     return WarpedMetricPath(
-        k0=profile.k, k1=target.k1, h0=profile.h, h1=target.h1,
+        k0=profile.k, k1=target.k1, h0=profile.h, h1=profile.h,
         m=m, n=n, start_kind="closed_h", end_kind="closed_k",
         lam_range=(0.0, 1.0),
     )

@@ -644,17 +644,6 @@ class Jet3Curve:
                     "window")
         return Jet3Curve(self.domain, tuple(new_pieces), tuple(kept) + tuple(add_kinks))
 
-    def reversed(self) -> "Jet3Curve":
-        """The curve s -> f(lo + hi - s) on the same domain."""
-        lo, hi = self.domain
-        total = lo + hi
-        pieces = tuple(
-            (total - b, total - a, AffineOf(n, -1.0, total))
-            for a, b, n in reversed(self.pieces)
-        )
-        kinks = tuple((total - x, order) for x, order in reversed(self.kinks))
-        return Jet3Curve(self.domain, pieces, kinks)
-
     # -- serialization -------------------------------------------------------
 
     def to_dict(self) -> dict:

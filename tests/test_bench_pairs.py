@@ -14,7 +14,7 @@ def test_summary_gives_quartiles_ratio_and_wins_in_each_direction():
     change = [{"run_s": v, "pass_ratio": r}
               for v, r in ((7.0, 1.0), (12.0, 1.0), (6.0, 0.5), (10.0, 1.0), (8.0, 1.0))]
     run_s, ratio = bench_pairs.summarize(
-        parent, change, [("run_s", "lower"), ("pass_ratio", "higher")])
+        parent, change, [("run_s", "lower", 0.25), ("pass_ratio", "higher", 0.01)])
     assert run_s["name"] == "run_s"
     assert run_s["parent"] == (10.0, 11.0, 12.0)
     assert run_s["change"] == (7.0, 8.0, 10.0)
@@ -28,13 +28,31 @@ def test_summary_gives_quartiles_ratio_and_wins_in_each_direction():
 
 def test_summary_of_one_pair_and_table_format():
     rows = bench_pairs.summarize([{"run_s": 2.0}], [{"run_s": 1.0}],
-                                 [("run_s", "lower")])
+                                 [("run_s", "lower", 0.25)])
     assert rows[0]["parent"] == (2.0, 2.0, 2.0)
     assert rows[0]["won"] == 1
     table = bench_pairs.format_table(rows, 1).splitlines()
-    assert table[2] == "| run_s | 2 [2, 2] | 1 [1, 1] | 0.500 | 1 |"
+    assert table[2] == "| run_s | 2 [2, 2] | 1 [1, 1] | 0.500 | 1 | gain |"
 
 
 def test_summary_refuses_unpaired_runs():
     with pytest.raises(ValueError):
-        bench_pairs.summarize([{"run_s": 1.0}], [], [("run_s", "lower")])
+        bench_pairs.summarize([{"run_s": 1.0}], [], [("run_s", "lower", 0.25)])
+
+
+@pytest.mark.parametrize("parent, change, better, verdict", [
+    # 9 of 10 pairs won, median 8 against 10, parent q3 - q1 = 0.15.
+    ([10.0, 10.1, 9.9, 10.0, 10.2, 9.8, 10.0, 10.1, 9.9, 10.0],
+     [8.0] * 9 + [10.5], "lower", "gain"),
+    # A ratio that falls by 2% against a bound of 1%.
+    ([1.0] * 5, [0.98] * 5, "higher", "worse"),
+    # Parent q1 7.5 and q3 12.5 on a median of 10: a spread of 0.5 > 0.25.
+    ([5.0, 5.0, 10.0, 10.0, 10.0, 15.0, 15.0], [10.0] * 7, "lower", "unresolved"),
+    # 2% slower on a bound of 25%, with a tight parent.
+    ([10.0, 10.1, 9.9, 10.0, 10.05], [10.2, 10.1, 10.0, 10.3, 10.2], "lower", "same"),
+])
+def test_verdict_follows_wins_spread_and_bound(parent, change, better, verdict):
+    bound = {"lower": 0.25, "higher": 0.01}[better]
+    row, = bench_pairs.summarize([{"m": v} for v in parent],
+                                 [{"m": v} for v in change], [("m", better, bound)])
+    assert row["verdict"] == verdict

@@ -131,6 +131,24 @@ def test_target_slope_band(profile, target):
         assert -nu_cb < d1 < 0.0
 
 
+def test_target_k1_is_the_dives_own_polynomials(target):
+    assert all(type(node) is Poly for _, _, node in target.k1.pieces)
+
+
+@pytest.mark.parametrize("v", [0.0, 0.8, -3.5])
+def test_dive_anchored_at_T_moves_the_start_anchored_dive_by_a_constant(v):
+    T, gamma = 0.5 * math.pi * R_TEST, 0.004
+    shape = ((0.0, (gamma, 0.0, -gamma / T ** 2)), 2.0 * gamma * T / 3.0,
+             2.4, cons._BUMP_HALFWIDTH)
+    at_start = cons._dive_curve(0.0, T, (0.0, 1.3), *shape)
+    at_T = cons._dive_curve(0.0, T, (T, v), *shape)
+    s = np.linspace(0.0, T, 1001)
+    diff = at_T.value(s) - at_start.value(s)
+    tol = 1e-15 * max(1.0, abs(v))  # a few ULPs of the larger curve's values
+    assert np.max(np.abs(diff - diff[0])) <= tol
+    assert abs(at_T.value(T) - v) <= tol
+
+
 # ---------------------------------------------------------------------------
 # dive centers
 # ---------------------------------------------------------------------------
@@ -247,7 +265,7 @@ def test_profile_metric_fails_in_the_known_band_at_the_shipped_nu():
 def test_stage1_endpoints_bit_exact(profile, target):
     path = isotopy_stage1(profile, target, 3, 3)
     assert path.k0 is profile.k and path.h0 is profile.h
-    assert path.k1 is target.k1 and path.h1 is target.h1
+    assert path.k1 is target.k1 and path.h1 is profile.h
 
 
 def test_profile_metric_and_stage1_agree_inside_the_guard_bands(profile,
@@ -280,14 +298,14 @@ def test_stage1_refuses_a_target_on_another_domain(profile, target):
 
 def test_stage2_requires_concavity_and_domain(profile, target):
     with pytest.raises(PreconditionError):
-        isotopy_stage2(target.k1, target.h1, 3.0, 3, 3)  # wrong domain for R=3
+        isotopy_stage2(target.k1, profile.h, 3.0, 3, 3)  # wrong domain for R=3
     convex = Jet3Curve.from_node(Poly((1.0, 0.0, 1.0)), target.k1.domain)
     with pytest.raises(PreconditionError):
-        isotopy_stage2(convex, target.h1, R_TEST, 3, 3)
+        isotopy_stage2(convex, profile.h, R_TEST, 3, 3)
 
 
 def test_stage2_ricci_positive_and_ends_round(profile, target):
-    path = isotopy_stage2(target.k1, target.h1, R_TEST, 3, 3)
+    path = isotopy_stage2(target.k1, profile.h, R_TEST, 3, 3)
     grid = GridSpec.box([(1.0, 2.0, 24), (0.0, profile.T, 128)], depth=1)
     assert path.min_ricci(grid).passed
     g2 = DoublyWarpedMetric(path.k1, path.h1, 3, 3, path.start_kind,
@@ -300,7 +318,7 @@ def test_stage2_ricci_positive_and_ends_round(profile, target):
 
 def test_stage_concatenation_shares_the_metric(profile, target):
     p1 = isotopy_stage1(profile, target, 3, 3)
-    p2 = isotopy_stage2(target.k1, target.h1, R_TEST, 3, 3)
+    p2 = isotopy_stage2(target.k1, profile.h, R_TEST, 3, 3)
     assert p1.k1 is p2.k0 and p1.h1 is p2.h0
 
 
@@ -713,7 +731,7 @@ def _path_min_ric_scalar(path, lam, s):
 def _stage(profile, target, which):
     if which == 1:
         return isotopy_stage1(profile, target, 3, 3)
-    return isotopy_stage2(target.k1, target.h1, R_TEST, 3, 3)
+    return isotopy_stage2(target.k1, profile.h, R_TEST, 3, 3)
 
 
 def _assert_margins_bitwise(path, lam, s, got):

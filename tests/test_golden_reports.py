@@ -23,7 +23,7 @@ GOLDEN = {
     "glue_corner.json":
         "56e60384dfac30a9e05ebc973405b9926f76304d0d2d4501ee43e1d970d50dc2",
     "isotopy.json":
-        "3c9110c296a11d1630908dbcf4fb331cdb1ec75497a0d374842d669bc085337a",
+        "2f12369d43fb37404dbf36ac858b8010ed129ffc4f494a582bbfacc1d33c2409",
     "spline_demo.json":
         "4e4561d7c32bb5cc8f16bf260047b1acfc31c999f4e317611e61746749aafc2f",
     "triangle.json":
@@ -45,7 +45,7 @@ GOLDEN_CSV = {
     },
     "isotopy.json": {
         "warping.csv":
-            "79f065d46b0d32c90f165700a6254eb73d358b394baae581eef13e6aef1bccd4",
+            "88a78558178c03b175694a1b9640e2f06783a42538d8c0e3a7ae2964392180fb",
     },
     "spline_demo.json": {
         "spline.csv":

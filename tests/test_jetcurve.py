@@ -220,14 +220,6 @@ def test_value_names_the_first_non_finite_point():
             curve.value(np.array([0.0, 1.0, 2.0, 3.0]))
 
 
-def test_reversed_curve():
-    curve = Jet3Curve.from_node(Exp(1.0, 0.7), (0.0, 2.0))
-    rev = curve.reversed()
-    for x in np.linspace(0.0, 2.0, 9):
-        assert rev.value(x) == pytest.approx(curve.value(2.0 - x), rel=1e-14)
-        assert rev.jet(x).d1 == pytest.approx(-curve.jet(2.0 - x).d1, rel=1e-14)
-
-
 # ---------------------------------------------------------------------------
 # array jets
 # ---------------------------------------------------------------------------

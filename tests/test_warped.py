@@ -199,11 +199,14 @@ def test_scaling_covariance():
 
 def test_role_swap_symmetry():
     dom = (0.0, 2.0)
-    k = Jet3Curve.from_node(Sum((Poly((1.5,)), Sin(0.2, 0.9, 0.4))), dom)
-    h = Jet3Curve.from_node(Sum((Poly((1.2,)), Cos(0.25, 1.1, 0.2))), dom)
+    k = Sum((Poly((1.5,)), Sin(0.2, 0.9, 0.4)))
+    h = Sum((Poly((1.2,)), Cos(0.25, 1.1, 0.2)))
     m, n = 3, 4
-    g = DoublyWarpedMetric(k, h, m, n)
-    swapped = DoublyWarpedMetric(h.reversed(), k.reversed(), n - 1, m + 1)
+    g = DoublyWarpedMetric(Jet3Curve.from_node(k, dom),
+                           Jet3Curve.from_node(h, dom), m, n)
+    swapped = DoublyWarpedMetric(Jet3Curve.from_node(AffineOf(h, -1.0, 2.0), dom),
+                                 Jet3Curve.from_node(AffineOf(k, -1.0, 2.0), dom),
+                                 n - 1, m + 1)
     for s in (0.3, 1.0, 1.7):
         a = sectional(g, s)
         b = sectional(swapped, 2.0 - s)
