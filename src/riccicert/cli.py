@@ -212,10 +212,10 @@ def _run_glue_corner(p, ctx):
         chart = cor.glue_and_smooth(left, right, e, ratio * e)
         n = max(count, int(8.0 * (a_hi - a_lo) / (ratio * e)))
         grid = GridSpec.line(a_lo, a_hi, n, depth, factor)
-        cvx = cor.convexity_certificate(chart, grid, threshold)
+        cvx = cor.convexity_certificate(chart, grid, threshold, search)
         if search and not cvx.passed:
             return None
-        ccv = cor.concavity_certificate(chart, grid, threshold)
+        ccv = cor.concavity_certificate(chart, grid, threshold, search)
         return None if search and not ccv.passed else (chart, cvx, ccv)
 
     searched = None
@@ -261,13 +261,13 @@ def _run_isotopy(p, ctx):
         stage1 = cons.isotopy_stage1(profile, target, m, n)
         grid1 = GridSpec.box([(*stage1.lam_range, lam_count),
                               (0.0, profile.T, s_count)], depth, factor)
-        cert1 = stage1.min_ricci(grid1, threshold)
+        cert1 = stage1.min_ricci(grid1, threshold, search)
         if search and not cert1.passed:
             return None
         stage2 = cons.isotopy_stage2(target.k1, profile.h, R, m, n)
         grid2 = GridSpec.box([(*stage2.lam_range, lam_count),
                               (0.0, profile.T, s_count)], depth, factor)
-        cert2 = stage2.min_ricci(grid2, threshold)
+        cert2 = stage2.min_ricci(grid2, threshold, search)
         return (None if search and not cert2.passed
                 else (profile, target, stage1, stage2, cert1, cert2))
 

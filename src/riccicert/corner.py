@@ -384,8 +384,8 @@ def glue_and_smooth(left: CornerChart, right: CornerChart,
     )
 
 
-def convexity_certificate(chart: CornerChart, grid: GridSpec,
-                          threshold: float = 1e-6) -> PositivityCertificate:
+def convexity_certificate(chart: CornerChart, grid: GridSpec, threshold: float = 1e-6,
+                          stop_at_failure: bool = False) -> PositivityCertificate:
     """Certificate that min(tau_clear, zed_clear) > threshold along the face."""
 
     def margin(a):
@@ -394,13 +394,14 @@ def convexity_certificate(chart: CornerChart, grid: GridSpec,
 
     return grid_min(lambda pts, mesh: blockwise(margin, pts[:, 0]), grid,
                     threshold=threshold, quantity_id="face_convexity",
-                    batched=True)
+                    batched=True, stop_at_failure=stop_at_failure)
 
 
-def concavity_certificate(chart: CornerChart, grid: GridSpec,
-                          threshold: float = 1e-6) -> PositivityCertificate:
+def concavity_certificate(chart: CornerChart, grid: GridSpec, threshold: float = 1e-6,
+                          stop_at_failure: bool = False) -> PositivityCertificate:
     """Certificate that -face_profile_hessian > threshold along the face."""
     return grid_min(
         lambda pts, mesh: blockwise(lambda a: -face_profile_hessian(chart, a),
                                     pts[:, 0]),
-        grid, threshold=threshold, quantity_id="face_concavity", batched=True)
+        grid, threshold=threshold, quantity_id="face_concavity", batched=True,
+        stop_at_failure=stop_at_failure)

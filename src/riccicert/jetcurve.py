@@ -55,13 +55,14 @@ def _lib(x):
 
 
 def _first(bad, *values):
-    """``values`` where ``bad`` first holds, or None; a one-point array gives floats."""
+    """``values`` where ``bad`` first holds in C order, as Python scalars, or
+    None; each of ``values`` broadcasts against ``bad``."""
     if not isinstance(bad, np.ndarray):
         return values if bad else None
     if not bad.any():
         return None
-    i = int(np.argmax(bad))
-    return tuple(v.item() if bad.size == 1 else v[i] for v in values)
+    i = int(np.argmax(bad))  # flat index
+    return tuple(np.broadcast_to(v, bad.shape).flat[i].item() for v in values)
 
 
 def _cube(v):

@@ -8,10 +8,11 @@ then each refinement depth) is a set of boxes, each sampled on a product
 grid: the coarse level is one box, a refinement level its cells. Every
 riccicert margin is batched: it takes one level per call, as its points and
 as their open mesh, so it can share work across the level's points,
-repeated points included (refinement cells overlap), and a separable margin
-can evaluate each axis value once. A curvature kernel inside it runs
-through :func:`blockwise`, which bounds the kernel's temporaries to
-``_BLOCK`` points at a time. The scalar form, one point per call, remains
+repeated points included (refinement cells overlap): a separable margin
+can evaluate each axis value once, and a table margin each combination of
+distinct axis values once. A curvature kernel inside it runs on at most
+``_BLOCK`` points at a time, through :func:`blockwise` or in table tiles,
+which bounds its temporaries. The scalar form, one point per call, remains
 for external callers; grids are fixed up front and the min is
 order-independent, so both forms give identical certificates. Any
 non-finite margin fails the certificate.
@@ -29,8 +30,8 @@ from .errors import MAX_COUNT, EvaluationError, PreconditionError, SearchError
 __all__ = ["GridSpec", "PositivityCertificate", "grid_min", "bisect_param",
            "blockwise"]
 
-# Points per call of a kernel run by blockwise, which bounds its
-# temporaries, and per call when a failing scan level is re-run.
+# Points per kernel call (a blockwise slice or a table tile), which bounds
+# its temporaries, and per call when a failing scan level is re-run.
 _BLOCK = 4096
 
 
@@ -212,7 +213,8 @@ def _level(a, b, counts):
 
 
 def grid_min(f, grid: GridSpec, threshold: float = 1e-6,
-             quantity_id: str = "margin", batched: bool = False) -> PositivityCertificate:
+             quantity_id: str = "margin", batched: bool = False,
+             stop_at_failure: bool = False) -> PositivityCertificate:
     """Certificate for ``min f > threshold`` over the grid's box.
 
     A ``batched`` margin ``f(points, mesh) -> values``, the form of every
@@ -229,6 +231,9 @@ def grid_min(f, grid: GridSpec, threshold: float = 1e-6,
     for external callers. After the coarse scan, the cells holding the
     bottom 5% of margins are re-sampled ``grid.factor`` times finer,
     ``grid.depth`` times over, at ``2 * grid.factor + 1`` points per axis.
+    With ``stop_at_failure`` the scan stops after the first level at which
+    the certificate has failed, which no deeper level can undo; its grid
+    then records the depth reached, so it describes the points scanned.
     """
     lo = np.array([a for a, _, _ in grid.axes])
     hi = np.array([b for _, b, _ in grid.axes])
@@ -260,6 +265,9 @@ def grid_min(f, grid: GridSpec, threshold: float = 1e-6,
         if best_at is None or values[i] < best_val:
             best_val, best_at = float(values[i]), tuple(points[i])
         trace.append((depth, best_val))
+        if stop_at_failure and (bad_count or not best_val > threshold):
+            grid = GridSpec(grid.axes, depth, grid.factor)
+            break
 
     return PositivityCertificate(
         quantity_id=quantity_id,

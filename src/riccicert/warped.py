@@ -29,7 +29,9 @@ points. :func:`sectional` and :meth:`WarpedMetricPath.sectional` serve it
 for a float64 array of points, and wrap it for a single float. Both take
 the limit forms within a guard band (1e-6 of the domain length) of a closed
 end, with the jets read at the point itself. The warping curves check their
-own domain and seams: their jets refuse a point outside the domain.
+own domain and seams: their jets refuse a point outside the domain. A path
+certificate runs the kernel on each scan level's table of distinct lambda
+against distinct s (see :meth:`WarpedMetricPath.min_ricci`).
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ import numpy as np
 
 from .errors import DomainError, PreconditionError
 from .jetcurve import Jet3, Jet3Curve, _first, _pointwise
-from .verify import GridSpec, PositivityCertificate, blockwise, grid_min
+from .verify import _BLOCK, GridSpec, PositivityCertificate, blockwise, grid_min
 
 __all__ = [
     "DoublyWarpedMetric",
@@ -277,15 +279,14 @@ class WarpedMetricPath:
         jets = {key: c.jet(x) for key, c in {id(c): c for c in curves}.items()}
         return tuple(jets[id(c)] for c in curves)
 
-    def _sample(self, jets, j, lam, s) -> CurvatureSample:
-        """Curvature at (``lam``, ``s``), where ``jets`` are the
-        ``_level_jets`` of some points and ``j`` indexes them at ``s``."""
+    def _sample(self, jets, lam, s) -> CurvatureSample:
+        """Curvature at (``lam``, ``s``) from the ``_level_jets`` at ``s``;
+        a ``(rows, 1)`` ``lam`` and a ``(1, cols)`` ``s`` give a table."""
         u = self.weight(lam)
         at_start, at_end = _closed_ends(s, self.k0.domain, self.start_kind,
                                         self.end_kind)
         # Jets combine linearly in u.
-        jk0, jk1, jh0, jh1 = (Jet3(*(v[j] for v in jet.as_tuple()))
-                              for jet in jets)
+        jk0, jk1, jh0, jh1 = jets
         w = 1.0 - u
         return curvature_from_jets(jk0.scaled(w) + jk1.scaled(u),
                                    jh0.scaled(w) + jh1.scaled(u),
@@ -296,38 +297,39 @@ class WarpedMetricPath:
     def sectional(self, lam: float, s: float) -> CurvatureSample:
         """Curvature of the metric at ``lam`` at ``s``; equal-shape float64
         arrays ``lam`` and ``s`` give a sample of arrays, one entry per point."""
-        x, j = _index(s)
-        return self._sample(self._level_jets(x), j, lam, s)
+        return self._sample(self._level_jets(s), lam, s)
 
-    def min_ricci(self, grid: GridSpec,
-                  threshold: float = 1e-6) -> PositivityCertificate:
+    def min_ricci(self, grid: GridSpec, threshold: float = 1e-6,
+                  stop_at_failure: bool = False) -> PositivityCertificate:
         """Grid is (lambda, s); margin is the worst diagonal Ricci value.
 
         Each scan level takes its distinct lambda and s values from the
-        axes of its open mesh, evaluates the endpoint curves once at the
-        distinct s, then runs the kernel block by block, once per distinct
-        (lambda, s) pair: refinement cells overlap, so most of a refinement
-        level's points repeat. The values are scattered back to every point.
-        After the jets the kernel only adds, multiplies, divides, compares
-        and selects, elementwise, so a point's value does not depend on the
-        points it is batched with.
+        axes of its open mesh and evaluates the endpoint curves once at the
+        distinct s. The kernel then runs on the table of every distinct
+        lambda against every distinct s, in tiles of at most ``_BLOCK``
+        pairs, and each point reads its value from the table: refinement
+        cells overlap, so most of a refinement level's points repeat. After
+        the jets the kernel only adds, multiplies, divides, compares and
+        selects, elementwise, so a point's value does not depend on the
+        points it is tabled with. ``stop_at_failure`` is ``grid_min``'s.
         """
         def margin(points, mesh):
             (lams, i), (x, j) = (_index(m.ravel()) for m in mesh)
-            # One key per point; ``points`` is the broadcast mesh in C order.
-            keys = (i.reshape(mesh[0].shape) * len(x)
-                    + j.reshape(mesh[1].shape)).ravel()
-            pairs, inverse = _index(keys)
-            li, sj = np.divmod(pairs, len(x))
-            jets = self._level_jets(x)
-
-            def kernel(lam, s, j):
-                return self._sample(jets, j, lam, s).min_ric()
-
-            return blockwise(kernel, lams[li], x[sj], sj)[inverse]
+            jets, cols = self._level_jets(x), min(len(x), _BLOCK)
+            rows, table = _BLOCK // cols, np.empty((len(lams), len(x)))
+            for c in range(0, len(x), cols):
+                at = [Jet3(*(v[None, c:c + cols] for v in jet.as_tuple()))
+                      for jet in jets]
+                for r in range(0, len(lams), rows):
+                    table[r:r + rows, c:c + cols] = self._sample(
+                        at, lams[r:r + rows, None], x[None, c:c + cols]).min_ric()
+            # ``points`` is the broadcast mesh in C order.
+            return table.ravel()[(i.reshape(mesh[0].shape) * len(x)
+                                  + j.reshape(mesh[1].shape)).ravel()]
 
         return grid_min(margin, grid, threshold=threshold,
-                        quantity_id="path_min_ricci", batched=True)
+                        quantity_id="path_min_ricci", batched=True,
+                        stop_at_failure=stop_at_failure)
 
 
 def _index(v):

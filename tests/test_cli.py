@@ -64,7 +64,8 @@ def test_failing_certificate_exits_one(tmp_path):
 ])
 def test_explicit_parameter_reports_both_certificates(tmp_path, name, key,
                                                       failing, passing):
-    # Without a search nothing stops at the first failing certificate.
+    # Without a search nothing stops at the first failing certificate, nor
+    # a failing certificate at its first failing scan level.
     scenario = load(name)
     scenario[key] = 0.05
     code, report = run_scenario(scenario, tmp_path)
@@ -73,6 +74,10 @@ def test_explicit_parameter_reports_both_certificates(tmp_path, name, key,
     assert written["certificates"] == report["certificates"]
     assert not report["certificates"][failing]["passed"]
     assert report["certificates"][passing]["passed"]
+    depth = scenario["grid"]["depth"]
+    for cert in report["certificates"].values():
+        assert cert["grid"]["depth"] == depth
+        assert [d for d, _ in cert["refinement_trace"]] == list(range(depth + 1))
     assert report["results"][{"nu": "nu_search", "eps": "search"}[key]] is None
 
 

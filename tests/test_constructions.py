@@ -833,38 +833,56 @@ def _formula_counts(grid):
     return counts
 
 
+def _spy_tiles(monkeypatch):
+    """Record the (lambda, s) pairs of each ``WarpedMetricPath._sample``
+    call, one ``(pairs, 2)`` array per tile, in call order."""
+    sample, tiles = WarpedMetricPath._sample, []
+
+    def spied(self, jets, lam, s):
+        tiles.append(np.stack(np.broadcast_arrays(lam, s), axis=-1)
+                     .reshape(-1, 2))
+        return sample(self, jets, lam, s)
+
+    monkeypatch.setattr(WarpedMetricPath, "_sample", spied)
+    return tiles
+
+
+def _table(points):
+    """Every distinct lambda of ``points`` against every distinct s, in C
+    order: the pairs a path margin evaluates for the level."""
+    lams, s = np.unique(points[:, 0]), np.unique(points[:, 1])
+    return np.stack(np.meshgrid(lams, s, indexing="ij"), axis=-1).reshape(-1, 2)
+
+
 @pytest.mark.parametrize("which", [1, 2])
-def test_path_kernel_sees_each_distinct_point_of_a_level_once(
+def test_path_kernel_sees_each_table_pair_of_a_level_once(
         profile, target, monkeypatch, which):
     import riccicert.warped as warped
+    from riccicert.verify import _BLOCK
     path = _stage(profile, target, which)
-    kernel, seen = warped.curvature_from_jets, [0]
-
-    def counted(*args, **kw):
-        seen[0] += len(kw["s"])
-        return kernel(*args, **kw)
-
-    levels = []
+    tiles, levels = _spy_tiles(monkeypatch), []
 
     def spied(f, grid, **kw):
         def margin(points, mesh):
-            before = seen[0]
+            del tiles[:]
             values = f(points, mesh)
-            levels.append((len(points), len(np.unique(points, axis=0)),
-                           seen[0] - before))
+            levels.append((points, list(tiles)))
             return values
         return grid_min(margin, grid, **kw)
 
-    monkeypatch.setattr(warped, "curvature_from_jets", counted)
     monkeypatch.setattr(warped, "grid_min", spied)
     a, b = path.lam_range
     grid = GridSpec.box([(a, b, 9), (0.0, profile.T, 33)], depth=2, factor=2)
     path.min_ricci(grid)
-    assert [n for n, _, _ in levels] == _formula_counts(grid)
-    assert all(kernel_points == distinct
-               for _, distinct, kernel_points in levels)
-    # The refinement cells overlap, so the saving is real.
-    assert all(distinct < n for n, distinct, _ in levels[1:])
+    assert [len(points) for points, _ in levels] == _formula_counts(grid)
+    for points, seen in levels:
+        # Each distinct lambda against each distinct s, once, in tiles of
+        # at most _BLOCK pairs; the level's points are among them.
+        assert all(len(tile) <= _BLOCK for tile in seen)
+        assert np.concatenate(seen).tobytes() == _table(points).tobytes()
+    # Refinement cells overlap, and nothing sorts (lambda, s) pairs.
+    assert all(len(np.unique(points, axis=0)) < len(points)
+               for points, _ in levels[1:])
 
 
 @pytest.mark.parametrize("which", [1, 2])
@@ -886,19 +904,64 @@ def test_path_margin_on_a_refinement_level_clipped_at_every_edge(
     assert {a, b} <= set(points[:, 0]) and {0.0, T} <= set(points[:, 1])
     distinct = np.unique(points, axis=0)
     assert len(distinct) < len(points)
-    margin, seen = _path_margin(path), []
-    sample = WarpedMetricPath._sample
-
-    def spied(self, jets, j, lam, s):
-        seen.append(np.stack([lam, s], axis=-1))
-        return sample(self, jets, j, lam, s)
-
-    monkeypatch.setattr(WarpedMetricPath, "_sample", spied)
+    margin = _path_margin(path)
+    seen = _spy_tiles(monkeypatch)
     values = margin(points, mesh)
-    # The kernel sees each distinct (lambda, s) pair once, in sorted order.
-    assert np.concatenate(seen).tobytes() == distinct.tobytes()
+    # The kernel sees each (distinct lambda, distinct s) pair once, in one
+    # tile here, in C order.
+    assert np.concatenate(seen).tobytes() == _table(points).tobytes()
     monkeypatch.undo()
     _assert_margins_bitwise(path, points[:, 0], points[:, 1], values)
+
+
+def test_path_margin_splits_an_s_row_longer_than_a_block(
+        profile, target, monkeypatch):
+    # A coarse level of 3 lambda values x (_BLOCK + 5) s values: each row
+    # of the table is split into a _BLOCK tile and a 5-pair tile.
+    from riccicert.verify import _BLOCK, _level
+    path = _stage(profile, target, 1)
+    (a, b), T = path.lam_range, profile.T
+    mesh, points = _level(np.array([[a, 0.0]]), np.array([[b, T]]),
+                          (3, _BLOCK + 5))
+    margin = _path_margin(path)
+    seen = _spy_tiles(monkeypatch)
+    values = margin(points, mesh)
+    assert [len(tile) for tile in seen] == [_BLOCK] * 3 + [5] * 3
+    pairs = np.concatenate(seen)
+    assert len(np.unique(pairs, axis=0)) == len(points) == len(pairs)
+    monkeypatch.undo()
+    lam, s = points[:, 0], points[:, 1]
+    assert values.tobytes() == path.sectional(lam, s).min_ric().tobytes()
+    # The reference bits at both ends of every tile, and a stride between.
+    ends = np.array([0, _BLOCK - 1, _BLOCK, _BLOCK + 4])
+    pick = np.unique(np.concatenate([
+        np.arange(0, len(points), 97),
+        (np.arange(3)[:, None] * (_BLOCK + 5) + ends).ravel()]))
+    _assert_margins_bitwise(path, lam[pick], s[pick], values[pick])
+
+
+def test_path_table_refuses_a_vanishing_warping_off_the_level_points():
+    # k0 = 1 - 2s is negative past s = 0.5, and the level pairs s = 0.75
+    # only with lambda = 1 (u = 1, k = k1 = 1): each point is fine, but the
+    # table also holds (0, 0.75), where k = k0 = -0.5. The margin refuses
+    # the level with a DomainError (exit 3) naming that s; it is not an
+    # IndexError (exit 4).
+    from riccicert.errors import DomainError
+    from riccicert.verify import _evaluate
+    one = Jet3Curve.from_node(Poly((1.0,)), (0.0, 1.0))
+    path = WarpedMetricPath(
+        k0=Jet3Curve.from_node(Poly((1.0, -2.0)), (0.0, 1.0)), k1=one,
+        h0=one, h1=one, m=3, n=3, start_kind="boundary", end_kind="boundary")
+    pts = np.array([[0.0, 0.1], [0.5, 0.2], [1.0, 0.75]])
+    assert all(math.isfinite(path.sectional(lam, s).min_ric())
+               for lam, s in pts)
+    message = (r"^warping vanishes at s=0\.75 without a matching closed "
+               r"endpoint kind \(k=-0\.5, h=1\.0\)$")
+    margin = _path_margin(path)
+    with pytest.raises(DomainError, match=message):
+        margin(pts, _point_mesh(pts))
+    with pytest.raises(DomainError, match=message):
+        _evaluate(margin, pts, _point_mesh(pts), True)
 
 
 @settings(max_examples=25, deadline=None)
@@ -919,8 +982,9 @@ def test_batched_path_margin_matches_scalar_reference(profile, target, seed,
     lam = rng.choice([a, b, *rng.uniform(a, b, 4)], size=len(s))
     got = path.sectional(lam, s).min_ric()
     _assert_margins_bitwise(path, lam, s, got)
-    # The certificate's margin evaluates each distinct point once; every
-    # copy of a repeated point, in any order, gets the reference bits.
+    # The certificate's margin evaluates each point through its level's
+    # table; every copy of a repeated point, in any order, gets the
+    # reference bits.
     margin = _path_margin(path)
     pts = np.stack([lam, s], axis=-1)
     assert margin(pts, _point_mesh(pts)).tobytes() == got.tobytes()
@@ -937,8 +1001,8 @@ def test_path_margin_error_names_the_first_failing_point_in_scan_order(
     from riccicert.verify import _evaluate
     path = _stage(profile, target, 1)
     T = profile.T
-    # (0, -1) sorts first among the distinct pairs; (0.5, T + 1) comes
-    # first in scan order, and is repeated.
+    # s = -1 sorts first among the level's distinct s, where its jets are
+    # taken; (0.5, T + 1) comes first in scan order, and is repeated.
     pts = np.array([[0.5, 1.0], [0.5, T + 1.0], [0.0, 0.2], [0.0, -1.0],
                     [0.5, T + 1.0], [0.5, 1.0], [0.0, -1.0]])
     with pytest.raises(EvaluationError) as err:

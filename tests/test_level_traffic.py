@@ -15,10 +15,12 @@ def test_glue_corner_levels_and_totals(capsys):
     assert level_traffic.main(["level_traffic.py", str(scenario)]) == 0
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "glue_corner.json (exit 0)"
-    # One-axis boxes: every point is an axis value of its own box.
+    # One-axis boxes: every point is an axis value of its own box. A search
+    # probe stops at its first failing scan level, and its refinement
+    # levels are not scanned.
     assert ("  coarse total: 5,755 points -> 5,755 distinct -> 5,755 axis values"
             in out)
-    assert ("  refinement total: 4,518 points -> 3,086 distinct -> 4,518 axis values"
+    assert ("  refinement total: 2,394 points -> 1,544 distinct -> 2,394 axis values"
             in out)
     # The wrappers are removed again.
     assert (verify._evaluate, verify.grid_min) == (evaluate, grid_min)
@@ -38,14 +40,18 @@ def test_concordance_refinement_axis_values(capsys):
 
 
 def test_isotopy_levels_and_totals(capsys):
-    # The path margin sorts each level's axis values and runs its kernel on
-    # the distinct (lambda, s) pairs: refinement cells overlap, so 645,750
-    # points hold 106,974 distinct pairs on 258,300 axis values.
+    # The path margin runs its kernel on each level's table of distinct
+    # lambda against distinct s. Refinement cells overlap, so 507,375
+    # points hold 86,707 distinct pairs on 202,950 axis values, and their
+    # tables 154,200 pairs; failing search probes stop at their first
+    # failing scan level.
     scenario = _ROOT / "scenarios" / "isotopy.json"
     assert level_traffic.main(["level_traffic.py", str(scenario)]) == 0
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "isotopy.json (exit 0)"
     assert ("  coarse total: 229,376 points -> 229,376 distinct -> 4,480 axis values"
             in out)
-    assert ("  refinement total: 645,750 points -> 106,974 distinct"
-            " -> 258,300 axis values" in out)
+    assert ("  refinement total: 507,375 points -> 86,707 distinct"
+            " -> 202,950 axis values" in out)
+    assert ("  refinement table: 154,200 pairs, 0.30 x points;"
+            " largest level 0.88 x" in out)

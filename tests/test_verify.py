@@ -154,6 +154,51 @@ def test_finite_certificate_has_no_nonfinite_field():
     assert "nonfinite" not in cert.to_dict()
 
 
+def _counting(margin):
+    """``margin`` as a batched margin that records each level's size."""
+    sizes = []
+
+    def f(points, mesh):
+        sizes.append(len(points))
+        return margin(points[:, 0])
+
+    return f, sizes
+
+
+@pytest.mark.parametrize("margin, depth", [
+    (lambda x: x * x - 0.01, 0),  # -0.01 at the coarse point x = 0
+    # |x - 0.3125| - 0.005: the nearest coarse point is 0.0875 away and the
+    # nearest depth-1 point 0.0125; the depth-2 cell around 0.3 samples
+    # 0.3125 itself.
+    (lambda x: np.abs(x - 0.3125) - 0.005, 2),
+    # NaN at the coarse point x = 0; every finite value is 1.0.
+    (lambda x: np.where(np.abs(x) < 0.05, math.nan, 1.0), 0),
+], ids=["coarse", "depth-2", "nonfinite"])
+def test_stop_at_failure_ends_the_scan_at_the_first_failing_level(margin,
+                                                                   depth):
+    grid = GridSpec.line(-1, 1, 11, depth=3, factor=4)
+    f, sizes = _counting(margin)
+    cert = grid_min(f, grid, batched=True, stop_at_failure=True)
+    assert not cert.passed
+    assert len(sizes) == len(cert.refinement_trace) == depth + 1
+    # The grid records the depth reached: it is the certificate of a scan
+    # to that depth.
+    assert cert.grid == GridSpec.line(-1, 1, 11, depth=depth, factor=4)
+    assert cert == grid_min(f, cert.grid, batched=True)
+    full = grid_min(f, grid, batched=True)
+    assert full.grid.depth == len(full.refinement_trace) - 1 == 3
+    assert full.refinement_trace[:depth + 1] == cert.refinement_trace
+    assert not full.passed
+
+
+def test_passing_certificate_scans_every_level_with_stop_at_failure():
+    grid = GridSpec.line(-1, 1, 11, depth=3, factor=4)
+    f, sizes = _counting(lambda x: x * x + 0.01)
+    cert = grid_min(f, grid, batched=True, stop_at_failure=True)
+    assert cert.passed and len(sizes) == 4
+    assert cert == grid_min(f, grid, batched=True)
+
+
 def test_evaluation_error_carries_coordinates():
     def f(x):
         if x > 0.5:
