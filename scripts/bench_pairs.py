@@ -18,8 +18,10 @@ quartiles, the ratio of the medians (change / parent), the number of
 pairs the change won (strictly better; a tie is no win) and a verdict,
 the first of these that holds:
 
-- ``gain``: the change won at least 9 of every 10 pairs, and its median
-  beats the parent's by more than the parent's q3 - q1;
+- ``gain``: on at least ``MIN_GAIN_PAIRS`` pairs, the change won at
+  least 9 of every 10 of them, and its median beats the parent's by more
+  than the parent's q3 - q1; on fewer pairs, such a row reads
+  ``unresolved``;
 - ``worse``: the change's median is worse than the parent's by more than
   the metric's ``bound`` times the parent's median;
 - ``unresolved``: the parent's q3 - q1 exceeds ``bound`` times its median;
@@ -39,6 +41,8 @@ from pathlib import Path
 import numpy as np
 
 BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
+# Fewer pairs than this cannot show a gain: 9 of 10 wins needs 10 pairs.
+MIN_GAIN_PAIRS = 10
 
 
 def summarize(parent_runs, change_runs, metrics):
@@ -62,7 +66,7 @@ def summarize(parent_runs, change_runs, metrics):
         won = sum(sign * c < sign * p for p, c in zip(parent, change))
         spread, gap = p_q[2] - p_q[0], sign * (p_q[1] - c_q[1])
         if 10 * won >= 9 * len(parent) and gap > spread:
-            verdict = "gain"
+            verdict = "gain" if len(parent) >= MIN_GAIN_PAIRS else "unresolved"
         elif -gap > bound * abs(p_q[1]):
             verdict = "worse"
         elif spread > bound * abs(p_q[1]):

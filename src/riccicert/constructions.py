@@ -720,8 +720,7 @@ def concordance_search(path: RoundRadiusPath, nu: float, *, t_count: int = 160,
         return ct * ct, 2.0 * np.abs(st * ct), st * st
 
     def ell_terms(ell):
-        """The terms of the bounds that depend on ``ell = ln t0`` alone, on
-        floats: a float power need not round as numpy's array square does."""
+        """The terms of the bounds that depend on ``ell = ln t0`` alone."""
         alpha = 0.5 / ell
         beta = alpha / L
         inv_a, inv_b = 1.0 / alpha, 1.0 / beta
@@ -765,9 +764,9 @@ def concordance_search(path: RoundRadiusPath, nu: float, *, t_count: int = 160,
     gate_theta = theta_factors(np.linspace(0.0, 0.5 * math.pi, 25)[:, None])
 
     def coarse_mins(t0s):
-        ells = [math.log(t) for t in t0s]
-        terms = [np.array(col)[:, None] for col in zip(*map(ell_terms, ells))]
-        u = np.linspace(ells, 2.0 * np.array(ells), 33, axis=-1)
+        ells = np.array([math.log(t) for t in t0s])
+        terms = ell_terms(ells[:, None])
+        u = np.linspace(ells, 2.0 * ells, 33, axis=-1)
         factors = [f[:, None, :] for f in u_factors(u, terms)]
         return np.min(bound(gate_theta, factors), axis=(1, 2)).tolist()
 
@@ -880,15 +879,7 @@ def solve_geodesic_triangle(r: float, tilt: float = 1e-4,
             f"no bracket for the triangle solve at r={r!r}: "
             f"f({lo})={f_lo!r}, f({hi})={f_hi!r}"
         )
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if residual(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < tol:
-            break
-    tau = 0.5 * (lo + hi)
+    tau = bisect_param(lambda t: residual(t) < 0.0, lo, hi, tol)
     theta0, theta_r = angles(tau)
     sin_z, sin_t1 = _sin_z(theta0, theta_r, r)
     x1 = math.asin(min(1.0, math.sin(theta_r) * math.sin(r) / sin_t1))

@@ -217,13 +217,6 @@ def _chart_data(chart: CornerChart, a: np.ndarray):
     return jmu.value, jmu.d1, jphi.d1, jphi.d2, chart.H.bijet(a, jphi.value)
 
 
-def _pow(x: np.ndarray, k: int) -> np.ndarray:
-    # x ** k by libm's pow, element by element: numpy's SIMD power can differ
-    # from it in the last bit, and the face forms keep the values of the
-    # per-point formula.
-    return (x.astype(object) ** k).astype(float)
-
-
 @_pointwise
 def face_second_form(chart: CornerChart, a: float) -> FaceSecondForm:
     """Both scalar second-form values of the face at ``a``."""
@@ -256,6 +249,9 @@ def face_profile_hessian(chart: CornerChart, a: float) -> float:
         F_ss = a'' F_a + b'' F_b + a'^2 F_aa + 2 a' b' F_ab + b'^2 F_bb,
         a' = 1/psi', a'' = -psi''/psi'^3,
         b' = phi_a/psi', b'' = phi_aa/psi'^2 - phi_a psi''/psi'^3.
+
+    The powers of psi' are products, which numpy rounds the same at every
+    array length, so a float call and every array layout agree bit for bit.
     """
     mu, mu_a, phi_a, phi_aa, jH = _chart_data(chart, a)
     Hv = jH.value
@@ -268,7 +264,8 @@ def face_profile_hessian(chart: CornerChart, a: float) -> float:
 
     psi1 = np.sqrt(1.0 + mu * mu * phi_a * phi_a)
     psi2 = (mu * mu_a * phi_a * phi_a + mu * mu * phi_a * phi_aa) / psi1
-    psi1_2, psi1_3 = _pow(psi1, 2), _pow(psi1, 3)
+    psi1_2 = psi1 * psi1
+    psi1_3 = psi1_2 * psi1
     a1 = 1.0 / psi1
     a2 = -psi2 / psi1_3
     b1 = phi_a / psi1

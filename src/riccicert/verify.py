@@ -5,7 +5,8 @@ arithmetic: a margin function is scanned on a fixed grid, the worst cells are
 refined a configurable number of times, and the whole trace is reported so a
 reviewer can judge margin stability. Every scan level (the coarse grid,
 then each refinement depth) is a set of boxes, each sampled on a product
-grid: the coarse level is one box, a refinement level its cells. Every
+grid taken by one ``np.linspace`` per axis over all of the level's boxes:
+the coarse level is one box, a refinement level its cells. Every
 riccicert margin is batched: it takes one level per call, as its points and
 as their open mesh, so it can share work across the level's points,
 repeated points included (refinement cells overlap): a separable margin
@@ -191,21 +192,12 @@ def _level(a, b, counts):
     ``mesh`` is an open mesh with one array per axis: axis ``d`` holds its
     ``counts[d]`` coordinates per box, shaped ``(boxes, 1, ..., counts[d],
     ..., 1)``. ``points`` is the broadcast mesh flattened in C order, one
-    row per point: box after box, last axis fastest.
-
-    An int ``counts`` samples every axis at that count with one
-    ``np.linspace`` over all boxes and axes, the refinement form; a tuple
-    takes one call per axis, the coarse form. The split matters at a zero
-    step (a degenerate cell, or a step that underflows): numpy then divides
-    before it multiplies for every value of that call.
+    row per point: box after box, last axis fastest. Each axis is sampled by
+    one ``np.linspace`` over all boxes.
     """
     boxes, dims = a.shape
-    if isinstance(counts, int):
-        coords = np.linspace(a, b, counts, axis=-1)  # (boxes, dims, count)
-        axes = [coords[:, d] for d in range(dims)]
-    else:
-        axes = [np.linspace(a[:, d], b[:, d], n, axis=-1)
-                for d, n in enumerate(counts)]
+    axes = [np.linspace(a[:, d], b[:, d], n, axis=-1)
+            for d, n in enumerate(counts)]
     mesh = tuple(x.reshape((boxes,) + (1,) * d + (-1,) + (1,) * (dims - 1 - d))
                  for d, x in enumerate(axes))
     points = np.stack(np.broadcast_arrays(*mesh), axis=-1).reshape(-1, dims)
@@ -253,7 +245,7 @@ def grid_min(f, grid: GridSpec, threshold: float = 1e-6,
             same = a == b
             a = np.where(same, np.maximum(lo, a - 1e-15), a)
             b = np.where(same, np.minimum(hi, b + 1e-15), b)
-            mesh, points = _level(a, b, 2 * grid.factor + 1)
+            mesh, points = _level(a, b, (2 * grid.factor + 1,) * len(grid.axes))
         values = _evaluate(f, points, mesh, batched)
         finite = np.isfinite(values)
         if not finite.all():

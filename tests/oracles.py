@@ -308,13 +308,12 @@ def coarse_points(axes):
 
 def cell_points(lo, hi, count):
     """Grid points of the boxes ``lo[c] .. hi[c]`` (``(cells, dims)``
-    arrays), ``count`` per axis from one ``np.linspace`` over all of them:
-    one row each, box after box, last axis fastest."""
+    arrays), ``count`` per axis from one ``np.linspace`` per axis over all
+    of them: one row each, box after box, last axis fastest."""
     dims = lo.shape[1]
-    coords = np.linspace(lo, hi, count, axis=-1)  # (cells, dims, count)
     idx = np.indices((count,) * dims).reshape(dims, -1)
-    pts = coords[:, np.arange(dims)[:, None], idx]  # (cells, dims, points)
-    return pts.transpose(0, 2, 1).reshape(-1, dims)
+    return np.stack([np.linspace(lo[:, d], hi[:, d], count, axis=-1)[:, i]
+                     for d, i in enumerate(idx)], axis=-1).reshape(-1, dims)
 
 
 def concordance_bounds_at(theta, u, ell, *, n, r1, L, C, sec_min):
@@ -338,7 +337,8 @@ def concordance_bounds_at(theta, u, ell, *, n, r1, L, C, sec_min):
 
 def concordance_gate(ell, **constants):
     """The coarse Ricci gate of the concordance search at ``ell = ln t0``:
-    the least bound on a 25 x 33 ``np.meshgrid`` of (theta, u)."""
+    the least bound on a 25 x 33 ``np.meshgrid`` of (theta, u), with the
+    terms of ``ell`` squared on arrays, as the search squares them."""
     th, u = np.meshgrid(np.linspace(0.0, 0.5 * np.pi, 25),
                         np.linspace(ell, 2.0 * ell, 33), indexing="ij")
-    return float(np.min(concordance_bounds_at(th, u, ell, **constants)))
+    return float(np.min(concordance_bounds_at(th, u, np.array([ell]), **constants)))

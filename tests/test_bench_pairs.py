@@ -32,7 +32,8 @@ def test_summary_of_one_pair_and_table_format():
     assert rows[0]["parent"] == (2.0, 2.0, 2.0)
     assert rows[0]["won"] == 1
     table = bench_pairs.format_table(rows, 1).splitlines()
-    assert table[2] == "| run_s | 2 [2, 2] | 1 [1, 1] | 0.500 | 1 | gain |"
+    # One pair won is too few to read as a gain.
+    assert table[2] == "| run_s | 2 [2, 2] | 1 [1, 1] | 0.500 | 1 | unresolved |"
 
 
 def test_summary_refuses_unpaired_runs():
@@ -50,6 +51,9 @@ def test_summary_refuses_unpaired_runs():
     ([5.0, 5.0, 10.0, 10.0, 10.0, 15.0, 15.0], [10.0] * 7, "lower", "unresolved"),
     # 2% slower on a bound of 25%, with a tight parent.
     ([10.0, 10.1, 9.9, 10.0, 10.05], [10.2, 10.1, 10.0, 10.3, 10.2], "lower", "same"),
+    # The gain case above cut to 9 pairs, all won: too few for a gain.
+    ([10.0, 10.1, 9.9, 10.0, 10.2, 9.8, 10.0, 10.1, 9.9],
+     [8.0] * 9, "lower", "unresolved"),
 ])
 def test_verdict_follows_wins_spread_and_bound(parent, change, better, verdict):
     bound = {"lower": 0.25, "higher": 0.01}[better]

@@ -595,10 +595,10 @@ def test_coarse_gate_is_bitwise_the_meshgrid_gate(monkeypatch, amplitude,
     # held. Its limits end a gate block after its first row, at a block
     # edge, and inside one. Amplitudes 0.3 and -0.3 run out of all 400
     # doublings, so the last block holds 16 rows, and no row raises or
-    # warns. At -0.05 (certified at t0 = 4 * 2**55) the gates at
-    # t0 = 4 * 2**8, 4 * 2**18 and 4 * 2**38 move if inv_b + C inv_a and
-    # inv_a + inv_b are squared on arrays: a float's power rounds otherwise
-    # there.
+    # warns. At -0.05 (certified at t0 = 4 * 2**55) a float's power of
+    # inv_b + C inv_a or inv_a + inv_b rounds otherwise than the array
+    # square at t0 = 4 * 2**8, 4 * 2**18 and 4 * 2**38; the gate and its
+    # reference both square on arrays.
     monkeypatch.setattr(cons, "_MAX_DOUBLINGS", max_doublings)
     node = Sum((Poly((1.0,)), Sin(amplitude, math.pi)))
     path = RoundRadiusPath(Jet3Curve.from_node(node, (0.0, 1.0)), 3)
@@ -900,7 +900,7 @@ def test_path_margin_on_a_refinement_level_clipped_at_every_edge(
                         [a + half[0], 0.0], [b, T - half[1]],
                         [0.5 * (a + b), 0.5 * T]])
     mesh, points = _level(np.maximum(lo, centers - half),
-                          np.minimum(hi, centers + half), 5)
+                          np.minimum(hi, centers + half), (5, 5))
     assert {a, b} <= set(points[:, 0]) and {0.0, T} <= set(points[:, 1])
     distinct = np.unique(points, axis=0)
     assert len(distinct) < len(points)

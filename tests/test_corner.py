@@ -161,9 +161,11 @@ def face_forms_reference(chart, a: float):
     zed_clear = -phi_a * F_a * mu * mu + F_b
     psi1 = math.sqrt(1.0 + mu * mu * phi_a * phi_a)
     psi2 = (mu * mu_a * phi_a * phi_a + mu * mu * phi_a * phi_aa) / psi1
-    a1, a2 = 1.0 / psi1, -psi2 / psi1**3
+    psi1_2 = psi1 * psi1
+    psi1_3 = psi1_2 * psi1
+    a1, a2 = 1.0 / psi1, -psi2 / psi1_3
     b1 = phi_a / psi1
-    b2 = phi_aa / psi1**2 - phi_a * psi2 / psi1**3
+    b2 = phi_aa / psi1_2 - phi_a * psi2 / psi1_3
     hessian = (a2 * F_a + b2 * F_b + a1 * a1 * F_aa
                + 2.0 * a1 * b1 * F_ab + b1 * b1 * F_bb)
     return (tau_clear / (q * root), zed_clear / (2.0 * mu * F * root),
@@ -186,6 +188,23 @@ def test_face_forms_bitwise_on_random_charts():
     for ch, *_ in random_charts():
         a = np.concatenate([np.linspace(-0.8, 0.0, 41), rng.uniform(-0.8, 0.0, 40)])
         assert_face_forms_bitwise(ch, a)
+
+
+@pytest.mark.parametrize("length", [*range(1, 10), 16, 17, 4097])
+def test_face_forms_keep_their_bits_at_every_array_length(length):
+    # numpy's SIMD loops take a vector body and a scalar tail, whose split
+    # moves with the length; each point's forms must not depend on it.
+    ch, *_ = next(random_charts())
+    a = np.random.default_rng(11).uniform(-0.8, 0.0, 4097)
+    full = np.stack([*face_second_form(ch, a).as_row()[1:],
+                     face_profile_hessian(ch, a)], axis=1)
+    for part in (slice(None, length), slice(-length, None)):
+        got = np.stack([*face_second_form(ch, a[part]).as_row()[1:],
+                        face_profile_hessian(ch, a[part])], axis=1)
+        assert got.tobytes() == full[part].tobytes()
+    one = np.array([face_second_form(ch, x).as_row()[1:]
+                    + (face_profile_hessian(ch, x),) for x in a[:9].tolist()])
+    assert one.tobytes() == full[:9].tobytes()
 
 
 def test_face_forms_bitwise_on_union_chart_kinks_and_refinement_cells():

@@ -27,7 +27,7 @@ GOLDEN = {
     "spline_demo.json":
         "4e4561d7c32bb5cc8f16bf260047b1acfc31c999f4e317611e61746749aafc2f",
     "triangle.json":
-        "166a47189e4cb3aa7e3d7d56e2d4da3f3ab8cb7216c35656ecfa8773899d0720",
+        "a7c2b7f17ecd3ece34cfb5daab8a622586cfe9b174187b0487fe494f5e55b24a",
 }
 
 GOLDEN_CSV = {
@@ -41,7 +41,7 @@ GOLDEN_CSV = {
     },
     "glue_corner.json": {
         "face_forms.csv":
-            "b4308611dd5978b4c2291220f94c7b0924d611c079b3804ca606226332c2e938",
+            "6dde7920197f410f96fe1f29d2a4ab51c0585204f486fe1a4b366af39b2857a3",
     },
     "isotopy.json": {
         "warping.csv":

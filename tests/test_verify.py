@@ -317,7 +317,7 @@ def test_refinement_level_matches_gathered_points(dims, factor, cells):
     # Cells as grid_min builds them: clipped at the box edges, and a
     # degenerate cell widened by 1e-15 on each side. Near 16 that widening
     # rounds away, so the second axis keeps a zero step, which switches
-    # numpy's whole linspace call to dividing first.
+    # numpy's linspace call for that axis alone to dividing first.
     rng = np.random.default_rng(10 * dims + factor)
     lo = np.array([-1.0, 16.0, 0.0])[:dims]
     hi = np.array([1.0, 17.0, 1e-3])[:dims]
@@ -333,7 +333,7 @@ def test_refinement_level_matches_gathered_points(dims, factor, cells):
         assert (a[:, 0] < b[:, 0]).all()
         assert dims == 1 or (a[:, 1] == b[:, 1]).all()
     count = 2 * factor + 1
-    mesh, points = _level(a, b, count)
+    mesh, points = _level(a, b, (count,) * dims)
     assert points.tobytes() == cell_points(a, b, count).tobytes()
     assert _mesh_points(mesh).tobytes() == points.tobytes()
     for d, x in enumerate(mesh):
