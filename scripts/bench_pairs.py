@@ -4,19 +4,19 @@
 Usage:
 
     python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --workload W \\
-        --pairs N --seconds S [--base-seed B]
+        [--workload W2 ...] --pairs N --seconds S [--base-seed B]
 
-Pair i runs ``bench/run.py --workload W --seed B+i --seconds S --trace 0``
-once in each checkout, with that checkout as the working directory; the
-parent runs first in even pairs and the change in odd ones, so a drift of
-the machine's speed falls on both sides alike. The end-to-end metrics and
-their directions and bounds are read from ``BENCHMARK.json`` next to
-this script.
+For each workload W in turn, pair i runs ``bench/run.py --workload W
+--seed B+i --seconds S --trace 0`` once in each checkout, with that
+checkout as the working directory; the parent runs first in even pairs
+and the change in odd ones, so a drift of the machine's speed falls on
+both sides alike. The end-to-end metrics and their directions and bounds
+are read from ``BENCHMARK.json`` next to this script.
 
-Prints a markdown table with, for each metric, both medians, both
-quartiles, the ratio of the medians (change / parent), the number of
-pairs the change won (strictly better; a tie is no win) and a verdict,
-the first of these that holds:
+Prints, per workload, a ``### W`` heading and a markdown table with, for
+each metric, both medians, both quartiles, the ratio of the medians
+(change / parent), the number of pairs the change won (strictly better; a
+tie is no win) and a verdict, the first of these that holds:
 
 - ``gain``: on at least ``MIN_GAIN_PAIRS`` pairs, the change won at
   least 9 of every 10 of them, and its median beats the parent's by more
@@ -27,9 +27,9 @@ the first of these that holds:
 - ``unresolved``: the parent's q3 - q1 exceeds ``bound`` times its median;
 - ``same``: none of the above.
 
-Exit status: 0
-when every run reads ``correct: true``, 1 when a run does not or yields no
-result (the rest of the pairs are not run), 2 on a usage error.
+Exit status: 0 when every run reads ``correct: true``, 1 when a run does
+not or yields no result (the rest of the runs are not made), 2 on a usage
+error.
 """
 
 import argparse
@@ -113,7 +113,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", action="append", required=True)
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--base-seed", type=int, default=1)
@@ -122,20 +122,23 @@ def main(argv=None) -> int:
         parser.error("--pairs must be at least 1")
     metrics = [(m["name"], m["better"], m["bound"])
                for m in json.loads(BENCHMARK.read_text())["end_to_end"]]
-    runs = {"parent": [], "change": []}
-    for i in range(args.pairs):
-        seed = args.base_seed + i
-        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        for side in order:
-            try:
-                runs[side].append(run_once(getattr(args, side), args.workload,
-                                           seed, args.seconds))
-            except RuntimeError as err:
-                print(f"pair {i} ({side}, seed {seed}): {err}", file=sys.stderr)
-                return 1
-        print(f"pair {i} (seed {seed}) done", file=sys.stderr)
-    print(format_table(summarize(runs["parent"], runs["change"], metrics),
-                       args.pairs))
+    for n, workload in enumerate(args.workload):
+        runs = {"parent": [], "change": []}
+        for i in range(args.pairs):
+            seed = args.base_seed + i
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            for side in order:
+                try:
+                    runs[side].append(run_once(getattr(args, side), workload,
+                                               seed, args.seconds))
+                except RuntimeError as err:
+                    print(f"{workload} pair {i} ({side}, seed {seed}): {err}",
+                          file=sys.stderr)
+                    return 1
+            print(f"{workload} pair {i} (seed {seed}) done", file=sys.stderr)
+        print(("\n" if n else "") + f"### {workload}\n")
+        print(format_table(summarize(runs["parent"], runs["change"], metrics),
+                           args.pairs), flush=True)
     return 0
 
 

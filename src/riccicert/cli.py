@@ -56,25 +56,49 @@ def _search(lo, hi, tol=1e-3):
     return {"lo": (number, lo), "hi": (number, hi), "tol": (number, tol)}
 
 
+class _ProbeFailed(Exception):
+    """A search probe's certificate failed; the message says which and where."""
+
+
+def _refuse(search, name, cert):
+    """End a search probe at its first failing certificate ``cert``, named
+    by its first non-finite margin if it has one, else by its minimum."""
+    if not search or cert.passed:
+        return
+    if cert.nonfinite_count:
+        why = (f"{cert.nonfinite_count} non-finite margin(s), the first at "
+               f"{tuple(float(x) for x in cert.nonfinite_at)!r}")
+    else:
+        why = (f"min_margin {cert.min_margin!r} at "
+               f"{tuple(float(x) for x in cert.argmin)!r}")
+    raise _ProbeFailed(f"{name} failed with {why}")
+
+
 def _searched(certify, value, search):
     """``(value, certify(value, False))``, or with ``value`` None the probe
     that bisecting over ``search`` returns, which passed. A search probe
-    ``certify(x, True)`` returns None at its first failing certificate, so
-    only complete, passing probes are kept."""
+    ``certify(x, True)`` stops at its first failing certificate through
+    :func:`_refuse`, so only complete, passing probes are kept. When no
+    crossing is found, the SearchError names why each end of the bracket
+    failed: its PreconditionError or its first failing certificate."""
     if value is not None:
         return value, certify(value, False)
-    probed = {}
+    probed, failed = {}, {}
 
     def passes(x):
         try:
-            probe = certify(x, True)
-        except PreconditionError:
+            probed[x] = certify(x, True)
+        except (PreconditionError, _ProbeFailed) as exc:
+            failed[x] = str(exc)
             return False
-        if probe is not None:
-            probed[x] = probe
-        return probe is not None
+        return True
 
-    value = bisect_param(passes, search["lo"], search["hi"], search["tol"])
+    lo, hi = search["lo"], search["hi"]
+    try:
+        value = bisect_param(passes, lo, hi, search["tol"])
+    except SearchError as exc:
+        why = "; ".join(f"at {x!r}: {failed.get(x, 'passed')}" for x in (lo, hi))
+        raise SearchError(f"{exc} ({why})") from None
     return value, probed[value]
 
 
@@ -213,10 +237,10 @@ def _run_glue_corner(p, ctx):
         n = max(count, int(8.0 * (a_hi - a_lo) / (ratio * e)))
         grid = GridSpec.line(a_lo, a_hi, n, depth, factor)
         cvx = cor.convexity_certificate(chart, grid, threshold, search)
-        if search and not cvx.passed:
-            return None
+        _refuse(search, "convexity", cvx)
         ccv = cor.concavity_certificate(chart, grid, threshold, search)
-        return None if search and not ccv.passed else (chart, cvx, ccv)
+        _refuse(search, "concavity", ccv)
+        return chart, cvx, ccv
 
     searched = None
     if p["eps"] is None:
@@ -254,22 +278,23 @@ def _run_isotopy(p, ctx):
     R, m, n, b1, threshold = p["R"], p["m"], p["n"], p["b1"], p["threshold"]
     lam_count, s_count = p["grid"]["lambda_count"], p["grid"]["s_count"]
     depth, factor = ctx.depth(p["grid"]["depth"]), p["grid"]["factor"]
+    # The nu-free half of the profile is built once, for every probe.
+    part = cons.make_profile_h(R)
 
     def stage_certs(nu, search):
-        profile = cons.make_boundary_profile(R, nu, b1)
+        profile = cons.make_boundary_profile(part, nu, b1)
         target = cons.make_isotopy_target(profile)
         stage1 = cons.isotopy_stage1(profile, target, m, n)
         grid1 = GridSpec.box([(*stage1.lam_range, lam_count),
                               (0.0, profile.T, s_count)], depth, factor)
         cert1 = stage1.min_ricci(grid1, threshold, search)
-        if search and not cert1.passed:
-            return None
+        _refuse(search, "stage1_min_ricci", cert1)
         stage2 = cons.isotopy_stage2(target.k1, profile.h, R, m, n)
         grid2 = GridSpec.box([(*stage2.lam_range, lam_count),
                               (0.0, profile.T, s_count)], depth, factor)
         cert2 = stage2.min_ricci(grid2, threshold, search)
-        return (None if search and not cert2.passed
-                else (profile, target, stage1, stage2, cert1, cert2))
+        _refuse(search, "stage2_min_ricci", cert2)
+        return profile, target, stage1, stage2, cert1, cert2
 
     searched = None if p["nu"] is not None else p["nu_search"]
     nu, (profile, target, stage1, stage2, cert1, cert2) = _searched(

@@ -5,7 +5,12 @@ Three builds live here:
 * the boundary-sphere profile (k, h): a nearly-constant k joined by a
   two-stage-smoothed corner to a cosine arc closing at s = T, and a sine arc
   h flattening to the constant R, with every profile condition checked
-  numerically and reported;
+  numerically and reported. It is built in two halves: h, its breakpoints
+  T2 and T3 and every check that reads only h depend on R alone
+  (:func:`make_profile_h`), and k and the checks that read it depend on nu
+  and b1 as well (:func:`make_boundary_profile`, which takes the first
+  half). An isotopy run builds the first half once, and every probe of a
+  nu search builds the second on it;
 * the two-stage Ricci-positive isotopy from that profile to the round
   metric, as affine paths of warping functions;
 * the concordance cylinder ``dt^2 + t^2 rho^2(t) g_{lambda(t)}`` with its
@@ -45,6 +50,8 @@ from .warped import WarpedMetricPath, closure_defect
 __all__ = [
     "ConditionCheck",
     "ConditionReport",
+    "ProfileH",
+    "make_profile_h",
     "BoundaryProfile",
     "make_boundary_profile",
     "IsotopyTarget",
@@ -231,61 +238,37 @@ _INSET_FRAC = 0.01
 
 
 @dataclass(frozen=True)
-class BoundaryProfile:
-    """Warping functions of the boundary sphere with their condition report."""
+class ProfileH:
+    """The half of the boundary profile that depends on R alone: h, its
+    breakpoints and the checks that read only h.
 
-    k: Jet3Curve
-    h: Jet3Curve
+    ``checks`` maps each check name to its ConditionCheck.
+    """
+
     R: float
-    nu: float
-    b1: float
-    T0: float
-    T1: float
+    s_j: float
     T2: float
     T3: float
-    T: float
-    s_c: float
-    s_j: float
-    report: ConditionReport
+    h: Jet3Curve
+    checks: dict
 
 
-def make_boundary_profile(R: float, nu: float, b1: float) -> BoundaryProfile:
-    """Synthesize (k, h) on [0, pi R / 2] and verify every profile condition.
+def make_profile_h(R: float) -> ProfileH:
+    """Synthesize h on [0, pi R / 2] and run the checks that read only h.
 
-    k is cos(b1)(1 + nu (s/s_c)^4) meeting a concave dive at s_c in a genuine
-    corner that the two-stage spline pipeline smooths; the dive is a strictly
-    concave bump-integral closing with k(T) = 0, k'(T) = -1, even orders
-    zero. h is the arc a sin(s/a) flattened onto the constant R by a single
-    C2 quintic bridge. The total length pi R / 2 makes the profile
-    concatenable with the round path of radius R.
+    h is the arc a sin(s/a) flattened onto the constant R by a single C2
+    quintic bridge. An isotopy run builds this once and hands it to every
+    probe's :func:`make_boundary_profile`.
     """
     if not R > 1.0:
         raise PreconditionError(f"R must exceed 1, got {R!r}")
-    if not 0.0 < nu < 1.0:
-        raise PreconditionError(f"nu must lie in (0, 1), got {nu!r}")
-    if not 0.0 < b1 < 0.5 * math.pi:
-        raise PreconditionError(f"b1 must lie in (0, pi/2), got {b1!r}")
-
     T = 0.5 * math.pi * R
-    cb = math.cos(b1)
-    k_c = cb * (1.0 + nu)
-    s_c = T - 0.5 * math.pi * k_c
-    eps_k, delta_k = _EPS_K, _DELTA_K
-    if s_c <= eps_k + delta_k:
-        raise PreconditionError(f"k smoothing window does not fit: s_c = {s_c!r}")
-
-    # h: sine arc, C2 quintic bridge, plateau at R.
     a = min(_H_ARC_CAP * R, 0.92 * math.sqrt(5.0 * R))
     if a <= 1.02 * R:
         raise PreconditionError(
             f"no admissible h arc radius: a = {a!r} vs R = {R!r}"
         )
-    s_star = a * math.asin(R / a)
-    s_j = s_star - _BRIDGE_BACK
-    if s_j <= s_c - eps_k:
-        raise PreconditionError(
-            f"h bridge (s_j = {s_j!r}) would start before the k corner zone"
-        )
+    s_j = a * math.asin(R / a) - _BRIDGE_BACK
     h_j = a * math.sin(s_j / a)
     slope_j = math.cos(s_j / a)
     w_br = 2.0 * (R - h_j) / slope_j
@@ -301,6 +284,83 @@ def make_boundary_profile(R: float, nu: float, b1: float) -> BoundaryProfile:
          (T3, T, constant(R))],
         kinks=[(s_j, 3), (T3, 3)],
     )
+    T2 = _near_R_onset(h, R, _TOL_R_FRAC * R, s_j, T3)
+    eta = _INSET_FRAC
+    checks = [
+        _check("h_closes_at_0",
+               1e-9 - closure_defect(h, 0.0, 1.0),
+               "h(0)=0, h'(0)=1, h''(0)=0"),
+        _check("h_concave_before_T2",
+               _grid_extreme(lambda s: -h.jet(s).d2,
+                             eta * T2, T2 - eta * (T3 - T2)),
+               "h'' < 0 on (0, T2), checked with insets"),
+        _check("h_near_R_after_T2",
+               _TOL_R_FRAC * R
+               - _grid_extreme(lambda s: abs(h.value(s) - R), T2, T,
+                               reduce=np.max),
+               "|h - R| small beyond T2"),
+        _check("h_flat_after_T3",
+               1e-12 - _grid_extreme(lambda s: abs(h.value(s) - R), T3, T,
+                                     reduce=np.max),
+               "h identically R beyond T3"),
+        _check("h1_concave_before_T3",
+               _grid_extreme(lambda s: -h.jet(s).d2,
+                             eta * T3, T3 - eta * (T - T3)),
+               "h1'' < 0 on (0, T3), checked with insets"),
+    ]
+    return ProfileH(R=R, s_j=s_j, T2=T2, T3=T3, h=h,
+                    checks={c.name: c for c in checks})
+
+
+@dataclass(frozen=True)
+class BoundaryProfile:
+    """Warping functions of the boundary sphere with their condition report;
+    ``part`` is the R-only half it was built from."""
+
+    k: Jet3Curve
+    h: Jet3Curve
+    R: float
+    nu: float
+    b1: float
+    T0: float
+    T1: float
+    T2: float
+    T3: float
+    T: float
+    s_c: float
+    s_j: float
+    report: ConditionReport
+    part: ProfileH
+
+
+def make_boundary_profile(part: ProfileH, nu: float, b1: float) -> BoundaryProfile:
+    """Synthesize (k, h) on [0, pi R / 2] and verify every profile condition.
+
+    k is cos(b1)(1 + nu (s/s_c)^4) meeting a concave dive at s_c in a genuine
+    corner that the two-stage spline pipeline smooths; the dive is a strictly
+    concave bump-integral closing with k(T) = 0, k'(T) = -1, even orders
+    zero. R, h and the checks that read only h come from ``part``, the
+    :func:`make_profile_h` of R. The total length pi R / 2 makes the
+    profile concatenable with the round path of radius R.
+    """
+    R = part.R
+    if not 0.0 < nu < 1.0:
+        raise PreconditionError(f"nu must lie in (0, 1), got {nu!r}")
+    if not 0.0 < b1 < 0.5 * math.pi:
+        raise PreconditionError(f"b1 must lie in (0, pi/2), got {b1!r}")
+
+    T = 0.5 * math.pi * R
+    cb = math.cos(b1)
+    k_c = cb * (1.0 + nu)
+    s_c = T - 0.5 * math.pi * k_c
+    eps_k, delta_k = _EPS_K, _DELTA_K
+    if s_c <= eps_k + delta_k:
+        raise PreconditionError(f"k smoothing window does not fit: s_c = {s_c!r}")
+
+    if part.s_j <= s_c - eps_k:
+        raise PreconditionError(
+            f"h bridge (s_j = {part.s_j!r}) would start before the k corner zone"
+        )
 
     # k: quartic rise to (s_c, k_c), corner onto a strictly concave dive.
     lam = T - s_c
@@ -327,12 +387,11 @@ def make_boundary_profile(R: float, nu: float, b1: float) -> BoundaryProfile:
 
     T0 = s_c - eps_k - delta_k
     T1 = _last_nonneg_d2(k, T0, s_c + eps_k + 2.0 * delta_k) + delta_k
-    T2 = _near_R_onset(h, R, _TOL_R_FRAC * R, s_j, T3)
 
-    report = _profile_report(k, h, R, nu, b1, a, T0, T1, T2, T3, T, s_j)
-    profile = BoundaryProfile(k=k, h=h, R=R, nu=nu, b1=b1, T0=T0, T1=T1,
-                             T2=T2, T3=T3, T=T, s_c=s_c, s_j=s_j,
-                             report=report)
+    report = _profile_report(k, part, nu, b1, T0, T1, T)
+    profile = BoundaryProfile(k=k, h=part.h, R=R, nu=nu, b1=b1, T0=T0, T1=T1,
+                             T2=part.T2, T3=part.T3, T=T, s_c=s_c,
+                             s_j=part.s_j, report=report, part=part)
     report.raise_if_failed("boundary profile synthesis")
     return profile
 
@@ -352,9 +411,10 @@ def _near_R_onset(h: Jet3Curve, R: float, tol: float, lo: float, hi: float) -> f
     return float(s[first_far - 1]) if first_far else hi
 
 
-def _profile_report(k, h, R, nu, b1, a, T0, T1, T2, T3, T, s_j) -> ConditionReport:
+def _profile_report(k, part, nu, b1, T0, T1, T) -> ConditionReport:
     cb = math.cos(b1)
     eta = _INSET_FRAC
+    h, R, T2, T3, h_checks = part.h, part.R, part.T2, part.T3, part.checks
 
     checks = [
         _check("order_T0<T1<T2<T3<T",
@@ -378,26 +438,14 @@ def _profile_report(k, h, R, nu, b1, a, T0, T1, T2, T3, T, s_j) -> ConditionRepo
                1e-9 + 1.0 - _grid_extreme(lambda s: abs(k.jet(s).d1), 0.0, T,
                                           reduce=np.max),
                "|k'| <= 1"),
-        _check("h_closes_at_0",
-               1e-9 - closure_defect(h, 0.0, 1.0),
-               "h(0)=0, h'(0)=1, h''(0)=0"),
+        h_checks["h_closes_at_0"],
         _check("h_ratio_before_T1",
                _grid_extreme(lambda s: -h.jet(s).d2 / h.value(s) - 1.0 / (5.0 * R),
                              eta * T1, T1),
                "-h''/h > 1/(5R) on (0, T1]"),
-        _check("h_concave_before_T2",
-               _grid_extreme(lambda s: -h.jet(s).d2,
-                             eta * T2, T2 - eta * (T3 - T2)),
-               "h'' < 0 on (0, T2), checked with insets"),
-        _check("h_near_R_after_T2",
-               _TOL_R_FRAC * R
-               - _grid_extreme(lambda s: abs(h.value(s) - R), T2, T,
-                               reduce=np.max),
-               "|h - R| small beyond T2"),
-        _check("h_flat_after_T3",
-               1e-12 - _grid_extreme(lambda s: abs(h.value(s) - R), T3, T,
-                                     reduce=np.max),
-               "h identically R beyond T3"),
+        h_checks["h_concave_before_T2"],
+        h_checks["h_near_R_after_T2"],
+        h_checks["h_flat_after_T3"],
     ]
     return ConditionReport(tuple(checks))
 
@@ -455,8 +503,12 @@ def make_isotopy_target(profile: BoundaryProfile) -> IsotopyTarget:
 
 
 def _target_report(profile: BoundaryProfile, k1, nu, cb) -> ConditionReport:
-    T, T1, T2, T3 = profile.T, profile.T1, profile.T2, profile.T3
+    T, T1, T2 = profile.T, profile.T1, profile.T2
     eta = _INSET_FRAC
+
+    def slope_band(s):
+        d1 = k1.jet(s).d1
+        return np.minimum(-d1, nu * cb + d1)
 
     checks = [
         _check("k1_even_at_0",
@@ -472,16 +524,12 @@ def _target_report(profile: BoundaryProfile, k1, nu, cb) -> ConditionReport:
                _grid_extreme(lambda s: -k1.jet(s).d2, 0.0, T - eta * T),
                "k1'' < 0 on [0, T)"),
         _check("k1_slope_band_to_T2",
-               _grid_extreme(lambda s: np.minimum(-k1.jet(s).d1, nu * cb + k1.jet(s).d1),
-                             eta * T2, T2),
+               _grid_extreme(slope_band, eta * T2, T2),
                "-nu cos b1 < k1' < 0 on (0, T2]"),
         _check("k1_positive",
                _grid_extreme(lambda s: k1.value(s), 0.0, T - eta * T),
                "k1 > 0 before T"),
-        _check("h1_concave_before_T3",
-               _grid_extreme(lambda s: -profile.h.jet(s).d2,
-                             eta * T3, T3 - eta * (T - T3)),
-               "h1'' < 0 on (0, T3), checked with insets"),
+        profile.part.checks["h1_concave_before_T3"],
     ]
     return ConditionReport(tuple(checks))
 

@@ -31,7 +31,8 @@ the limit forms within a guard band (1e-6 of the domain length) of a closed
 end, with the jets read at the point itself. The warping curves check their
 own domain and seams: their jets refuse a point outside the domain. A path
 certificate runs the kernel on each scan level's table of distinct lambda
-against distinct s (see :meth:`WarpedMetricPath.min_ricci`).
+against distinct s, or point by point where that table would outgrow the
+level (see :meth:`WarpedMetricPath.min_ricci`).
 """
 
 from __future__ import annotations
@@ -285,11 +286,17 @@ class WarpedMetricPath:
         u = self.weight(lam)
         at_start, at_end = _closed_ends(s, self.k0.domain, self.start_kind,
                                         self.end_kind)
-        # Jets combine linearly in u.
-        jk0, jk1, jh0, jh1 = jets
+        # Jets combine linearly in u; third derivatives are read only by
+        # the closed-end limits.
+        orders = 4 if at_start.any() or at_end.any() else 3
         w = 1.0 - u
-        return curvature_from_jets(jk0.scaled(w) + jk1.scaled(u),
-                                   jh0.scaled(w) + jh1.scaled(u),
+
+        def mix(j0, j1):
+            return Jet3(*(w * a + u * b for a, b in zip(j0.as_tuple()[:orders],
+                                                        j1.as_tuple()[:orders])))
+
+        jk0, jk1, jh0, jh1 = jets
+        return curvature_from_jets(mix(jk0, jk1), mix(jh0, jh1),
                                    self.m, self.n, self.start_kind, self.end_kind,
                                    s=s, at_start=at_start, at_end=at_end)
 
@@ -306,17 +313,27 @@ class WarpedMetricPath:
         Each scan level takes its distinct lambda and s values from the
         axes of its open mesh and evaluates the endpoint curves once at the
         distinct s. The kernel then runs on the table of every distinct
-        lambda against every distinct s, in tiles of at most ``_BLOCK``
-        pairs, and each point reads its value from the table: refinement
-        cells overlap, so most of a refinement level's points repeat. After
-        the jets the kernel only adds, multiplies, divides, compares and
-        selects, elementwise, so a point's value does not depend on the
-        points it is tabled with. ``stop_at_failure`` is ``grid_min``'s.
+        lambda against every distinct s, and each point reads its value
+        from the table: refinement cells overlap, so most of a refinement
+        level's points repeat. A tile of the table holds at most ``_BLOCK``
+        pairs: every distinct lambda against a run of consecutive s. So the
+        guard-band columns of the closed ends, the first and the last s,
+        fall in the first and the last tile, and only those take the limit
+        forms and mix third derivatives. After the jets the kernel only
+        adds, multiplies, divides, compares and selects, elementwise, so a
+        point's value does not depend on the points it is tabled with. A
+        mesh whose table would hold more pairs than the level has points
+        (one-point boxes, as when ``grid_min`` narrows a failing level) is
+        evaluated point by point instead, ``_BLOCK`` points at a time.
+        ``stop_at_failure`` is ``grid_min``'s.
         """
         def margin(points, mesh):
             (lams, i), (x, j) = (_index(m.ravel()) for m in mesh)
-            jets, cols = self._level_jets(x), min(len(x), _BLOCK)
-            rows, table = _BLOCK // cols, np.empty((len(lams), len(x)))
+            if len(lams) * len(x) > len(points):
+                return blockwise(lambda lam, s: self._sample(
+                    self._level_jets(s), lam, s).min_ric(), points[:, 0], points[:, 1])
+            jets, rows = self._level_jets(x), min(len(lams), _BLOCK)
+            cols, table = _BLOCK // rows, np.empty((len(lams), len(x)))
             for c in range(0, len(x), cols):
                 at = [Jet3(*(v[None, c:c + cols] for v in jet.as_tuple()))
                       for jet in jets]

@@ -60,3 +60,28 @@ def test_verdict_follows_wins_spread_and_bound(parent, change, better, verdict):
     row, = bench_pairs.summarize([{"m": v} for v in parent],
                                  [{"m": v} for v in change], [("m", better, bound)])
     assert row["verdict"] == verdict
+
+
+def test_each_workload_gets_its_own_table(monkeypatch, capsys):
+    calls = []
+
+    def run_once(checkout, workload, seed, seconds):
+        calls.append((str(checkout), workload, seed))
+        fast = str(checkout) == "change" and workload == "b"
+        return {"run_s": 1.0 if fast else 2.0, "latency_p50_s": 1.0,
+                "latency_tail_s": 1.0, "setup_s": 1.0, "peak_rss_mb": 1.0,
+                "pass_ratio": 1.0}
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    assert bench_pairs.main(["parent", "change", "--workload", "a",
+                             "--workload", "b", "--pairs", "2",
+                             "--seconds", "1", "--base-seed", "7"]) == 0
+    # Pairs alternate which side runs first; the workloads run in turn.
+    assert calls == [("parent", "a", 7), ("change", "a", 7),
+                     ("change", "a", 8), ("parent", "a", 8),
+                     ("parent", "b", 7), ("change", "b", 7),
+                     ("change", "b", 8), ("parent", "b", 8)]
+    out = capsys.readouterr().out.split("\n\n")
+    assert [block.splitlines()[0] for block in out[::2]] == ["### a", "### b"]
+    assert "| run_s | 2 [2, 2] | 2 [2, 2] | 1.000 | 0 | same |" in out[1]
+    assert "| run_s | 2 [2, 2] | 1 [1, 1] | 0.500 | 2 | unresolved |" in out[3]

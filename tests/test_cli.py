@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -103,6 +104,73 @@ def test_precondition_violation_exits_three(tmp_path):
     code, report = run_scenario(scenario, tmp_path)
     assert code == 3
     assert report["error"]["kind"] == "PreconditionError"
+
+
+@pytest.mark.parametrize("nu", [None, 0.02])
+def test_isotopy_with_an_invalid_R_exits_three_with_its_own_message(tmp_path, nu):
+    # A search builds the R-only half of the profile before it bisects, so
+    # an R no probe could take is named, not reported as "no crossing".
+    scenario = {**load("isotopy.json"), "R": 0.9}
+    if nu is not None:
+        scenario["nu"] = nu
+    code, report = run_scenario(scenario, tmp_path)
+    assert code == 3
+    assert report["error"] == {"kind": "PreconditionError",
+                               "message": "R must exceed 1, got 0.9"}
+
+
+def test_isotopy_search_without_a_crossing_names_why_each_end_failed(tmp_path):
+    # With n = 2 the h-fiber term of Ric_h vanishes: the low end fails its
+    # stage-1 certificate at margin 0, and the high end fails synthesis.
+    code, report = run_scenario({**load("isotopy.json"), "n": 2}, tmp_path)
+    assert code == 3
+    assert report["error"]["kind"] == "SearchError"
+    message = report["error"]["message"]
+    assert message.startswith(
+        "predicate agrees at both endpoints (0.0001: False, 0.2: False); no "
+        "crossing (at 0.0001: stage1_min_ricci failed with min_margin 0.0 at "
+        "(0.0, ")
+    assert "; at 0.2: k1 dive: dive does not fit (residual " in message
+    assert message.endswith("the value pin exceeds the room left after T2)")
+
+
+@pytest.mark.parametrize("threshold, why", [
+    (1e3, r"at 0\.03: convexity failed with min_margin -1\.1479\d+ at "
+          r"\(-0\.0345\d+,\); at 0\.22: convexity failed with min_margin "
+          r"0\.1875\d+ at \(-0\.2541\d+,\)"),
+    (-1e3, r"at 0\.03: passed; at 0\.22: passed"),
+])
+def test_glue_corner_search_without_a_crossing_names_both_ends(tmp_path,
+                                                               threshold, why):
+    code, report = run_scenario({**load("glue_corner.json"),
+                                 "threshold": threshold}, tmp_path)
+    assert code == 3
+    assert report["error"]["kind"] == "SearchError"
+    assert re.fullmatch(r"predicate agrees at both endpoints \(0\.03: "
+                        r"(True|False), 0\.22: \1\); no crossing \(" + why
+                        + r"\)", report["error"]["message"])
+
+
+def test_search_without_a_crossing_names_a_non_finite_margin():
+    # A certificate that fails on a non-finite margin is named by that
+    # margin's count and first point, not by its finite minimum, which
+    # here clears the threshold.
+    from riccicert.verify import GridSpec, PositivityCertificate
+
+    def certify(x, search):
+        cert = PositivityCertificate(
+            quantity_id="demo", grid=GridSpec.line(0.0, 1.0, 2), threshold=0.0,
+            min_margin=0.5, argmin=(x,), refinement_trace=((0, 0.5),),
+            passed=False, nonfinite_count=3, nonfinite_at=(x + 0.25,))
+        cli._refuse(search, "demo_margin", cert)
+        return cert
+
+    with pytest.raises(SearchError) as err:
+        cli._searched(certify, None, {"lo": 0.0, "hi": 1.0, "tol": 1e-3})
+    assert str(err.value).endswith(
+        "no crossing (at 0.0: demo_margin failed with 3 non-finite "
+        "margin(s), the first at (0.25,); at 1.0: demo_margin failed with 3 "
+        "non-finite margin(s), the first at (1.25,))")
 
 
 @pytest.mark.parametrize("tilt", [0.0, -1e-4])

@@ -35,9 +35,14 @@ B1 = 0.795  # keeps the stage-1 dive feasible after T2 at R = 2
 NU_SMALL = 0.01
 
 
+def _profile(R, nu, b1):
+    """The boundary profile of (R, nu, b1) on an R-only half of its own."""
+    return make_boundary_profile(cons.make_profile_h(R), nu, b1)
+
+
 @pytest.fixture(scope="module")
 def profile():
-    return make_boundary_profile(R_TEST, NU_SMALL, B1)
+    return _profile(R_TEST, NU_SMALL, B1)
 
 
 @pytest.fixture(scope="module")
@@ -77,7 +82,7 @@ def test_profile_passes_all_conditions_at_example_params(profile):
 
 def test_profile_spec_example_parameters():
     # the nu = 0.05, b1 = pi/6 example: conditions pass (Ricci is separate)
-    prof = make_boundary_profile(2.0, 0.05, math.pi / 6.0)
+    prof = _profile(2.0, 0.05, math.pi / 6.0)
     assert prof.report.passed
     checks = {c.name: c for c in prof.report.checks}
     assert checks["h_ratio_before_T1"].margin > 0.0
@@ -101,7 +106,48 @@ def test_profile_total_length_matches_round_path(profile):
 def test_profile_reports_failures():
     # R too large: the h-arc cannot satisfy -h''/h > 1/(5R) while reaching R
     with pytest.raises(PreconditionError):
-        make_boundary_profile(6.0, 0.01, B1)
+        _profile(6.0, 0.01, B1)
+
+
+def _synthesis(R, nu, b1, part=None):
+    """The profile and target reports as dicts, or the ConditionError's
+    message and report where synthesis refuses; without ``part`` the
+    profile is built on a fresh R-only half."""
+    try:
+        profile = make_boundary_profile(part or cons.make_profile_h(R), nu, b1)
+    except ConditionError as exc:
+        return str(exc), exc.report.to_dict()
+    try:
+        target = make_isotopy_target(profile)
+    except ConditionError as exc:
+        return profile.report.to_dict(), str(exc), exc.report.to_dict()
+    return profile.report.to_dict(), target.report.to_dict()
+
+
+@pytest.mark.parametrize("R, b1", [(2.0, 0.785), (2.0, 0.815), (2.08, 0.785),
+                                   (2.08, 0.815), (2.04, 0.8)])
+def test_a_shared_h_half_gives_the_fresh_reports(R, b1):
+    # An isotopy search builds the R-only half once and hands it to every
+    # probe: the corners and the centre of the benchmark box, at three nu.
+    part = cons.make_profile_h(R)
+    for nu in (1e-4, 0.0125, 0.021183203125):
+        assert _synthesis(R, nu, b1, part) == _synthesis(R, nu, b1)
+
+
+def test_isotopy_search_builds_the_h_half_once(tmp_path, monkeypatch):
+    from riccicert.cli import run_scenario
+    built, make = [], cons.make_profile_h
+
+    def counted(R):
+        built.append(R)
+        return make(R)
+
+    monkeypatch.setattr(cons, "make_profile_h", counted)
+    scenario = json.loads((Path(__file__).resolve().parent.parent
+                           / "scenarios" / "isotopy.json").read_text())
+    code, report = run_scenario(scenario, tmp_path)
+    assert code == 0 and report["results"]["nu"] == 0.021183203125
+    assert built == [2.0]
 
 
 def test_profile_metric_is_ricci_positive(profile):
@@ -177,7 +223,7 @@ def test_secant_dive_centers_match_bisection(R, b1, nu):
 
     with patch.object(cons, "_solve_dive_center", both):
         try:
-            make_isotopy_target(make_boundary_profile(R, nu, b1))
+            make_isotopy_target(_profile(R, nu, b1))
         except PreconditionError:
             pass
     assert outcomes and outcomes[0][0] == "profile k dive"
@@ -200,7 +246,7 @@ def test_dive_center_without_a_sign_change_raises():
 def test_profile_breakpoints_are_python_floats():
     # The k1 bracket starts past T2, so a numpy-scalar T2 would print as
     # np.float64(...) in the message of the nu = 0.2 search probe.
-    profile = make_boundary_profile(R_TEST, 0.2, B1)
+    profile = _profile(R_TEST, 0.2, B1)
     assert type(profile.T1) is float and type(profile.T2) is float
     with pytest.raises(ConditionError, match=(
             r"^k1 dive: dive does not fit \(residual -4\.919e-02 at "
@@ -254,7 +300,7 @@ def test_profile_metric_fails_in_the_known_band_at_the_shipped_nu():
     # At the shipped report's nu, the lambda = 0 end of stage 1 (the profile
     # metric) is Ricci-negative on [1.94786, 1.95022]; a 4,096-point scan
     # finds the band.
-    profile = make_boundary_profile(2.0, 0.021183203125, 0.795)
+    profile = _profile(2.0, 0.021183203125, 0.795)
     g = DoublyWarpedMetric(profile.k, profile.h, 3, 3, "closed_h", "closed_k")
     assert sectional(g, 1.949).Ric_s == pytest.approx(-0.01373, abs=1e-5)
     cert = g.min_ricci(GridSpec.line(0.0, profile.T, 4096, 2, 2))
@@ -885,39 +931,75 @@ def test_path_kernel_sees_each_table_pair_of_a_level_once(
                for points, _ in levels[1:])
 
 
-@pytest.mark.parametrize("which", [1, 2])
-def test_path_margin_on_a_refinement_level_clipped_at_every_edge(
-        profile, target, monkeypatch, which):
-    # Depth-1 cells of a 9 x 33 grid, centred on the four corners of the
-    # (lambda, s) box, next to two of them and inside: the corner cells clip
-    # at both lambda ends and at s = 0 and s = T, and neighbours overlap.
+def _clipped_level(path, T, copies):
+    """Depth-1 cells of a 9 x 33 grid, centred on the four corners of the
+    (lambda, s) box, next to two of them and inside, each ``copies``
+    times: the corner cells clip at both lambda ends and at s = 0 and
+    s = T, and neighbours overlap."""
     from riccicert.verify import _level
-    path = _stage(profile, target, which)
-    (a, b), T = path.lam_range, profile.T
+    a, b = path.lam_range
     lo, hi = np.array([a, 0.0]), np.array([b, T])
     half = (hi - lo) / [8, 32]
-    centers = np.array([[a, 0.0], [a, T], [b, 0.0], [b, T],
-                        [a + half[0], 0.0], [b, T - half[1]],
-                        [0.5 * (a + b), 0.5 * T]])
+    centers = np.repeat(np.array([[a, 0.0], [a, T], [b, 0.0], [b, T],
+                                  [a + half[0], 0.0], [b, T - half[1]],
+                                  [0.5 * (a + b), 0.5 * T]]), copies, axis=0)
     mesh, points = _level(np.maximum(lo, centers - half),
                           np.minimum(hi, centers + half), (5, 5))
     assert {a, b} <= set(points[:, 0]) and {0.0, T} <= set(points[:, 1])
-    distinct = np.unique(points, axis=0)
-    assert len(distinct) < len(points)
+    assert len(np.unique(points, axis=0)) < len(points)
+    return mesh, points
+
+
+@pytest.mark.parametrize("which", [1, 2])
+def test_path_margin_on_a_refinement_level_clipped_at_every_edge(
+        profile, target, monkeypatch, which):
+    # 175 points against a 17 x 17 table: the kernel sees the points, one
+    # by one, and gives each the reference bits.
+    path = _stage(profile, target, which)
+    mesh, points = _clipped_level(path, profile.T, 1)
     margin = _path_margin(path)
     seen = _spy_tiles(monkeypatch)
     values = margin(points, mesh)
-    # The kernel sees each (distinct lambda, distinct s) pair once, in one
-    # tile here, in C order.
+    assert len(_table(points)) > len(points)
+    assert np.concatenate(seen).tobytes() == points.tobytes()
+    monkeypatch.undo()
+    _assert_margins_bitwise(path, points[:, 0], points[:, 1], values)
+
+
+@pytest.mark.parametrize("which", [1, 2])
+def test_path_table_of_a_refinement_level_clipped_at_every_edge(
+        profile, target, monkeypatch, which):
+    # The same cells twice over, 350 points: the kernel sees each (distinct
+    # lambda, distinct s) pair once, in one tile here, in C order.
+    path = _stage(profile, target, which)
+    mesh, points = _clipped_level(path, profile.T, 2)
+    margin = _path_margin(path)
+    seen = _spy_tiles(monkeypatch)
+    values = margin(points, mesh)
     assert np.concatenate(seen).tobytes() == _table(points).tobytes()
     monkeypatch.undo()
     _assert_margins_bitwise(path, points[:, 0], points[:, 1], values)
 
 
+@pytest.mark.parametrize("which", [1, 2])
+def test_coarse_path_level_with_both_closed_ends_is_the_scalar_reference(
+        profile, target, which):
+    # A 9 x 33 coarse level holds the s = 0 and s = T guard columns, which
+    # take the limit forms, and interior columns, which do not.
+    from riccicert.verify import _level
+    path = _stage(profile, target, which)
+    (a, b), T = path.lam_range, profile.T
+    mesh, points = _level(np.array([[a, 0.0]]), np.array([[b, T]]), (9, 33))
+    values = _path_margin(path)(points, mesh)
+    ref = np.array([_path_min_ric_scalar(path, lam, s) for lam, s in points])
+    assert values.tobytes() == ref.tobytes()
+
+
 def test_path_margin_splits_an_s_row_longer_than_a_block(
         profile, target, monkeypatch):
-    # A coarse level of 3 lambda values x (_BLOCK + 5) s values: each row
-    # of the table is split into a _BLOCK tile and a 5-pair tile.
+    # A coarse level of 3 lambda values x (_BLOCK + 5) s values: the table
+    # is split into tiles of all 3 rows by _BLOCK // 3 columns, and a tile
+    # of the 6 columns left over.
     from riccicert.verify import _BLOCK, _level
     path = _stage(profile, target, 1)
     (a, b), T = path.lam_range, profile.T
@@ -926,33 +1008,55 @@ def test_path_margin_splits_an_s_row_longer_than_a_block(
     margin = _path_margin(path)
     seen = _spy_tiles(monkeypatch)
     values = margin(points, mesh)
-    assert [len(tile) for tile in seen] == [_BLOCK] * 3 + [5] * 3
+    cols = _BLOCK // 3
+    assert [len(tile) for tile in seen] == [3 * cols] * 3 + [3 * 6]
     pairs = np.concatenate(seen)
     assert len(np.unique(pairs, axis=0)) == len(points) == len(pairs)
     monkeypatch.undo()
     lam, s = points[:, 0], points[:, 1]
     assert values.tobytes() == path.sectional(lam, s).min_ric().tobytes()
     # The reference bits at both ends of every tile, and a stride between.
-    ends = np.array([0, _BLOCK - 1, _BLOCK, _BLOCK + 4])
+    ends = np.array([0, cols - 1, cols, 2 * cols - 1, 2 * cols, 3 * cols - 1,
+                     3 * cols, _BLOCK + 4])
     pick = np.unique(np.concatenate([
         np.arange(0, len(points), 97),
         (np.arange(3)[:, None] * (_BLOCK + 5) + ends).ravel()]))
     _assert_margins_bitwise(path, lam[pick], s[pick], values[pick])
 
 
+def test_path_margin_takes_scattered_points_one_by_one(profile, target,
+                                                       monkeypatch):
+    # 4,096 scattered points as one-point boxes, as grid_min narrows a
+    # failing level: their table would hold 4,096^2 pairs, so the kernel
+    # sees the points themselves and gives path.sectional's bits.
+    from riccicert.verify import _BLOCK
+    path = _stage(profile, target, 1)
+    rng = np.random.default_rng(5)
+    pts = np.stack([rng.uniform(*path.lam_range, _BLOCK),
+                    rng.uniform(0.0, profile.T, _BLOCK)], axis=-1)
+    margin = _path_margin(path)
+    seen = _spy_tiles(monkeypatch)
+    values = margin(pts, _point_mesh(pts))
+    assert sum(len(tile) for tile in seen) <= _BLOCK
+    monkeypatch.undo()
+    want = path.sectional(pts[:, 0], pts[:, 1]).min_ric()
+    assert values.tobytes() == want.tobytes()
+
+
 def test_path_table_refuses_a_vanishing_warping_off_the_level_points():
     # k0 = 1 - 2s is negative past s = 0.5, and the level pairs s = 0.75
     # only with lambda = 1 (u = 1, k = k1 = 1): each point is fine, but the
-    # table also holds (0, 0.75), where k = k0 = -0.5. The margin refuses
-    # the level with a DomainError (exit 3) naming that s; it is not an
-    # IndexError (exit 4).
+    # table also holds (0, 0.75), where k = k0 = -0.5. Each point is
+    # repeated three times, so the table (9 pairs) is no larger than the
+    # level and is evaluated. The margin refuses the level with a
+    # DomainError (exit 3) naming that s; it is not an IndexError (exit 4).
     from riccicert.errors import DomainError
     from riccicert.verify import _evaluate
     one = Jet3Curve.from_node(Poly((1.0,)), (0.0, 1.0))
     path = WarpedMetricPath(
         k0=Jet3Curve.from_node(Poly((1.0, -2.0)), (0.0, 1.0)), k1=one,
         h0=one, h1=one, m=3, n=3, start_kind="boundary", end_kind="boundary")
-    pts = np.array([[0.0, 0.1], [0.5, 0.2], [1.0, 0.75]])
+    pts = np.repeat(np.array([[0.0, 0.1], [0.5, 0.2], [1.0, 0.75]]), 3, axis=0)
     assert all(math.isfinite(path.sectional(lam, s).min_ric())
                for lam, s in pts)
     message = (r"^warping vanishes at s=0\.75 without a matching closed "
@@ -982,9 +1086,9 @@ def test_batched_path_margin_matches_scalar_reference(profile, target, seed,
     lam = rng.choice([a, b, *rng.uniform(a, b, 4)], size=len(s))
     got = path.sectional(lam, s).min_ric()
     _assert_margins_bitwise(path, lam, s, got)
-    # The certificate's margin evaluates each point through its level's
-    # table; every copy of a repeated point, in any order, gets the
-    # reference bits.
+    # The certificate's margin takes these one-point boxes point by point,
+    # as their table would hold more pairs than they have points; every
+    # copy of a repeated point, in any order, gets the reference bits.
     margin = _path_margin(path)
     pts = np.stack([lam, s], axis=-1)
     assert margin(pts, _point_mesh(pts)).tobytes() == got.tobytes()
@@ -1001,8 +1105,9 @@ def test_path_margin_error_names_the_first_failing_point_in_scan_order(
     from riccicert.verify import _evaluate
     path = _stage(profile, target, 1)
     T = profile.T
-    # s = -1 sorts first among the level's distinct s, where its jets are
-    # taken; (0.5, T + 1) comes first in scan order, and is repeated.
+    # Seven one-point boxes, taken point by point: s = T + 1 fails first
+    # in the level's jets, as (0.5, T + 1) comes first in scan order, and
+    # is repeated; s = -1 fails too.
     pts = np.array([[0.5, 1.0], [0.5, T + 1.0], [0.0, 0.2], [0.0, -1.0],
                     [0.5, T + 1.0], [0.5, 1.0], [0.0, -1.0]])
     with pytest.raises(EvaluationError) as err:
