@@ -5,7 +5,7 @@ Shows the two failure regimes on either side of the valid band: exact-spline
 curvature overshoot for small eps, O(eps) drift for large eps. Each point is
 the shipped ``glue_corner.json`` run by the CLI with an explicit ``eps``, so
 delta, the grid and both certificates are the command's own. Writes
-out/corner_eps_sweep.csv.
+out/corner_eps_sweep.csv; ``sweep(dir)`` writes it into another directory.
 """
 
 import json
@@ -21,9 +21,9 @@ import numpy as np  # noqa: E402
 from riccicert.cli import _write_csv, run_scenario  # noqa: E402
 
 
-def main():
+def sweep(out: Path) -> Path:
+    """Run the sweep and write ``corner_eps_sweep.csv`` into ``out``."""
     scenario = json.loads((ROOT / "scenarios" / "glue_corner.json").read_text())
-    out = ROOT / "out"
     out.mkdir(exist_ok=True)
     rows = []
     with tempfile.TemporaryDirectory() as tmp:
@@ -39,9 +39,13 @@ def main():
                   f"concavity {r['concavity_margin']:+.5f}")
 
     header = ("eps", "delta", "convexity_margin", "concavity_margin")
-    _write_csv(out / "corner_eps_sweep.csv", header,
-               np.reshape(rows, (-1, len(header))).T)
-    print(f"wrote {out / 'corner_eps_sweep.csv'}")
+    path = out / "corner_eps_sweep.csv"
+    _write_csv(path, header, np.reshape(rows, (-1, len(header))).T)
+    return path
+
+
+def main():
+    print(f"wrote {sweep(ROOT / 'out')}")
 
 
 if __name__ == "__main__":

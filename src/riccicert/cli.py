@@ -226,14 +226,17 @@ def _run_curvature(p, ctx):
          grid=_grid(241, 3), threshold=(number, 1e-6), samples=(positive_int, 200))
 def _run_glue_corner(p, ctx):
     left, right = p["left"], p["right"]
-    angle = cor.dihedral_angle(left, right)
     threshold, ratio = p["threshold"], p["delta_ratio"]
+    if not 0.0 < ratio < 1.0:
+        raise PreconditionError(f"delta_ratio must lie in (0, 1), got {ratio!r}")
+    # The eps-free half of the gluing is checked and built once, for every probe.
+    face = cor.glue_face(left, right)
     a_lo, a_hi = left.a_range[0], right.a_range[1]
     count, factor = p["grid"]["count"], p["grid"]["factor"]
     depth = ctx.depth(p["grid"]["depth"])
 
     def certify(e, search):
-        chart = cor.glue_and_smooth(left, right, e, ratio * e)
+        chart = cor.glue_and_smooth(face, e, ratio * e)
         n = max(count, int(8.0 * (a_hi - a_lo) / (ratio * e)))
         grid = GridSpec.line(a_lo, a_hi, n, depth, factor)
         cvx = cor.convexity_certificate(chart, grid, threshold, search)
@@ -264,7 +267,7 @@ def _run_glue_corner(p, ctx):
     local = float(np.max(np.abs(glued.phi.value(a) - inputs)))
     ctx.check("locality", 1e-15 if local == 0.0 else -local,
               "glued phi bit-identical to inputs outside windows")
-    return {"dihedral_angle": angle, "eps": eps, "delta": delta,
+    return {"dihedral_angle": face.angle, "eps": eps, "delta": delta,
             "search": searched, "convexity_margin": cvx.min_margin,
             "concavity_margin": ccv.min_margin}
 

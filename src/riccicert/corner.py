@@ -27,7 +27,10 @@ and gives Python floats.
 
 Two charts glue along a = 0 when their boundary data match; the corner is
 then smoothed by running the two-stage spline pipeline on mu, phi and on
-every a-factor of H. H is carried as a sum of separable terms
+every a-factor of H. The checks and the joined, unsmoothed curves do not
+depend on the smoothing widths (:func:`glue_face`); a glue-corner run builds
+them once, and every probe of an eps search smooths them
+(:func:`glue_and_smooth`). H is carried as a sum of separable terms
 sum_i f_i(a) g_i(b); the Hermite systems are linear in the smoothed
 function's endpoint jets, so smoothing the f_i termwise is exactly the
 smoothing of a -> H(a, b) for every b at once.
@@ -53,6 +56,8 @@ __all__ = [
     "face_second_form",
     "face_profile_hessian",
     "dihedral_angle",
+    "GlueFace",
+    "glue_face",
     "glue_and_smooth",
     "convexity_certificate",
     "concavity_certificate",
@@ -165,9 +170,13 @@ class CornerChart:
             raise DomainError(
                 f"face graph exits chart: phi({bad[0]!r}) = {bad[1]!r} not in [{b_lo!r}, {b_hi!r}]"
             )
-        a, b = (x.ravel() for x in np.meshgrid(
-            a, np.linspace(b_lo, b_hi, _CHART_SAMPLES), indexing="ij"))
-        bad = _first(~(self.H.value(a, b) > 0.0), a, b)
+        # H on the grid a x b, from each factor's values on its own axis:
+        # the products BiWarp.bijet forms at every point, summed in its order.
+        b = np.linspace(b_lo, b_hi, _CHART_SAMPLES)
+        H = 0.0
+        for fa, gb in self.H.terms:
+            H += np.multiply.outer(fa.jet(a).value, gb.jet(b).value)
+        bad = _first(~(H > 0.0), a[:, None], b)
         if bad:
             raise PreconditionError(f"H <= 0 at (a={bad[0]!r}, b={bad[1]!r})")
 
@@ -283,8 +292,9 @@ def dihedral_angle(left: CornerChart, right: CornerChart) -> float:
 
         cos(alpha) = (c1 - c2) / (|tau_1| |nu_2|),
 
-    and the interior angle of the region b <= phi is pi/2 + alpha. Values
-    below pi mean the corner can be smoothed convexly.
+    and the interior angle of the region b <= phi is pi/2 + alpha. Gluing
+    accepts angles up to pi + 1e-12: below pi the corner can be smoothed
+    convexly, and pi means the faces already meet C1.
     """
     if left.side != "left" or right.side != "right":
         raise PreconditionError("dihedral_angle expects (left, right) charts")
@@ -342,14 +352,29 @@ def _union_curve(cl: Jet3Curve, cr: Jet3Curve) -> Jet3Curve:
     return Jet3Curve((cl.domain[0], cr.domain[1]), pieces, kinks)
 
 
-def glue_and_smooth(left: CornerChart, right: CornerChart,
-                    eps: float, delta: float) -> CornerChart:
-    """Glue two charts along a = 0 and smooth the corner and the metric.
+@dataclass(frozen=True)
+class GlueFace:
+    """Two charts joined along a = 0, before any smoothing width is chosen.
 
-    Preconditions: interior dihedral angle < pi, identical boundary metrics
-    at a = 0, the glue-face second-form sum positive on the b-slices, and
-    smoothing windows inside both a-ranges. The output agrees with the
-    inputs outside ``[-eps - delta, eps + delta]`` bit-identically.
+    ``curves`` holds mu, phi and each H term's a-factor, each joined into one
+    curve with a corner at a = 0; ``b_factors`` are the left chart's, which
+    the right chart's match. ``angle`` is the interior dihedral angle, at
+    most pi + 1e-12 (pi when the faces already meet C1).
+    """
+
+    angle: float
+    curves: tuple  # of Jet3Curve: mu, phi, then the a-factors
+    b_factors: tuple  # of Jet3Curve
+    fiber_dim: int
+
+
+def glue_face(left: CornerChart, right: CornerChart) -> GlueFace:
+    """Check that two charts glue along a = 0 and join their curves there.
+
+    Preconditions, in order: equal fiber dimensions, (left, right) order, a
+    dihedral angle of at most pi + 1e-12, equal boundary metrics and
+    b-factors at a = 0, a positive glue-face second-form sum on the
+    b-slices, and a-factors that meet at a = 0.
     """
     if left.fiber_dim != right.fiber_dim:
         raise PreconditionError("fiber dimensions differ")
@@ -361,24 +386,26 @@ def glue_and_smooth(left: CornerChart, right: CornerChart,
             f"interior dihedral angle {angle:.6f} exceeds pi; corner cannot be smoothed"
         )
     _check_glue_face(left.H, right.H)
+    curves = ((c.mu, c.phi, *(fa for fa, _ in c.H.terms)) for c in (left, right))
+    return GlueFace(angle, tuple(map(_union_curve, *curves)),
+                    tuple(gb for _, gb in left.H.terms), left.fiber_dim)
 
+
+def glue_and_smooth(face: GlueFace, eps: float, delta: float) -> CornerChart:
+    """Smooth the corner of a glue face and the metric across it.
+
+    Needs the smoothing windows inside both charts' a-ranges. The output
+    agrees with the charts outside ``[-eps - delta, eps + delta]``
+    bit-identically.
+    """
+    lo, hi = face.curves[0].domain
     window = eps + delta
-    if -window <= left.a_range[0] or window >= right.a_range[1]:
-        raise DomainError(
-            f"smoothing window +-{window!r} exits chart ranges "
-            f"{left.a_range!r} / {right.a_range!r}"
-        )
-
-    mu = two_stage_smooth(_union_curve(left.mu, right.mu), 0.0, eps, delta)
-    phi = two_stage_smooth(_union_curve(left.phi, right.phi), 0.0, eps, delta)
-    terms = []
-    for (fa_l, g_l), (fa_r, _) in zip(left.H.terms, right.H.terms):
-        fa = two_stage_smooth(_union_curve(fa_l, fa_r), 0.0, eps, delta)
-        terms.append((fa, g_l))
-    return CornerChart(
-        mu=mu, phi=phi, H=BiWarp(tuple(terms)),
-        fiber_dim=left.fiber_dim, side="union",
-    )
+    if -window <= lo or window >= hi:
+        raise DomainError(f"smoothing window +-{window!r} exits chart ranges "
+                          f"{(lo, 0.0)!r} / {(0.0, hi)!r}")
+    mu, phi, *fas = (two_stage_smooth(c, 0.0, eps, delta) for c in face.curves)
+    return CornerChart(mu=mu, phi=phi, H=BiWarp(tuple(zip(fas, face.b_factors))),
+                       fiber_dim=face.fiber_dim, side="union")
 
 
 def convexity_certificate(chart: CornerChart, grid: GridSpec, threshold: float = 1e-6,

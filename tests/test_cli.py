@@ -151,6 +151,81 @@ def test_glue_corner_search_without_a_crossing_names_both_ends(tmp_path,
                         + r"\)", report["error"]["message"])
 
 
+def test_glue_corner_search_builds_the_glue_face_once(tmp_path, monkeypatch):
+    calls = []
+    check = cli.cor._check_glue_face
+    monkeypatch.setattr(cli.cor, "_check_glue_face",
+                        lambda *args: calls.append(args) or check(*args))
+    code, report = run_scenario(load("glue_corner.json"), tmp_path)
+    assert code == 0 and report["results"]["search"] is not None
+    assert len(calls) == 1
+
+
+def _swap_charts(s):
+    s["left"], s["right"] = s["right"], s["left"]
+
+
+def _set(*path_and_value):
+    *path, key, value = path_and_value
+
+    def edit(s):
+        for k in path:
+            s = s[k]
+        s[key] = value
+    return edit
+
+
+def _term_a(side, i):
+    return (side, "H", "terms", i, "a", "pieces", 0, "fn", "coeffs")
+
+
+def _a_factor_mismatch(s):
+    # A third term with term 0's b-factor: left f0(0) + f2(0) = 0.9 + 0.1 and
+    # right 1.0 + 0.0 give the same H(0, b), but the union of f0 breaks.
+    for side, f0, f2 in (("left", 0.9, 0.1), ("right", 1.0, 0.0)):
+        terms = s[side]["H"]["terms"]
+        extra = copy.deepcopy(terms[0])
+        extra["a"]["pieces"][0]["fn"]["coeffs"] = [f2]
+        terms[0]["a"]["pieces"][0]["fn"]["coeffs"][0] = f0
+        terms.append(extra)
+
+
+SLOPE = 0.5773502691896258  # of the shipped faces at a = 0; flipped, reflex
+
+
+@pytest.mark.parametrize("eps", [None, 0.1])
+@pytest.mark.parametrize("edits, message", [
+    ([_swap_charts], "dihedral_angle expects (left, right) charts"),
+    ([_set("left", "phi", "pieces", 0, "fn", "coeffs", 1, -SLOPE),
+      _set("right", "phi", "pieces", 0, "fn", "coeffs", 1, SLOPE)],
+     "interior dihedral angle 4.188790 exceeds pi; corner cannot be smoothed"),
+    ([_set(*_term_a("right", 0), 0, 1.1)],
+     "boundary metrics mismatch: max |H_L(0,b) - H_R(0,b)| = 1.000e-01 > 1e-09"),
+    ([_a_factor_mismatch],
+     "pieces mismatch at breakpoint 0.0: order 0 (0.9 vs 1.0), declared "
+     "continuity 0"),
+    ([_set(*_term_a("left", 0), 1, 0.0), _set(*_term_a("right", 0), 1, 0.0)],
+     "glue-face second-form sum not positive on b-slices (min d_a F jump = "
+     "0.000e+00)"),
+    ([_set("right", "fiber_dim", 4)], "fiber dimensions differ"),
+    ([_set("delta_ratio", 1.0)], "delta_ratio must lie in (0, 1), got 1.0"),
+    ([_set("delta_ratio", 0.0)], "delta_ratio must lie in (0, 1), got 0.0"),
+], ids=["chart-order", "reflex-angle", "boundary-metrics", "a-factors",
+        "second-form-sum", "fiber-dims", "delta-ratio-1", "delta-ratio-0"])
+def test_glue_corner_refuses_an_eps_free_precondition_by_its_own_message(
+        tmp_path, eps, edits, message):
+    # These do not depend on eps: they are checked once, before any eps is
+    # tried, and exit 3 with their own message rather than "no crossing".
+    scenario = load("glue_corner.json")
+    for edit in edits:
+        edit(scenario)
+    if eps is not None:
+        scenario["eps"] = eps
+    code, report = run_scenario(scenario, tmp_path)
+    assert code == 3
+    assert report["error"] == {"kind": "PreconditionError", "message": message}
+
+
 def test_search_without_a_crossing_names_a_non_finite_margin():
     # A certificate that fails on a non-finite margin is named by that
     # margin's count and first point, not by its finite minimum, which

@@ -17,6 +17,7 @@ from riccicert.corner import (
     face_profile_hessian,
     face_second_form,
     glue_and_smooth,
+    glue_face,
 )
 from riccicert.errors import DomainError, EvaluationError, PreconditionError
 from riccicert.jetcurve import Cos, Exp, Jet3Curve, Poly, Sin
@@ -210,7 +211,7 @@ def test_face_forms_keep_their_bits_at_every_array_length(length):
 def test_face_forms_bitwise_on_union_chart_kinks_and_refinement_cells():
     left, right = corner_pair()
     eps, delta = 0.15, 0.03
-    glued = glue_and_smooth(left, right, eps, delta)
+    glued = glue_and_smooth(glue_face(left, right), eps, delta)
     curves = (glued.mu, glued.phi, *(fa for fa, _ in glued.H.terms))
     marked = {x for c in curves for x, _ in c.kinks}
     assert {eps + delta, -eps - delta} <= marked
@@ -230,7 +231,7 @@ def test_face_forms_bitwise_on_union_chart_kinks_and_refinement_cells():
 
 def test_float_calls_return_python_floats():
     left, right = corner_pair()
-    glued = glue_and_smooth(left, right, 0.15, 0.03)
+    glued = glue_and_smooth(glue_face(left, right), 0.15, 0.03)
     for a in (-0.3, 0.0, 0.15, np.float64(0.4)):
         form = face_second_form(glued, a)
         values = (*form.as_row(), face_profile_hessian(glued, a),
@@ -308,14 +309,14 @@ def test_dihedral_right_angle_wedge():
 def test_glue_refuses_charts_in_the_wrong_order():
     L, R = flat_pair(0.0, 0.0)
     with pytest.raises(PreconditionError, match=r"expects \(left, right\) charts"):
-        glue_and_smooth(R, L, 0.1, 0.02)
+        glue_face(R, L)
 
 
 def test_dihedral_reflex_corner_rejected_by_glue():
     L, R = flat_pair(-1.0, 1.0)
     assert dihedral_angle(L, R) > math.pi
     with pytest.raises(PreconditionError):
-        glue_and_smooth(L, R, 0.1, 0.02)
+        glue_face(L, R)
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +326,7 @@ def test_dihedral_reflex_corner_rejected_by_glue():
 
 def test_glue_locality_is_bit_exact():
     left, right = corner_pair()
-    glued = glue_and_smooth(left, right, 0.15, 0.03)
+    glued = glue_and_smooth(glue_face(left, right), 0.15, 0.03)
     for a in np.linspace(0.181, 0.499, 40):
         assert glued.phi.value(a) == right.phi.value(a)
         assert glued.phi.value(-a) == left.phi.value(-a)
@@ -335,7 +336,7 @@ def test_glue_locality_is_bit_exact():
 
 def test_glue_mirror_symmetry():
     left, right = corner_pair()
-    glued = glue_and_smooth(left, right, 0.15, 0.03)
+    glued = glue_and_smooth(glue_face(left, right), 0.15, 0.03)
     for a in np.linspace(0.0, 0.45, 31):
         assert glued.phi.value(a) == pytest.approx(glued.phi.value(-a),
                                                    abs=1e-12)
@@ -345,7 +346,7 @@ def test_glue_mirror_symmetry():
 
 def test_glue_output_is_c2():
     left, right = corner_pair()
-    glued = glue_and_smooth(left, right, 0.15, 0.03)
+    glued = glue_and_smooth(glue_face(left, right), 0.15, 0.03)
     for x, _ in glued.phi.kinks:
         jl = glued.phi.jet(x, "left")
         jr = glued.phi.jet(x, "right")
@@ -359,8 +360,9 @@ def test_smoothed_corner_curvature_blowup_rate():
     c2 = right.phi.jet(0.0, "right").d1
     values = []
     eps_list = (0.08, 0.04, 0.02, 0.01)
+    face = glue_face(left, right)
     for eps in eps_list:
-        glued = glue_and_smooth(left, right, eps, eps / 5.0)
+        glued = glue_and_smooth(face, eps, eps / 5.0)
         values.append(abs(glued.phi.jet(0.0).d2))
     slope = np.polyfit(np.log(eps_list), np.log(values), 1)[0]
     assert slope == pytest.approx(-1.0, abs=0.05)
@@ -373,16 +375,43 @@ def test_already_c1_faces_need_no_corner():
                      [(Poly((1.0, 0.1)), Poly((1.0, 0.2)))])
     R = simple_chart("right", Poly((1.0,)), Poly((0.0,)),
                      [(Poly((1.0, -0.1)), Poly((1.0, 0.2)))])
-    glued = glue_and_smooth(L, R, 0.2, 0.04)
+    glued = glue_and_smooth(glue_face(L, R), 0.2, 0.04)
     for a in np.linspace(-0.9, 0.9, 19):
         assert glued.phi.value(a) == pytest.approx(0.0, abs=1e-12)
+
+
+def shipped_charts():
+    scenario = json.loads((SCENARIOS / "glue_corner.json").read_text())
+    return (CornerChart.from_dict(scenario["left"]),
+            CornerChart.from_dict(scenario["right"]))
+
+
+def test_one_glue_face_serves_every_eps_as_a_fresh_one_does():
+    # glue-corner builds the face once and smooths it at every probe; each
+    # union chart, both certificates and the face forms must be the bits of
+    # a face built for that eps alone. 0.117578125 is the shipped eps*.
+    left, right = shipped_charts()
+    shared = glue_face(left, right)
+    a = np.linspace(-0.5, 0.5, 200)
+    for eps in (0.03, 0.1, 0.22, 0.117578125):
+        outs = []
+        for face in (shared, glue_face(left, right)):
+            glued = glue_and_smooth(face, eps, 0.2 * eps)
+            n = max(241, int(8.0 / (0.2 * eps)))
+            grid = GridSpec.line(-0.5, 0.5, n, depth=3)
+            forms = np.stack([*face_second_form(glued, a).as_row(),
+                              face_profile_hessian(glued, a)])
+            outs.append((glued.to_dict(), convexity_certificate(glued, grid),
+                         concavity_certificate(glued, grid), forms.tobytes()))
+        assert outs[0] == outs[1]
+    assert shared.angle == dihedral_angle(left, right)
 
 
 def test_glue_rejects_mismatched_boundaries():
     left, _ = corner_pair()
     _, right_bad = corner_pair(w1=0.25)
     with pytest.raises(PreconditionError):
-        glue_and_smooth(left, right_bad, 0.1, 0.02)
+        glue_face(left, right_bad)
 
 
 def test_glue_refuses_an_a_factor_mismatch_where_h_agrees():
@@ -395,14 +424,14 @@ def test_glue_refuses_an_a_factor_mismatch_where_h_agrees():
     R = simple_chart("right", Poly((1.0,)), Poly((0.0,)),
                      [(Poly((0.4, -0.1)), g), (Poly((0.6,)), g)])
     with pytest.raises(PreconditionError, match=r"0\.6 vs 0\.4"):
-        glue_and_smooth(L, R, 0.2, 0.04)
+        glue_face(L, R)
 
 
 def test_glue_rejects_nonpositive_second_form_sum():
     # s = 0 makes d_a(H^2) continuous: the b-slice sum is 0, not > 0
     left, right = corner_pair(s=0.0)
     with pytest.raises(PreconditionError):
-        glue_and_smooth(left, right, 0.1, 0.02)
+        glue_face(left, right)
 
 
 # ---------------------------------------------------------------------------
@@ -464,18 +493,18 @@ def test_flat_chart_zero_margin():
 
 
 def test_glued_certificates_pass_for_bisected_eps():
-    left, right = corner_pair()
+    face = glue_face(*corner_pair())
 
     def passes(eps):
         try:
-            glued = glue_and_smooth(left, right, eps, eps / 5.0)
+            glued = glue_and_smooth(face, eps, eps / 5.0)
         except PreconditionError:
             return False
         cvx, ccv = certify(glued, eps / 5.0, depth=2)
         return cvx.passed and ccv.passed
 
     eps = bisect_param(passes, 0.03, 0.22, tol=2e-3)
-    glued = glue_and_smooth(left, right, eps, eps / 5.0)
+    glued = glue_and_smooth(face, eps, eps / 5.0)
     cvx, ccv = certify(glued, eps / 5.0)
     assert cvx.passed and ccv.passed
     assert cvx.min_margin > 1e-6
@@ -486,7 +515,7 @@ def test_concave_inputs_give_concave_output():
     left, right = corner_pair()
     for a in np.linspace(-0.49, -0.01, 25):
         assert face_profile_hessian(left, a) < -1e-3
-    glued = glue_and_smooth(left, right, 0.15, 0.03)
+    glued = glue_and_smooth(glue_face(left, right), 0.15, 0.03)
     _, ccv = certify(glued, 0.03)
     assert ccv.passed
 
@@ -514,6 +543,26 @@ def test_face_graph_exit_between_the_chart_samples_fails_the_scan():
         with pytest.raises(EvaluationError) as info:
             certificate(ch, GridSpec.line(-1.0, 0.0, 101))
         assert isinstance(info.value.__cause__, DomainError)
+
+
+def test_chart_names_the_first_grid_point_where_h_dips_to_zero():
+    # H = (a + 0.5)^2 + (b - 0.2)^2 - 0.05 is <= 0 on a disk around
+    # (-0.5, 0.2) that holds several of the 24 x 24 samples; the chart
+    # names the first of them in the order of the meshgrid (a, b) pairs.
+    rng, b_rng = (-1.0, 0.0), (-1.5, 1.5)
+    H = BiWarp(tuple((Jet3Curve.from_node(fa, rng), Jet3Curve.from_node(gb, b_rng))
+                     for fa, gb in ((Poly((1.0,)), Poly((-0.01, -0.4, 1.0))),
+                                    (Poly((0.25, 1.0, 1.0)), Poly((1.0,))))))
+    a, b = (x.ravel() for x in np.meshgrid(
+        np.linspace(*rng, 24), np.linspace(*b_rng, 24), indexing="ij"))
+    bad = H.value(a, b) <= 0.0
+    assert 1 < bad.sum() and not bad[0]
+    i = int(np.argmax(bad))
+    with pytest.raises(PreconditionError) as err:
+        CornerChart(mu=Jet3Curve.from_node(Poly((1.0,)), rng),
+                    phi=Jet3Curve.from_node(Poly((0.0,)), rng), H=H,
+                    fiber_dim=3, side="left")
+    assert str(err.value) == f"H <= 0 at (a={a[i].item()!r}, b={b[i].item()!r})"
 
 
 def test_chart_requires_normalization():
