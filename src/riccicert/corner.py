@@ -26,14 +26,15 @@ jets take the left limit on a marked kink; a float is served as one point
 and gives Python floats.
 
 Two charts glue along a = 0 when their boundary data match; the corner is
-then smoothed by running the two-stage spline pipeline on mu, phi and on
-every a-factor of H. The checks and the joined, unsmoothed curves do not
-depend on the smoothing widths (:func:`glue_face`); a glue-corner run builds
-them once, and every probe of an eps search smooths them
-(:func:`glue_and_smooth`). H is carried as a sum of separable terms
-sum_i f_i(a) g_i(b); the Hermite systems are linear in the smoothed
-function's endpoint jets, so smoothing the f_i termwise is exactly the
-smoothing of a -> H(a, b) for every b at once.
+then smoothed by running the two-stage spline pipeline on those of mu, phi
+and the a-factors of H that have a corner there. A curve that is the same
+node on both charts is joined as one piece and is not smoothed. The checks
+and the joined curves do not depend on the smoothing widths
+(:func:`glue_face`); a glue-corner run builds them once, and every probe of
+an eps search smooths them (:func:`glue_and_smooth`). H is carried as a sum
+of separable terms sum_i f_i(a) g_i(b); the Hermite systems are linear in
+the smoothed function's endpoint jets, so smoothing the f_i termwise is
+exactly the smoothing of a -> H(a, b) for every b at once.
 """
 
 from __future__ import annotations
@@ -345,11 +346,15 @@ def _check_glue_face(left: BiWarp, right: BiWarp):
 
 
 def _union_curve(cl: Jet3Curve, cr: Jet3Curve) -> Jet3Curve:
-    """``cl`` and ``cr`` as one curve with a corner at a = 0; the curve
-    refuses them unless their values match there."""
-    pieces = cl.pieces + cr.pieces
-    kinks = cl.kinks + ((0.0, 1),) + cr.kinks
-    return Jet3Curve((cl.domain[0], cr.domain[1]), pieces, kinks)
+    """``cl`` and ``cr`` as one curve, which refuses them unless their values
+    match at a = 0. Pieces that meet there with the same node, bit for bit
+    (``repr`` tells 0.0 from -0.0), become one; others meet at a corner."""
+    (lo, _, node), (_, hi, other) = cl.pieces[-1], cr.pieces[0]
+    if repr(node) == repr(other):
+        pieces, corner = cl.pieces[:-1] + ((lo, hi, node),) + cr.pieces[1:], ()
+    else:
+        pieces, corner = cl.pieces + cr.pieces, ((0.0, 1),)
+    return Jet3Curve((cl.domain[0], cr.domain[1]), pieces, cl.kinks + corner + cr.kinks)
 
 
 @dataclass(frozen=True)
@@ -357,8 +362,9 @@ class GlueFace:
     """Two charts joined along a = 0, before any smoothing width is chosen.
 
     ``curves`` holds mu, phi and each H term's a-factor, each joined into one
-    curve with a corner at a = 0; ``b_factors`` are the left chart's, which
-    the right chart's match. ``angle`` is the interior dihedral angle, at
+    curve with a corner at a = 0, or into one piece there when both charts
+    hold the same node; ``b_factors`` are the left chart's, which the right
+    chart's match. ``angle`` is the interior dihedral angle, at
     most pi + 1e-12 (pi when the faces already meet C1).
     """
 
@@ -374,7 +380,8 @@ def glue_face(left: CornerChart, right: CornerChart) -> GlueFace:
     Preconditions, in order: equal fiber dimensions, (left, right) order, a
     dihedral angle of at most pi + 1e-12, equal boundary metrics and
     b-factors at a = 0, a positive glue-face second-form sum on the
-    b-slices, and a-factors that meet at a = 0.
+    b-slices, and a-factors that meet at a = 0. A curve that is the same
+    node on both charts becomes one piece, with no corner at a = 0.
     """
     if left.fiber_dim != right.fiber_dim:
         raise PreconditionError("fiber dimensions differ")
@@ -394,16 +401,19 @@ def glue_face(left: CornerChart, right: CornerChart) -> GlueFace:
 def glue_and_smooth(face: GlueFace, eps: float, delta: float) -> CornerChart:
     """Smooth the corner of a glue face and the metric across it.
 
-    Needs the smoothing windows inside both charts' a-ranges. The output
-    agrees with the charts outside ``[-eps - delta, eps + delta]``
-    bit-identically.
+    Smooths only the face curves with a corner at a = 0; the others pass
+    through. The second-form jump that :func:`glue_face` requires leaves a
+    corner on an a-factor, so ``0 < delta < eps`` is always checked. Needs
+    the smoothing windows inside both charts' a-ranges. The output agrees
+    with the charts outside ``[-eps - delta, eps + delta]`` bit-identically.
     """
     lo, hi = face.curves[0].domain
     window = eps + delta
     if -window <= lo or window >= hi:
         raise DomainError(f"smoothing window +-{window!r} exits chart ranges "
                           f"{(lo, 0.0)!r} / {(0.0, hi)!r}")
-    mu, phi, *fas = (two_stage_smooth(c, 0.0, eps, delta) for c in face.curves)
+    mu, phi, *fas = (two_stage_smooth(c, 0.0, eps, delta) if c.kink_order(0.0)
+                     else c for c in face.curves)
     return CornerChart(mu=mu, phi=phi, H=BiWarp(tuple(zip(fas, face.b_factors))),
                        fiber_dim=face.fiber_dim, side="union")
 

@@ -161,6 +161,26 @@ def test_glue_corner_search_builds_the_glue_face_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+def test_glue_corner_search_smooths_only_the_cornered_curves(tmp_path,
+                                                            monkeypatch):
+    # mu and the second a-factor are the same node on both charts, so each
+    # of the 10 probes smooths only phi and the first a-factor: 20 smooths,
+    # not the 40 of smoothing all four face curves.
+    calls, charts = [], {}
+    smooth, glue = cli.cor.two_stage_smooth, cli.cor.glue_and_smooth
+    monkeypatch.setattr(cli.cor, "two_stage_smooth",
+                        lambda *args: calls.append(args) or smooth(*args))
+    monkeypatch.setattr(cli.cor, "glue_and_smooth",
+                        lambda face, eps, delta: charts.setdefault(
+                            eps, glue(face, eps, delta)))
+    code, report = run_scenario(load("glue_corner.json"), tmp_path)
+    assert code == 0 and len(charts) == 10
+    assert len(calls) == 20
+    chart = charts[report["results"]["eps"]]
+    for curve in (chart.mu, chart.H.terms[1][0]):
+        assert len(curve.pieces) == 1 and curve.kinks == ()
+
+
 def _swap_charts(s):
     s["left"], s["right"] = s["right"], s["left"]
 

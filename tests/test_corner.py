@@ -21,6 +21,7 @@ from riccicert.corner import (
 )
 from riccicert.errors import DomainError, EvaluationError, PreconditionError
 from riccicert.jetcurve import Cos, Exp, Jet3Curve, Poly, Sin
+from riccicert.spline import two_stage_smooth
 from riccicert.verify import GridSpec, bisect_param, grid_min
 
 SQ3 = math.sqrt(3.0)
@@ -405,6 +406,79 @@ def test_one_glue_face_serves_every_eps_as_a_fresh_one_does():
                          concavity_certificate(glued, grid), forms.tobytes()))
         assert outs[0] == outs[1]
     assert shared.angle == dihedral_angle(left, right)
+
+
+def test_joined_glue_face_keeps_the_bits_of_the_smoothed_union():
+    # The shipped mu and second a-factor are Poly((1.0,)) on both charts, so
+    # the glue face holds each as one piece and never smooths it. The face
+    # forms must keep every bit of the union that joins every curve with an
+    # order-1 kink at 0 and runs each through two_stage_smooth.
+    left, right = shipped_charts()
+    face = glue_face(left, right)
+    assert [len(c.pieces) for c in face.curves] == [1, 2, 2, 1]
+    pairs = zip((left.mu, left.phi, *(fa for fa, _ in left.H.terms)),
+                (right.mu, right.phi, *(fa for fa, _ in right.H.terms)))
+    kinked = [Jet3Curve((cl.domain[0], cr.domain[1]), cl.pieces + cr.pieces,
+                        cl.kinks + ((0.0, 1),) + cr.kinks) for cl, cr in pairs]
+    a = np.linspace(-0.5, 0.5, 4001)
+
+    def bits(chart):
+        forms = np.stack([*face_second_form(chart, a).as_row(),
+                          face_profile_hessian(chart, a)])
+        return forms.view(np.int64)
+
+    for eps in (0.03, 0.1, 0.117578125, 0.22):
+        for ratio in (0.195, 0.2, 0.205):
+            delta = ratio * eps
+            mu, phi, *fas = (two_stage_smooth(c, 0.0, eps, delta) for c in kinked)
+            old = CornerChart(mu=mu, phi=phi,
+                              H=BiWarp(tuple(zip(fas, face.b_factors))),
+                              fiber_dim=3, side="union")
+            new = glue_and_smooth(face, eps, delta)
+            assert new.mu is face.curves[0] and len(old.mu.pieces) == 5
+            assert np.array_equal(bits(new), bits(old))
+
+
+def c1_pair(second_left=Poly((1.0,)), second_right=Poly((1.0,))):
+    """Charts with phi = 0 (angle pi) and the same mu on both sides, whose
+    first a-factor alone changes slope at a = 0."""
+    g = (Poly((1.0,)), Poly((0.0, 0.2)))
+    L = simple_chart("left", Poly((1.0,)), Poly((0.0,)),
+                     [(Poly((1.0, 0.1)), g[0]), (second_left, g[1])])
+    R = simple_chart("right", Poly((1.0,)), Poly((0.0,)),
+                     [(Poly((1.0, -0.1)), g[0]), (second_right, g[1])])
+    return L, R
+
+
+def test_only_the_kinked_a_factor_of_a_c1_pair_is_smoothed():
+    face = glue_face(*c1_pair())
+    assert dihedral_angle(*c1_pair()) == math.pi
+    for curve in (face.curves[0], face.curves[1], face.curves[3]):
+        assert len(curve.pieces) == 1 and curve.kinks == ()
+    assert face.curves[2].kinks == ((0.0, 1),)
+    glued = glue_and_smooth(face, 0.2, 0.04)
+    assert glued.mu is face.curves[0] and glued.phi is face.curves[1]
+    assert glued.H.terms[1][0] is face.curves[3]
+    assert glued.H.terms[0][0].kink_order(0.0) is None
+    # The kinked a-factor still checks the widths, with the same message.
+    for eps, delta in ((0.1, 0.1), (0.1, 0.2), (0.1, 0.0), (0.1, -0.05),
+                       (0.0, 0.0), (-0.1, 0.05)):
+        with pytest.raises(PreconditionError, match=r"need 0 < delta < eps"):
+            glue_and_smooth(face, eps, delta)
+
+
+@pytest.mark.parametrize("second_left, second_right", [
+    (Poly((0.0,)), Poly((-0.0,))),
+    (Poly((1.0,)), Poly((1.0,), 0.5)),
+])
+def test_a_factor_of_other_bits_keeps_its_corner(second_left, second_right):
+    # 0.0 and -0.0, or two centers of one constant, compare equal as values
+    # but are different nodes: the union keeps its kink and is smoothed.
+    face = glue_face(*c1_pair(second_left, second_right))
+    curve = face.curves[3]
+    assert len(curve.pieces) == 2 and curve.kinks == ((0.0, 1),)
+    glued = glue_and_smooth(face, 0.2, 0.04)
+    assert repr(glued.H.terms[1][0]) == repr(two_stage_smooth(curve, 0.0, 0.2, 0.04))
 
 
 def test_glue_rejects_mismatched_boundaries():
