@@ -46,7 +46,7 @@ import numpy as np
 
 from .errors import (DomainError, PreconditionError, decode, integer, list_of,
                      text)
-from .jetcurve import _MATCH_TOL, BiJet, Jet3Curve, _first, _pointwise
+from .jetcurve import _MATCH_TOL, BiJet, Jet3Curve, _first, _pointwise, jets
 from .spline import two_stage_smooth
 from .verify import GridSpec, PositivityCertificate, blockwise, grid_min
 
@@ -99,16 +99,8 @@ class BiWarp:
 
     @_pointwise
     def bijet(self, a: float, b: float) -> BiJet:
-        v = da = db = daa = dab = dbb = 0.0
-        for fa, gb in self.terms:
-            jf, jg = fa.jet(a), gb.jet(b)
-            v += jf.value * jg.value
-            da += jf.d1 * jg.value
-            db += jf.value * jg.d1
-            daa += jf.d2 * jg.value
-            dab += jf.d1 * jg.d1
-            dbb += jf.value * jg.d2
-        return BiJet(v, da, db, daa, dab, dbb)
+        fas, gbs = zip(*self.terms)
+        return _bijet(jets(fas, a), jets(gbs, b))
 
     def to_dict(self) -> dict:
         return {
@@ -124,6 +116,20 @@ class BiWarp:
                                     "b": Jet3Curve.from_dict}, "term").values())
 
         return BiWarp(**decode(d, {"terms": list_of(term)}, "H"))
+
+
+def _bijet(jfs, jgs) -> BiJet:
+    """The BiJet of ``sum_i f_i g_i`` from the jets of the ``f_i`` and of the
+    ``g_i``, summed term by term."""
+    v = da = db = daa = dab = dbb = 0.0
+    for jf, jg in zip(jfs, jgs):
+        v += jf.value * jg.value
+        da += jf.d1 * jg.value
+        db += jf.value * jg.d1
+        daa += jf.d2 * jg.value
+        dab += jf.d1 * jg.d1
+        dbb += jf.value * jg.d2
+    return BiJet(v, da, db, daa, dab, dbb)
 
 
 @dataclass(frozen=True)
@@ -174,9 +180,10 @@ class CornerChart:
         # H on the grid a x b, from each factor's values on its own axis:
         # the products BiWarp.bijet forms at every point, summed in its order.
         b = np.linspace(b_lo, b_hi, _CHART_SAMPLES)
+        fas, gbs = zip(*self.H.terms)
         H = 0.0
-        for fa, gb in self.H.terms:
-            H += np.multiply.outer(fa.jet(a).value, gb.jet(b).value)
+        for jf, jg in zip(jets(fas, a), jets(gbs, b)):
+            H += np.multiply.outer(jf.value, jg.value)
         bad = _first(~(H > 0.0), a[:, None], b)
         if bad:
             raise PreconditionError(f"H <= 0 at (a={bad[0]!r}, b={bad[1]!r})")
@@ -220,26 +227,33 @@ class FaceSecondForm:
 
 
 def _chart_data(chart: CornerChart, a: np.ndarray):
-    """mu, mu_a, phi_a, phi_aa and the BiJet of H on the face at ``a``; the
-    b-factors' jets refuse a face point outside the b-domain."""
-    jmu = chart.mu.jet(a)
-    jphi = chart.phi.jet(a)
-    return jmu.value, jmu.d1, jphi.d1, jphi.d2, chart.H.bijet(a, jphi.value)
+    """mu, mu_a, phi_a, phi_aa and the BiJet of H on the face at ``a``: mu,
+    phi and the a-factors share one bundle at ``a``, and the b-factors one
+    at phi(a), whose jets refuse a face point outside the b-domain."""
+    fas, gbs = zip(*chart.H.terms)
+    jmu, jphi, *jfs = jets((chart.mu, chart.phi, *fas), a)
+    return jmu.value, jmu.d1, jphi.d1, jphi.d2, _bijet(jfs, jets(gbs, jphi.value))
+
+
+def _clear_numerators(chart: CornerChart, a: np.ndarray):
+    """tau_clear and zed_clear at ``a``, and the mu, phi_a and H they were
+    formed from."""
+    mu, mu_a, phi_a, phi_aa, jH = _chart_data(chart, a)
+    Hv = jH.value
+    F_a = 2.0 * Hv * jH.da
+    F_b = 2.0 * Hv * jH.db
+    tau_clear = -mu * phi_aa - phi_a * mu_a * (mu * mu * phi_a * phi_a + 2.0)
+    zed_clear = -phi_a * F_a * mu * mu + F_b
+    return tau_clear, zed_clear, mu, phi_a, Hv
 
 
 @_pointwise
 def face_second_form(chart: CornerChart, a: float) -> FaceSecondForm:
     """Both scalar second-form values of the face at ``a``."""
-    mu, mu_a, phi_a, phi_aa, jH = _chart_data(chart, a)
-    Hv = jH.value
+    tau_clear, zed_clear, mu, phi_a, Hv = _clear_numerators(chart, a)
     F = Hv * Hv
-    F_a = 2.0 * Hv * jH.da
-    F_b = 2.0 * Hv * jH.db
-
     q = 1.0 + mu * mu * phi_a * phi_a
     root = np.sqrt(q)
-    tau_clear = -mu * phi_aa - phi_a * mu_a * (mu * mu * phi_a * phi_a + 2.0)
-    zed_clear = -phi_a * F_a * mu * mu + F_b
     return FaceSecondForm(
         a=a,
         II_tau=tau_clear / (q * root),
@@ -423,8 +437,8 @@ def convexity_certificate(chart: CornerChart, grid: GridSpec, threshold: float =
     """Certificate that min(tau_clear, zed_clear) > threshold along the face."""
 
     def margin(a):
-        form = face_second_form(chart, a)
-        return np.minimum(form.tau_clear, form.zed_clear)
+        tau_clear, zed_clear, *_ = _clear_numerators(chart, a)
+        return np.minimum(tau_clear, zed_clear)
 
     return grid_min(lambda pts, mesh: blockwise(margin, pts[:, 0]), grid,
                     threshold=threshold, quantity_id="face_convexity",

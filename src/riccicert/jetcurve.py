@@ -5,6 +5,10 @@ logarithms, and their sums/products/compositions) covering a closed interval.
 Evaluation returns a :class:`Jet3` -- value and first three derivatives --
 propagated analytically through the expression tree, never by finite
 differences. A float64 array argument gives a :class:`Jet3` of arrays.
+There is one array path, :func:`jets`, which evaluates a bundle of curves
+at the same points: one Horner pass covers every point on a ``Poly`` piece
+of every curve, and each jet keeps the bits it has when its curve is
+evaluated alone, as ``Jet3Curve.jet`` does.
 
 Curves may carry *kinks*: marked breakpoints where some derivative order
 jumps. ``order`` is the lowest discontinuous derivative, so order 1 is a
@@ -21,6 +25,7 @@ import bisect as _bisect
 import functools
 import math
 from dataclasses import MISSING, dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,6 +47,7 @@ __all__ = [
     "ExpOf",
     "AffineOf",
     "Jet3Curve",
+    "jets",
     "node_from_dict",
     "constant",
 ]
@@ -86,25 +92,30 @@ def _exp(u):
 _ORDERS = np.array([1.0, 2.0, 3.0])
 
 
-def _horner_rows(coeffs, t):
-    """Rows ``(v, d1, d2, d3)`` of ``sum(coeffs[d] * t**d)`` for an array
-    ``t``, where ``coeffs`` is an array of rows ``coeffs[d]`` that broadcast
-    against ``t``.
+def _horner_rows(rows, t, sizes=None):
+    """Rows ``(v, d1, d2, d3)`` of ``sum(c_d * t**d)`` for an array ``t``,
+    where row ``d < n`` of ``rows``, of shape ``(n + 3,) + t.shape``, holds
+    ``c_d`` at each point; the last three rows are scratch.
 
     This is the float recurrence of :meth:`Poly.jet` run on all four rows at
     once, ``state = state * t + (c, 1 v, 2 d1, 3 d2)``: each element sees the
     same IEEE operations in the same order (``1.0 * v == v``), and leading
     zero coefficients keep the state at +0.0, so a zero-padded row gives the
-    bits of the unpadded polynomial.
+    bits of the unpadded polynomial. So ``sizes``, for a one-axis ``t``
+    ordered by descending degree, may skip that padding: degree ``d`` then
+    runs on the first ``sizes[d]`` points only, and rows above a point's
+    degree are never read.
     """
-    terms = np.empty((len(coeffs), 4) + t.shape)
-    terms[:, 0] = coeffs
     orders = _ORDERS.reshape((3,) + (1,) * t.ndim)
     state = np.zeros((4,) + t.shape)
-    for term in terms[::-1]:
-        np.multiply(orders, state[:3], out=term[1:])
-        state *= t
-        state += term
+    # Degrees run downwards, so rows d + 1 .. d + 3 are spent when degree d
+    # is reached and hold its other three terms: its terms are rows d .. d + 3.
+    for d in range(len(rows) - 4, -1, -1):
+        some = Ellipsis if sizes is None else slice(sizes[d])
+        term, part = rows[d:d + 4, some], state[:, some]
+        np.multiply(orders, part[:3], out=term[1:])
+        part *= t[some]
+        part += term
     return state
 
 
@@ -227,8 +238,9 @@ class Poly(Node):
     def jet(self, x: float) -> Jet3:
         t = x - self.center
         if isinstance(t, np.ndarray):
-            coeffs = np.array(self.coeffs, dtype=float).reshape((-1,) + (1,) * t.ndim)
-            return Jet3(*_horner_rows(coeffs, t))
+            rows = np.empty((len(self.coeffs) + 3,) + t.shape)
+            rows[:len(self.coeffs)] = np.reshape(self.coeffs, (-1,) + (1,) * t.ndim)
+            return Jet3(*_horner_rows(rows, t))
         v = d1 = d2 = d3 = 0.0
         # Horner simultaneously for p, p', p'', p'''.
         for c in reversed(self.coeffs):
@@ -449,6 +461,18 @@ def constant(c: float) -> Poly:
 # ---------------------------------------------------------------------------
 
 
+class _Layout(NamedTuple):
+    """What a curve's array jets read, built once per curve."""
+
+    breaks: np.ndarray  # the interior breakpoints
+    smooth: np.ndarray  # those that are not marked kinks
+    kinked: np.ndarray  # those that are
+    is_poly: np.ndarray  # per piece, whether it is a Poly
+    others: tuple  # the indices of the other pieces
+    table: np.ndarray  # Poly coefficients, zero-padded: row d, degree d
+    centers: np.ndarray  # Poly centres, one per piece
+
+
 @dataclass(frozen=True)
 class Jet3Curve:
     """A scalar function on ``[domain[0], domain[1]]`` made of analytic pieces.
@@ -471,7 +495,8 @@ class Jet3Curve:
             raise PreconditionError("curve needs at least one piece")
         if self.pieces[0][0] != lo or self.pieces[-1][1] != hi:
             raise PreconditionError("pieces do not span the domain")
-        for (a, b, _), (c, _, _) in zip(self.pieces, self.pieces[1:]):
+        # Each piece has positive width and ends where the next one starts.
+        for (a, b, _), c in zip(self.pieces, [p[0] for p in self.pieces[1:]] + [hi]):
             if b != c or not (a < b):
                 raise PreconditionError("pieces must be contiguous and ordered")
         kink_map = dict(self.kinks)
@@ -510,82 +535,38 @@ class Jet3Curve:
         i = _bisect.bisect_right(starts, x) - 1
         i = max(i, 0)
         # On a shared breakpoint the right piece owns the point unless the
-        # caller asked for the left limit, or we are at the domain's far end.
+        # caller asked for the left limit.
         if side == "left" and i > 0 and self.pieces[i][0] == x:
             i -= 1
-        if x == hi:
-            i = len(self.pieces) - 1
         return x, self.pieces[i][2]
 
     @functools.cached_property
-    def _layout(self):
-        """Per piece: its start, whether that start is a marked kink, and
-        whether it is a ``Poly``; and the ``Poly`` pieces as one zero-padded
-        table of ascending coefficients (row d holds degree d, one column per
-        piece) with their centres."""
-        starts = np.array([a for a, _, _ in self.pieces])
-        at_kink = np.array([self.kink_order(a) is not None for a, _, _ in self.pieces])
+    def _layout(self) -> "_Layout":
+        breaks = np.array([a for a, _, _ in self.pieces[1:]])
+        kinked = np.array([self.kink_order(a) is not None for a in breaks], dtype=bool)
         is_poly = np.array([type(n) is Poly for _, _, n in self.pieces])
-        polys = [(j, self.pieces[j][2]) for j in np.flatnonzero(is_poly)]
-        table = np.zeros((max((len(n.coeffs) for _, n in polys), default=0),
-                          len(self.pieces)))
+        table = np.zeros((max((len(n.coeffs) for _, _, n in self.pieces
+                               if type(n) is Poly), default=0), len(self.pieces)))
         centers = np.zeros(len(self.pieces))
-        for j, n in polys:
-            table[:len(n.coeffs), j] = n.coeffs
-            centers[j] = n.center
-        return starts, at_kink, is_poly, table, centers
-
-    def _jet_array(self, x: np.ndarray, side) -> Jet3:
-        # _piece_at for an array; side=None takes the left piece at kinks.
-        lo, hi = self.domain
-        slack = 1e-12 * max(1.0, abs(lo), abs(hi))
-        bad = _first((x < lo - slack) | (x > hi + slack), x)
-        if bad:
-            raise DomainError(f"x={bad[0]!r} outside domain [{lo!r}, {hi!r}]")
-        x_c = x.clip(lo, hi)
-        if len(self.pieces) == 1:
-            return self.pieces[0][2].jet(x_c)
-        starts, at_kink, is_poly, table, centers = self._layout
-        i = np.searchsorted(starts, x_c, side="right") - 1  # x_c >= starts[0]
-        if side != "right":
-            # The left piece owns a shared breakpoint for side="left", and a
-            # marked kink for side=None.
-            left = (i > 0) & (starts[i] == x_c)
-            if side is None:
-                left &= at_kink[i]
-            i -= left
-        i[x_c == hi] = len(self.pieces) - 1
-        # All points on Poly pieces take one Horner pass; each other piece in
-        # use is evaluated by its own node on its own points.
-        if is_poly.all():
-            return Jet3(*_horner_rows(table[:, i], x_c - centers[i]))
-        parts = np.empty((4,) + x_c.shape)
-        fused = is_poly[i]
-        k = i[fused]
-        parts[:, fused] = _horner_rows(table[:, k], x_c[fused] - centers[k])
-        used = np.bincount(i, minlength=len(self.pieces)) > 0
-        for j in np.flatnonzero(used & ~is_poly):
-            sel = i == j
-            for dest, v in zip(parts, self.pieces[j][2].jet(x_c[sel]).as_tuple()):
-                dest[sel] = v
-        return Jet3(*parts)
+        for j, (_, _, n) in enumerate(self.pieces):
+            if type(n) is Poly:
+                table[:len(n.coeffs), j] = n.coeffs
+                centers[j] = n.center
+        return _Layout(breaks, breaks[~kinked], breaks[kinked], is_poly,
+                       tuple(np.flatnonzero(~is_poly).tolist()), table, centers)
 
     def jet(self, x: float, side: str | None = None) -> Jet3:
         """Jet at ``x``; one-sided at kinks via ``side``.
 
-        For an array ``x``, points on a kink take the left limit unless
-        ``side`` says otherwise (a scan may land on one, where higher orders
-        are one-sided), and a non-finite jet raises DomainError naming the
-        first such point.
+        For an array ``x`` this is ``jets((self,), x, side)[0]``: points on
+        a kink take the left limit unless ``side`` says otherwise (a scan may
+        land on one, where higher orders are one-sided), and a non-finite jet
+        raises DomainError naming the first such point.
         """
+        if isinstance(x, np.ndarray):
+            return jets((self,), x, side)[0]
         if side not in (None, "left", "right"):
             raise PreconditionError(f"side must be 'left' or 'right', got {side!r}")
-        if isinstance(x, np.ndarray):
-            out = self._jet_array(x, side)
-            bad = _first(~np.isfinite(out.as_tuple()).all(axis=0), x)
-            if bad:
-                raise DomainError(f"non-finite jet at x={bad[0]!r}")
-            return out
         order = self.kink_order(x)
         if order is not None and side is None:
             raise KinkSideRequired(
@@ -666,3 +647,126 @@ class Jet3Curve:
                                       "pieces": list_of(piece),
                                       "kinks": (list_of(tuple_of(number, integer)), ())},
                                   "curve"))
+
+
+def jets(curves, x: np.ndarray, side: str | None = None) -> tuple:
+    """The jets of each of ``curves`` at the float64 array ``x``, in order.
+
+    Points on a kink take the left limit unless ``side`` says otherwise.
+    The curves share one pass: one domain test per distinct domain, one
+    piece lookup per curve, one Horner pass over every point of every
+    ``Poly`` piece, each other piece by its own node on its own points, and
+    one finiteness test of the stacked jets. Each jet has the bits of
+    ``jets((curve,), x, side)``, and a failing bundle is re-run one curve
+    at a time, so it raises what evaluating the curves in order raises
+    first: DomainError naming the first point outside a domain or, after
+    any error of a node, the first point with a non-finite jet.
+    """
+    if side not in (None, "left", "right"):
+        raise PreconditionError(f"side must be 'left' or 'right', got {side!r}")
+    try:
+        return _jets(curves, x, side)
+    except Exception:  # noqa: BLE001 - narrowed to its curve, then re-raised
+        if len(curves) > 1:
+            for curve in curves:
+                _jets((curve,), x, side)
+        raise
+
+
+def _jets(curves, x, side):
+    """:func:`jets` of a valid ``side``, raising what the bundle meets first."""
+    # The bounds of the non-NaN points decide the domain tests (a NaN passes
+    # them, as elementwise); the elementwise scan only names a point, and
+    # clip runs only where a point lies in the slack outside.
+    x_lo, x_hi = ((np.fmin.reduce(x, axis=None), np.fmax.reduce(x, axis=None))
+                  if x.size else (math.inf, -math.inf))
+    clipped = {}
+    for curve in curves:
+        if curve.domain in clipped:
+            continue
+        lo, hi = curve.domain
+        slack = 1e-12 * max(1.0, abs(lo), abs(hi))
+        if x_lo < lo - slack or x_hi > hi + slack:
+            bad = _first((x < lo - slack) | (x > hi + slack), x)
+            raise DomainError(f"x={bad[0]!r} outside domain [{lo!r}, {hi!r}]")
+        clipped[curve.domain] = x if lo <= x_lo and x_hi <= hi else x.clip(lo, hi)
+    # A curve of one piece is that node's jet, unless it is a Poly that can
+    # share the Horner pass with other curves; the rest are stacked.
+    out, stacked = [None] * len(curves), []
+    for c, curve in enumerate(curves):
+        node = curve.pieces[0][2]
+        if len(curve.pieces) == 1 and (len(curves) == 1 or type(node) is not Poly):
+            out[c] = node.jet(clipped[curve.domain])
+        else:
+            stacked.append(c)
+    checks = [jet.as_tuple() for jet in out if jet is not None]
+    if stacked:
+        # Highest degree first, so each Horner step runs on a prefix.
+        stacked.sort(key=lambda c: -len(curves[c]._layout.table))
+        parts = _stacked_rows([curves[c] for c in stacked],
+                              [clipped[curves[c].domain] for c in stacked], side)
+        checks.append(parts)
+        v, d1, d2, d3 = parts
+        for row, c in enumerate(stacked):
+            out[c] = Jet3(v[row], d1[row], d2[row], d3[row])
+    for rows in checks:
+        finite = np.isfinite(rows)
+        if not finite.all():
+            bad = _first(~finite.reshape((-1,) + x.shape).all(axis=0), x)
+            raise DomainError(f"non-finite jet at x={bad[0]!r}")
+    return tuple(out)
+
+
+def _stacked_rows(curves, xs, side):
+    """The jet rows, shaped ``(4, len(curves)) + x.shape``, of ``curves`` at
+    their clipped points ``xs``. The curves come in order of descending
+    degree (rows of their ``Poly`` table): the points of their ``Poly``
+    pieces are stacked curve after curve, so each Horner step runs on a
+    prefix of the stack."""
+    shape, size = xs[0].shape, xs[0].size
+    parts = None
+    segments = []  # per curve: where its Poly points go, them, their pieces
+    for c, (curve, x) in enumerate(zip(curves, xs)):
+        x = x.ravel()
+        breaks, smooth, kinked, is_poly, others, table, centers = curve._layout
+        # A point's piece is the number of breakpoints at or below it; the
+        # left piece owns a breakpoint for side="left", and a marked kink
+        # for side=None.
+        if side == "left":
+            i = breaks.searchsorted(x, side="left")
+        elif side == "right" or not len(kinked):
+            i = breaks.searchsorted(x, side="right")
+        else:
+            i = smooth.searchsorted(x, side="right") + kinked.searchsorted(x, side="left")
+        where = slice(None)
+        if others:
+            # Each other piece in use is evaluated by its own node.
+            if parts is None:
+                parts = np.empty((4, len(curves), size))
+            for j in others:
+                sel = i == j
+                if sel.any():
+                    for dest, v in zip(parts[:, c], curve.pieces[j][2].jet(x[sel]).as_tuple()):
+                        dest[sel] = v
+            where = is_poly[i]
+            x, i = x[where], i[where]
+        segments.append((c, where, x, i, table, centers))
+    # Every point of a Poly piece takes one Horner pass, which skips the
+    # zero padding above each curve's own degree.
+    top = len(segments[0][4])
+    sizes, total = [0] * top, sum(len(seg[2]) for seg in segments)
+    t, rows = np.empty(total), np.empty((top + 3, total))
+    end = 0
+    for _, _, x, i, table, centers in segments:
+        start, end = end, end + len(x)
+        np.subtract(x, centers[i], out=t[start:end])
+        table.take(i, axis=1, out=rows[:len(table), start:end], mode="clip")
+        sizes[:len(table)] = [end] * len(table)
+    state = _horner_rows(rows, t, sizes)
+    if parts is None:
+        return state.reshape((4, len(curves)) + shape)
+    end = 0
+    for c, where, x, _, _, _ in segments:
+        start, end = end, end + len(x)
+        parts[:, c, where] = state[:, start:end]
+    return parts.reshape((4, len(curves)) + shape)

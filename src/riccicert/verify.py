@@ -171,8 +171,11 @@ def _evaluate(f, points, mesh, batched: bool) -> np.ndarray:
 
 def blockwise(fn, *arrays) -> np.ndarray:
     """``fn(*arrays)``, run on consecutive slices of at most ``_BLOCK``
-    points of the equal-length ``arrays`` and concatenated."""
+    points of the equal-length ``arrays`` and concatenated; a lone slice's
+    result is returned as it is."""
     n = len(arrays[0])
+    if n <= _BLOCK:
+        return fn(*arrays)
     return np.concatenate([fn(*(a[i:i + _BLOCK] for a in arrays))
                            for i in range(0, n, _BLOCK)])
 
@@ -193,13 +196,16 @@ def _level(a, b, counts):
     ``counts[d]`` coordinates per box, shaped ``(boxes, 1, ..., counts[d],
     ..., 1)``. ``points`` is the broadcast mesh flattened in C order, one
     row per point: box after box, last axis fastest. Each axis is sampled by
-    one ``np.linspace`` over all boxes.
+    one ``np.linspace`` over all boxes; a one-axis level's points are a view
+    of its axis.
     """
     boxes, dims = a.shape
     axes = [np.linspace(a[:, d], b[:, d], n, axis=-1)
             for d, n in enumerate(counts)]
     mesh = tuple(x.reshape((boxes,) + (1,) * d + (-1,) + (1,) * (dims - 1 - d))
                  for d, x in enumerate(axes))
+    if dims == 1:
+        return mesh, mesh[0].reshape(-1, 1)
     points = np.stack(np.broadcast_arrays(*mesh), axis=-1).reshape(-1, dims)
     return mesh, points
 

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, PreconditionError
-from .jetcurve import Jet3, Jet3Curve, _first, _pointwise
+from .jetcurve import Jet3, Jet3Curve, _first, _pointwise, jets
 from .verify import _BLOCK, GridSpec, PositivityCertificate, blockwise, grid_min
 
 __all__ = [
@@ -275,10 +275,12 @@ class WarpedMetricPath:
 
     def _level_jets(self, x: np.ndarray):
         """The jets of k0, k1, h0, h1 at the points ``x``, each distinct
-        curve evaluated once: stage 1 of the isotopy has h0 = h1."""
+        curve evaluated once, in one bundle: stage 1 of the isotopy has
+        h0 = h1."""
         curves = (self.k0, self.k1, self.h0, self.h1)
-        jets = {key: c.jet(x) for key, c in {id(c): c for c in curves}.items()}
-        return tuple(jets[id(c)] for c in curves)
+        distinct = {id(c): c for c in curves}
+        by_id = dict(zip(distinct, jets(tuple(distinct.values()), x)))
+        return tuple(by_id[id(c)] for c in curves)
 
     def _sample(self, jets, lam, s) -> CurvatureSample:
         """Curvature at (``lam``, ``s``) from the ``_level_jets`` at ``s``;

@@ -62,26 +62,81 @@ def test_verdict_follows_wins_spread_and_bound(parent, change, better, verdict):
     assert row["verdict"] == verdict
 
 
-def test_each_workload_gets_its_own_table(monkeypatch, capsys):
+def _checkouts(tmp_path, names=("parent", "change")):
+    """Checkout directories that name their tree, each with the leftovers a
+    fresh copy must not carry."""
+    for name in names:
+        (tmp_path / name / "__pycache__").mkdir(parents=True)
+        (tmp_path / name / ".bench_out").mkdir()
+        (tmp_path / name / "tree").write_text(name)
+    return [str(tmp_path / name) for name in names]
+
+
+_METRICS = {"latency_p50_s": 1.0, "latency_tail_s": 1.0, "setup_s": 1.0,
+            "peak_rss_mb": 1.0, "pass_ratio": 1.0}
+
+
+def test_each_workload_gets_its_own_table(monkeypatch, capsys, tmp_path):
     calls = []
 
     def run_once(checkout, workload, seed, seconds):
-        calls.append((str(checkout), workload, seed))
-        fast = str(checkout) == "change" and workload == "b"
-        return {"run_s": 1.0 if fast else 2.0, "latency_p50_s": 1.0,
-                "latency_tail_s": 1.0, "setup_s": 1.0, "peak_rss_mb": 1.0,
-                "pass_ratio": 1.0}
+        tree = (checkout / "tree").read_text()
+        assert sorted(p.name for p in checkout.iterdir()) == ["tree"]
+        calls.append((tree, checkout.name, workload, seed))
+        fast = tree == "change" and workload == "b"
+        return {"run_s": 1.0 if fast else 2.0, **_METRICS}
 
     monkeypatch.setattr(bench_pairs, "run_once", run_once)
-    assert bench_pairs.main(["parent", "change", "--workload", "a",
-                             "--workload", "b", "--pairs", "2",
+    parent, change = _checkouts(tmp_path)
+    assert bench_pairs.main([parent, change, "--workload", "a",
+                             "--workload", "b", "--pairs", "4",
                              "--seconds", "1", "--base-seed", "7"]) == 0
-    # Pairs alternate which side runs first; the workloads run in turn.
-    assert calls == [("parent", "a", 7), ("change", "a", 7),
-                     ("change", "a", 8), ("parent", "a", 8),
-                     ("parent", "b", 7), ("change", "b", 7),
-                     ("change", "b", 8), ("parent", "b", 8)]
+    # Pairs alternate which side runs first, the fresh copies (sibling
+    # directories with names of equal length) swap every second pair, and
+    # the workloads run in turn: b starts with the copies a left swapped.
+    seeds = [7, 7, 8, 8, 9, 9, 10, 10]
+    a = [("parent", "p"), ("change", "c"), ("change", "c"), ("parent", "p"),
+         ("parent", "c"), ("change", "p"), ("change", "p"), ("parent", "c")]
+    b = [("parent", "c"), ("change", "p"), ("change", "p"), ("parent", "c"),
+         ("parent", "p"), ("change", "c"), ("change", "c"), ("parent", "p")]
+    assert calls == ([(t, d, "a", s) for (t, d), s in zip(a, seeds)]
+                     + [(t, d, "b", s) for (t, d), s in zip(b, seeds)])
     out = capsys.readouterr().out.split("\n\n")
     assert [block.splitlines()[0] for block in out[::2]] == ["### a", "### b"]
     assert "| run_s | 2 [2, 2] | 2 [2, 2] | 1.000 | 0 | same |" in out[1]
-    assert "| run_s | 2 [2, 2] | 1 [1, 1] | 0.500 | 2 | unresolved |" in out[3]
+    assert "| run_s | 2 [2, 2] | 1 [1, 1] | 0.500 | 4 | unresolved |" in out[3]
+
+
+def test_control_pairs_run_first_against_a_second_copy_of_the_parent(
+        monkeypatch, capsys, tmp_path):
+    calls = []
+
+    def run_once(checkout, workload, seed, seconds):
+        calls.append(((checkout / "tree").read_text(), checkout.name, seed))
+        return {"run_s": 1.0 if checkout.name == "c" else 2.0, **_METRICS}
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    parent, change = _checkouts(tmp_path)
+    assert bench_pairs.main([parent, change, "--workload", "a", "--pairs", "2",
+                             "--seconds", "1", "--control"]) == 0
+    assert calls == [("parent", "p", 1), ("parent", "k", 1),
+                     ("parent", "k", 2), ("parent", "p", 2),
+                     ("parent", "p", 1), ("change", "c", 1),
+                     ("change", "c", 2), ("parent", "p", 2)]
+    out = capsys.readouterr().out.split("\n\n")
+    assert [block.splitlines()[0] for block in out[::2]] == ["### a (control)", "### a"]
+    assert "| run_s | 2 [2, 2] | 2 [2, 2] | 1.000 | 0 | same |" in out[1]
+
+
+@pytest.mark.parametrize("control_ratio, verdict", [
+    (1.0, "gain"), (1.15, "gain"), (0.85, "gain"),
+    # The change's ratio, 0.8, lies no further from 1 than these controls.
+    (0.8, "unresolved"), (1.2, "unresolved"), (0.7, "unresolved")])
+def test_a_gain_must_lie_further_from_one_than_the_control(control_ratio, verdict):
+    parent = [10.0, 10.1, 9.9, 10.0, 10.2, 9.8, 10.0, 10.1, 9.9, 10.0]
+    change = [8.0] * 9 + [10.5]
+    row, = bench_pairs.summarize(
+        [{"m": v} for v in parent], [{"m": v} for v in change],
+        [("m", "lower", 0.25)], control=[{"ratio": control_ratio}])
+    assert row["ratio"] == 0.8
+    assert row["verdict"] == verdict

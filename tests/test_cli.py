@@ -669,3 +669,13 @@ def test_internal_error_exits_four(tmp_path, monkeypatch, capsys):
     assert json.loads(err.splitlines()[0]) == {"error": {
         "kind": "internal", "type": "RuntimeError", "message": "injected"}}
     assert "Traceback" in err
+
+
+def test_a_curve_with_a_zero_width_last_piece_exits_three(tmp_path):
+    scenario = load("curvature_round_sphere.json")
+    end = scenario["h"]["pieces"][-1]
+    scenario["h"]["pieces"].append({**end, "lo": end["hi"]})
+    code, report = run_scenario(scenario, tmp_path)
+    assert code == 3
+    assert report["error"] == {"kind": "PreconditionError",
+                               "message": "pieces must be contiguous and ordered"}

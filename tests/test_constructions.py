@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from oracles import (_jet_safe, bisect_dive_center, concordance_bounds_at,
                      concordance_gate, sectional_fd)
 import riccicert.constructions as cons
+import riccicert.warped as warped
 from riccicert.constructions import (
     ConcordanceParams,
     RoundRadiusPath,
@@ -813,22 +814,21 @@ def test_batched_path_margin_on_refinement_cells(profile, target, which):
 def test_path_certificate_evaluates_each_curve_once_per_level(
         profile, target, monkeypatch, which, distinct):
     # Stage 1 shares h0 and h1 (the profile's h); stage 2 has four curves.
+    # Each level evaluates its distinct curves in one bundle.
     path = _stage(profile, target, which)
-    jet, seen = Jet3Curve.jet, []
+    bundle, seen = warped.jets, []
 
-    def counted(self, x, side=None):
-        if isinstance(x, np.ndarray):
-            seen.append(id(self))
-        return jet(self, x, side)
+    def counted(curves, x, side=None):
+        seen.append(tuple(map(id, curves)))
+        return bundle(curves, x, side)
 
-    monkeypatch.setattr(Jet3Curve, "jet", counted)
+    monkeypatch.setattr(warped, "jets", counted)
     a, b = path.lam_range
     path.min_ricci(GridSpec.box([(a, b, 9), (0.0, profile.T, 33)],
                                 depth=2, factor=2))
     levels = 3
-    assert len(seen) == levels * distinct
-    assert all(len(set(seen[i:i + distinct])) == distinct
-               for i in range(0, len(seen), distinct))
+    assert len(seen) == levels
+    assert all(len(set(ids)) == len(ids) == distinct for ids in seen)
 
 
 @pytest.mark.parametrize("name, certificates", [("isotopy.json", 14),

@@ -534,14 +534,13 @@ def test_nan_zed_clear_fails_convexity(monkeypatch):
     left, _ = corner_pair()
     grid = GridSpec.line(-0.5, -1e-9, 201, depth=2)
     poison = np.linspace(-0.5, -1e-9, 201)[100]
-    real = corner.face_second_form
+    real = corner._clear_numerators
 
     def poisoned(chart, a):
-        form = real(chart, a)
-        zed = np.where(np.asarray(a) == poison, math.nan, form.zed_clear)
-        return dataclasses.replace(form, zed_clear=zed if zed.ndim else float(zed))
+        tau_clear, zed_clear, *rest = real(chart, a)
+        return (tau_clear, np.where(a == poison, math.nan, zed_clear), *rest)
 
-    monkeypatch.setattr(corner, "face_second_form", poisoned)
+    monkeypatch.setattr(corner, "_clear_numerators", poisoned)
     cert = convexity_certificate(left, grid)
     assert not cert.passed
     assert cert.nonfinite_count >= 1

@@ -21,6 +21,7 @@ from riccicert.jetcurve import (
     Sum,
     _NODE_KINDS,
     _first,
+    jets,
     node_from_dict,
 )
 from oracles import jet_per_piece, poly_jet_loop
@@ -399,18 +400,19 @@ def _node(draw, kind, b=None, target=None):
             return node
         coeffs[0] += target - node.jet(b).value
         return Poly(tuple(coeffs), node.center)
-    wave = Sin(draw(st.floats(0.5, 2.0)), draw(st.floats(0.3, 2.0)),
-               draw(st.floats(-1.0, 1.0)))
+    wave = (Sin if kind == "sin" else Cos)(
+        draw(st.floats(0.5, 2.0)), draw(st.floats(0.3, 2.0)), draw(st.floats(-1.0, 1.0)))
     return wave if target is None else Sum((wave, Poly((target - wave.jet(b).value,))))
 
 
 def _twin(node, b):
     """A different node equal to ``node`` through order 3 up to rounding: a
-    Poly expanded about ``b`` (rounded once), a Sin negated half a period on."""
+    Poly expanded about ``b`` (rounded once), a Sin or Cos negated half a
+    period on."""
     if type(node) is Sum:
         return Sum((_twin(node.terms[0], b),) + node.terms[1:])
-    if type(node) is Sin:
-        return Sin(-node.amplitude, node.frequency, node.phase + math.pi)
+    if type(node) in (Sin, Cos):
+        return type(node)(-node.amplitude, node.frequency, node.phase + math.pi)
     d = Fraction(b) - Fraction(node.center)
     c = [Fraction(v) for v in node.coeffs]
     return Poly(tuple(float(sum(c[j] * math.comb(j, k) * d ** (j - k)
@@ -418,17 +420,20 @@ def _twin(node, b):
                       for k in range(len(c))), b)
 
 
+_DOMAINS = st.floats(-1.5, -0.5).flatmap(
+    lambda lo: st.tuples(st.just(lo), st.floats(lo + 0.25, 0.5)))
+
+
 @st.composite
-def mixed_curves(draw):
-    """A curve of Poly, constant, Sin and Sum pieces on a domain in
+def mixed_curves(draw, domain=_DOMAINS):
+    """A curve of Poly, constant, Sin, Cos and Sum pieces on a domain in
     [-1.5, 0.5]. A breakpoint either starts a value-matched new node at a
     marked order-1 kink, or keeps the previous node or its twin (continuous
     through order 3), marked or not; a kink may also sit inside a piece."""
-    lo = draw(st.floats(-1.5, -0.5))
-    hi = draw(st.floats(lo + 0.25, 0.5))
+    lo, hi = draw(domain)
     cuts = sorted(set(draw(st.lists(st.floats(lo, hi, exclude_min=True,
                                               exclude_max=True), max_size=5))))
-    kinds = st.sampled_from(["poly", "const", "sin"])
+    kinds = st.sampled_from(["poly", "const", "sin", "cos"])
     node = _node(draw, draw(kinds))
     segments, kinks = [], []
     for a, b in zip([lo] + cuts, cuts + [hi]):
@@ -466,3 +471,80 @@ def test_array_jet_matches_per_piece_dispatch_bit_for_bit(data):
     got, want = curve.jet(x, side), jet_per_piece(curve, x, side)
     for g, w in zip(got.as_tuple(), want.as_tuple()):
         assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# a bundle of curves keeps the bits and the errors of one curve at a time
+# ---------------------------------------------------------------------------
+
+
+def _one_at_a_time(curves, x, side):
+    """Each curve's own one-curve jets, or the (class, message) of the first
+    error that evaluating them in order raises."""
+    try:
+        return [jets((curve,), x, side)[0] for curve in curves]
+    except Exception as exc:  # noqa: BLE001 - compared, not handled
+        return type(exc), str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_a_bundle_has_the_bits_and_first_error_of_its_curves_one_at_a_time(data):
+    # Curves on one shared domain share the points unclipped; on their own
+    # domains a point may lie outside some of them, which must name the
+    # curve that raises first, as a NaN point must.
+    domain = st.just(data.draw(_DOMAINS)) if data.draw(st.booleans()) else _DOMAINS
+    curves = data.draw(st.lists(mixed_curves(domain), min_size=1, max_size=3))
+    if data.draw(st.booleans()):
+        curves.append(curves[0])
+    marks = {math.nan}
+    for curve in curves:
+        lo, hi = curve.domain
+        slack = 1e-13 * max(1.0, abs(lo), abs(hi))  # inside the domain check's
+        marks.update([a for a, _, _ in curve.pieces[1:]], [loc for loc, _ in curve.kinks],
+                     [lo, hi, lo - slack, hi + slack])
+    span = st.floats(min(c.domain[0] for c in curves), max(c.domain[1] for c in curves))
+    xs = data.draw(st.lists(st.sampled_from(sorted(marks, key=repr)) | span,
+                            min_size=1, max_size=30))
+    side = data.draw(st.sampled_from([None, "left", "right"]))
+    x = np.array(xs)
+    want = _one_at_a_time(curves, x, side)
+    if isinstance(want, tuple):
+        with pytest.raises(want[0]) as err:
+            jets(tuple(curves), x, side)
+        assert str(err.value) == want[1]
+        return
+    got = jets(tuple(curves), x, side)
+    assert len(got) == len(curves)
+    for g, w in zip(got, want):
+        assert np.array(g.as_tuple()).tobytes() == np.array(w.as_tuple()).tobytes()
+
+
+def test_a_bundle_refuses_a_bad_side_and_names_the_first_failing_curve():
+    inner = Jet3Curve.from_node(Poly((1.0, 2.0)), (-1.0, 1.0))
+    outer = Jet3Curve.from_node(Sin(1.0), (-2.0, 2.0))
+    with pytest.raises(PreconditionError, match="side must be"):
+        jets((inner,), np.array([0.0]), "up")
+    # 1.5 lies outside the inner curve's domain only, and the NaN makes
+    # every jet non-finite: the curve evaluated first names its own error,
+    # though the bundle tests every domain before any jet.
+    x = np.array([0.0, math.nan, 1.5])
+    with pytest.raises(DomainError, match=r"^x=1\.5 outside domain \[-1\.0, 1\.0\]$"):
+        jets((inner, outer), x)
+    with pytest.raises(DomainError, match=r"^non-finite jet at x=nan$"):
+        jets((outer, inner), x)
+
+
+@pytest.mark.parametrize("build", [
+    lambda pieces: Jet3Curve((0.0, 1.0), pieces),
+    lambda pieces: Jet3Curve.from_dict({
+        "domain": [0.0, 1.0],
+        "pieces": [{"lo": a, "hi": b, "fn": n.to_dict()} for a, b, n in pieces]}),
+])
+def test_a_zero_width_last_piece_is_refused(build):
+    line = Poly((0.0, 1.0))
+    with pytest.raises(PreconditionError, match="^pieces must be contiguous and ordered$"):
+        build(((0.0, 1.0, line), (1.0, 1.0, line)))
+    # A zero-width first or middle piece was refused already.
+    with pytest.raises(PreconditionError, match="^pieces must be contiguous and ordered$"):
+        build(((0.0, 0.0, line), (0.0, 1.0, line)))
