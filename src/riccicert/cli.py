@@ -25,7 +25,7 @@ from . import constructions as cons
 from . import corner as cor
 from .errors import (EvaluationError, PreconditionError, ScenarioError,
                      SearchError, decode, integer, list_of, number, positive_int, text)
-from .jetcurve import Jet3Curve, Poly, Sin, Sum
+from .jetcurve import Jet3Curve, Poly, Sin, Sum, jets
 from .spline import two_stage_smooth
 from .verify import GridSpec, bisect_param
 from .warped import CurvatureSample, DoublyWarpedMetric, sectional
@@ -314,9 +314,10 @@ def _run_isotopy(p, ctx):
               "lambda=2 metric has constant curvature 1/R^2")
 
     s = np.linspace(0.0, profile.T, p["samples"])
+    # Each column is its curve's value, the right-sided jet's.
+    curves = (profile.k, profile.h, target.k1, stage2.k1, stage2.h1)
     ctx.csv("warping.csv", ("s", "k0", "h0", "k1", "k_round", "h_round"),
-            (s, profile.k.value(s), profile.h.value(s), target.k1.value(s),
-             stage2.k1.value(s), stage2.h1.value(s)))
+            (s, *(j.value for j in jets(curves, s, side="right"))))
     return {"nu": nu, "nu_search": searched,
             "breakpoints": {"T0": profile.T0, "T1": profile.T1,
                             "T2": profile.T2, "T3": profile.T3,

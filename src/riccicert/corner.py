@@ -440,7 +440,7 @@ def convexity_certificate(chart: CornerChart, grid: GridSpec, threshold: float =
         tau_clear, zed_clear, *_ = _clear_numerators(chart, a)
         return np.minimum(tau_clear, zed_clear)
 
-    return grid_min(lambda pts, mesh: blockwise(margin, pts[:, 0]), grid,
+    return grid_min(lambda level: blockwise(margin, level.points[:, 0]), grid,
                     threshold=threshold, quantity_id="face_convexity",
                     batched=True, stop_at_failure=stop_at_failure)
 
@@ -449,7 +449,7 @@ def concavity_certificate(chart: CornerChart, grid: GridSpec, threshold: float =
                           stop_at_failure: bool = False) -> PositivityCertificate:
     """Certificate that -face_profile_hessian > threshold along the face."""
     return grid_min(
-        lambda pts, mesh: blockwise(lambda a: -face_profile_hessian(chart, a),
-                                    pts[:, 0]),
+        lambda level: blockwise(lambda a: -face_profile_hessian(chart, a),
+                                level.points[:, 0]),
         grid, threshold=threshold, quantity_id="face_concavity", batched=True,
         stop_at_failure=stop_at_failure)

@@ -4,17 +4,20 @@ Certification here is a falsification-resistant heuristic, not interval
 arithmetic: a margin function is scanned on a fixed grid, the worst cells are
 refined a configurable number of times, and the whole trace is reported so a
 reviewer can judge margin stability. Every scan level (the coarse grid,
-then each refinement depth) is a set of boxes, each sampled on a product
-grid taken by one ``np.linspace`` per axis over all of the level's boxes:
-the coarse level is one box, a refinement level its cells. Every
-riccicert margin is batched: it takes one level per call, as its points and
-as their open mesh, so it can share work across the level's points,
+then each refinement depth) is a :class:`Level`: a set of boxes, each
+sampled on a product grid taken by one ``np.linspace`` per axis over all of
+the level's boxes, and held as their open mesh: the coarse level is one
+box, a refinement level its cells. Every riccicert margin is batched: it
+takes one level per call, so it can share work across the level's points,
 repeated points included (refinement cells overlap): a separable margin
 can evaluate each axis value once, and a table margin each combination of
-distinct axis values once. A curvature kernel inside it runs on at most
-``_BLOCK`` points at a time, through :func:`blockwise` or in table tiles,
-which bounds its temporaries. The scalar form, one point per call, remains
-for external callers; grids are fixed up front and the min is
+distinct axis values once. A level stacks its points only when a margin
+reads them (a one-axis level's points are a view of its axis), and
+``grid_min`` reads the few coordinates it reports or refines around from
+the mesh. A curvature kernel inside a margin runs on at most ``_BLOCK``
+points at a time, through :func:`blockwise` or in table tiles, which
+bounds its temporaries. The scalar form, one point per call, remains for
+external callers; grids are fixed up front and the min is
 order-independent, so both forms give identical certificates. Any
 non-finite margin fails the certificate.
 """
@@ -28,8 +31,8 @@ import numpy as np
 
 from .errors import MAX_COUNT, EvaluationError, PreconditionError, SearchError
 
-__all__ = ["GridSpec", "PositivityCertificate", "grid_min", "bisect_param",
-           "blockwise"]
+__all__ = ["GridSpec", "Level", "PositivityCertificate", "grid_min",
+           "bisect_param", "blockwise"]
 
 # Points per kernel call (a blockwise slice or a table tile), which bounds
 # its temporaries, and per call when a failing scan level is re-run.
@@ -127,18 +130,67 @@ def _finite_or_none(x):
     return x if math.isfinite(x) else None
 
 
-def _point_mesh(points):
-    """The open mesh of ``points`` (``(count, dims)``) taken as one-point
-    boxes: axis ``d`` is ``points[:, d]`` shaped ``(count, 1, ..., 1)``."""
-    count, dims = points.shape
-    return tuple(points[:, d].reshape((count,) + (1,) * dims)
-                 for d in range(dims))
+class Level:
+    """One scan level: the boxes of an open mesh, each sampled on its
+    product grid.
+
+    ``mesh`` holds one array per axis: axis ``d`` holds its ``n_d``
+    coordinates per box, shaped ``(boxes, 1, ..., n_d, ..., 1)``. The
+    level's points are the broadcast mesh flattened in C order: box after
+    box, last axis fastest. ``shape`` is ``(count, dims)``, the shape of
+    ``points``, which holds one row per point and is stacked when first
+    read; a one-axis level's points are a view of its axis.
+    """
+
+    def __init__(self, mesh, points=None):
+        self.mesh = mesh
+        self._grid = (len(mesh[0]),) + tuple(x.shape[1 + d]
+                                              for d, x in enumerate(mesh))
+        self.shape = (math.prod(self._grid), len(mesh))
+        if points is None and len(mesh) == 1:
+            points = mesh[0].reshape(-1, 1)
+        self._points = points
+
+    @staticmethod
+    def of_boxes(a, b, counts) -> "Level":
+        """The boxes ``a[c] .. b[c]`` (``(boxes, dims)`` corners), sampled
+        at ``counts[d]`` points on axis ``d`` by one ``np.linspace`` over
+        all boxes."""
+        boxes, dims = a.shape
+        return Level(tuple(
+            np.linspace(a[:, d], b[:, d], n, axis=-1)
+            .reshape((boxes,) + (1,) * d + (-1,) + (1,) * (dims - 1 - d))
+            for d, n in enumerate(counts)))
+
+    @staticmethod
+    def of_points(points) -> "Level":
+        """``points`` (``(count, dims)``) as a level of one-point boxes:
+        axis ``d`` is ``points[:, d]`` shaped ``(count, 1, ..., 1)``."""
+        count, dims = points.shape
+        return Level(tuple(points[:, d].reshape((count,) + (1,) * dims)
+                           for d in range(dims)), points)
+
+    @property
+    def points(self) -> np.ndarray:
+        if self._points is None:
+            self._points = np.stack(np.broadcast_arrays(*self.mesh),
+                                    axis=-1).reshape(self.shape)
+        return self._points
+
+    def coords(self, flat) -> np.ndarray:
+        """``points[flat]`` for a flat point index or an array of them,
+        read from the mesh axes unless the points are stacked."""
+        if self._points is not None:
+            return self._points[flat]
+        box, *at = np.unravel_index(flat, self._grid)
+        return np.stack([x.reshape(len(x), -1)[box, i]
+                         for x, i in zip(self.mesh, at)], axis=-1)
 
 
 def _call(f, pt, batched: bool) -> float:
     try:
         if batched:
-            return float(f(pt[None, :], _point_mesh(pt[None, :]))[0])
+            return float(f(Level.of_points(pt[None, :]))[0])
         return float(f(*pt))
     except Exception as exc:  # noqa: BLE001 - context added, then re-raised
         raise EvaluationError(
@@ -146,26 +198,28 @@ def _call(f, pt, batched: bool) -> float:
         ) from exc
 
 
-def _evaluate(f, points, mesh, batched: bool) -> np.ndarray:
+def _evaluate(f, level: Level, batched: bool) -> np.ndarray:
+    count = level.shape[0]
     if not batched:
-        return np.array([_call(f, pt, False) for pt in points])
+        return np.array([_call(f, pt, False) for pt in level.points])
     try:
-        result = f(points, mesh)
+        result = f(level)
     except Exception:  # noqa: BLE001 - re-raised for the failing point
         # Re-run the level block by block, and a failing block point by
         # point, so the error names the first failing point in scan order.
-        for start in range(0, len(points), _BLOCK):
-            block = points[start:start + _BLOCK]
+        for start in range(0, count, _BLOCK):
+            block = Level.of_points(level.coords(
+                np.arange(start, min(start + _BLOCK, count))))
             try:
-                f(block, _point_mesh(block))
+                f(block)
             except Exception:  # noqa: BLE001 - narrowed to its point
-                for pt in block:
+                for pt in block.points:
                     _call(f, pt, True)
         raise
-    if np.shape(result) != (len(points),):
+    if np.shape(result) != (count,):
         raise ValueError(
             f"margin returned {np.size(result)} value(s), shape {np.shape(result)}, "
-            f"for {len(points)} points; a batched margin returns one value per point")
+            f"for {count} points; a batched margin returns one value per point")
     return np.asarray(result, dtype=float)
 
 
@@ -188,50 +242,30 @@ def _lowest(values: np.ndarray, n: int) -> np.ndarray:
     return candidates[np.argsort(values[candidates], kind="stable")[:n]]
 
 
-def _level(a, b, counts):
-    """The scan level of the boxes ``a[c] .. b[c]`` (``(boxes, dims)``
-    corners): ``(mesh, points)``.
-
-    ``mesh`` is an open mesh with one array per axis: axis ``d`` holds its
-    ``counts[d]`` coordinates per box, shaped ``(boxes, 1, ..., counts[d],
-    ..., 1)``. ``points`` is the broadcast mesh flattened in C order, one
-    row per point: box after box, last axis fastest. Each axis is sampled by
-    one ``np.linspace`` over all boxes; a one-axis level's points are a view
-    of its axis.
-    """
-    boxes, dims = a.shape
-    axes = [np.linspace(a[:, d], b[:, d], n, axis=-1)
-            for d, n in enumerate(counts)]
-    mesh = tuple(x.reshape((boxes,) + (1,) * d + (-1,) + (1,) * (dims - 1 - d))
-                 for d, x in enumerate(axes))
-    if dims == 1:
-        return mesh, mesh[0].reshape(-1, 1)
-    points = np.stack(np.broadcast_arrays(*mesh), axis=-1).reshape(-1, dims)
-    return mesh, points
-
-
 def grid_min(f, grid: GridSpec, threshold: float = 1e-6,
              quantity_id: str = "margin", batched: bool = False,
              stop_at_failure: bool = False) -> PositivityCertificate:
     """Certificate for ``min f > threshold`` over the grid's box.
 
-    A ``batched`` margin ``f(points, mesh) -> values``, the form of every
-    riccicert certificate, is called once per scan level. ``points`` holds
-    all of the level's points as a ``(count, dims)`` array, and ``mesh`` is
-    the same level as an open mesh of boxes (see :func:`_level`), whose
-    broadcast, flattened in C order, is ``points``. ``values`` must hold
-    exactly one value per point, value ``i`` for ``points[i]``; any other
-    size raises ValueError. Bounding its temporaries is the margin's own job
-    (see :func:`blockwise`). When a level fails, it is re-run on blocks and
-    then single points, each with the mesh of its points taken as one-point
+    A ``batched`` margin ``f(level) -> values``, the form of every
+    riccicert certificate, is called once per scan level with the
+    :class:`Level` of all of the level's points. ``values`` must hold
+    exactly one value per point, value ``i`` for ``level.points[i]``; any
+    other size raises ValueError. A margin reads the level as its open
+    ``mesh`` or as its ``points``, which are stacked only when read.
+    Bounding its temporaries is the margin's own job (see
+    :func:`blockwise`). When a level fails, it is re-run on blocks and then
+    single points, each as a :meth:`Level.of_points` level of one-point
     boxes, so the error names the first failing point in scan order. The
     scalar form ``f(*point) -> float``, called once per grid point, remains
     for external callers. After the coarse scan, the cells holding the
     bottom 5% of margins are re-sampled ``grid.factor`` times finer,
-    ``grid.depth`` times over, at ``2 * grid.factor + 1`` points per axis.
-    With ``stop_at_failure`` the scan stops after the first level at which
-    the certificate has failed, which no deeper level can undo; its grid
-    then records the depth reached, so it describes the points scanned.
+    ``grid.depth`` times over, at ``2 * grid.factor + 1`` points per axis;
+    the argmin, the first non-finite point and the cell centers are read
+    from the level's mesh by :meth:`Level.coords`. With
+    ``stop_at_failure`` the scan stops after the first level at which the
+    certificate has failed, which no deeper level can undo; its grid then
+    records the depth reached, so it describes the points scanned.
     """
     lo = np.array([a for a, _, _ in grid.axes])
     hi = np.array([b for _, b, _ in grid.axes])
@@ -240,28 +274,28 @@ def grid_min(f, grid: GridSpec, threshold: float = 1e-6,
     bad_count, bad_at = 0, ()
     for depth in range(grid.depth + 1):
         if depth == 0:
-            mesh, points = _level(lo[None], hi[None],
-                                  tuple(c for _, _, c in grid.axes))
+            level = Level.of_boxes(lo[None], hi[None],
+                                   tuple(c for _, _, c in grid.axes))
         else:
             n_refine = max(1, math.ceil(0.05 * len(values)))
-            centers = points[_lowest(values, n_refine)]
+            centers = level.coords(_lowest(values, n_refine))
             half = steps / grid.factor**(depth - 1)
             a = np.maximum(lo, centers - half)
             b = np.minimum(hi, centers + half)
             same = a == b
             a = np.where(same, np.maximum(lo, a - 1e-15), a)
             b = np.where(same, np.minimum(hi, b + 1e-15), b)
-            mesh, points = _level(a, b, (2 * grid.factor + 1,) * len(grid.axes))
-        values = _evaluate(f, points, mesh, batched)
+            level = Level.of_boxes(a, b, (2 * grid.factor + 1,) * len(grid.axes))
+        values = _evaluate(f, level, batched)
         finite = np.isfinite(values)
         if not finite.all():
             if not bad_count:
-                bad_at = tuple(points[int(np.argmin(finite))])
+                bad_at = tuple(level.coords(int(np.argmin(finite))))
             bad_count += int(np.count_nonzero(~finite))
             values = np.where(finite, values, math.inf)
         i = int(np.argmin(values))
         if best_at is None or values[i] < best_val:
-            best_val, best_at = float(values[i]), tuple(points[i])
+            best_val, best_at = float(values[i]), tuple(level.coords(i))
         trace.append((depth, best_val))
         if stop_at_failure and (bad_count or not best_val > threshold):
             grid = GridSpec(grid.axes, depth, grid.factor)

@@ -140,8 +140,8 @@ class DoublyWarpedMetric:
     def min_ricci(self, grid: GridSpec, threshold: float = 1e-6) -> PositivityCertificate:
         """Certificate that min(Ric_s, Ric_k, Ric_h) > threshold over the domain."""
         return grid_min(
-            lambda pts, mesh: blockwise(lambda s: sectional(self, s).min_ric(),
-                                        pts[:, 0]),
+            lambda level: blockwise(lambda s: sectional(self, s).min_ric(),
+                                    level.points[:, 0]),
             grid,
             threshold=threshold,
             quantity_id="min_ricci",
@@ -324,17 +324,29 @@ class WarpedMetricPath:
         forms and mix third derivatives. After the jets the kernel only
         adds, multiplies, divides, compares and selects, elementwise, so a
         point's value does not depend on the points it is tabled with. A
-        mesh whose table would hold more pairs than the level has points
-        (one-point boxes, as when ``grid_min`` narrows a failing level) is
-        evaluated point by point instead, ``_BLOCK`` points at a time.
-        ``stop_at_failure`` is ``grid_min``'s.
+        level whose table would hold more pairs than it has points (one-point
+        boxes, as when ``grid_min`` narrows a failing level, or a refinement
+        level of scattered cells) is evaluated point by point instead,
+        ``_BLOCK`` points at a time, each block gathering its lambda, s and
+        jets from the level's distinct values. ``stop_at_failure`` is
+        ``grid_min``'s.
         """
-        def margin(points, mesh):
+        def margin(level):
+            mesh = level.mesh
             (lams, i), (x, j) = (_index(m.ravel()) for m in mesh)
-            if len(lams) * len(x) > len(points):
-                return blockwise(lambda lam, s: self._sample(
-                    self._level_jets(s), lam, s).min_ric(), points[:, 0], points[:, 1])
-            jets, rows = self._level_jets(x), min(len(lams), _BLOCK)
+            jets = self._level_jets(x)
+            if len(lams) * len(x) > level.shape[0]:
+                grid = (len(mesh[0]), mesh[0].shape[1], mesh[1].shape[2])
+                rows, cols = i.reshape(grid[0], -1), j.reshape(grid[0], -1)
+
+                def block(flat):
+                    box, r, c = np.unravel_index(flat, grid)
+                    r, c = rows[box, r], cols[box, c]
+                    at = [Jet3(*(v[c] for v in jet.as_tuple())) for jet in jets]
+                    return self._sample(at, lams[r], x[c]).min_ric()
+
+                return blockwise(block, np.arange(level.shape[0]))
+            rows = min(len(lams), _BLOCK)
             cols, table = _BLOCK // rows, np.empty((len(lams), len(x)))
             for c in range(0, len(x), cols):
                 at = [Jet3(*(v[None, c:c + cols] for v in jet.as_tuple()))
@@ -342,9 +354,12 @@ class WarpedMetricPath:
                 for r in range(0, len(lams), rows):
                     table[r:r + rows, c:c + cols] = self._sample(
                         at, lams[r:r + rows, None], x[None, c:c + cols]).min_ric()
-            # ``points`` is the broadcast mesh in C order.
-            return table.ravel()[(i.reshape(mesh[0].shape) * len(x)
-                                  + j.reshape(mesh[1].shape)).ravel()]
+            # The points are the broadcast mesh in C order; a lone box with
+            # strictly increasing axes has the table's own order.
+            if len(mesh[0]) == 1 and all((np.diff(m.ravel()) > 0).all()
+                                         for m in mesh):
+                return table.ravel()
+            return table[i.reshape(mesh[0].shape), j.reshape(mesh[1].shape)].ravel()
 
         return grid_min(margin, grid, threshold=threshold,
                         quantity_id="path_min_ricci", batched=True,

@@ -28,7 +28,7 @@ from riccicert.constructions import (
 )
 from riccicert.errors import ConditionError, PreconditionError, SearchError
 from riccicert.jetcurve import Jet3Curve, Poly, Sin, Sum
-from riccicert.verify import GridSpec, _point_mesh, grid_min
+from riccicert.verify import GridSpec, Level, grid_min
 from riccicert.warped import DoublyWarpedMetric, WarpedMetricPath, sectional
 
 R_TEST = 2.0
@@ -591,9 +591,10 @@ def test_batched_concordance_margins_match_per_point_reference(monkeypatch):
     def spy(f, grid, **kw):
         assert kw["batched"]
 
-        def record(points, mesh):
-            values = f(points, mesh)
-            scans.append((kw["quantity_id"], grid, points.copy(), values, f))
+        def record(level):
+            values = f(level)
+            scans.append((kw["quantity_id"], grid, level.points.copy(), values,
+                          f))
             return values
 
         return grid_min(record, grid, **kw)
@@ -620,7 +621,7 @@ def test_batched_concordance_margins_match_per_point_reference(monkeypatch):
                                          **exact).tobytes()
             assert values.tobytes() == bits
             # Any list of points is a mesh of one-point boxes.
-            assert f(points, _point_mesh(points)).tobytes() == bits
+            assert f(Level.of_points(points)).tobytes() == bits
             ricci_levels += 1
         ref = np.array(ref)
         tol = 64 * np.finfo(float).eps * np.maximum(1.0, np.abs(ref))
@@ -793,7 +794,8 @@ def test_batched_path_margin_on_refinement_cells(profile, target, which):
     a, b = path.lam_range
     blocks = []
 
-    def spy(points, mesh):
+    def spy(level):
+        points = level.points
         values = path.sectional(points[:, 0], points[:, 1]).min_ric()
         blocks.append((points.copy(), values))
         return values
@@ -909,10 +911,10 @@ def test_path_kernel_sees_each_table_pair_of_a_level_once(
     tiles, levels = _spy_tiles(monkeypatch), []
 
     def spied(f, grid, **kw):
-        def margin(points, mesh):
+        def margin(level):
             del tiles[:]
-            values = f(points, mesh)
-            levels.append((points, list(tiles)))
+            values = f(level)
+            levels.append((level.points, list(tiles)))
             return values
         return grid_min(margin, grid, **kw)
 
@@ -936,18 +938,18 @@ def _clipped_level(path, T, copies):
     (lambda, s) box, next to two of them and inside, each ``copies``
     times: the corner cells clip at both lambda ends and at s = 0 and
     s = T, and neighbours overlap."""
-    from riccicert.verify import _level
     a, b = path.lam_range
     lo, hi = np.array([a, 0.0]), np.array([b, T])
     half = (hi - lo) / [8, 32]
     centers = np.repeat(np.array([[a, 0.0], [a, T], [b, 0.0], [b, T],
                                   [a + half[0], 0.0], [b, T - half[1]],
                                   [0.5 * (a + b), 0.5 * T]]), copies, axis=0)
-    mesh, points = _level(np.maximum(lo, centers - half),
-                          np.minimum(hi, centers + half), (5, 5))
+    level = Level.of_boxes(np.maximum(lo, centers - half),
+                           np.minimum(hi, centers + half), (5, 5))
+    points = level.points
     assert {a, b} <= set(points[:, 0]) and {0.0, T} <= set(points[:, 1])
     assert len(np.unique(points, axis=0)) < len(points)
-    return mesh, points
+    return level
 
 
 @pytest.mark.parametrize("which", [1, 2])
@@ -956,10 +958,11 @@ def test_path_margin_on_a_refinement_level_clipped_at_every_edge(
     # 175 points against a 17 x 17 table: the kernel sees the points, one
     # by one, and gives each the reference bits.
     path = _stage(profile, target, which)
-    mesh, points = _clipped_level(path, profile.T, 1)
+    level = _clipped_level(path, profile.T, 1)
+    points = level.points
     margin = _path_margin(path)
     seen = _spy_tiles(monkeypatch)
-    values = margin(points, mesh)
+    values = margin(level)
     assert len(_table(points)) > len(points)
     assert np.concatenate(seen).tobytes() == points.tobytes()
     monkeypatch.undo()
@@ -972,10 +975,11 @@ def test_path_table_of_a_refinement_level_clipped_at_every_edge(
     # The same cells twice over, 350 points: the kernel sees each (distinct
     # lambda, distinct s) pair once, in one tile here, in C order.
     path = _stage(profile, target, which)
-    mesh, points = _clipped_level(path, profile.T, 2)
+    level = _clipped_level(path, profile.T, 2)
+    points = level.points
     margin = _path_margin(path)
     seen = _spy_tiles(monkeypatch)
-    values = margin(points, mesh)
+    values = margin(level)
     assert np.concatenate(seen).tobytes() == _table(points).tobytes()
     monkeypatch.undo()
     _assert_margins_bitwise(path, points[:, 0], points[:, 1], values)
@@ -986,11 +990,11 @@ def test_coarse_path_level_with_both_closed_ends_is_the_scalar_reference(
         profile, target, which):
     # A 9 x 33 coarse level holds the s = 0 and s = T guard columns, which
     # take the limit forms, and interior columns, which do not.
-    from riccicert.verify import _level
     path = _stage(profile, target, which)
     (a, b), T = path.lam_range, profile.T
-    mesh, points = _level(np.array([[a, 0.0]]), np.array([[b, T]]), (9, 33))
-    values = _path_margin(path)(points, mesh)
+    level = Level.of_boxes(np.array([[a, 0.0]]), np.array([[b, T]]), (9, 33))
+    points = level.points
+    values = _path_margin(path)(level)
     ref = np.array([_path_min_ric_scalar(path, lam, s) for lam, s in points])
     assert values.tobytes() == ref.tobytes()
 
@@ -1000,14 +1004,15 @@ def test_path_margin_splits_an_s_row_longer_than_a_block(
     # A coarse level of 3 lambda values x (_BLOCK + 5) s values: the table
     # is split into tiles of all 3 rows by _BLOCK // 3 columns, and a tile
     # of the 6 columns left over.
-    from riccicert.verify import _BLOCK, _level
+    from riccicert.verify import _BLOCK
     path = _stage(profile, target, 1)
     (a, b), T = path.lam_range, profile.T
-    mesh, points = _level(np.array([[a, 0.0]]), np.array([[b, T]]),
-                          (3, _BLOCK + 5))
+    level = Level.of_boxes(np.array([[a, 0.0]]), np.array([[b, T]]),
+                           (3, _BLOCK + 5))
+    points = level.points
     margin = _path_margin(path)
     seen = _spy_tiles(monkeypatch)
-    values = margin(points, mesh)
+    values = margin(level)
     cols = _BLOCK // 3
     assert [len(tile) for tile in seen] == [3 * cols] * 3 + [3 * 6]
     pairs = np.concatenate(seen)
@@ -1024,6 +1029,46 @@ def test_path_margin_splits_an_s_row_longer_than_a_block(
     _assert_margins_bitwise(path, lam[pick], s[pick], values[pick])
 
 
+@pytest.mark.parametrize("which", [1, 2])
+def test_path_point_route_takes_the_level_jets_once(profile, target,
+                                                   monkeypatch, which):
+    # 300 scattered 5 x 5 cells, 7,500 points in two blocks: their table
+    # would hold far more pairs than the level has points, so the margin
+    # takes the point route, with one bundle of jets at the level's
+    # distinct s, and gives path.sectional's bits.
+    from riccicert.verify import _BLOCK
+    path = _stage(profile, target, which)
+    (a, b), T = path.lam_range, profile.T
+    rng = np.random.default_rng(7)
+    lo, hi = np.array([a, 0.0]), np.array([b, T])
+    centers = rng.uniform(lo, hi, (300, 2))
+    level = Level.of_boxes(np.maximum(lo, centers - 0.01),
+                           np.minimum(hi, centers + 0.01), (5, 5))
+    points = level.points
+    assert len(_table(points)) > len(points) > _BLOCK
+    margin, level_jets, calls = (_path_margin(path),
+                                 WarpedMetricPath._level_jets, [])
+
+    def counted(self, x):
+        calls.append(len(x))
+        return level_jets(self, x)
+
+    monkeypatch.setattr(WarpedMetricPath, "_level_jets", counted)
+    values = margin(level)
+    assert calls == [len(np.unique(points[:, 1]))]
+    assert values.tobytes() == path.sectional(points[:, 0],
+                                              points[:, 1]).min_ric().tobytes()
+    # The clipped cells once take the point route and twice over the
+    # table route; each point gets the same bits from both.
+    once, twice = (_clipped_level(path, T, copies) for copies in (1, 2))
+    assert len(_table(once.points)) > len(once.points)
+    assert len(_table(twice.points)) <= len(twice.points)
+    del calls[:]
+    point, table = margin(once), margin(twice).reshape(7, 2, 25)
+    assert len(calls) == 2
+    assert point.tobytes() == table[:, 0].tobytes() == table[:, 1].tobytes()
+
+
 def test_path_margin_takes_scattered_points_one_by_one(profile, target,
                                                        monkeypatch):
     # 4,096 scattered points as one-point boxes, as grid_min narrows a
@@ -1036,7 +1081,7 @@ def test_path_margin_takes_scattered_points_one_by_one(profile, target,
                     rng.uniform(0.0, profile.T, _BLOCK)], axis=-1)
     margin = _path_margin(path)
     seen = _spy_tiles(monkeypatch)
-    values = margin(pts, _point_mesh(pts))
+    values = margin(Level.of_points(pts))
     assert sum(len(tile) for tile in seen) <= _BLOCK
     monkeypatch.undo()
     want = path.sectional(pts[:, 0], pts[:, 1]).min_ric()
@@ -1063,9 +1108,9 @@ def test_path_table_refuses_a_vanishing_warping_off_the_level_points():
                r"endpoint kind \(k=-0\.5, h=1\.0\)$")
     margin = _path_margin(path)
     with pytest.raises(DomainError, match=message):
-        margin(pts, _point_mesh(pts))
+        margin(Level.of_points(pts))
     with pytest.raises(DomainError, match=message):
-        _evaluate(margin, pts, _point_mesh(pts), True)
+        _evaluate(margin, Level.of_points(pts), True)
 
 
 @settings(max_examples=25, deadline=None)
@@ -1091,12 +1136,12 @@ def test_batched_path_margin_matches_scalar_reference(profile, target, seed,
     # copy of a repeated point, in any order, gets the reference bits.
     margin = _path_margin(path)
     pts = np.stack([lam, s], axis=-1)
-    assert margin(pts, _point_mesh(pts)).tobytes() == got.tobytes()
+    assert margin(Level.of_points(pts)).tobytes() == got.tobytes()
     order = rng.permutation(np.concatenate([np.arange(len(s)),
                                             rng.integers(0, len(s), len(s))]))
     pts = np.stack([lam[order], s[order]], axis=-1)
     ref = np.array([_path_min_ric_scalar(path, a, b) for a, b in pts])
-    assert margin(pts, _point_mesh(pts)).tobytes() == ref.tobytes()
+    assert margin(Level.of_points(pts)).tobytes() == ref.tobytes()
 
 
 def test_path_margin_error_names_the_first_failing_point_in_scan_order(
@@ -1111,5 +1156,5 @@ def test_path_margin_error_names_the_first_failing_point_in_scan_order(
     pts = np.array([[0.5, 1.0], [0.5, T + 1.0], [0.0, 0.2], [0.0, -1.0],
                     [0.5, T + 1.0], [0.5, 1.0], [0.0, -1.0]])
     with pytest.raises(EvaluationError) as err:
-        _evaluate(_path_margin(path), pts, _point_mesh(pts), True)
+        _evaluate(_path_margin(path), Level.of_points(pts), True)
     assert err.value.coords == (0.5, T + 1.0)

@@ -219,9 +219,9 @@ def test_face_forms_bitwise_on_union_chart_kinks_and_refinement_cells():
     kinks = sorted(marked | {0.0, eps, -eps})
     refined = []
 
-    def spy(points, mesh):
-        refined.append(points[:, 0].copy())
-        return -face_profile_hessian(glued, points[:, 0])
+    def spy(level):
+        refined.append(level.points[:, 0].copy())
+        return -face_profile_hessian(glued, level.points[:, 0])
 
     grid_min(spy, GridSpec.line(-0.5, 0.5, 41, depth=2), batched=True)
     cells = np.concatenate(refined)

@@ -37,6 +37,10 @@ def test_concordance_refinement_axis_values(capsys):
     assert out[0] == "concordance_bump.json (exit 0)"
     assert ("  refinement total: 93,312 points -> 36,414 distinct"
             " -> 20,736 axis values" in out)
+    # The theta margins are not path margins, so no level has a route; the
+    # 384 cells of each refinement level are distinct.
+    assert ("  refined cells: 1,152 -> 1,152 distinct; 0 of 0 path levels"
+            " take the point route" in out)
 
 
 def test_isotopy_levels_and_totals(capsys):
@@ -55,3 +59,14 @@ def test_isotopy_levels_and_totals(capsys):
             " -> 202,950 axis values" in out)
     assert ("  refinement table: 154,200 pairs, 0.30 x points;"
             " largest level 0.88 x" in out)
+    # Each table holds no more pairs than its level has points, so every
+    # level takes the table route. A depth-2 level refines
+    # ceil(5% of 20,500) = 1,025 cells, of which only 291 to 335 differ.
+    rows = [line.split() for line in out[2:] if line.startswith("     ")]
+    assert {row[7] for row in rows} == {"table"}
+    deepest = [int(row[8]) for row in rows if row[2] == "2"]
+    assert (min(deepest), max(deepest)) == (291, 335)
+    assert ("  refined cells: 20,295 -> 12,446 distinct; 0 of 36 path levels"
+            " take the point route" in out)
+    (faults,) = [line for line in out if "minor page faults" in line]
+    assert faults.endswith(" (a second, unwrapped run)")

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import cell_points, coarse_points
 from riccicert.errors import EvaluationError, PreconditionError, SearchError
-from riccicert.verify import GridSpec, _level, _lowest, bisect_param, grid_min
+from riccicert.verify import GridSpec, Level, _lowest, bisect_param, grid_min
 
 
 def test_quadratic_minimum_at_interior():
@@ -67,8 +67,9 @@ def test_scalar_and_batched_margins_give_same_certificate():
     def f(x, y):
         return math.sin(3 * x) * math.cos(2 * y) + 1.5
 
-    def f_batched(points, mesh):
-        return np.sin(3 * points[:, 0]) * np.cos(2 * points[:, 1]) + 1.5
+    def f_batched(level):
+        x, y = level.points.T
+        return np.sin(3 * x) * np.cos(2 * y) + 1.5
 
     # A 2-D grid and 3 refinement levels, one batched call per level.
     grid = GridSpec.box([(0, 2, 33), (0, 2, 33)], depth=3)
@@ -85,9 +86,9 @@ def test_scalar_and_batched_margins_give_same_certificate():
 def test_batched_margin_gets_one_call_per_level(axes, depth, factor):
     sizes = []
 
-    def f(points, mesh):
-        sizes.append(len(points))
-        return np.sin(3.0 * points).sum(axis=1) + 2.0
+    def f(level):
+        sizes.append(level.shape[0])
+        return np.sin(3.0 * level.points).sum(axis=1) + 2.0
 
     grid_min(f, GridSpec.box(axes, depth=depth, factor=factor), batched=True)
     expected = [math.prod(count for _, _, count in axes)]
@@ -115,8 +116,8 @@ def test_nan_margin_fails_certificate(batched):
     def f(x):
         return math.nan if x == 0.5 else 1.0
 
-    def f_batched(points, mesh):
-        return np.where(points[:, 0] == 0.5, math.nan, 1.0)
+    def f_batched(level):
+        return np.where(level.points[:, 0] == 0.5, math.nan, 1.0)
 
     cert = grid_min(f_batched if batched else f,
                     GridSpec.line(0, 1, 101, depth=1), batched=batched)
@@ -158,9 +159,9 @@ def _counting(margin):
     """``margin`` as a batched margin that records each level's size."""
     sizes = []
 
-    def f(points, mesh):
-        sizes.append(len(points))
-        return margin(points[:, 0])
+    def f(level):
+        sizes.append(level.shape[0])
+        return margin(level.points[:, 0])
 
     return f, sizes
 
@@ -211,10 +212,10 @@ def test_evaluation_error_carries_coordinates():
 
 
 def test_batched_evaluation_error_names_first_failing_point():
-    def f(points, mesh):
-        if (points[:, 0] > 0.5).any():
+    def f(level):
+        if (level.points[:, 0] > 0.5).any():
             raise ValueError("boom")
-        return np.ones(len(points))
+        return np.ones(level.shape[0])
 
     with pytest.raises(EvaluationError) as err:
         grid_min(f, GridSpec.line(0, 1, 11), batched=True)
@@ -226,11 +227,11 @@ def test_failing_level_is_narrowed_block_by_block():
     # block is re-run point by point.
     sizes = []
 
-    def f(points, mesh):
-        sizes.append(len(points))
-        if (points[:, 0] > 0.9).any():
+    def f(level):
+        sizes.append(level.shape[0])
+        if (level.points[:, 0] > 0.9).any():
             raise ValueError("boom")
-        return np.ones(len(points))
+        return np.ones(level.shape[0])
 
     with pytest.raises(EvaluationError) as err:
         grid_min(f, GridSpec.line(0, 1, 10001), batched=True)
@@ -240,9 +241,10 @@ def test_failing_level_is_narrowed_block_by_block():
 
 
 @pytest.mark.parametrize("margin, grid, points", [
-    (lambda p, mesh: np.array([1.0]),
+    (lambda level: np.array([1.0]),
      GridSpec.box([(0, 1, 11), (0, 1, 7)], depth=2), 77),
-    (lambda p, mesh: 1.0 - p[:1, 0], GridSpec.line(0, 1, 11, depth=1), 11),
+    (lambda level: 1.0 - level.points[:1, 0], GridSpec.line(0, 1, 11, depth=1),
+     11),
 ], ids=["one-value", "first-point-only"])
 def test_batched_margin_of_the_wrong_size_is_refused(margin, grid, points):
     # Both results were broadcast over the whole level: the first passed with
@@ -260,9 +262,9 @@ def _mesh_points(mesh):
 def test_every_level_hands_its_points_and_their_open_mesh():
     levels = []
 
-    def f(points, mesh):
-        levels.append((points.copy(), mesh))
-        return np.sin(3.0 * points).sum(axis=1) + 2.0
+    def f(level):
+        levels.append((level.points.copy(), level.mesh))
+        return np.sin(3.0 * level.points).sum(axis=1) + 2.0
 
     grid_min(f, GridSpec.box([(0, 1, 5), (0, 2, 4), (-1, 1, 3)], depth=2,
                              factor=2), batched=True)
@@ -280,12 +282,12 @@ def test_every_level_hands_its_points_and_their_open_mesh():
 def test_narrowing_reruns_pass_a_mesh_of_one_point_boxes():
     shapes = []
 
-    def f(points, mesh):
-        shapes.append([x.shape for x in mesh])
-        assert _mesh_points(mesh).tobytes() == points.tobytes()
-        if (points[:, 0] > 0.5).any():
+    def f(level):
+        shapes.append([x.shape for x in level.mesh])
+        assert _mesh_points(level.mesh).tobytes() == level.points.tobytes()
+        if (level.points[:, 0] > 0.5).any():
             raise ValueError("boom")
-        return np.ones(len(points))
+        return np.ones(level.shape[0])
 
     with pytest.raises(EvaluationError) as err:
         grid_min(f, GridSpec.box([(0, 1, 11), (0, 1, 3)]), batched=True)
@@ -305,9 +307,9 @@ def test_narrowing_reruns_pass_a_mesh_of_one_point_boxes():
 def test_coarse_level_matches_gathered_points(axes):
     lo = np.array([[a for a, _, _ in axes]])
     hi = np.array([[b for _, b, _ in axes]])
-    mesh, points = _level(lo, hi, tuple(c for _, _, c in axes))
-    assert points.tobytes() == coarse_points(axes).tobytes()
-    assert _mesh_points(mesh).tobytes() == points.tobytes()
+    level = Level.of_boxes(lo, hi, tuple(c for _, _, c in axes))
+    assert level.points.tobytes() == coarse_points(axes).tobytes()
+    assert _mesh_points(level.mesh).tobytes() == level.points.tobytes()
 
 
 @pytest.mark.parametrize("cells", ["clipped", "degenerate"])
@@ -324,20 +326,106 @@ def test_refinement_level_matches_gathered_points(dims, factor, cells):
     centers = rng.uniform(lo, hi, (40, dims))
     centers[:4], centers[4:8] = lo, hi
     half = (hi - lo) / 12 if cells == "clipped" else np.zeros(dims)
-    a = np.maximum(lo, centers - half)
-    b = np.minimum(hi, centers + half)
-    same = a == b
-    a = np.where(same, np.maximum(lo, a - 1e-15), a)
-    b = np.where(same, np.minimum(hi, b + 1e-15), b)
+    a, b = _cells(lo, hi, centers, half)
     if cells == "degenerate":
         assert (a[:, 0] < b[:, 0]).all()
         assert dims == 1 or (a[:, 1] == b[:, 1]).all()
     count = 2 * factor + 1
-    mesh, points = _level(a, b, (count,) * dims)
-    assert points.tobytes() == cell_points(a, b, count).tobytes()
-    assert _mesh_points(mesh).tobytes() == points.tobytes()
-    for d, x in enumerate(mesh):
+    level = Level.of_boxes(a, b, (count,) * dims)
+    assert level.points.tobytes() == cell_points(a, b, count).tobytes()
+    assert _mesh_points(level.mesh).tobytes() == level.points.tobytes()
+    for d, x in enumerate(level.mesh):
         assert x.shape == (40,) + (1,) * d + (count,) + (1,) * (dims - 1 - d)
+
+
+def _cells(lo, hi, centers, half):
+    """Refinement cells as grid_min builds them, clipped at ``lo`` and
+    ``hi``, a degenerate cell widened by 1e-15 on each side."""
+    a = np.maximum(lo, centers - half)
+    b = np.minimum(hi, centers + half)
+    same = a == b
+    return (np.where(same, np.maximum(lo, a - 1e-15), a),
+            np.where(same, np.minimum(hi, b + 1e-15), b))
+
+
+@settings(max_examples=60, deadline=None)
+@given(dims=st.integers(1, 3), kind=st.sampled_from(["coarse", "clipped",
+                                                     "degenerate"]),
+       factor=st.integers(2, 5), seed=st.integers(0, 2**32 - 1))
+def test_level_points_and_coords_match_gathered_points(dims, kind, factor,
+                                                       seed):
+    rng = np.random.default_rng(seed)
+    lo = np.array([-1.0, 16.0, 0.0])[:dims]
+    hi = np.array([1.0, 17.0, 1e-3])[:dims]
+    if kind == "coarse":
+        axes = [(a, b, int(c)) for a, b, c in zip(lo, hi,
+                                                  rng.integers(2, 12, dims))]
+        level = Level.of_boxes(lo[None], hi[None], [c for _, _, c in axes])
+        want = coarse_points(axes)
+    else:
+        centers = rng.uniform(lo, hi, (int(rng.integers(1, 30)), dims))
+        centers[rng.random(len(centers)) < 0.2] = lo  # clipped at both ends
+        half = ((hi - lo) / rng.uniform(4, 40) if kind == "clipped"
+                else np.zeros(dims))
+        a, b = _cells(lo, hi, centers, half)
+        count = 2 * factor + 1
+        level = Level.of_boxes(a, b, (count,) * dims)
+        want = cell_points(a, b, count)
+    n = len(want)
+    picks = rng.integers(0, n, 17)
+    # Coordinates come from the mesh before and after the points are built.
+    coords = [level.coords(picks)] + [level.coords(int(k)) for k in picks]
+    assert level.shape == want.shape
+    assert level.points.tobytes() == want.tobytes()
+    assert coords[0].tobytes() == level.points[picks].tobytes()
+    for k, got in zip(picks, coords[1:]):
+        assert got.tobytes() == level.points[k].tobytes()
+    assert level.coords(np.arange(n)).tobytes() == want.tobytes()
+    # A level of the same points as one-point boxes reads them back.
+    boxes = Level.of_points(want[picks])
+    assert boxes.coords(np.arange(17)).tobytes() == want[picks].tobytes()
+    assert _mesh_points(boxes.mesh).tobytes() == want[picks].tobytes()
+
+
+def test_mesh_margin_leaves_the_level_points_unbuilt():
+    # A separable 2-D margin reads the mesh alone: grid_min reads the argmin
+    # and the refinement centers from the mesh too, so no level stacks its
+    # points, and the certificate is the scalar form's.
+    levels = []
+
+    def f(level):
+        levels.append(level)
+        x, y = level.mesh
+        return (np.sin(3 * x) * np.cos(2 * y) + 1.5).reshape(-1)
+
+    grid = GridSpec.box([(0, 2, 33), (0, 2, 17)], depth=3)
+    cert = grid_min(f, grid, batched=True)
+    assert len(levels) == 4
+    assert all(level._points is None for level in levels)
+    assert cert == grid_min(lambda x, y: math.sin(3 * x) * math.cos(2 * y)
+                            + 1.5, grid)
+
+
+@pytest.mark.parametrize("name", ["isotopy.json", "concordance_bump.json"])
+def test_shipped_runs_stack_no_two_axis_points(tmp_path, monkeypatch, name):
+    # The isotopy path margin and the concordance theta margins read their
+    # levels' meshes; only a one-axis level's points (a view) are read.
+    import json
+
+    from conftest import ROOT
+    from riccicert.cli import run_scenario
+
+    stacked, points = [], Level.points
+
+    def spied(level):
+        if level._points is None:
+            stacked.append(level.shape)
+        return points.fget(level)
+
+    monkeypatch.setattr(Level, "points", property(spied))
+    scenario = json.loads((ROOT / "scenarios" / name).read_text())
+    assert run_scenario(scenario, tmp_path)[0] == 0
+    assert stacked == []
 
 
 def test_grid_spec_validation():
