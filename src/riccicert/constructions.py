@@ -505,6 +505,11 @@ def make_isotopy_target(profile: BoundaryProfile) -> IsotopyTarget:
 def _target_report(profile: BoundaryProfile, k1, nu, cb) -> ConditionReport:
     T, T1, T2 = profile.T, profile.T1, profile.T2
     eta = _INSET_FRAC
+
+    def slope_band(s):
+        d1 = k1.jet(s).d1
+        return np.minimum(-d1, nu * cb + d1)
+
     checks = [
         _check("k1_even_at_0",
                1e-9 - max(abs(k1.jet(0.0).d1), abs(k1.jet(0.0).d3)),
@@ -515,18 +520,15 @@ def _target_report(profile: BoundaryProfile, k1, nu, cb) -> ConditionReport:
         _check("k1_matches_k0_at_T1",
                1e-8 - abs(k1.value(T1) - profile.k.value(T1)),
                "k1(T1) = k0(T1)"),
-    ]
-    # One jet over both check grids, in the order the checks read them:
-    # k1 has no kinks, so its jet and its value pick the same pieces.
-    n = _CHECK_COUNT
-    jet = k1.jet(np.concatenate([np.linspace(0.0, T - eta * T, n),
-                                 np.linspace(eta * T2, T2, n)]))
-    d1 = jet.d1[n:]
-    checks += [
-        _check("k1_concave", np.min(-jet.d2[:n]), "k1'' < 0 on [0, T)"),
-        _check("k1_slope_band_to_T2", np.min(np.minimum(-d1, nu * cb + d1)),
+        _check("k1_concave",
+               _grid_extreme(lambda s: -k1.jet(s).d2, 0.0, T - eta * T),
+               "k1'' < 0 on [0, T)"),
+        _check("k1_slope_band_to_T2",
+               _grid_extreme(slope_band, eta * T2, T2),
                "-nu cos b1 < k1' < 0 on (0, T2]"),
-        _check("k1_positive", np.min(jet.value[:n]), "k1 > 0 before T"),
+        _check("k1_positive",
+               _grid_extreme(lambda s: k1.value(s), 0.0, T - eta * T),
+               "k1 > 0 before T"),
         profile.part.checks["h1_concave_before_T3"],
     ]
     return ConditionReport(tuple(checks))

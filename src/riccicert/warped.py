@@ -354,11 +354,7 @@ class WarpedMetricPath:
                 for r in range(0, len(lams), rows):
                     table[r:r + rows, c:c + cols] = self._sample(
                         at, lams[r:r + rows, None], x[None, c:c + cols]).min_ric()
-            # The points are the broadcast mesh in C order; a lone box with
-            # strictly increasing axes has the table's own order.
-            if len(mesh[0]) == 1 and all((np.diff(m.ravel()) > 0).all()
-                                         for m in mesh):
-                return table.ravel()
+            # The points are the broadcast mesh in C order.
             return table[i.reshape(mesh[0].shape), j.reshape(mesh[1].shape)].ravel()
 
         return grid_min(margin, grid, threshold=threshold,

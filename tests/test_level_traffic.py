@@ -62,7 +62,8 @@ def test_isotopy_levels_and_totals(capsys):
     # Each table holds no more pairs than its level has points, so every
     # level takes the table route. A depth-2 level refines
     # ceil(5% of 20,500) = 1,025 cells, of which only 291 to 335 differ.
-    rows = [line.split() for line in out[2:] if line.startswith("     ")]
+    rows = [r for r in map(str.split, out[2:]) if len(r) == 9 and r[0].isdigit()]
+    assert len(rows) == 36
     assert {row[7] for row in rows} == {"table"}
     deepest = [int(row[8]) for row in rows if row[2] == "2"]
     assert (min(deepest), max(deepest)) == (291, 335)
