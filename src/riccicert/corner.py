@@ -94,9 +94,6 @@ class BiWarp:
     def b_domain(self):
         return self.terms[0][1].domain
 
-    def value(self, a: float, b: float) -> float:
-        return self.bijet(a, b).value
-
     @_pointwise
     def bijet(self, a: float, b: float) -> BiJet:
         fas, gbs = zip(*self.terms)

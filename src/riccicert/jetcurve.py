@@ -1,7 +1,8 @@
 """Piecewise-analytic scalar curves with exact jets through order 3.
 
-A curve is a chain of closed-form pieces (polynomials, trig, exponentials,
-logarithms, and their sums/products/compositions) covering a closed interval.
+A curve is a chain of closed-form pieces (polynomials, sines and cosines,
+logarithms, and their scalings, sums, reciprocals and exponentials)
+covering a closed interval.
 Evaluation returns a :class:`Jet3` -- value and first three derivatives --
 propagated analytically through the expression tree, never by finite
 differences. A float64 array argument gives a :class:`Jet3` of arrays.
@@ -38,14 +39,11 @@ __all__ = [
     "Poly",
     "Cos",
     "Sin",
-    "Exp",
     "Log",
     "Scale",
     "Sum",
-    "Product",
     "Recip",
     "ExpOf",
-    "AffineOf",
     "Jet3Curve",
     "jets",
     "node_from_dict",
@@ -155,16 +153,6 @@ class Jet3:
             self.d1 + other.d1,
             self.d2 + other.d2,
             self.d3 + other.d3,
-        )
-
-    def __mul__(self, other: "Jet3") -> "Jet3":
-        # Leibniz rule through order 3.
-        p, q = self, other
-        return Jet3(
-            p.value * q.value,
-            p.d1 * q.value + p.value * q.d1,
-            p.d2 * q.value + 2.0 * p.d1 * q.d1 + p.value * q.d2,
-            p.d3 * q.value + 3.0 * p.d2 * q.d1 + 3.0 * p.d1 * q.d2 + p.value * q.d3,
         )
 
     def is_finite(self) -> bool:
@@ -290,24 +278,6 @@ class Sin(Node):
 
 
 @dataclass(frozen=True)
-class Exp(Node):
-    """amplitude * exp(rate * x + shift)."""
-
-    amplitude: float
-    rate: float = 1.0
-    shift: float = 0.0
-
-    kind = "exp"
-    cubed = "rate"
-
-    def jet(self, x: float) -> Jet3:
-        b = self.rate
-        u = b * x + self.shift
-        v = self.amplitude * _exp(u)
-        return Jet3(v, b * v, b * b * v, b**3 * v)
-
-
-@dataclass(frozen=True)
 class Log(Node):
     """amplitude * ln(rate * x + shift); requires rate*x + shift > 0."""
 
@@ -359,19 +329,6 @@ class Sum(Node):
 
 
 @dataclass(frozen=True)
-class Product(Node):
-    factors: tuple[Node, ...]
-
-    kind = "product"
-
-    def jet(self, x: float) -> Jet3:
-        out = Jet3(1.0)
-        for f in self.factors:
-            out = out * f.jet(x)
-        return out
-
-
-@dataclass(frozen=True)
 class Recip(Node):
     """1 / arg(x); requires arg(x) != 0."""
 
@@ -413,25 +370,7 @@ class ExpOf(Node):
         )
 
 
-@dataclass(frozen=True)
-class AffineOf(Node):
-    """arg(scale * x + shift): affine reparameterization of any node."""
-
-    arg: Node
-    scale: float
-    shift: float = 0.0
-
-    kind = "affine_of"
-    cubed = "scale"
-
-    def jet(self, x: float) -> Jet3:
-        b = self.scale
-        u = self.arg.jet(b * x + self.shift)
-        return Jet3(u.value, b * u.d1, b * b * u.d2, b**3 * u.d3)
-
-
-_NODE_KINDS = {cls.kind: cls for cls in (Poly, Cos, Sin, Exp, Log, Scale, Sum,
-                                         Product, Recip, ExpOf, AffineOf)}
+_NODE_KINDS = {cls.kind: cls for cls in (Poly, Cos, Sin, Log, Scale, Sum, Recip, ExpOf)}
 
 
 def node_from_dict(d: dict) -> Node:

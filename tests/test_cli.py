@@ -609,13 +609,12 @@ def test_a_jet_whose_cube_overflows_exits_three(tmp_path, capsys, kind):
 
 
 @pytest.mark.parametrize("term", [
-    {"kind": "exp", "amplitude": 1e-300, "shift": 800.0},
     {"kind": "scale", "factor": 1e-300,
      "arg": {"kind": "exp_of", "arg": {"kind": "poly", "coeffs": [800.0]}}},
-], ids=["exp", "exp_of"])
+], ids=["exp_of"])
 def test_a_jet_whose_exp_overflows_exits_three(tmp_path, capsys, term):
-    # Exp.jet and ExpOf.jet took math.exp of a float, which raised
-    # OverflowError and exited 4; the infinite jet is now refused.
+    # ExpOf.jet took math.exp of a float, which raised OverflowError and
+    # exited 4; the infinite jet is now refused.
     scenario = load("curvature_round_sphere.json")
     k = scenario["k"]["pieces"][0]["fn"]
     scenario["k"]["pieces"][0]["fn"] = {"kind": "sum", "terms": [k, term]}
@@ -623,6 +622,23 @@ def test_a_jet_whose_exp_overflows_exits_three(tmp_path, capsys, term):
     path.write_text(json.dumps(scenario))
     assert main([str(path), "--out", str(tmp_path / "out")]) == 3
     assert "non-finite jet at x=0.0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("node", [
+    lambda k: {"kind": "exp", "amplitude": 1.0, "rate": 0.0},
+    lambda k: {"kind": "product", "factors": [k]},
+    lambda k: {"kind": "affine_of", "arg": k, "scale": 1.0},
+], ids=["exp", "product", "affine_of"])
+def test_a_removed_node_kind_exits_two(tmp_path, capsys, node):
+    # exp, product and affine_of were node kinds that no construction
+    # builds; a scenario that names one is refused as any unknown kind.
+    scenario = load("curvature_round_sphere.json")
+    piece = scenario["k"]["pieces"][0]
+    piece["fn"] = node(piece["fn"])
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    assert main([str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "curve node of no known kind" in capsys.readouterr().err
 
 
 def test_grid_depth_override_past_float64_exits_three(tmp_path):

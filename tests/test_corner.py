@@ -20,7 +20,7 @@ from riccicert.corner import (
     glue_face,
 )
 from riccicert.errors import DomainError, EvaluationError, PreconditionError
-from riccicert.jetcurve import Cos, Exp, Jet3Curve, Poly, Sin
+from riccicert.jetcurve import Cos, ExpOf, Jet3Curve, Poly, Sin
 from riccicert.spline import two_stage_smooth
 from riccicert.verify import GridSpec, bisect_param, grid_min
 
@@ -73,7 +73,7 @@ def corner_pair(a_len=0.5, q=0.2, s=0.05, t=0.1, w1=0.2, w2=-0.1, c=1.0 / SQ3):
 def test_flat_face_in_product_coordinates():
     # mu = 1, phi = 0, H = H(b): II_tau = 0, II_Z = H_b / H
     ch = simple_chart("left", Poly((1.0,)), Poly((0.0,)),
-                      [(Poly((1.0,)), Exp(1.0, 0.4))])
+                      [(Poly((1.0,)), ExpOf(Poly((0.0, 0.4))))])
     form = face_second_form(ch, -0.3)
     assert form.II_tau == pytest.approx(0.0, abs=1e-14)
     assert form.II_Z == pytest.approx(0.4, rel=1e-12)
@@ -236,7 +236,8 @@ def test_float_calls_return_python_floats():
     for a in (-0.3, 0.0, 0.15, np.float64(0.4)):
         form = face_second_form(glued, a)
         values = (*form.as_row(), face_profile_hessian(glued, a),
-                  *dataclasses.astuple(glued.H.bijet(a, 0.1)), glued.H.value(a, 0.1))
+                  *dataclasses.astuple(glued.H.bijet(a, 0.1)),
+                  glued.H.bijet(a, 0.1).value)
         assert all(type(v) is float for v in values)
 
 
@@ -261,7 +262,7 @@ def test_profile_hessian_exp_along_sloped_face():
     # H = e^b along b = -a: d^2/ds^2 e^{2 b(s)} with b' = -1/sqrt(2) gives 2
     # (frozen from the FD oracle; the chain rule doubles twice).
     ch = simple_chart("left", Poly((1.0,)), Poly((0.0, -1.0)),
-                      [(Poly((1.0,)), Exp(1.0))])
+                      [(Poly((1.0,)), ExpOf(Poly((0.0, 1.0))))])
     got = face_profile_hessian(ch, 0.0)
     assert got == pytest.approx(2.0, rel=1e-12)
     fd = profile_hessian_fd(lambda a: 1.0, lambda a: -a,
@@ -331,8 +332,8 @@ def test_glue_locality_is_bit_exact():
     for a in np.linspace(0.181, 0.499, 40):
         assert glued.phi.value(a) == right.phi.value(a)
         assert glued.phi.value(-a) == left.phi.value(-a)
-        assert glued.H.value(a, 0.1) == right.H.value(a, 0.1)
-        assert glued.H.value(-a, 0.1) == left.H.value(-a, 0.1)
+        assert glued.H.bijet(a, 0.1).value == right.H.bijet(a, 0.1).value
+        assert glued.H.bijet(-a, 0.1).value == left.H.bijet(-a, 0.1).value
 
 
 def test_glue_mirror_symmetry():
@@ -628,7 +629,7 @@ def test_chart_names_the_first_grid_point_where_h_dips_to_zero():
                                     (Poly((0.25, 1.0, 1.0)), Poly((1.0,))))))
     a, b = (x.ravel() for x in np.meshgrid(
         np.linspace(*rng, 24), np.linspace(*b_rng, 24), indexing="ij"))
-    bad = H.value(a, b) <= 0.0
+    bad = H.bijet(a, b).value <= 0.0
     assert 1 < bad.sum() and not bad[0]
     i = int(np.argmax(bad))
     with pytest.raises(PreconditionError) as err:

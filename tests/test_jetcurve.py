@@ -7,14 +7,11 @@ from hypothesis import given, reject, settings, strategies as st
 
 from riccicert.errors import DomainError, KinkSideRequired, PreconditionError
 from riccicert.jetcurve import (
-    AffineOf,
     Cos,
-    Exp,
     ExpOf,
     Jet3Curve,
     Log,
     Poly,
-    Product,
     Recip,
     Scale,
     Sin,
@@ -89,9 +86,7 @@ def test_piece_mismatch_rejected():
 @pytest.mark.parametrize("make, field", [
     (lambda b: Sin(1.0, b), "frequency"),
     (lambda b: Cos(1.0, b), "frequency"),
-    (lambda b: Exp(1.0, b), "rate"),
     (lambda b: Log(1.0, b, 1.0), "rate"),
-    (lambda b: AffineOf(Poly((1.0,)), b), "scale"),
 ])
 def test_a_parameter_whose_cube_overflows_is_refused(make, field):
     make(-5e102)  # cubes to -1.25e308, in range
@@ -121,23 +116,19 @@ def _leaf(rng):
     if kind == 2:
         return Sin(rng.uniform(0.5, 2), rng.uniform(0.3, 2), rng.uniform(-1, 1))
     if kind == 3:
-        return Exp(rng.uniform(0.5, 1.5), rng.uniform(-0.8, 0.8))
+        return Scale(ExpOf(Poly((0.0, rng.uniform(-0.8, 0.8)))), rng.uniform(0.5, 1.5))
     return Log(rng.uniform(0.5, 1.5), 1.0, rng.uniform(3.0, 5.0))
 
 
 def random_node(rng, depth=2):
     if depth == 0:
         return _leaf(rng)
-    kind = rng.integers(0, 6)
+    kind = rng.integers(0, 4)
     if kind == 0:
         return Sum(tuple(random_node(rng, depth - 1) for _ in range(2)))
     if kind == 1:
-        return Product(tuple(random_node(rng, depth - 1) for _ in range(2)))
-    if kind == 2:
         return Scale(random_node(rng, depth - 1), rng.uniform(-2, 2))
-    if kind == 3:
-        return AffineOf(_leaf(rng), rng.uniform(0.3, 1.5), rng.uniform(-0.3, 0.3))
-    if kind == 4:
+    if kind == 2:
         # keep the inner range small so exp/recip stay tame
         return ExpOf(Scale(_leaf(rng), 0.2))
     return Recip(Sum((Poly((4.0,)), Scale(_leaf(rng), 0.3))))
@@ -158,7 +149,7 @@ def test_jets_match_finite_differences(seed):
 def test_fd_consistency_order_at_least_two():
     # Richardson check: quarter the step, error should drop ~16x (order 4
     # stencil); assert observed order >= 1.9 as the floor.
-    node = Product((Cos(1.3, 1.7, 0.2), Exp(1.0, 0.4)))
+    node = ExpOf(Sum((Cos(1.3, 1.7, 0.2), Poly((0.0, 0.4)))))
     x = 0.37
     exact = node.jet(x).d1
     e1 = abs(fd1(node, x, h=1e-2) - exact)
@@ -175,7 +166,7 @@ def test_fd_consistency_order_at_least_two():
 def test_serialization_round_trip_bit_exact():
     left = Sum((Cos(1.5, 2.0, 0.125), Poly((0.5, -0.25))))
     v = left.jet(0.25).value
-    right = Product((Exp(1.0, 0.5, -0.125), Poly((v,))))  # matches value at 0.25
+    right = Scale(ExpOf(Poly((-0.125, 0.5))), v)  # matches value at 0.25
     curve = Jet3Curve.piecewise(
         [(-1.0, 0.25, left), (0.25, 1.0, right)],
         kinks=[(0.25, 1)],
@@ -187,8 +178,7 @@ def test_serialization_round_trip_bit_exact():
         assert clone.jet(x, side).as_tuple() == curve.jet(x, side).as_tuple()
     # every node kind, each on its own curve
     nodes = (left, right, Log(0.5, 2.0, 3.0), Scale(Sin(1.0, 3.0, 0.5), -2.0),
-             Recip(Poly((2.0, 0.5), 0.125)), ExpOf(Cos(0.25)),
-             AffineOf(Sin(1.5), 0.5, 0.25))
+             Recip(Poly((2.0, 0.5), 0.125)), ExpOf(Cos(0.25)))
     kinds = set()
     for node in nodes:
         curve = Jet3Curve.from_node(node, (-1.0, 1.0))
@@ -243,14 +233,10 @@ _EXACT_KINDS = {
     "cos": lambda rng: Cos(0.7, 2.3, -0.4),
     "sum": lambda rng: Sum((_exact_leaf(rng), _exact_leaf(rng))),
     "scale": lambda rng: Scale(_exact_leaf(rng), rng.uniform(-2, 2)),
-    "product": lambda rng: Product((_exact_leaf(rng), _exact_leaf(rng))),
-    "affine_of": lambda rng: AffineOf(_exact_leaf(rng), rng.uniform(0.3, 1.5),
-                                      rng.uniform(-0.3, 0.3)),
 }
 
 # np.exp, np.log and array ** round differently from math and float **.
 _ULP_KINDS = {
-    "exp": lambda rng: Exp(rng.uniform(0.5, 1.5), rng.uniform(-0.8, 0.8)),
     "log": lambda rng: Log(rng.uniform(0.5, 1.5), 1.0, rng.uniform(3.0, 5.0)),
     "recip": lambda rng: Recip(Sum((Poly((4.0,)), Scale(_exact_leaf(rng), 0.3)))),
     "exp_of": lambda rng: ExpOf(Scale(_exact_leaf(rng), 0.2)),
@@ -296,9 +282,8 @@ def test_a_float_jet_whose_cube_overflows_is_infinite(node, d3):
     assert array.d3.tolist() == [d3]
 
 
-@pytest.mark.parametrize("node", [Exp(1e-300, 1.0, 709.0),
-                                  Scale(ExpOf(Poly((709.0, 1.0))), 1e-300)],
-                         ids=["exp", "exp_of"])
+@pytest.mark.parametrize("node", [Scale(ExpOf(Poly((709.0, 1.0))), 1e-300)],
+                         ids=["exp_of"])
 def test_a_jet_whose_exp_overflows_is_refused_at_the_same_point(node):
     # exp(709 + x) overflows past x = 0.78: math.exp raised OverflowError
     # there, where an array gives inf. Both forms now refuse x = 1.0 alike.

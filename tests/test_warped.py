@@ -1,11 +1,12 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from oracles import ricci_fd, sectional_fd, warped_full_metric, warped_slice_metric
 from riccicert.errors import DomainError, PreconditionError
-from riccicert.jetcurve import AffineOf, Cos, Jet3Curve, Poly, Scale, Sin, Sum
+from riccicert.jetcurve import Cos, Jet3, Jet3Curve, Node, Poly, Scale, Sin, Sum
 from riccicert.verify import GridSpec
 from riccicert.warped import (
     DoublyWarpedMetric,
@@ -176,9 +177,23 @@ def test_ricci_frame_weights_against_fd_oracle(m, n):
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class Affine(Node):
+    """arg(scale * x + shift), with the chain rule through order 3."""
+
+    arg: Node
+    scale: float
+    shift: float = 0.0
+
+    def jet(self, x):
+        b = self.scale
+        u = self.arg.jet(b * x + self.shift)
+        return Jet3(u.value, b * u.d1, b * b * u.d2, b**3 * u.d3)
+
+
 def stretched(curve, c):
     """``c * curve(s / c)`` on the domain scaled by ``c``, piece by piece."""
-    pieces = tuple((a * c, b * c, Scale(AffineOf(node, 1.0 / c), c))
+    pieces = tuple((a * c, b * c, Scale(Affine(node, 1.0 / c), c))
                    for a, b, node in curve.pieces)
     kinks = tuple((x * c, order) for x, order in curve.kinks)
     return Jet3Curve(tuple(x * c for x in curve.domain), pieces, kinks)
@@ -204,8 +219,9 @@ def test_role_swap_symmetry():
     m, n = 3, 4
     g = DoublyWarpedMetric(Jet3Curve.from_node(k, dom),
                            Jet3Curve.from_node(h, dom), m, n)
-    swapped = DoublyWarpedMetric(Jet3Curve.from_node(AffineOf(h, -1.0, 2.0), dom),
-                                 Jet3Curve.from_node(AffineOf(k, -1.0, 2.0), dom),
+    # h and k reflected about s = 1: their jets at 2 - s, odd orders negated
+    swapped = DoublyWarpedMetric(Jet3Curve.from_node(Affine(h, -1.0, 2.0), dom),
+                                 Jet3Curve.from_node(Affine(k, -1.0, 2.0), dom),
                                  n - 1, m + 1)
     for s in (0.3, 1.0, 1.7):
         a = sectional(g, s)
