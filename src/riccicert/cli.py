@@ -141,24 +141,235 @@ def canonical_json(obj, indent=0) -> str:
     return _fmt(obj)
 
 
-_CSV_BLOCK = 4096  # rows per formatted block: bounds the temporary copies
+# Cells per formatted block: bounds every temporary of `_format_cells` to a
+# few tens of KB, so a table's size does not grow the heap.
+_CSV_BLOCK = 2048
+
+_SPLIT = 134217729.0  # 2**27 + 1: Dekker's splitter
+_ASCII = 0x3030303030303030
+_E8, _E16, _E17 = 10 ** 8, 10 ** 16, 10 ** 17
+_NO_DOT = 18  # dot position meaning "no dot"
+_X0 = 330  # table row of the decimal exponent X is X + _X0
+
+
+def _pow10(p: int):
+    """10**p as a double-double: hi correctly rounded, lo its rounded rest."""
+    if p >= 0:
+        hi = float(10 ** p)
+        return hi, float(10 ** p - int(hi))
+    den = 10 ** -p
+    hi = 1 / den
+    m, d = hi.as_integer_ratio()
+    return hi, (d - m * den) / (d * den)
+
+
+def _byte_words(mask: int):
+    """The 24-byte integer ``mask`` as words 1-3 of a cell slot's four
+    uint64 words; word 0 (separator, sign, lead) is left clear."""
+    return [0] + [(mask >> 64 * w) & 0xFFFFFFFFFFFFFFFF for w in range(3)]
+
+
+class _DecimalTables:
+    """Per-exponent constants of ``_format_cells``, built on first use:
+    10**(16 - X) split for Dekker's product, and the lead ``0.000`` of
+    fixed form, the ``e±XX`` tail of exponent form and the dot position of
+    each X; plus the digit-field masks per (significant digits, dot)."""
+
+    def __init__(self):
+        self.lo = self.hi = None
+
+    def _build(self):
+        rows = 2 * _X0 + 1
+        self.scale = np.zeros((4, rows))  # hi, hi's split halves, lo
+        self.lead, self.tail, self.dot_at = np.zeros((3, rows), np.int64)
+        keep_d, keep_s, dot = [], [], []
+        for sig in range(18):
+            for at in range(_NO_DOT + 1):
+                # Digits kept: the significant ones and, in fixed form, the
+                # integer part's zeros; a dot only before a kept digit.
+                keep = sig if at == _NO_DOT else max(sig, at)
+                k = at if sig > at else _NO_DOT
+                keep_d.append(_byte_words((1 << 8 * min(k, keep)) - 1))
+                keep_s.append(_byte_words((1 << 8 * (keep + 1)) - (1 << 8 * (k + 1))
+                                          if k < keep else 0))
+                dot.append(_byte_words(0x2E << 8 * k if k < _NO_DOT else 0))
+        self.keep_d, self.keep_s, self.dot = (np.array(t, np.uint64)
+                                              for t in (keep_d, keep_s, dot))
+        self.lo, self.hi = _X0 + 1, _X0  # the rows filled: none yet
+
+    def ensure(self, rows):
+        """Fill every row from two below ``rows.min()`` to two above its
+        max, so that a decade or carry correction stays inside the table."""
+        if self.lo is None:
+            self._build()
+        lo = min(int(rows.min()) - 2, self.lo)
+        hi = max(int(rows.max()) + 2, self.hi)
+        if lo == self.lo and hi == self.hi:
+            return
+        for r in range(lo, hi + 1):
+            if self.lo <= r <= self.hi:
+                continue
+            x = r - _X0
+            hi_p, lo_p = _pow10(16 - x)
+            c = _SPLIT * hi_p
+            h = c - (c - hi_p)
+            self.scale[:, r] = hi_p, h, hi_p - h, lo_p
+            if 0 <= x < 17:
+                self.dot_at[r] = x + 1
+            elif -4 <= x < 0:
+                self.lead[r] = int.from_bytes(b"0.000"[:1 - x], "little") << 24
+                self.dot_at[r] = _NO_DOT
+            else:
+                self.tail[r] = int.from_bytes(b"e%+03d" % x, "little") << 16
+                self.dot_at[r] = 1
+        self.lo, self.hi = lo, hi
+
+
+_TABLES = _DecimalTables()
+
+
+def _scaled(a, rows):
+    """``a * 10**(16 - X)`` as (integer part, fraction): Dekker's exact
+    product with the table's hi, plus ``a * lo``; the error is about 1e-14."""
+    hi, hh, hl, lo = (t.take(rows) for t in _TABLES.scale)
+    c = a * _SPLIT
+    ah = c - (c - a)
+    al = a - ah
+    p = a * hi
+    r = ah * hh
+    r -= p
+    r += ah * hl
+    r += al * hh
+    r += al * hl
+    r += a * lo
+    whole = np.floor(r)
+    r -= whole
+    i = p.astype(np.int64)
+    i += whole.astype(np.int64)
+    return i, r
+
+
+def _format_cells(v, seps) -> bytes:
+    """The cells ``v`` (flat float64), each led by its separator word in
+    ``seps``, as the bytes of ``format(x, ".17g")``.
+
+    Each cell fills a 32-byte slot (separator, sign, lead; 17 digits and a
+    dot; tail) whose unused bytes are NUL, and one ``bytes.translate``
+    drops them. The 17-digit integer is rounded from a double-double
+    product; a cell whose fraction lies within 1e-6 of 1/2, whose
+    magnitude lies outside [1e-280, 1e280] or that is not finite is
+    formatted by Python's ``%.17g`` instead."""
+    t = _TABLES
+    n = len(v)
+    a = np.abs(v)
+    fast = a >= 1e-280
+    fast &= a <= 1e280
+    a = np.where(fast, a, 1.0)
+    rows = np.floor(np.log10(a)).astype(np.intp)
+    rows += _X0
+    t.ensure(rows)
+    i, f = _scaled(a, rows)
+    # log10 can land one decade off next to a power of ten.
+    off = (i - _E16).view(np.uint64) >= _E17 - _E16
+    if off.any():
+        w = np.flatnonzero(off)
+        rows[w] += np.where(i[w] < _E16, -1, 1)
+        i[w], f[w] = _scaled(a[w], rows[w])
+    i += f > 0.5
+    f -= 0.5
+    fast &= np.abs(f) > 1e-6
+    carry = i == _E17
+    if carry.any():
+        i[carry] = _E16
+        rows[carry] += 1
+    zero = v == 0.0
+    if zero.any():
+        i[zero] = 0
+        fast |= zero
+    # The leading digit, then digits 2-9 and 10-17 as ASCII bytes, eight to
+    # a uint64: split in 32-, 16- and 8-bit lanes by multiply-shift division.
+    hi9 = i // _E8
+    x = np.empty((2, n), np.uint64)
+    np.subtract(i, hi9 * _E8, out=x[1].view(np.int64))
+    d0 = hi9 // _E8
+    np.subtract(hi9, d0 * _E8, out=x[0].view(np.int64))
+    q = x * 109951163
+    q >>= 40
+    x <<= 32
+    x -= q * ((10000 << 32) - 1)
+    q = x * 5243
+    q >>= 19
+    q &= 0x0000007F0000007F
+    x <<= 16
+    x -= q * ((100 << 16) - 1)
+    q = x * 103
+    q >>= 10
+    q &= 0x000F000F000F000F
+    x <<= 8
+    x -= q * ((10 << 8) - 1)
+    mid, low = x
+    # Significant digits from the top nonzero byte of each word, read off
+    # the exponent of the word converted to float.
+    top = x.astype(np.float64).view(np.int64)
+    top += 1 << 52
+    top >>= 55
+    sig = np.maximum(top[0] - 126, top[1] - 118)
+    np.maximum(sig, 1, out=sig)
+    sig *= _NO_DOT + 1
+    sig += t.dot_at.take(rows)
+    # Slot words 1-3 hold the digits; `s` is them one byte later, so the
+    # masks take the digits before the dot from `d` and the rest from `s`.
+    d = np.empty((n, 4), np.uint64)
+    d[:, 0] = 0
+    np.left_shift(mid, 8, out=d[:, 1])
+    d[:, 1] |= d0.view(np.uint64)
+    np.right_shift(mid, 56, out=d[:, 2])
+    d[:, 2] |= low << 8
+    np.right_shift(low, 56, out=d[:, 3])
+    d |= _ASCII
+    s = d << 8
+    s[:, 2] |= d[:, 1] >> 56
+    s[:, 3] |= d[:, 2] >> 56
+    d &= t.keep_d.take(sig, axis=0)
+    s &= t.keep_s.take(sig, axis=0)
+    d |= s
+    d |= t.dot.take(sig, axis=0)
+    d[:, 3] |= t.tail.take(rows).view(np.uint64)
+    w0 = np.signbit(v) * (0x2D << 16)
+    w0 |= t.lead.take(rows)
+    w0 |= seps
+    d[:, 0] = w0
+    if not fast.all():
+        slow = np.flatnonzero(~fast)
+        slots = d.view(np.uint8)
+        slots[slow, 2:] = 0
+        slots[slow, 2:26] = np.array(
+            [b"%.17g" % c for c in v[slow].tolist()], "S24").view(np.uint8).reshape(-1, 24)
+    return d.astype("<u8", copy=False).tobytes().translate(None, b"\0")
 
 
 def _write_csv(path: Path, header, columns):
-    """Write equal-length float ``columns`` under ``header``: ``%.17g`` cells,
-    comma separators, CRLF line ends and no quoting, which are the bytes that
-    ``csv.writer`` writes for rows of ``format(float(v), ".17g")`` cells."""
+    """Write equal-length float ``columns`` under ``header``: comma
+    separators, CRLF line ends, no quoting, and cells that are byte for
+    byte ``format(float(v), ".17g")``, the bytes of ``csv.writer`` rows
+    (``tests/oracles.py::write_csv_rows``). Cells are formatted in numpy
+    (see :func:`_format_cells`); ties, magnitudes outside [1e-280, 1e280]
+    and non-finite cells fall back to Python's ``%.17g``."""
     columns = [np.asarray(c, dtype=float) for c in columns]
     nrows = len(columns[0])
     if len(header) != len(columns) or any(len(c) != nrows for c in columns):
         raise ValueError(f"CSV {path.name}: {len(header)} header names for "
                          f"columns of lengths {[len(c) for c in columns]}")
-    row = ",".join(["%.17g"] * len(columns)) + "\r\n"
-    with path.open("w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        for i in range(0, nrows, _CSV_BLOCK):
-            block = np.column_stack([c[i:i + _CSV_BLOCK] for c in columns])
-            fh.write(row * len(block) % tuple(block.ravel().tolist()))
+    step = max(1, _CSV_BLOCK // len(columns))
+    # Each cell carries the separator before it: CRLF ends the previous line.
+    seps = np.tile(np.array([0x0A0D] + [0x2C] * (len(columns) - 1), np.int64),
+                   min(step, nrows))
+    with path.open("wb") as fh:
+        fh.write(",".join(header).encode())
+        for i in range(0, nrows, step):
+            cells = np.column_stack([c[i:i + step] for c in columns]).reshape(-1)
+            fh.write(_format_cells(cells, seps[:len(cells)]))
+        fh.write(b"\r\n")
 
 
 # ---------------------------------------------------------------------------

@@ -836,7 +836,9 @@ def concordance_search(path: RoundRadiusPath, nu: float, *, t_count: int = 160,
             t0 *= 2.0
             continue
         certs = {}
-        # A doubling stops at its first failing certificate.
+        # A doubling stops at its first failing certificate, and that
+        # certificate at its first failing scan level: a failing doubling's
+        # certificates are discarded.
         for side, th_lo, th_hi in (("below", 0.0, theta0),
                                    ("above", theta0, 0.5 * math.pi)):
             certs[f"ricci_theta_{side}"] = grid_min(
@@ -846,7 +848,7 @@ def concordance_search(path: RoundRadiusPath, nu: float, *, t_count: int = 160,
                 GridSpec.box([(th_lo, th_hi, theta_count), (ell, 2.0 * ell, t_count)],
                              depth=cert_depth),
                 threshold=threshold, quantity_id=f"ricci_bound_theta_{side}_t2norm",
-                batched=True)
+                batched=True, stop_at_failure=True)
             if not certs[f"ricci_theta_{side}"].passed:
                 break
         else:

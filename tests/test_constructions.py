@@ -628,9 +628,9 @@ def test_batched_concordance_margins_match_per_point_reference(monkeypatch):
         assert np.all(np.abs(values - ref) <= tol), qid
     assert kinds == {"path_min_ricci", "ricci_bound_theta_below_t2norm",
                      "ricci_bound_theta_above_t2norm"}
-    # Two levels each: the first t0 probe stops at its failing below-theta
-    # side, and the next passes both sides.
-    assert ricci_levels == 6
+    # The first t0 probe's below-theta side fails at its coarse level and
+    # stops there; the next probe passes both sides, two levels each.
+    assert ricci_levels == 5
 
 
 @pytest.mark.parametrize("amplitude,max_doublings,gated", [
@@ -1158,3 +1158,28 @@ def test_path_margin_error_names_the_first_failing_point_in_scan_order(
     with pytest.raises(EvaluationError) as err:
         _evaluate(_path_margin(path), Level.of_points(pts), True)
     assert err.value.coords == (0.5, T + 1.0)
+
+
+def test_concordance_doubling_stops_at_its_first_failing_level(tmp_path,
+                                                               monkeypatch):
+    # The shipped run scans the path certificate (1 level), then one
+    # doubling whose first certificate fails at its coarse level, then the
+    # two theta regimes of the passing doubling at depth 1 (2 levels each):
+    # 6 levels. Scanning the failing certificate's refinement level too
+    # made 7.
+    import riccicert.verify as verify
+    from riccicert.cli import run_scenario
+
+    levels = []
+    evaluate = verify._evaluate
+
+    def counted(f, level, batched):
+        levels.append(level.shape[0])
+        return evaluate(f, level, batched)
+
+    monkeypatch.setattr(verify, "_evaluate", counted)
+    scenario = json.loads((Path(__file__).resolve().parent.parent
+                           / "scenarios" / "concordance_bump.json").read_text())
+    code, _ = run_scenario(scenario, tmp_path)
+    assert code == 0
+    assert len(levels) == 6

@@ -27,19 +27,20 @@ def test_glue_corner_levels_and_totals(capsys):
 
 
 def test_concordance_refinement_axis_values(capsys):
-    # Three depth-1 certificates (the first t0 probe stops at its failing
-    # below-theta side; the next passes both sides); each refinement level
-    # has 384 cells of 9 x 9 points, so a separable margin takes
-    # 384 * (9 + 9) = 6,912 axis values where 31,104 points repeat.
+    # Three depth-1 certificates: the first t0 probe's below-theta side
+    # fails at its coarse level and stops there; the next probe passes both
+    # sides. Each of their two refinement levels has 384 cells of 9 x 9
+    # points, so a separable margin takes 384 * (9 + 9) = 6,912 axis values
+    # where 31,104 points repeat.
     scenario = _ROOT / "scenarios" / "concordance_bump.json"
     assert level_traffic.main(["level_traffic.py", str(scenario)]) == 0
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "concordance_bump.json (exit 0)"
-    assert ("  refinement total: 93,312 points -> 36,414 distinct"
-            " -> 20,736 axis values" in out)
+    assert ("  refinement total: 62,208 points -> 23,550 distinct"
+            " -> 13,824 axis values" in out)
     # The theta margins are not path margins, so no level has a route; the
     # 384 cells of each refinement level are distinct.
-    assert ("  refined cells: 1,152 -> 1,152 distinct; 0 of 0 path levels"
+    assert ("  refined cells: 768 -> 768 distinct; 0 of 0 path levels"
             " take the point route" in out)
 
 
