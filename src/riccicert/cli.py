@@ -492,6 +492,10 @@ def _run_isotopy(p, ctx):
     R, m, n, b1, threshold = p["R"], p["m"], p["n"], p["b1"], p["threshold"]
     lam_count, s_count = p["grid"]["lambda_count"], p["grid"]["s_count"]
     depth, factor = ctx.depth(p["grid"]["depth"]), p["grid"]["factor"]
+    if n < 3:
+        raise PreconditionError(
+            f"isotopy needs n >= 3, got n = {n}: beyond T3 h is identically R, "
+            "so Ric_h = (n - 2)/R^2 is not positive there")
     # The nu-free half of the profile is built once, for every probe.
     part = cons.make_profile_h(R)
 

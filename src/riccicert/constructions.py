@@ -711,8 +711,6 @@ def estimate_C(path: RoundRadiusPath, grid: GridSpec) -> float:
 
 # Doublings of t0 (from 4) before the concordance search gives up.
 _MAX_DOUBLINGS = 400
-# Doublings whose coarse Ricci gates are computed in one array pass.
-_GATE_BLOCK = 32
 
 
 def concordance_search(path: RoundRadiusPath, nu: float, *, t_count: int = 160,
@@ -804,37 +802,28 @@ def concordance_search(path: RoundRadiusPath, nu: float, *, t_count: int = 160,
             f"fails at theta -> 0 (n = {n}, C = {C:.3e}, r0 = {r0:.3e})")
     theta0 = bisect_param(split_ok, 1e-9, 0.5 * math.pi - 1e-9, tol=1e-6)
 
-    # Cheap gate before running the full certificates: the margins are
-    # smooth in (theta, ln t), so a thin 25 x 33 grid finds the right
-    # doubling. Its theta factors do not depend on t0, and the gates of a
-    # block of doublings are computed in one array pass; every operation is
-    # elementwise, so each row has the bits of its own gate.
-    gate_theta = theta_factors(np.linspace(0.0, 0.5 * math.pi, 25)[:, None])
-
-    def coarse_mins(t0s):
-        ells = np.array([math.log(t) for t in t0s])
-        terms = ell_terms(ells[:, None])
-        u = np.linspace(ells, 2.0 * ells, 33, axis=-1)
-        factors = [f[:, None, :] for f in u_factors(u, terms)]
-        return np.min(bound(gate_theta, factors), axis=(1, 2)).tolist()
-
-    t0 = 4.0
-    # One row per doubling: t0, both end margins, and the coarse Ricci
-    # minimum (None when an end margin failed first).
-    trace = []
-    for i in range(_MAX_DOUBLINGS):
-        if i % _GATE_BLOCK == 0:
-            gates = coarse_mins([t0 * 2.0**j for j in
-                                 range(min(_GATE_BLOCK, _MAX_DOUBLINGS - i))])
-        ell = math.log(t0)
-        margin_t0 = nu - r1 * (1.0 + 2.0 * (L + C) / ell)
-        margin_t1 = 1.0 + (L - C) / (2.0 * ell)
-        gate = (gates[i % _GATE_BLOCK]
-                if margin_t0 > threshold and margin_t1 > threshold else None)
-        trace.append((t0, margin_t0, margin_t1, gate))
-        if gate is None or not gate > threshold:
-            t0 *= 2.0
-            continue
+    # Both end margins and a cheap Ricci gate of every doubling, as arrays,
+    # before any certificate runs. The gate is the least over 33 u in
+    # [ell, 2 ell] of the bound's exact minimum over theta in [0, pi/2]:
+    # with phi = 2 theta the bound is c + A cos phi - b_mixed sin phi, where
+    # c and A are the half sum and half difference of b_time and b_space,
+    # and b_mixed > 0 puts the minimum c - sqrt(A^2 + b_mixed^2) inside the
+    # range. Chunks of 40 doublings keep the temporaries small.
+    t0s = [4.0 * 2.0**i for i in range(_MAX_DOUBLINGS)]
+    ells = np.array([math.log(t) for t in t0s])
+    margins_t0 = nu - r1 * (1.0 + 2.0 * (L + C) / ells)
+    margins_t1 = 1.0 + (L - C) / (2.0 * ells)
+    gates = []
+    for chunk in np.split(ells, range(40, _MAX_DOUBLINGS, 40)):
+        b_time, b_mixed, b_space = u_factors(
+            np.linspace(chunk, 2.0 * chunk, 33, axis=-1), ell_terms(chunk[:, None]))
+        half_diff = 0.5 * (b_time - b_space)
+        gates.append(np.min(0.5 * (b_time + b_space)
+                            - np.sqrt(half_diff * half_diff + b_mixed * b_mixed), axis=1))
+    gates = np.concatenate(gates)
+    cleared = (margins_t0 > threshold) & (margins_t1 > threshold) & (gates > threshold)
+    for i in np.flatnonzero(cleared).tolist():
+        t0, ell = t0s[i], float(ells[i])
         certs = {}
         # A doubling stops at its first failing certificate, and that
         # certificate at its first failing scan level: a failing doubling's
@@ -856,14 +845,18 @@ def concordance_search(path: RoundRadiusPath, nu: float, *, t_count: int = 160,
                                        nu=nu, C=C)
             certs["path_ricci"] = path_cert
             boundary = {
-                "t0_end_margin": margin_t0,
+                "t0_end_margin": float(margins_t0[i]),
                 "t0_end_requirement": "principal curvatures > -nu after scaling",
-                "t1_end_margin": margin_t1,
+                "t1_end_margin": float(margins_t1[i]),
                 "t1_end_requirement": "principal curvatures > 0 (t^2-normalized)",
                 "theta0": theta0,
             }
             return params, certs, boundary
-        t0 *= 2.0
+    # One row per doubling: t0, both end margins, and the gate (None where
+    # an end margin failed first).
+    trace = [(t0, m0, m1, gate if m0 > threshold and m1 > threshold else None)
+             for t0, m0, m1, gate in zip(t0s, margins_t0.tolist(),
+                                         margins_t1.tolist(), gates.tolist())]
     _, margin_t0, margin_t1, gate = trace[-1]
     failed = ("an end margin" if gate is None
               else "the coarse Ricci gate" if not gate > threshold

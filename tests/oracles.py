@@ -12,9 +12,11 @@ array jet, whose bits the fused polynomial pass must keep.
 places a dive's bump center. ``write_csv_rows`` is the row-by-row reference
 for the CLI's CSV bytes. ``coarse_points`` and ``cell_points`` build a scan
 level's points by gathering from the axis coordinates, the reference for
-``grid_min``'s open meshes; ``concordance_bounds_at`` and
-``concordance_gate`` are the per-point concordance bound and its meshgrid
-gate, the reference for the separable bound.
+``grid_min``'s open meshes; ``concordance_bounds_at`` is the per-point
+concordance bound, the reference for the separable bound, and
+``concordance_gate`` the reference for the search's exact-in-theta gate,
+which is never above ``concordance_meshgrid_gate``, the sampled gate it
+replaced.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from __future__ import annotations
 import csv
 
 import numpy as np
+from scipy.optimize import minimize_scalar
 
 from riccicert.errors import ConditionError, KinkSideRequired
 from riccicert.jetcurve import Jet3, Poly
@@ -336,9 +339,38 @@ def concordance_bounds_at(theta, u, ell, *, n, r1, L, C, sec_min):
 
 
 def concordance_gate(ell, **constants):
-    """The coarse Ricci gate of the concordance search at ``ell = ln t0``:
-    the least bound on a 25 x 33 ``np.meshgrid`` of (theta, u), with the
-    terms of ``ell`` squared on arrays, as the search squares them."""
+    """The concordance search's Ricci gate at ``ell = ln t0``, found without
+    the closed form of its theta minimum: the least over 33 u in
+    [ell, 2 ell] of the bound's minimum over theta in [0, pi/2].
+
+    In theta the bound is c - R cos(2 theta - phi) with R >= 0 and phi in
+    [0, pi], so it is unimodal on [0, pi/2], and R is at most the spread of
+    its values there. At each u a 129-point theta scan brackets the minimum
+    between the scan points next to its argmin; a second, 513-point scan of
+    that bracket comes within R step**2 / 2 of it. Every u whose second
+    scan, less ``spread * step**2``, reaches the least of all is refined by
+    a bounded scalar minimiser on its bracket."""
+    u = np.linspace(ell, 2.0 * ell, 33)
+    theta = np.linspace(0.0, 0.5 * np.pi, 129)
+    scan = concordance_bounds_at(theta[:, None], u, ell, **constants)
+    k = np.argmin(scan, axis=0)
+    lo, hi = theta[np.maximum(k - 1, 0)], theta[np.minimum(k + 1, 128)]
+    near = concordance_bounds_at(np.linspace(lo, hi, 513), u, ell, **constants)
+    lows = near.min(axis=0)
+    best = float(lows.min())
+    slack = np.ptp(scan, axis=0) * ((hi - lo) / 512) ** 2
+    for j in np.flatnonzero(lows - slack <= best):
+        found = minimize_scalar(
+            lambda t: float(concordance_bounds_at(t, u[j], ell, **constants)),
+            bounds=(lo[j], hi[j]), method="bounded", options={"xatol": 1e-10})
+        best = min(best, float(found.fun))
+    return best
+
+
+def concordance_meshgrid_gate(ell, **constants):
+    """The gate the search took before it was exact in theta: the least
+    bound on a 25 x 33 ``np.meshgrid`` of (theta, u). Sampling theta can
+    only miss the minimum, so the exact gate is never above it."""
     th, u = np.meshgrid(np.linspace(0.0, 0.5 * np.pi, 25),
                         np.linspace(ell, 2.0 * ell, 33), indexing="ij")
     return float(np.min(concordance_bounds_at(th, u, np.array([ell]), **constants)))

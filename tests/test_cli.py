@@ -120,18 +120,34 @@ def test_isotopy_with_an_invalid_R_exits_three_with_its_own_message(tmp_path, nu
 
 
 def test_isotopy_search_without_a_crossing_names_why_each_end_failed(tmp_path):
-    # With n = 2 the h-fiber term of Ric_h vanishes: the low end fails its
-    # stage-1 certificate at margin 0, and the high end fails synthesis.
-    code, report = run_scenario({**load("isotopy.json"), "n": 2}, tmp_path)
+    # No stage-1 margin reaches a threshold of 10: the low end fails its
+    # stage-1 certificate, and the high end fails synthesis.
+    code, report = run_scenario({**load("isotopy.json"), "threshold": 10.0},
+                                tmp_path)
     assert code == 3
     assert report["error"]["kind"] == "SearchError"
     message = report["error"]["message"]
-    assert message.startswith(
-        "predicate agrees at both endpoints (0.0001: False, 0.2: False); no "
-        "crossing (at 0.0001: stage1_min_ricci failed with min_margin 0.0 at "
-        "(0.0, ")
-    assert "; at 0.2: k1 dive: dive does not fit (residual " in message
+    assert re.match(
+        r"predicate agrees at both endpoints \(0\.0001: False, 0\.2: False\); "
+        r"no crossing \(at 0\.0001: stage1_min_ricci failed with min_margin "
+        r"\S+ at \(1\.0, \S+\); at 0\.2: k1 dive: dive does not fit \(residual ",
+        message)
     assert message.endswith("the value pin exceeds the room left after T2)")
+
+
+@pytest.mark.parametrize("nu", [None, 0.02])
+def test_isotopy_refuses_n_below_3_before_any_synthesis(tmp_path, monkeypatch,
+                                                        nu):
+    # Beyond T3 h is identically R, so Ric_h = (n - 2)/R^2 vanishes there at
+    # n = 2: a nu search and an explicit nu are both refused up front.
+    monkeypatch.setattr(cons, "make_profile_h", None)
+    code, report = run_scenario({**load("isotopy.json"), "n": 2, "nu": nu},
+                                tmp_path)
+    assert code == 3
+    assert report["error"] == {
+        "kind": "PreconditionError",
+        "message": "isotopy needs n >= 3, got n = 2: beyond T3 h is identically "
+                   "R, so Ric_h = (n - 2)/R^2 is not positive there"}
 
 
 @pytest.mark.parametrize("threshold, why", [

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import (_jet_safe, bisect_dive_center, concordance_bounds_at,
-                     concordance_gate, sectional_fd)
+                     concordance_gate, concordance_meshgrid_gate,
+                     sectional_fd)
 import riccicert.constructions as cons
 import riccicert.warped as warped
 from riccicert.constructions import (
@@ -536,6 +537,22 @@ def test_doubling_trace_records_the_coarse_gate_where_it_ran():
         assert gate is None or gate <= 1e-6
 
 
+def test_gate_refuses_a_doubling_whose_sampled_certificates_pass_falsely():
+    # At amplitude 0.25 and n = 2, t0 = 2**342 cleared the 25 x 33 sampled
+    # gate, and its theta-sampled certificates passed (min 8.4e-6), but the
+    # bound's exact theta minimum at the t0 end is -4.7e-5. The exact gate
+    # refuses it, and the next doubling is certified.
+    node = Sum((Poly((1.0,)), Sin(0.25, math.pi)))
+    path = RoundRadiusPath(Jet3Curve.from_node(node, (0.0, 1.0)), 2)
+    params, certs, _ = concordance_search(path, nu=0.05)
+    assert params.t0 == 2.0**343
+    assert all(cert.passed for cert in certs.values())
+    consts = _concordance_constants(path, 0.05)
+    ell = math.log(2.0**342)
+    assert concordance_meshgrid_gate(ell, **consts) > 1e-6
+    assert concordance_gate(ell, **consts) < -4e-5
+
+
 def test_search_rejects_nu_edge_cases():
     with pytest.raises(PreconditionError):
         concordance_search(bump_path(), nu=0.0)
@@ -628,9 +645,8 @@ def test_batched_concordance_margins_match_per_point_reference(monkeypatch):
         assert np.all(np.abs(values - ref) <= tol), qid
     assert kinds == {"path_min_ricci", "ricci_bound_theta_below_t2norm",
                      "ricci_bound_theta_above_t2norm"}
-    # The first t0 probe's below-theta side fails at its coarse level and
-    # stops there; the next probe passes both sides, two levels each.
-    assert ricci_levels == 5
+    # The first t0 probe the gate clears passes both sides, two levels each.
+    assert ricci_levels == 4
 
 
 @pytest.mark.parametrize("amplitude,max_doublings,gated", [
@@ -640,13 +656,11 @@ def test_coarse_gate_is_bitwise_the_meshgrid_gate(monkeypatch, amplitude,
                                                   max_doublings, gated):
     # The shipped search (amplitude 0.1) needs 104 doublings; stopped
     # earlier, its trace holds the gate of every doubling whose end margins
-    # held. Its limits end a gate block after its first row, at a block
-    # edge, and inside one. Amplitudes 0.3 and -0.3 run out of all 400
-    # doublings, so the last block holds 16 rows, and no row raises or
-    # warns. At -0.05 (certified at t0 = 4 * 2**55) a float's power of
-    # inv_b + C inv_a or inv_a + inv_b rounds otherwise than the array
-    # square at t0 = 4 * 2**8, 4 * 2**18 and 4 * 2**38; the gate and its
-    # reference both square on arrays.
+    # held. Its limits stop it after the first doubling, and after 33, 64
+    # and 100, so the gates are cut from the first of their 40-doubling
+    # chunks, the second and the third. Amplitudes 0.3 and -0.3 run out of
+    # all 400 doublings, and no row raises or warns. -0.05 is certified
+    # only at t0 = 4 * 2**55, past its limit of 50 doublings.
     monkeypatch.setattr(cons, "_MAX_DOUBLINGS", max_doublings)
     node = Sum((Poly((1.0,)), Sin(amplitude, math.pi)))
     path = RoundRadiusPath(Jet3Curve.from_node(node, (0.0, 1.0)), 3)
@@ -663,7 +677,14 @@ def test_coarse_gate_is_bitwise_the_meshgrid_gate(monkeypatch, amplitude,
     assert len(gates) == gated
     consts = _concordance_constants(path, 0.05)
     for t0, gate in gates:
-        assert gate.hex() == concordance_gate(math.log(t0), **consts).hex()
+        ell = math.log(t0)
+        # The closed-form theta minimum and the refined scan agree to 1e-12:
+        # in these 989 rows the bound's minimum is a difference of terms of
+        # order 1e3, so each side carries rounding of a few 1e-13 (3.8e-13
+        # at most). Theta sampling can only miss the minimum, so the gate
+        # is never above the sampled one.
+        assert abs(gate - concordance_gate(ell, **consts)) <= 1e-12
+        assert gate <= concordance_meshgrid_gate(ell, **consts)
 
 
 def test_concordance_scaled_slices(profile=None):
@@ -1160,26 +1181,36 @@ def test_path_margin_error_names_the_first_failing_point_in_scan_order(
     assert err.value.coords == (0.5, T + 1.0)
 
 
-def test_concordance_doubling_stops_at_its_first_failing_level(tmp_path,
-                                                               monkeypatch):
-    # The shipped run scans the path certificate (1 level), then one
-    # doubling whose first certificate fails at its coarse level, then the
-    # two theta regimes of the passing doubling at depth 1 (2 levels each):
-    # 6 levels. Scanning the failing certificate's refinement level too
-    # made 7.
+def test_concordance_doubling_stops_at_its_first_failing_level(monkeypatch):
+    # The gate clears no doubling of the shipped search that then fails a
+    # certificate, so a spy fails the first Ricci certificate by lowering
+    # its margins by 1e3. That certificate stops at its coarse level, the
+    # doubling's second certificate never runs, and the next doubling is
+    # certified, both theta regimes at depth 1 (2 levels each).
     import riccicert.verify as verify
-    from riccicert.cli import run_scenario
 
-    levels = []
+    shipped, _, _ = concordance_search(bump_path(), nu=0.05)
+    levels, calls = [], []
     evaluate = verify._evaluate
 
     def counted(f, level, batched):
         levels.append(level.shape[0])
         return evaluate(f, level, batched)
 
+    def spy(f, grid, **kw):
+        calls.append((kw["quantity_id"], grid.axes[-1][0]))
+        if len(calls) == 2:
+            return grid_min(lambda level: f(level) - 1e3, grid, **kw)
+        return grid_min(f, grid, **kw)
+
     monkeypatch.setattr(verify, "_evaluate", counted)
-    scenario = json.loads((Path(__file__).resolve().parent.parent
-                           / "scenarios" / "concordance_bump.json").read_text())
-    code, _ = run_scenario(scenario, tmp_path)
-    assert code == 0
-    assert len(levels) == 6
+    monkeypatch.setattr(cons, "grid_min", spy)
+    params, certs, _ = concordance_search(bump_path(), nu=0.05)
+    failed, certified = math.log(shipped.t0), math.log(2.0 * shipped.t0)
+    assert calls == [("path_min_ricci", 0.0),
+                     ("ricci_bound_theta_below_t2norm", failed),
+                     ("ricci_bound_theta_below_t2norm", certified),
+                     ("ricci_bound_theta_above_t2norm", certified)]
+    assert levels == [257, 7680, 7680, 31104, 7680, 31104]
+    assert params.t0 == 2.0 * shipped.t0
+    assert all(cert.passed for cert in certs.values())

@@ -27,11 +27,10 @@ def test_glue_corner_levels_and_totals(capsys):
 
 
 def test_concordance_refinement_axis_values(capsys):
-    # Three depth-1 certificates: the first t0 probe's below-theta side
-    # fails at its coarse level and stops there; the next probe passes both
-    # sides. Each of their two refinement levels has 384 cells of 9 x 9
-    # points, so a separable margin takes 384 * (9 + 9) = 6,912 axis values
-    # where 31,104 points repeat.
+    # Two depth-1 certificates: both theta sides of the one t0 probe that
+    # the gate clears, which passes. Each of their two refinement levels has
+    # 384 cells of 9 x 9 points, so a separable margin takes
+    # 384 * (9 + 9) = 6,912 axis values where 31,104 points repeat.
     scenario = _ROOT / "scenarios" / "concordance_bump.json"
     assert level_traffic.main(["level_traffic.py", str(scenario)]) == 0
     out = capsys.readouterr().out.splitlines()

@@ -128,6 +128,27 @@ def test_nan_margin_fails_certificate(batched):
     assert cert.to_dict()["nonfinite"] == {"count": 1, "first": [0.5]}
 
 
+@pytest.mark.parametrize("batched", [False, True])
+def test_a_margin_equal_to_the_threshold_fails(batched):
+    # The certificate is for min f > threshold: a minimum of exactly 0.25
+    # at x = 0 fails a threshold of 0.25, and a search probe's scan stops at
+    # that coarse level; the double below 0.25 passes.
+    def f(x):
+        return 0.25 + x * x
+
+    def f_batched(level):
+        return f(level.points[:, 0])
+
+    margin, grid = (f_batched if batched else f), GridSpec.line(-1, 1, 101, depth=2)
+    cert = grid_min(margin, grid, threshold=0.25, batched=batched)
+    assert cert.min_margin == 0.25 and not cert.passed
+    stopped = grid_min(margin, grid, threshold=0.25, batched=batched,
+                       stop_at_failure=True)
+    assert not stopped.passed and len(stopped.refinement_trace) == 1
+    assert grid_min(margin, grid, threshold=math.nextafter(0.25, 0.0),
+                    batched=batched).passed
+
+
 def test_nan_at_first_point_serializes():
     from riccicert.cli import canonical_json
 
