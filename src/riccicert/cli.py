@@ -80,7 +80,9 @@ def _searched(certify, value, search):
     ``certify(x, True)`` stops at its first failing certificate through
     :func:`_refuse`, so only complete, passing probes are kept. When no
     crossing is found, the SearchError names why each end of the bracket
-    failed: its PreconditionError or its first failing certificate."""
+    failed: its PreconditionError or its first failing certificate. A
+    ScenarioError (a grid past the scan-point budget) is no failed probe:
+    it ends the search."""
     if value is not None:
         return value, certify(value, False)
     probed, failed = {}, {}
@@ -88,6 +90,8 @@ def _searched(certify, value, search):
     def passes(x):
         try:
             probed[x] = certify(x, True)
+        except ScenarioError:
+            raise
         except (PreconditionError, _ProbeFailed) as exc:
             failed[x] = str(exc)
             return False

@@ -802,61 +802,69 @@ def concordance_search(path: RoundRadiusPath, nu: float, *, t_count: int = 160,
             f"fails at theta -> 0 (n = {n}, C = {C:.3e}, r0 = {r0:.3e})")
     theta0 = bisect_param(split_ok, 1e-9, 0.5 * math.pi - 1e-9, tol=1e-6)
 
-    # Both end margins and a cheap Ricci gate of every doubling, as arrays,
-    # before any certificate runs. The gate is the least over 33 u in
+    # The doublings come in chunks of 40, each taken only when the search
+    # reaches it: both end margins of the chunk as arrays, then a cheap
+    # Ricci gate where both hold. The gate is the least over 33 u in
     # [ell, 2 ell] of the bound's exact minimum over theta in [0, pi/2]:
     # with phi = 2 theta the bound is c + A cos phi - b_mixed sin phi, where
     # c and A are the half sum and half difference of b_time and b_space,
     # and b_mixed > 0 puts the minimum c - sqrt(A^2 + b_mixed^2) inside the
-    # range. Chunks of 40 doublings keep the temporaries small.
-    t0s = [4.0 * 2.0**i for i in range(_MAX_DOUBLINGS)]
-    ells = np.array([math.log(t) for t in t0s])
-    margins_t0 = nu - r1 * (1.0 + 2.0 * (L + C) / ells)
-    margins_t1 = 1.0 + (L - C) / (2.0 * ells)
-    gates = []
-    for chunk in np.split(ells, range(40, _MAX_DOUBLINGS, 40)):
+    # range. A gate row depends on its own doubling alone, so it has the
+    # same bits in any chunk. The chunk's doublings that clear all three are
+    # certified in order. The trace holds one row per doubling reached: t0,
+    # both end margins, and the gate (None where an end margin failed), so
+    # an exhausted search has computed and traces every row.
+    trace = []
+    for start in range(0, _MAX_DOUBLINGS, 40):
+        t0s = [4.0 * 2.0**i for i in range(start, min(start + 40, _MAX_DOUBLINGS))]
+        ells = np.array([math.log(t) for t in t0s])
+        margins_t0 = nu - r1 * (1.0 + 2.0 * (L + C) / ells)
+        margins_t1 = 1.0 + (L - C) / (2.0 * ells)
+        ends = (margins_t0 > threshold) & (margins_t1 > threshold)
+        gated = ells[ends]
         b_time, b_mixed, b_space = u_factors(
-            np.linspace(chunk, 2.0 * chunk, 33, axis=-1), ell_terms(chunk[:, None]))
+            np.linspace(gated, 2.0 * gated, 33, axis=-1), ell_terms(gated[:, None]))
         half_diff = 0.5 * (b_time - b_space)
-        gates.append(np.min(0.5 * (b_time + b_space)
-                            - np.sqrt(half_diff * half_diff + b_mixed * b_mixed), axis=1))
-    gates = np.concatenate(gates)
-    cleared = (margins_t0 > threshold) & (margins_t1 > threshold) & (gates > threshold)
-    for i in np.flatnonzero(cleared).tolist():
-        t0, ell = t0s[i], float(ells[i])
-        certs = {}
-        # A doubling stops at its first failing certificate, and that
-        # certificate at its first failing scan level: a failing doubling's
-        # certificates are discarded.
-        for side, th_lo, th_hi in (("below", 0.0, theta0),
-                                   ("above", theta0, 0.5 * math.pi)):
-            certs[f"ricci_theta_{side}"] = grid_min(
-                lambda level, k=ell_terms(ell): bound(
-                    theta_factors(level.mesh[0]),
-                    u_factors(level.mesh[1], k)).reshape(-1),
-                GridSpec.box([(th_lo, th_hi, theta_count), (ell, 2.0 * ell, t_count)],
-                             depth=cert_depth),
-                threshold=threshold, quantity_id=f"ricci_bound_theta_{side}_t2norm",
-                batched=True, stop_at_failure=True)
-            if not certs[f"ricci_theta_{side}"].passed:
-                break
-        else:
-            params = ConcordanceParams(t0=t0, t1=t0 * t0, r0=r0, r1=r1,
-                                       nu=nu, C=C)
-            certs["path_ricci"] = path_cert
-            boundary = {
-                "t0_end_margin": float(margins_t0[i]),
-                "t0_end_requirement": "principal curvatures > -nu after scaling",
-                "t1_end_margin": float(margins_t1[i]),
-                "t1_end_requirement": "principal curvatures > 0 (t^2-normalized)",
-                "theta0": theta0,
-            }
-            return params, certs, boundary
-    # One row per doubling: t0, both end margins, and the gate (None where
-    # an end margin failed first).
-    trace = [(t0, m0, m1, gate if m0 > threshold and m1 > threshold else None)
-             for t0, m0, m1, gate in zip(t0s, margins_t0.tolist(),
-                                         margins_t1.tolist(), gates.tolist())]
+        gates = np.zeros(len(t0s))
+        gates[ends] = np.min(0.5 * (b_time + b_space)
+                             - np.sqrt(half_diff * half_diff + b_mixed * b_mixed), axis=1)
+        rows = [(t0, m0, m1, gate if end else None)
+                for t0, m0, m1, gate, end in zip(t0s, margins_t0.tolist(),
+                                                 margins_t1.tolist(), gates.tolist(),
+                                                 ends.tolist())]
+        trace += rows
+        for t0, margin_t0, margin_t1, gate in rows:
+            if gate is None or not gate > threshold:
+                continue
+            ell = math.log(t0)
+            certs = {}
+            # A doubling stops at its first failing certificate, and that
+            # certificate at its first failing scan level: a failing doubling's
+            # certificates are discarded.
+            for side, th_lo, th_hi in (("below", 0.0, theta0),
+                                       ("above", theta0, 0.5 * math.pi)):
+                certs[f"ricci_theta_{side}"] = grid_min(
+                    lambda level, k=ell_terms(ell): bound(
+                        theta_factors(level.mesh[0]),
+                        u_factors(level.mesh[1], k)).reshape(-1),
+                    GridSpec.box([(th_lo, th_hi, theta_count), (ell, 2.0 * ell, t_count)],
+                                 depth=cert_depth),
+                    threshold=threshold, quantity_id=f"ricci_bound_theta_{side}_t2norm",
+                    batched=True, stop_at_failure=True)
+                if not certs[f"ricci_theta_{side}"].passed:
+                    break
+            else:
+                params = ConcordanceParams(t0=t0, t1=t0 * t0, r0=r0, r1=r1,
+                                           nu=nu, C=C)
+                certs["path_ricci"] = path_cert
+                boundary = {
+                    "t0_end_margin": margin_t0,
+                    "t0_end_requirement": "principal curvatures > -nu after scaling",
+                    "t1_end_margin": margin_t1,
+                    "t1_end_requirement": "principal curvatures > 0 (t^2-normalized)",
+                    "theta0": theta0,
+                }
+                return params, certs, boundary
     _, margin_t0, margin_t1, gate = trace[-1]
     failed = ("an end margin" if gate is None
               else "the coarse Ricci gate" if not gate > threshold

@@ -10,13 +10,20 @@ import numpy as np
 # count is refused before anything is allocated.
 MAX_COUNT = int(np.iinfo(np.intp).max)
 
+# The most points one scan level or one sample count may hold, far below
+# MAX_COUNT: 10**7 points is over 300 times the largest level any shipped
+# scenario or benchmark seed scans (a concordance refinement level of
+# 31,104 points). A grid or count past it raises ScenarioError up front.
+MAX_SCAN_POINTS = 10_000_000
+
 
 class PreconditionError(ValueError):
     """An operation was invoked on inputs violating its stated preconditions."""
 
 
 class ScenarioError(PreconditionError):
-    """Malformed scenario: unknown or missing key, wrong type or shape."""
+    """Malformed scenario: unknown or missing key, wrong type or shape, or
+    a grid or count past ``MAX_SCAN_POINTS``."""
 
 
 class DomainError(PreconditionError):
@@ -104,12 +111,15 @@ def integer(v) -> int:
 
 
 def positive_int(v) -> int:
-    """``integer(v)`` of a count from 1 to ``MAX_COUNT``."""
+    """``integer(v)`` of a count from 1 to ``MAX_SCAN_POINTS``."""
     count = integer(v)
     if count < 1:
         raise TypeError(f"expected a positive integer, got {v!r}")
     if count > MAX_COUNT:
         raise TypeError(f"expected a count up to {MAX_COUNT}, got {v!r}")
+    if count > MAX_SCAN_POINTS:
+        raise TypeError(f"{count} points exceed the budget of "
+                        f"{MAX_SCAN_POINTS} scan points")
     return count
 
 

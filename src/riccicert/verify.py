@@ -29,7 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MAX_COUNT, EvaluationError, PreconditionError, SearchError
+from .errors import (MAX_COUNT, MAX_SCAN_POINTS, EvaluationError, PreconditionError,
+                     ScenarioError, SearchError)
 
 __all__ = ["GridSpec", "Level", "PositivityCertificate", "grid_min",
            "bisect_param", "blockwise"]
@@ -242,6 +243,26 @@ def _lowest(values: np.ndarray, n: int) -> np.ndarray:
     return candidates[np.argsort(values[candidates], kind="stable")[:n]]
 
 
+def _check_scan_budget(grid: GridSpec):
+    """Refuse ``grid`` with a ScenarioError, before any of its levels is
+    built, if one of them would hold more than MAX_SCAN_POINTS points. The
+    coarse level is the product of the axis counts, and each refinement
+    level re-samples the cells of the lowest 5% of the level before at
+    ``2 * factor + 1`` points per axis, as :func:`grid_min` does."""
+    level = largest = math.prod(count for _, _, count in grid.axes)
+    for _ in range(grid.depth):
+        if largest > MAX_SCAN_POINTS:
+            break
+        level = (max(1, math.ceil(0.05 * level))
+                 * (2 * grid.factor + 1) ** len(grid.axes))
+        largest = max(largest, level)
+    if largest > MAX_SCAN_POINTS:
+        raise ScenarioError(
+            f"grid {[c for _, _, c in grid.axes]} at depth {grid.depth}, factor "
+            f"{grid.factor}: a scan level of {largest} points exceeds the "
+            f"budget of {MAX_SCAN_POINTS} scan points")
+
+
 def grid_min(f, grid: GridSpec, threshold: float = 1e-6,
              quantity_id: str = "margin", batched: bool = False,
              stop_at_failure: bool = False) -> PositivityCertificate:
@@ -265,8 +286,10 @@ def grid_min(f, grid: GridSpec, threshold: float = 1e-6,
     from the level's mesh by :meth:`Level.coords`. With
     ``stop_at_failure`` the scan stops after the first level at which the
     certificate has failed, which no deeper level can undo; its grid then
-    records the depth reached, so it describes the points scanned.
+    records the depth reached, so it describes the points scanned. A grid
+    with a level past MAX_SCAN_POINTS raises ScenarioError before any scan.
     """
+    _check_scan_budget(grid)
     lo = np.array([a for a, _, _ in grid.axes])
     hi = np.array([b for _, b, _ in grid.axes])
     steps = np.array([(b - a) / (count - 1) for a, b, count in grid.axes])

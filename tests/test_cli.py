@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from riccicert import cli
 from riccicert import constructions as cons
 from riccicert.cli import canonical_json, main, run_scenario
-from riccicert.errors import SearchError
+from riccicert.errors import MAX_SCAN_POINTS, SearchError
 from riccicert.jetcurve import Cos, Jet3Curve, Poly
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -569,6 +569,47 @@ def test_sample_counts_above_array_size_exit_two(tmp_path, name, key):
     assert report["error"] == {"kind": "scenario", "message": (
         f"scenario key {key!r}: expected a count up to "
         f"{np.iinfo(np.intp).max}, got 1e+300")}
+
+
+@pytest.mark.parametrize("name, key", [
+    ("curvature_round_sphere.json", "samples"),
+    ("concordance_bump.json", "schedule_samples"),
+])
+def test_sample_counts_above_the_scan_budget_exit_two(tmp_path, name, key):
+    code, report = run_scenario({**load(name), key: MAX_SCAN_POINTS + 1},
+                                tmp_path)
+    assert code == 2
+    assert report["error"] == {"kind": "scenario", "message": (
+        f"scenario key {key!r}: {MAX_SCAN_POINTS + 1} points exceed the "
+        f"budget of {MAX_SCAN_POINTS} scan points")}
+
+
+def test_a_grid_count_above_the_scan_budget_exits_two(tmp_path):
+    # A count of 10**9 asked numpy for 7.45 GiB and exited 4 (MemoryError).
+    scenario = load("curvature_round_sphere.json")
+    scenario["grid"] = {**scenario["grid"], "count": MAX_SCAN_POINTS + 1}
+    code, report = run_scenario(scenario, tmp_path)
+    assert code == 2
+    assert report["error"] == {"kind": "scenario", "message": (
+        f"grid [{MAX_SCAN_POINTS + 1}] at depth 0, factor 4: a scan level of "
+        f"{MAX_SCAN_POINTS + 1} points exceeds the budget of "
+        f"{MAX_SCAN_POINTS} scan points")}
+    assert not any(tmp_path.iterdir())
+
+
+def test_a_search_probe_past_the_scan_budget_ends_the_search(tmp_path):
+    # 64 x 100,001 coarse points are within the budget, and so is the first
+    # refinement level (320,004 cells of 25 points); the second (400,005
+    # cells) is not; with 100,000 it would be exactly 10**7 points, within
+    # the budget. The nu search's probe at 1e-4 reaches the stage-1
+    # certificate and does not swallow the refusal as a failed probe.
+    scenario = load("isotopy.json")
+    scenario["grid"] = {**scenario["grid"], "s_count": 100_001}
+    code, report = run_scenario(scenario, tmp_path)
+    assert code == 2
+    assert report["error"]["message"] == (
+        f"grid [64, 100001] at depth 2, factor 2: a scan level of 10000125 "
+        f"points exceeds the budget of {MAX_SCAN_POINTS} scan points")
 
 
 @pytest.mark.parametrize("key, message", [

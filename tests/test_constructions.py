@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import warnings
@@ -685,6 +686,45 @@ def test_coarse_gate_is_bitwise_the_meshgrid_gate(monkeypatch, amplitude,
         # is never above the sampled one.
         assert abs(gate - concordance_gate(ell, **consts)) <= 1e-12
         assert gate <= concordance_meshgrid_gate(ell, **consts)
+
+
+def test_exhausted_search_report_bytes_are_pinned(tmp_path):
+    # All 400 doublings of amplitude 0.3 fail, so its exit-3 report holds
+    # every row's end margins and gate. The digest was taken before the
+    # gate was computed chunk by chunk as the search reaches it.
+    from riccicert.cli import canonical_json, run_scenario
+
+    scenario = {"command": "concordance", "nu": 0.05,
+                "path": {"type": "round_bump", "amplitude": 0.3, "base": 1.0, "n": 3}}
+    code, report = run_scenario(scenario, tmp_path)
+    assert code == 3
+    assert len(report["error"]["trace"]) == 400
+    assert hashlib.sha256(canonical_json(report).encode()).hexdigest() == (
+        "2dc88c574f30fc5d7ee67cbea60500a5ff80fe71ee4bb2d6ba19d0d83f87b4ff")
+
+
+def test_shipped_search_gates_only_the_chunks_it_reaches(monkeypatch):
+    # The shipped search certifies doubling 104, in the third chunk of 40,
+    # so no later chunk is gated (all 400 doublings were, at first). Each
+    # chunk gates its rows with one linspace along the last axis.
+    gated = []
+
+    class NumpySpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def linspace(self, *args, **kw):
+            out = np.linspace(*args, **kw)
+            if kw.get("axis") == -1:
+                gated.append(out.shape[0])
+            return out
+
+    monkeypatch.setattr(cons, "np", NumpySpy())
+    params, certs, _ = concordance_search(bump_path(), nu=0.05)
+    assert params.t0 == 4.0 * 2.0**104
+    assert all(cert.passed for cert in certs.values())
+    assert len(gated) == 3
+    assert sum(gated) <= 120
 
 
 def test_concordance_scaled_slices(profile=None):

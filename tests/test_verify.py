@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import cell_points, coarse_points
-from riccicert.errors import EvaluationError, PreconditionError, SearchError
-from riccicert.verify import GridSpec, Level, _lowest, bisect_param, grid_min
+from riccicert.errors import (MAX_SCAN_POINTS, EvaluationError, PreconditionError,
+                              ScenarioError, SearchError)
+from riccicert.verify import (GridSpec, Level, _check_scan_budget, _lowest,
+                              bisect_param, grid_min)
 
 
 def test_quadratic_minimum_at_interior():
@@ -475,6 +477,60 @@ def test_grid_depth_stops_at_float64_resolution(factor, deepest):
     for depth in (deepest + 1, 10**400):
         with pytest.raises(PreconditionError, match=f"<= {deepest} with"):
             GridSpec(((0.0, 1.0, 4),), depth, factor)
+
+
+def level_sizes(counts, depth, factor):
+    """Points of each scan level: the product of the counts, then per
+    refinement depth ceil(5%) of the level before times a cell of
+    (2 factor + 1)**dims points."""
+    sizes = [math.prod(counts)]
+    for _ in range(depth):
+        sizes.append(-(-sizes[-1] // 20) * (2 * factor + 1) ** len(counts))
+    return sizes
+
+
+def test_level_sizes_are_what_grid_min_scans():
+    scanned = []
+
+    def margin(level):
+        scanned.append(level.shape[0])
+        return np.ones(level.shape[0])
+
+    for counts, depth, factor in [((30, 20), 3, 2), ((101,), 4, 4),
+                                  ((7, 9, 5), 2, 3)]:
+        scanned.clear()
+        grid = GridSpec.box([(0.0, 1.0, c) for c in counts], depth, factor)
+        grid_min(margin, grid, batched=True)
+        assert scanned == level_sizes(counts, depth, factor)
+
+
+@pytest.mark.parametrize("counts, depth, factor", [
+    ((None,), 0, 4),          # the coarse level
+    ((64, None), 2, 2),       # isotopy's shape: the second refinement level
+    ((None, 160), 1, 4),      # concordance's shape: the refinement level
+])
+def test_a_level_just_over_the_scan_budget_is_refused_before_any_scan(
+        counts, depth, factor):
+    def largest(free):
+        return max(level_sizes([free if c is None else c for c in counts],
+                               depth, factor))
+
+    # The least free count whose largest level is over the budget.
+    lo, hi = 2, MAX_SCAN_POINTS + 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (mid + 1, hi) if largest(mid) <= MAX_SCAN_POINTS else (lo, mid)
+    axes = [[(0.0, 1.0, lo - 1 if c is None else c) for c in counts],
+            [(0.0, 1.0, lo if c is None else c) for c in counts]]
+    _check_scan_budget(GridSpec.box(axes[0], depth, factor))
+
+    def margin(level):
+        raise AssertionError("a level was scanned")
+
+    with pytest.raises(ScenarioError, match=(
+            f"a scan level of {largest(lo)} points exceeds the budget of "
+            f"{MAX_SCAN_POINTS} scan points")):
+        grid_min(margin, GridSpec.box(axes[1], depth, factor), batched=True)
 
 
 def test_bisect_threshold_from_both_sides():
