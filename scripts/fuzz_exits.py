@@ -7,7 +7,9 @@ Usage: python3 scripts/fuzz_exits.py [--budget SECONDS] [--scenario NAME]
 The numeric leaves of each shipped scenario (``scenarios/*.json``, or only
 NAME) are walked in a fixed order: object keys sorted, list entries in
 order. A float leaf is scaled by each of ``FACTORS``; an integer leaf is
-set to each of 0, -1, 1, 2 and v + 1 that differs from v, never scaled up.
+set to each of 0, -1, 1, 2, v + 1 and ``MAX_SCAN_POINTS + 1`` that differs
+from v: every count past the scan budget is refused before any scan level
+is built, so no such value may allocate.
 Each case runs through ``cli.run_scenario`` into a fresh temporary
 directory. That returns exits 0 to 3; an exception that escapes it is what
 ``riccicert`` reports as exit 4.
@@ -39,6 +41,9 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from riccicert.errors import MAX_SCAN_POINTS  # noqa: E402
 
 FACTORS = (0.0, -1.0, 1e-8, 1e-3, 0.5, 0.9, 1.1, 1.5, 1.9, 3.0, 10.0, 1e3, 1e8)
 CAP = 2 * 1024**3
@@ -60,7 +65,7 @@ def leaves(obj, path=()):
 def new_values(v):
     """The values a leaf holding ``v`` is set to, without repeats or ``v``."""
     if isinstance(v, int):
-        values = (0, -1, 1, 2, v + 1)
+        values = (0, -1, 1, 2, v + 1, MAX_SCAN_POINTS + 1)
     else:
         values = tuple(v * f for f in FACTORS)
     return [x for x in dict.fromkeys(values) if x != v]
@@ -141,7 +146,6 @@ def main(argv=None, runner=None):
             parser.error(f"no shipped scenario {names[0]}")
 
     if runner is None:
-        sys.path.insert(0, str(ROOT / "src"))
         from riccicert.cli import run_scenario as runner
 
     start, ran, left, bad = time.monotonic(), 0, 0, 0

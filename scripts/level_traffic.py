@@ -61,7 +61,7 @@ def traffic(scenario: Path):
         label["level"] = 0
         return grid_min(f, grid, *args, **kw)
 
-    def counted(f, level, batched):
+    def counted(f, level):
         count, mesh = level.shape[0], level.mesh
         points = level.coords(np.arange(count))
         table = math.prod(len(np.unique(x)) for x in mesh)
@@ -72,7 +72,7 @@ def traffic(scenario: Path):
                      table, _route(label["qid"], len(mesh), table, count),
                      len(mesh[0]), len(np.unique(corners, axis=0))))
         label["level"] += 1
-        return evaluate(f, level, batched)
+        return evaluate(f, level)
 
     # grid_min is imported by name into the modules that certify.
     owners = [m for name, m in sys.modules.items()

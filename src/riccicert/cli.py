@@ -14,10 +14,12 @@ sorted, and no timestamps are included.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -153,7 +155,10 @@ _SPLIT = 134217729.0  # 2**27 + 1: Dekker's splitter
 _ASCII = 0x3030303030303030
 _E8, _E16, _E17 = 10 ** 8, 10 ** 16, 10 ** 17
 _NO_DOT = 18  # dot position meaning "no dot"
-_X0 = 330  # table row of the decimal exponent X is X + _X0
+# Fast cells lie in [1e-280, 1e280], where log10 gives |X| <= 280, and its
+# decade and the carry corrections move X by one: every decimal exponent X
+# met has |X| <= 281, and its table row is X + _X0.
+_X0 = 281
 
 
 def _pow10(p: int):
@@ -173,69 +178,48 @@ def _byte_words(mask: int):
     return [0] + [(mask >> 64 * w) & 0xFFFFFFFFFFFFFFFF for w in range(3)]
 
 
-class _DecimalTables:
-    """Per-exponent constants of ``_format_cells``, built on first use:
+@functools.cache
+def _tables():
+    """Constants of ``_format_cells``, built once, on first use. Per row X:
     10**(16 - X) split for Dekker's product, and the lead ``0.000`` of
-    fixed form, the ``e±XX`` tail of exponent form and the dot position of
-    each X; plus the digit-field masks per (significant digits, dot)."""
-
-    def __init__(self):
-        self.lo = self.hi = None
-
-    def _build(self):
-        rows = 2 * _X0 + 1
-        self.scale = np.zeros((4, rows))  # hi, hi's split halves, lo
-        self.lead, self.tail, self.dot_at = np.zeros((3, rows), np.int64)
-        keep_d, keep_s, dot = [], [], []
-        for sig in range(18):
-            for at in range(_NO_DOT + 1):
-                # Digits kept: the significant ones and, in fixed form, the
-                # integer part's zeros; a dot only before a kept digit.
-                keep = sig if at == _NO_DOT else max(sig, at)
-                k = at if sig > at else _NO_DOT
-                keep_d.append(_byte_words((1 << 8 * min(k, keep)) - 1))
-                keep_s.append(_byte_words((1 << 8 * (keep + 1)) - (1 << 8 * (k + 1))
-                                          if k < keep else 0))
-                dot.append(_byte_words(0x2E << 8 * k if k < _NO_DOT else 0))
-        self.keep_d, self.keep_s, self.dot = (np.array(t, np.uint64)
-                                              for t in (keep_d, keep_s, dot))
-        self.lo, self.hi = _X0 + 1, _X0  # the rows filled: none yet
-
-    def ensure(self, rows):
-        """Fill every row from two below ``rows.min()`` to two above its
-        max, so that a decade or carry correction stays inside the table."""
-        if self.lo is None:
-            self._build()
-        lo = min(int(rows.min()) - 2, self.lo)
-        hi = max(int(rows.max()) + 2, self.hi)
-        if lo == self.lo and hi == self.hi:
-            return
-        for r in range(lo, hi + 1):
-            if self.lo <= r <= self.hi:
-                continue
-            x = r - _X0
-            hi_p, lo_p = _pow10(16 - x)
-            c = _SPLIT * hi_p
-            h = c - (c - hi_p)
-            self.scale[:, r] = hi_p, h, hi_p - h, lo_p
-            if 0 <= x < 17:
-                self.dot_at[r] = x + 1
-            elif -4 <= x < 0:
-                self.lead[r] = int.from_bytes(b"0.000"[:1 - x], "little") << 24
-                self.dot_at[r] = _NO_DOT
-            else:
-                self.tail[r] = int.from_bytes(b"e%+03d" % x, "little") << 16
-                self.dot_at[r] = 1
-        self.lo, self.hi = lo, hi
+    fixed form, the ``e±XX`` tail of exponent form and the dot position;
+    per (significant digits, dot): the digit-field masks."""
+    rows = 2 * _X0 + 1
+    t = SimpleNamespace(scale=np.zeros((4, rows)))  # hi, hi's split halves, lo
+    t.lead, t.tail, t.dot_at = np.zeros((3, rows), np.int64)
+    for r in range(rows):
+        x = r - _X0
+        hi_p, lo_p = _pow10(16 - x)
+        c = _SPLIT * hi_p
+        h = c - (c - hi_p)
+        t.scale[:, r] = hi_p, h, hi_p - h, lo_p
+        if 0 <= x < 17:
+            t.dot_at[r] = x + 1
+        elif -4 <= x < 0:
+            t.lead[r] = int.from_bytes(b"0.000"[:1 - x], "little") << 24
+            t.dot_at[r] = _NO_DOT
+        else:
+            t.tail[r] = int.from_bytes(b"e%+03d" % x, "little") << 16
+            t.dot_at[r] = 1
+    keep_d, keep_s, dot = [], [], []
+    for sig in range(18):
+        for at in range(_NO_DOT + 1):
+            # Digits kept: the significant ones and, in fixed form, the
+            # integer part's zeros; a dot only before a kept digit.
+            keep = sig if at == _NO_DOT else max(sig, at)
+            k = at if sig > at else _NO_DOT
+            keep_d.append(_byte_words((1 << 8 * min(k, keep)) - 1))
+            keep_s.append(_byte_words((1 << 8 * (keep + 1)) - (1 << 8 * (k + 1))
+                                      if k < keep else 0))
+            dot.append(_byte_words(0x2E << 8 * k if k < _NO_DOT else 0))
+    t.keep_d, t.keep_s, t.dot = (np.array(m, np.uint64) for m in (keep_d, keep_s, dot))
+    return t
 
 
-_TABLES = _DecimalTables()
-
-
-def _scaled(a, rows):
+def _scaled(a, rows, scale):
     """``a * 10**(16 - X)`` as (integer part, fraction): Dekker's exact
     product with the table's hi, plus ``a * lo``; the error is about 1e-14."""
-    hi, hh, hl, lo = (t.take(rows) for t in _TABLES.scale)
+    hi, hh, hl, lo = (t.take(rows) for t in scale)
     c = a * _SPLIT
     ah = c - (c - a)
     al = a - ah
@@ -263,7 +247,7 @@ def _format_cells(v, seps) -> bytes:
     product; a cell whose fraction lies within 1e-6 of 1/2, whose
     magnitude lies outside [1e-280, 1e280] or that is not finite is
     formatted by Python's ``%.17g`` instead."""
-    t = _TABLES
+    t = _tables()
     n = len(v)
     a = np.abs(v)
     fast = a >= 1e-280
@@ -271,14 +255,13 @@ def _format_cells(v, seps) -> bytes:
     a = np.where(fast, a, 1.0)
     rows = np.floor(np.log10(a)).astype(np.intp)
     rows += _X0
-    t.ensure(rows)
-    i, f = _scaled(a, rows)
+    i, f = _scaled(a, rows, t.scale)
     # log10 can land one decade off next to a power of ten.
     off = (i - _E16).view(np.uint64) >= _E17 - _E16
     if off.any():
         w = np.flatnonzero(off)
         rows[w] += np.where(i[w] < _E16, -1, 1)
-        i[w], f[w] = _scaled(a[w], rows[w])
+        i[w], f[w] = _scaled(a[w], rows[w], t.scale)
     i += f > 0.5
     f -= 0.5
     fast &= np.abs(f) > 1e-6

@@ -44,7 +44,8 @@ from .jetcurve import (
     constant,
 )
 from .spline import hermite_quintic, two_stage_smooth
-from .verify import GridSpec, PositivityCertificate, bisect_param, grid_min
+from .verify import (GridSpec, PositivityCertificate, _check_scan_budget, bisect_param,
+                     grid_min)
 from .warped import WarpedMetricPath, closure_defect
 
 __all__ = [
@@ -726,7 +727,8 @@ def concordance_search(path: RoundRadiusPath, nu: float, *, t_count: int = 160,
     where the time-coefficient inequality still dominates the mixed term;
     SearchError if there is none) and the boundary principal-curvature
     margins hold: > -nu at the scaled t0 end, > 0 at t1 = t0^2. Returns
-    (params, certificates, boundary margins).
+    (params, certificates, boundary margins). Certificate grids past the
+    scan budget raise ScenarioError before the first doubling.
 
     All bounds are the Gamma/alpha/beta curvature-bound expressions of the
     cylinder, multiplied by t^2 so margins are O(1); the
@@ -736,6 +738,10 @@ def concordance_search(path: RoundRadiusPath, nu: float, *, t_count: int = 160,
         raise PreconditionError(f"unsupported path type {type(path).__name__}")
     if not 0.0 < nu < 1.0:
         raise PreconditionError(f"nu must lie in (0, 1), got {nu!r}")
+    # Every doubling certifies theta_count x t_count grids at cert_depth:
+    # one past the scan budget is refused before any of them is reached.
+    _check_scan_budget(GridSpec.box([(0.0, 1.0, theta_count), (0.0, 1.0, t_count)],
+                                    depth=cert_depth))
     n = path.n
     path_grid = GridSpec.line(0.0, 1.0, 257)
 

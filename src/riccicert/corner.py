@@ -174,14 +174,9 @@ class CornerChart:
             raise DomainError(
                 f"face graph exits chart: phi({bad[0]!r}) = {bad[1]!r} not in [{b_lo!r}, {b_hi!r}]"
             )
-        # H on the grid a x b, from each factor's values on its own axis:
-        # the products BiWarp.bijet forms at every point, summed in its order.
+        # H on the grid a x b: each factor's jets on its own axis, broadcast.
         b = np.linspace(b_lo, b_hi, _CHART_SAMPLES)
-        fas, gbs = zip(*self.H.terms)
-        H = 0.0
-        for jf, jg in zip(jets(fas, a), jets(gbs, b)):
-            H += np.multiply.outer(jf.value, jg.value)
-        bad = _first(~(H > 0.0), a[:, None], b)
+        bad = _first(~(self.H.bijet(a[:, None], b).value > 0.0), a[:, None], b)
         if bad:
             raise PreconditionError(f"H <= 0 at (a={bad[0]!r}, b={bad[1]!r})")
 

@@ -16,10 +16,11 @@ reads them (a one-axis level's points are a view of its axis), and
 ``grid_min`` reads the few coordinates it reports or refines around from
 the mesh. A curvature kernel inside a margin runs on at most ``_BLOCK``
 points at a time, through :func:`blockwise` or in table tiles, which
-bounds its temporaries. The scalar form, one point per call, remains for
-external callers; grids are fixed up front and the min is
-order-independent, so both forms give identical certificates. Any
-non-finite margin fails the certificate.
+bounds its temporaries. A scalar margin, one point per call, is made a
+batched one at ``grid_min``'s entry, so every level takes one evaluation
+path; grids are fixed up front and the min is order-independent, so both
+forms give identical certificates. Any non-finite margin fails the
+certificate.
 """
 
 from __future__ import annotations
@@ -188,21 +189,17 @@ class Level:
                          for x, i in zip(self.mesh, at)], axis=-1)
 
 
-def _call(f, pt, batched: bool) -> float:
+def _call(f, pt) -> float:
     try:
-        if batched:
-            return float(f(Level.of_points(pt[None, :]))[0])
-        return float(f(*pt))
+        return float(f(Level.of_points(pt[None, :]))[0])
     except Exception as exc:  # noqa: BLE001 - context added, then re-raised
         raise EvaluationError(
             f"margin function failed at {tuple(pt)!r}: {exc}", coords=tuple(pt)
         ) from exc
 
 
-def _evaluate(f, level: Level, batched: bool) -> np.ndarray:
+def _evaluate(f, level: Level) -> np.ndarray:
     count = level.shape[0]
-    if not batched:
-        return np.array([_call(f, pt, False) for pt in level.points])
     try:
         result = f(level)
     except Exception:  # noqa: BLE001 - re-raised for the failing point
@@ -215,7 +212,7 @@ def _evaluate(f, level: Level, batched: bool) -> np.ndarray:
                 f(block)
             except Exception:  # noqa: BLE001 - narrowed to its point
                 for pt in block.points:
-                    _call(f, pt, True)
+                    _call(f, pt)
         raise
     if np.shape(result) != (count,):
         raise ValueError(
@@ -277,19 +274,26 @@ def grid_min(f, grid: GridSpec, threshold: float = 1e-6,
     Bounding its temporaries is the margin's own job (see
     :func:`blockwise`). When a level fails, it is re-run on blocks and then
     single points, each as a :meth:`Level.of_points` level of one-point
-    boxes, so the error names the first failing point in scan order. The
-    scalar form ``f(*point) -> float``, called once per grid point, remains
-    for external callers. After the coarse scan, the cells holding the
-    bottom 5% of margins are re-sampled ``grid.factor`` times finer,
-    ``grid.depth`` times over, at ``2 * grid.factor + 1`` points per axis;
-    the argmin, the first non-finite point and the cell centers are read
-    from the level's mesh by :meth:`Level.coords`. With
-    ``stop_at_failure`` the scan stops after the first level at which the
-    certificate has failed, which no deeper level can undo; its grid then
-    records the depth reached, so it describes the points scanned. A grid
-    with a level past MAX_SCAN_POINTS raises ScenarioError before any scan.
+    boxes, so the error names the first failing point in scan order. A
+    scalar margin ``f(*point) -> float`` (``batched`` false) is wrapped, on
+    entry, as a batched margin that calls it once per point of the level;
+    it takes the same evaluation and narrowing path. After the coarse scan,
+    the cells holding the bottom 5% of margins are re-sampled
+    ``grid.factor`` times finer, ``grid.depth`` times over, at
+    ``2 * grid.factor + 1`` points per axis; the argmin, the first
+    non-finite point and the cell centers are read from the level's mesh by
+    :meth:`Level.coords`. With ``stop_at_failure`` the scan stops after the
+    first level at which the certificate has failed, which no deeper level
+    can undo; its grid then records the depth reached, so it describes the
+    points scanned. A grid with a level past MAX_SCAN_POINTS raises
+    ScenarioError before any scan.
     """
     _check_scan_budget(grid)
+    if not batched:
+        scalar = f
+
+        def f(level):
+            return np.array([float(scalar(*pt)) for pt in level.points])
     lo = np.array([a for a, _, _ in grid.axes])
     hi = np.array([b for _, b, _ in grid.axes])
     steps = np.array([(b - a) / (count - 1) for a, b, count in grid.axes])
@@ -309,7 +313,7 @@ def grid_min(f, grid: GridSpec, threshold: float = 1e-6,
             a = np.where(same, np.maximum(lo, a - 1e-15), a)
             b = np.where(same, np.minimum(hi, b + 1e-15), b)
             level = Level.of_boxes(a, b, (2 * grid.factor + 1,) * len(grid.axes))
-        values = _evaluate(f, level, batched)
+        values = _evaluate(f, level)
         finite = np.isfinite(values)
         if not finite.all():
             if not bad_count:

@@ -612,6 +612,29 @@ def test_a_search_probe_past_the_scan_budget_ends_the_search(tmp_path):
         f"points exceeds the budget of {MAX_SCAN_POINTS} scan points")
 
 
+@pytest.mark.parametrize("key, value, level", [
+    ("t_count", 1e8, 4_800_000_000),
+    ("theta_count", 1e8, 16_000_000_000),
+    ("cert_depth", 9, 33_911_541),
+])
+@pytest.mark.parametrize("amplitude", [0.1, 0.3])
+def test_concordance_refuses_an_over_budget_grid_before_any_doubling(
+        tmp_path, key, value, level, amplitude):
+    # At amplitude 0.3 no doubling clears the coarse Ricci gate, so a grid
+    # checked only when a doubling is certified let the search exhaust
+    # (exit 3); at 0.1 the first gated doubling refused it (exit 2).
+    scenario = load("concordance_bump.json")
+    scenario["path"]["amplitude"] = amplitude
+    scenario[key] = value
+    counts = {"theta_count": 48, "t_count": 160, "cert_depth": 1, key: int(value)}
+    code, report = run_scenario(scenario, tmp_path)
+    assert code == 2
+    assert report["error"] == {"kind": "scenario", "message": (
+        f"grid [{counts['theta_count']}, {counts['t_count']}] at depth "
+        f"{counts['cert_depth']}, factor 4: a scan level of {level} points "
+        f"exceeds the budget of {MAX_SCAN_POINTS} scan points")}
+
+
 @pytest.mark.parametrize("key, message", [
     ("count", "axis counts must be in [2, "),
     ("depth", "refinement depth must be <= 27 with factor 4"),

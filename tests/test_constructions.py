@@ -1171,7 +1171,7 @@ def test_path_table_refuses_a_vanishing_warping_off_the_level_points():
     with pytest.raises(DomainError, match=message):
         margin(Level.of_points(pts))
     with pytest.raises(DomainError, match=message):
-        _evaluate(margin, Level.of_points(pts), True)
+        _evaluate(margin, Level.of_points(pts))
 
 
 @settings(max_examples=25, deadline=None)
@@ -1217,7 +1217,7 @@ def test_path_margin_error_names_the_first_failing_point_in_scan_order(
     pts = np.array([[0.5, 1.0], [0.5, T + 1.0], [0.0, 0.2], [0.0, -1.0],
                     [0.5, T + 1.0], [0.5, 1.0], [0.0, -1.0]])
     with pytest.raises(EvaluationError) as err:
-        _evaluate(_path_margin(path), Level.of_points(pts), True)
+        _evaluate(_path_margin(path), Level.of_points(pts))
     assert err.value.coords == (0.5, T + 1.0)
 
 
@@ -1233,9 +1233,9 @@ def test_concordance_doubling_stops_at_its_first_failing_level(monkeypatch):
     levels, calls = [], []
     evaluate = verify._evaluate
 
-    def counted(f, level, batched):
+    def counted(f, level):
         levels.append(level.shape[0])
-        return evaluate(f, level, batched)
+        return evaluate(f, level)
 
     def spy(f, grid, **kw):
         calls.append((kw["quantity_id"], grid.axes[-1][0]))

@@ -4,6 +4,8 @@ import os
 import time
 from pathlib import Path
 
+from riccicert.errors import MAX_SCAN_POINTS
+
 _ROOT = Path(__file__).resolve().parent.parent
 _SPEC = importlib.util.spec_from_file_location("fuzz_exits",
                                                _ROOT / "scripts" / "fuzz_exits.py")
@@ -19,7 +21,7 @@ def test_leaves_are_walked_in_a_fixed_order_and_set_to_the_fixed_values():
     scenario = {"b": [1.5, {"z": 2, "a": True}], "a": {"c": 0.0, "s": "x"}}
     assert list(fuzz_exits.leaves(scenario)) == [
         (("a", "c"), 0.0), (("b", 0), 1.5), (("b", 1, "z"), 2)]
-    assert fuzz_exits.new_values(2) == [0, -1, 1, 3]
+    assert fuzz_exits.new_values(2) == [0, -1, 1, 3, MAX_SCAN_POINTS + 1]
     assert fuzz_exits.new_values(0.0) == []
     assert fuzz_exits.new_values(1.0) == list(fuzz_exits.FACTORS)
     assert {0.5, 3.0} <= set(fuzz_exits.FACTORS)

@@ -234,6 +234,41 @@ def test_evaluation_error_carries_coordinates():
     assert err.value.coords is not None
 
 
+_COARSE_X = np.linspace(0, 1, 11)
+
+
+@pytest.mark.parametrize("grid, fails, margin, first", [
+    (GridSpec.line(0, 1, 11), lambda x: x > 0.5, lambda x: 1.0,
+     (_COARSE_X[6],)),
+    # No coarse point fails; the one refined cell, around x = 0.3, is
+    # sampled at 9 points on [0.2, 0.4], and 0.325 fails first.
+    (GridSpec.line(0, 1, 11, depth=1), lambda x: 0.31 < x < 0.4,
+     lambda x: (x - 0.33) ** 2,
+     (np.linspace(_COARSE_X[3] - 0.1, _COARSE_X[3] + 0.1, 9)[5],)),
+    (GridSpec.box([(0, 1, 11), (0, 2, 5)]), lambda x, y: x > 0.5 and y > 1.0,
+     lambda x, y: 1.0, (_COARSE_X[6], 1.5)),
+    # The first refined cell is around (0.3, 1.0): x on [0.2, 0.4], y on
+    # [0.5, 1.5], 9 points each, x slowest.
+    (GridSpec.box([(0, 1, 11), (0, 2, 5)], depth=1),
+     lambda x, y: 0.31 < x < 0.4 and 0.5 < y < 1.0,
+     lambda x, y: (x - 0.33) ** 2 + (y - 0.8) ** 2,
+     (np.linspace(_COARSE_X[3] - 0.1, _COARSE_X[3] + 0.1, 9)[5],
+      np.linspace(0.5, 1.5, 9)[1])),
+], ids=["1d-coarse", "1d-refine", "2d-coarse", "2d-refine"])
+def test_scalar_evaluation_error_names_first_failing_point(grid, fails, margin,
+                                                           first):
+    def f(*pt):
+        if fails(*pt):
+            raise ValueError("boom")
+        return margin(*pt)
+
+    with pytest.raises(EvaluationError) as err:
+        grid_min(f, grid)
+    assert err.value.coords == first
+    assert str(err.value) == (
+        f"margin function failed at {tuple(np.array(first))!r}: boom")
+
+
 def test_batched_evaluation_error_names_first_failing_point():
     def f(level):
         if (level.points[:, 0] > 0.5).any():
