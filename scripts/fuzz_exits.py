@@ -14,12 +14,18 @@ Each case runs through ``cli.run_scenario`` into a fresh temporary
 directory. That returns exits 0 to 3; an exception that escapes it is what
 ``riccicert`` reports as exit 4.
 
+The leaf walk edits decoded JSON, so it cannot reach the file boundary. So
+the sweep of ``FILES``, the curvature scenario, also runs four files made
+from it that cannot be read or decoded (:func:`malformed_files`). Each is
+written to a temporary file whose path runs through ``cli.run_scenario``,
+as ``riccicert FILE`` runs it.
+
 Cases that may allocate run in a forked child, one at a time, under an
 address-space cap of ``CAP`` bytes (``resource.setrlimit`` in the child)
 and a timeout of ``TIMEOUT`` seconds: every integer leaf (counts, depths,
-refinement factors, dimensions), and every leaf of a glue-corner scenario,
-whose grid count follows from eps and its search bracket. The rest run in
-this process.
+refinement factors, dimensions), every leaf of a glue-corner scenario,
+whose grid count follows from eps and its search bracket, and every file
+case. The rest run in this process.
 
 Prints one row per case that exits 4 or times out (scenario, leaf, value,
 exception class and message), then a count line. With ``--budget`` no case
@@ -46,6 +52,7 @@ sys.path.insert(0, str(ROOT / "src"))
 from riccicert.errors import MAX_SCAN_POINTS  # noqa: E402
 
 FACTORS = (0.0, -1.0, 1e-8, 1e-3, 0.5, 0.9, 1.1, 1.5, 1.9, 3.0, 10.0, 1e3, 1e8)
+FILES = "curvature_round_sphere.json"
 CAP = 2 * 1024**3
 TIMEOUT = 120.0
 
@@ -71,10 +78,34 @@ def new_values(v):
     return [x for x in dict.fromkeys(values) if x != v]
 
 
+def malformed_files(scenario):
+    """``(label, bytes)`` of each file made from the curvature ``scenario``:
+    its text with a byte that is not UTF-8, with ``m`` an integer literal
+    past Python's 4,300-digit limit or a list nested 100,000 deep, and with
+    ``k``'s first piece wrapped in 700 ``scale`` nodes."""
+    text = json.dumps({**scenario, "m": 0}).encode()
+    fn = scenario["k"]["pieces"][0]["fn"]
+    for _ in range(700):
+        fn = {"kind": "scale", "factor": 1.0, "arg": fn}
+    wrapped = copy.deepcopy(scenario)
+    wrapped["k"]["pieces"][0]["fn"] = fn
+    return [
+        ("not UTF-8", text.replace(b'"curvature"', b'"curvature\xff"')),
+        ("4301-digit integer", text.replace(b'"m": 0', b'"m": ' + b"1" * 4301)),
+        ("list nested 100000 deep",
+         text.replace(b'"m": 0', b'"m": ' + b"[" * 100_000 + b"]" * 100_000)),
+        ("k in 700 scale nodes", json.dumps(wrapped).encode()),
+    ]
+
+
 def cases(names):
-    """``(scenario name, leaf path, value, edited scenario)`` of every case."""
+    """``(scenario name, leaf path, value, edited scenario)`` of every case;
+    a file case is ``(name, ("file",), label, bytes)``."""
     for name in names:
         scenario = json.loads((ROOT / "scenarios" / name).read_text())
+        if name == FILES:
+            for label, data in malformed_files(scenario):
+                yield name, ("file",), label, data
         for path, v in leaves(scenario):
             for value in new_values(v):
                 edited = copy.deepcopy(scenario)
@@ -154,7 +185,12 @@ def main(argv=None, runner=None):
             left += 1
             continue
         ran += 1
-        if may_allocate(scenario, value):
+        if isinstance(scenario, bytes):
+            with tempfile.TemporaryDirectory() as tmp:
+                file = Path(tmp) / "scenario.json"
+                file.write_bytes(scenario)
+                result = run_in_child(runner, str(file))
+        elif may_allocate(scenario, value):
             result = run_in_child(runner, scenario)
         else:
             result = run_case(runner, scenario)

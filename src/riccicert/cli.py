@@ -640,7 +640,9 @@ def run_scenario(scenario, out_dir, threads: int = 1, grid_depth=None,
         if not isinstance(scenario, dict):
             try:
                 scenario = json.loads(Path(scenario).read_text())
-            except (json.JSONDecodeError, OSError) as exc:
+            except (OSError, ValueError, RecursionError) as exc:
+                # Unreadable, not UTF-8, not JSON, an integer literal past
+                # Python's digit limit, or nested past the recursion limit.
                 raise ScenarioError(str(exc)) from exc
         if not isinstance(scenario, dict):
             raise ScenarioError("scenario must be a JSON object")
@@ -649,8 +651,11 @@ def run_scenario(scenario, out_dir, threads: int = 1, grid_depth=None,
             raise ScenarioError(
                 f"unknown command {name!r}; choose from {sorted(COMMANDS)}")
         fn, fields = COMMANDS[name]
-        params = decode({k: v for k, v in scenario.items() if k != "command"},
-                        fields, "scenario")
+        try:
+            params = decode({k: v for k, v in scenario.items() if k != "command"},
+                            fields, "scenario")
+        except RecursionError as exc:
+            raise ScenarioError(f"scenario nested too deeply: {exc}") from None
         results = fn(params, ctx)
     except ScenarioError as exc:
         report = {"error": {"kind": "scenario", "message": str(exc)}}

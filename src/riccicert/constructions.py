@@ -44,8 +44,7 @@ from .jetcurve import (
     constant,
 )
 from .spline import hermite_quintic, two_stage_smooth
-from .verify import (GridSpec, PositivityCertificate, _check_scan_budget, bisect_param,
-                     grid_min)
+from .verify import GridSpec, PositivityCertificate, bisect_param, grid_min
 from .warped import WarpedMetricPath, closure_defect
 
 __all__ = [
@@ -739,9 +738,8 @@ def concordance_search(path: RoundRadiusPath, nu: float, *, t_count: int = 160,
     if not 0.0 < nu < 1.0:
         raise PreconditionError(f"nu must lie in (0, 1), got {nu!r}")
     # Every doubling certifies theta_count x t_count grids at cert_depth:
-    # one past the scan budget is refused before any of them is reached.
-    _check_scan_budget(GridSpec.box([(0.0, 1.0, theta_count), (0.0, 1.0, t_count)],
-                                    depth=cert_depth))
+    # building one refuses a grid past the scan budget before any doubling.
+    GridSpec.box([(0.0, 1.0, theta_count), (0.0, 1.0, t_count)], depth=cert_depth)
     n = path.n
     path_grid = GridSpec.line(0.0, 1.0, 257)
 
@@ -908,8 +906,10 @@ def _sin_z(theta0: float, theta_r: float, r: float):
     return math.sin(theta0) * math.sin(r) / sin_t1, sin_t1
 
 
-def solve_geodesic_triangle(r: float, tilt: float = 1e-4,
-                            tol: float = 1e-13) -> TriangleSolution:
+_TRIANGLE_TOL = 1e-13  # bracket width at which the triangle bisection stops
+
+
+def solve_geodesic_triangle(r: float, tilt: float = 1e-4) -> TriangleSolution:
     """Angles (theta0, theta_r) with sin z = sin 2r, plus the base x1.
 
     The pair is found by bisecting along the path
@@ -937,7 +937,7 @@ def solve_geodesic_triangle(r: float, tilt: float = 1e-4,
             f"no bracket for the triangle solve at r={r!r}: "
             f"f({lo})={f_lo!r}, f({hi})={f_hi!r}"
         )
-    tau = bisect_param(lambda t: residual(t) < 0.0, lo, hi, tol)
+    tau = bisect_param(lambda t: residual(t) < 0.0, lo, hi, _TRIANGLE_TOL)
     theta0, theta_r = angles(tau)
     sin_z, sin_t1 = _sin_z(theta0, theta_r, r)
     x1 = math.asin(min(1.0, math.sin(theta_r) * math.sin(r) / sin_t1))

@@ -4,16 +4,10 @@ against a table of its fields, so malformed input raises ScenarioError."""
 
 import math
 
-import numpy as np
-
-# The largest count numpy can size an array axis by: a larger sample or grid
-# count is refused before anything is allocated.
-MAX_COUNT = int(np.iinfo(np.intp).max)
-
-# The most points one scan level or one sample count may hold, far below
-# MAX_COUNT: 10**7 points is over 300 times the largest level any shipped
-# scenario or benchmark seed scans (a concordance refinement level of
-# 31,104 points). A grid or count past it raises ScenarioError up front.
+# The most points one scan level or one sample count may hold: 10**7 points
+# is over 300 times the largest level any shipped scenario or benchmark
+# seed scans (a concordance refinement level of 31,104 points). A grid or
+# count past it raises ScenarioError up front.
 MAX_SCAN_POINTS = 10_000_000
 
 
@@ -115,8 +109,6 @@ def positive_int(v) -> int:
     count = integer(v)
     if count < 1:
         raise TypeError(f"expected a positive integer, got {v!r}")
-    if count > MAX_COUNT:
-        raise TypeError(f"expected a count up to {MAX_COUNT}, got {v!r}")
     if count > MAX_SCAN_POINTS:
         raise TypeError(f"{count} points exceed the budget of "
                         f"{MAX_SCAN_POINTS} scan points")

@@ -30,8 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (MAX_COUNT, MAX_SCAN_POINTS, EvaluationError, PreconditionError,
-                     ScenarioError, SearchError)
+from .errors import (MAX_SCAN_POINTS, EvaluationError, PreconditionError, ScenarioError,
+                     SearchError)
 
 __all__ = ["GridSpec", "Level", "PositivityCertificate", "grid_min",
            "bisect_param", "blockwise"]
@@ -41,9 +41,18 @@ __all__ = ["GridSpec", "Level", "PositivityCertificate", "grid_min",
 _BLOCK = 4096
 
 
+def _cells(n: int) -> int:
+    """Cells refined after a scan level of ``n`` points: the lowest 5%."""
+    return max(1, math.ceil(0.05 * n))
+
+
 @dataclass(frozen=True)
 class GridSpec:
-    """Axes are ``(lo, hi, count)`` triples; refinement re-grids the worst cells."""
+    """Axes are ``(lo, hi, count)`` triples; refinement re-grids the worst cells.
+
+    A grid with a scan level (see :func:`grid_min`) past MAX_SCAN_POINTS
+    points raises ScenarioError, so every GridSpec can be scanned.
+    """
 
     axes: tuple
     depth: int = 0
@@ -55,16 +64,12 @@ class GridSpec:
         for lo, hi, count in self.axes:
             if not (lo < hi):
                 raise PreconditionError(f"axis bounds out of order: ({lo!r}, {hi!r})")
-            if not 2 <= count <= MAX_COUNT:
-                raise PreconditionError(f"axis counts must be in [2, {MAX_COUNT}]")
+            if count < 2:
+                raise PreconditionError("axis counts must be >= 2")
         if self.depth < 0:
             raise PreconditionError("refinement depth must be >= 0")
         if self.factor < 2:
             raise PreconditionError("refinement factor must be >= 2")
-        if 2 * self.factor + 1 > MAX_COUNT:
-            raise PreconditionError(
-                f"refinement factor must be <= {(MAX_COUNT - 1) // 2}: a refined "
-                "cell is sampled at 2 * factor + 1 points per axis")
         # Level d's cells are factor**(d - 1) times finer than the coarse
         # step; past 2**52 they only re-sample the same float64 points.
         # Compared as logarithms, so no power of a huge depth is built.
@@ -73,6 +78,17 @@ class GridSpec:
             raise PreconditionError(
                 f"refinement depth must be <= {deepest} with factor {self.factor}: "
                 "deeper levels re-sample the same float64 points")
+        # Checked after the depth bound, which keeps this loop short.
+        level = math.prod(count for _, _, count in self.axes)
+        for _ in range(self.depth):
+            if level > MAX_SCAN_POINTS:
+                break
+            level = _cells(level) * (2 * self.factor + 1) ** len(self.axes)
+        if level > MAX_SCAN_POINTS:
+            raise ScenarioError(
+                f"grid {[c for _, _, c in self.axes]} at depth {self.depth}, factor "
+                f"{self.factor}: a scan level of {level} points exceeds the "
+                f"budget of {MAX_SCAN_POINTS} scan points")
 
     @staticmethod
     def line(lo: float, hi: float, count: int, depth: int = 0, factor: int = 4) -> "GridSpec":
@@ -240,26 +256,6 @@ def _lowest(values: np.ndarray, n: int) -> np.ndarray:
     return candidates[np.argsort(values[candidates], kind="stable")[:n]]
 
 
-def _check_scan_budget(grid: GridSpec):
-    """Refuse ``grid`` with a ScenarioError, before any of its levels is
-    built, if one of them would hold more than MAX_SCAN_POINTS points. The
-    coarse level is the product of the axis counts, and each refinement
-    level re-samples the cells of the lowest 5% of the level before at
-    ``2 * factor + 1`` points per axis, as :func:`grid_min` does."""
-    level = largest = math.prod(count for _, _, count in grid.axes)
-    for _ in range(grid.depth):
-        if largest > MAX_SCAN_POINTS:
-            break
-        level = (max(1, math.ceil(0.05 * level))
-                 * (2 * grid.factor + 1) ** len(grid.axes))
-        largest = max(largest, level)
-    if largest > MAX_SCAN_POINTS:
-        raise ScenarioError(
-            f"grid {[c for _, _, c in grid.axes]} at depth {grid.depth}, factor "
-            f"{grid.factor}: a scan level of {largest} points exceeds the "
-            f"budget of {MAX_SCAN_POINTS} scan points")
-
-
 def grid_min(f, grid: GridSpec, threshold: float = 1e-6,
              quantity_id: str = "margin", batched: bool = False,
              stop_at_failure: bool = False) -> PositivityCertificate:
@@ -285,10 +281,8 @@ def grid_min(f, grid: GridSpec, threshold: float = 1e-6,
     :meth:`Level.coords`. With ``stop_at_failure`` the scan stops after the
     first level at which the certificate has failed, which no deeper level
     can undo; its grid then records the depth reached, so it describes the
-    points scanned. A grid with a level past MAX_SCAN_POINTS raises
-    ScenarioError before any scan.
+    points scanned.
     """
-    _check_scan_budget(grid)
     if not batched:
         scalar = f
 
@@ -304,8 +298,7 @@ def grid_min(f, grid: GridSpec, threshold: float = 1e-6,
             level = Level.of_boxes(lo[None], hi[None],
                                    tuple(c for _, _, c in grid.axes))
         else:
-            n_refine = max(1, math.ceil(0.05 * len(values)))
-            centers = level.coords(_lowest(values, n_refine))
+            centers = level.coords(_lowest(values, _cells(len(values))))
             half = steps / grid.factor**(depth - 1)
             a = np.maximum(lo, centers - half)
             b = np.minimum(hi, centers + half)

@@ -564,11 +564,12 @@ def test_sample_counts_below_one_exit_two(tmp_path, name, key, count):
     ("concordance_bump.json", "schedule_samples"),
 ])
 def test_sample_counts_above_array_size_exit_two(tmp_path, name, key):
+    # Past numpy's array size is past the scan budget too: one rule refuses.
     code, report = run_scenario({**load(name), key: 1e300}, tmp_path)
     assert code == 2
     assert report["error"] == {"kind": "scenario", "message": (
-        f"scenario key {key!r}: expected a count up to "
-        f"{np.iinfo(np.intp).max}, got 1e+300")}
+        f"scenario key {key!r}: {int(1e300)} points exceed the "
+        f"budget of {MAX_SCAN_POINTS} scan points")}
 
 
 @pytest.mark.parametrize("name, key", [
@@ -584,17 +585,35 @@ def test_sample_counts_above_the_scan_budget_exit_two(tmp_path, name, key):
         f"budget of {MAX_SCAN_POINTS} scan points")}
 
 
-def test_a_grid_count_above_the_scan_budget_exits_two(tmp_path):
-    # A count of 10**9 asked numpy for 7.45 GiB and exited 4 (MemoryError).
+def _assert_over_budget(tmp_path, grid, level):
     scenario = load("curvature_round_sphere.json")
-    scenario["grid"] = {**scenario["grid"], "count": MAX_SCAN_POINTS + 1}
+    grid = {"factor": 4, **scenario["grid"], **grid}
+    scenario["grid"] = grid
     code, report = run_scenario(scenario, tmp_path)
     assert code == 2
     assert report["error"] == {"kind": "scenario", "message": (
-        f"grid [{MAX_SCAN_POINTS + 1}] at depth 0, factor 4: a scan level of "
-        f"{MAX_SCAN_POINTS + 1} points exceeds the budget of "
-        f"{MAX_SCAN_POINTS} scan points")}
+        f"grid [{int(grid['count'])}] at depth {grid['depth']}, factor "
+        f"{int(grid['factor'])}: a scan level of {level} points exceeds "
+        f"the budget of {MAX_SCAN_POINTS} scan points")}
     assert not any(tmp_path.iterdir())
+
+
+def test_a_grid_count_above_the_scan_budget_exits_two(tmp_path):
+    # A count of 10**9 asked numpy for 7.45 GiB and exited 4 (MemoryError).
+    _assert_over_budget(tmp_path, {"count": MAX_SCAN_POINTS + 1},
+                        MAX_SCAN_POINTS + 1)
+
+
+def test_grid_sizes_past_array_size_exit_two(tmp_path):
+    # A count of 1e19 or 1e300 is past numpy's array size, and a factor of
+    # 1e300 refined at depth 1 asked numpy for a 2e300-point linspace: the
+    # scan budget refuses each, with the level it would scan.
+    huge = int(1e300)
+    for grid, level in [
+            ({"count": 1e19}, 10**19),
+            ({"count": 1e300}, huge),
+            ({"count": 100, "depth": 1, "factor": 1e300}, 5 * (2 * huge + 1))]:
+        _assert_over_budget(tmp_path, grid, level)
 
 
 def test_a_search_probe_past_the_scan_budget_ends_the_search(tmp_path):
@@ -636,7 +655,6 @@ def test_concordance_refuses_an_over_budget_grid_before_any_doubling(
 
 
 @pytest.mark.parametrize("key, message", [
-    ("count", "axis counts must be in [2, "),
     ("depth", "refinement depth must be <= 27 with factor 4"),
 ])
 def test_grid_sizes_past_float64_or_array_size_exit_three(tmp_path, key,
@@ -650,14 +668,40 @@ def test_grid_sizes_past_float64_or_array_size_exit_three(tmp_path, key,
 
 
 def test_grid_factor_past_array_size_exits_three(tmp_path, capsys):
-    # Refined at depth 1, such a factor asked numpy for a 2e300-point
-    # linspace and exited 4.
+    # At depth 2 such a factor refines past float64's resolution: the depth
+    # bound refuses it before the scan budget's loop runs.
     scenario = load("curvature_round_sphere.json")
-    scenario["grid"] = {"count": 100, "depth": 1, "factor": 1e300}
+    scenario["grid"] = {"count": 100, "depth": 2, "factor": 1e300}
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(scenario))
     assert main([str(path), "--out", str(tmp_path / "out")]) == 3
-    assert "refinement factor must be <=" in capsys.readouterr().err
+    assert "refinement depth must be <= 1 with factor" in capsys.readouterr().err
+
+
+def _wrapped_in_scales(name, depth):
+    scenario = load(name)
+    fn = scenario["k"]["pieces"][0]["fn"]
+    for _ in range(depth):
+        fn = {"kind": "scale", "factor": 1.0, "arg": fn}
+    scenario["k"]["pieces"][0]["fn"] = fn
+    return json.dumps(scenario).encode()
+
+
+@pytest.mark.parametrize("data", [
+    b'{"command": "curvature\xff"}',
+    b'{"command": "curvature", "m": ' + b"1" * 4301 + b"}",
+    b"[" * 100_000 + b"]" * 100_000,
+    _wrapped_in_scales("curvature_round_sphere.json", 700),
+], ids=["not-utf8", "4301-digit-integer", "list-nested-100000-deep",
+        "k-in-700-scale-nodes"])
+def test_an_unreadable_scenario_file_exits_two(tmp_path, capsys, data):
+    # Each raised out of run_scenario (UnicodeDecodeError, ValueError, and
+    # RecursionError in json.loads or in errors.decode) and exited 4.
+    path = tmp_path / "scenario.json"
+    path.write_bytes(data)
+    assert main([str(path), "--out", str(tmp_path / "out")]) == 2
+    assert '"kind": "scenario"' in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("curve", ["k", "h"])
@@ -755,16 +799,19 @@ def test_concordance_threshold_reaches_every_certificate(tmp_path):
 
 
 def test_internal_error_exits_four(tmp_path, monkeypatch, capsys):
-    def explode(params, ctx):
-        raise RuntimeError("injected")
+    # A RecursionError is a scenario error only while the file is read and
+    # decoded; raised by a command, it is internal.
+    for kind in (RuntimeError, RecursionError):
+        def explode(params, ctx):
+            raise kind("injected")
 
-    _, fields = cli.COMMANDS["triangle"]
-    monkeypatch.setitem(cli.COMMANDS, "triangle", (explode, fields))
-    assert main([str(SCENARIOS / "triangle.json"), "--out", str(tmp_path)]) == 4
-    err = capsys.readouterr().err
-    assert json.loads(err.splitlines()[0]) == {"error": {
-        "kind": "internal", "type": "RuntimeError", "message": "injected"}}
-    assert "Traceback" in err
+        _, fields = cli.COMMANDS["triangle"]
+        monkeypatch.setitem(cli.COMMANDS, "triangle", (explode, fields))
+        assert main([str(SCENARIOS / "triangle.json"), "--out", str(tmp_path)]) == 4
+        err = capsys.readouterr().err
+        assert json.loads(err.splitlines()[0]) == {"error": {
+            "kind": "internal", "type": kind.__name__, "message": "injected"}}
+        assert "Traceback" in err
 
 
 def test_a_curve_with_a_zero_width_last_piece_exits_three(tmp_path):

@@ -51,6 +51,8 @@ def test_an_integer_leaf_runs_in_a_capped_child_with_a_timeout(monkeypatch,
     monkeypatch.setattr(fuzz_exits, "TIMEOUT", 1.0)
 
     def stub(scenario, out_dir):
+        if isinstance(scenario, str):  # a file case
+            return 2, {}
         if scenario["grid"]["depth"] == 1:
             os._exit(7)
         if scenario["m"] == 4:
@@ -67,3 +69,27 @@ def test_an_integer_leaf_runs_in_a_capped_child_with_a_timeout(monkeypatch,
         "curvature_round_sphere.json\tm\t4\tMemoryError: stub",
         "curvature_round_sphere.json\tn\t-1\tTimeout: no exit after 1 s"]
     assert rows[3].endswith(" 3 exit 4 or time out")
+
+
+def test_malformed_files_run_by_path_in_a_capped_child(capsys):
+    # The curvature scenario's file cases reach the runner as paths, in
+    # forked children; this stub only parses them, so three of the four
+    # raise, and the fourth (700 scale nodes) is left to the decoder.
+    parent = os.getpid()
+
+    def stub(scenario, out_dir):
+        if not isinstance(scenario, str):
+            return 0, {}
+        assert os.getpid() != parent
+        json.loads(Path(scenario).read_text())
+        return 2, {}
+
+    assert fuzz_exits.main(["--scenario", "curvature_round_sphere"],
+                           runner=stub) == 1
+    rows = [row.split("\t") for row in capsys.readouterr().out.splitlines()]
+    assert [row[:3] + [row[3].split(":")[0]] for row in rows[:-1]] == [
+        ["curvature_round_sphere.json", "file", "'not UTF-8'", "UnicodeDecodeError"],
+        ["curvature_round_sphere.json", "file", "'4301-digit integer'", "ValueError"],
+        ["curvature_round_sphere.json", "file", "'list nested 100000 deep'",
+         "RecursionError"]]
+    assert rows[-1][0].endswith(" 3 exit 4 or time out")

@@ -2,13 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from oracles import cell_points, coarse_points
 from riccicert.errors import (MAX_SCAN_POINTS, EvaluationError, PreconditionError,
                               ScenarioError, SearchError)
-from riccicert.verify import (GridSpec, Level, _check_scan_budget, _lowest,
-                              bisect_param, grid_min)
+from riccicert.verify import GridSpec, Level, _lowest, bisect_param, grid_min
 
 
 def test_quadratic_minimum_at_interior():
@@ -495,20 +494,27 @@ def test_grid_spec_validation():
         GridSpec(((0.0, 1.0, 4),), depth=-1)
     with pytest.raises(PreconditionError):
         GridSpec(((0.0, 1.0, 4),), factor=1)
-    with pytest.raises(PreconditionError):
+    with pytest.raises(ScenarioError, match="exceeds the budget"):
         GridSpec.line(0.0, 1.0, np.iinfo(np.intp).max + 1)
-    # A refined cell is sampled at 2 * factor + 1 points per axis.
+    # No refinement reads the factor at depth 0. At depth 1 a refined cell
+    # is sampled at 2 * factor + 1 points per axis, past the scan budget.
     GridSpec.line(0.0, 1.0, 3, factor=np.iinfo(np.intp).max // 2)
-    with pytest.raises(PreconditionError, match="refinement factor must be <="):
-        GridSpec.line(0.0, 1.0, 3, factor=2**62)
+    GridSpec.line(0.0, 1.0, 3, factor=2**62)
+    with pytest.raises(ScenarioError, match="exceeds the budget"):
+        GridSpec.line(0.0, 1.0, 3, depth=1, factor=2**62)
 
 
 @pytest.mark.parametrize("factor, deepest", [(2, 53), (3, 33), (4, 27),
                                              (2**52, 2), (2**53, 1)])
 def test_grid_depth_stops_at_float64_resolution(factor, deepest):
     # (depth - 1) * log2(factor) <= 52: a deeper level's cells would be
-    # finer than 2**-52 of the coarse step.
-    GridSpec(((0.0, 1.0, 4),), deepest, factor)
+    # finer than 2**-52 of the coarse step. With factor 2**52 or 2**53 the
+    # scan budget refuses the deepest level's 2 * factor + 1 points first.
+    if max(level_sizes([4], deepest, factor)) <= MAX_SCAN_POINTS:
+        GridSpec(((0.0, 1.0, 4),), deepest, factor)
+    else:
+        with pytest.raises(ScenarioError, match="exceeds the budget"):
+            GridSpec(((0.0, 1.0, 4),), deepest, factor)
     for depth in (deepest + 1, 10**400):
         with pytest.raises(PreconditionError, match=f"<= {deepest} with"):
             GridSpec(((0.0, 1.0, 4),), depth, factor)
@@ -524,19 +530,32 @@ def level_sizes(counts, depth, factor):
     return sizes
 
 
-def test_level_sizes_are_what_grid_min_scans():
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(2, 5000), min_size=1, max_size=3),
+       st.integers(0, 6), st.integers(2, 40))
+@example([30, 20], 3, 2)
+@example([101], 4, 4)
+@example([7, 9, 5], 2, 3)
+def test_level_sizes_are_what_grid_min_scans(counts, depth, factor):
+    # GridSpec refuses a grid exactly when one of its levels is past the
+    # budget, and grid_min scans an accepted grid's levels at those sizes.
+    sizes = level_sizes(counts, depth, factor)
+    axes = [(0.0, 1.0, c) for c in counts]
+    if max(sizes) > MAX_SCAN_POINTS:
+        with pytest.raises(ScenarioError, match="exceeds the budget"):
+            GridSpec.box(axes, depth, factor)
+        return
+    grid = GridSpec.box(axes, depth, factor)
+    if sum(sizes) > 100_000:
+        return
     scanned = []
 
     def margin(level):
         scanned.append(level.shape[0])
         return np.ones(level.shape[0])
 
-    for counts, depth, factor in [((30, 20), 3, 2), ((101,), 4, 4),
-                                  ((7, 9, 5), 2, 3)]:
-        scanned.clear()
-        grid = GridSpec.box([(0.0, 1.0, c) for c in counts], depth, factor)
-        grid_min(margin, grid, batched=True)
-        assert scanned == level_sizes(counts, depth, factor)
+    grid_min(margin, grid, batched=True)
+    assert scanned == sizes
 
 
 @pytest.mark.parametrize("counts, depth, factor", [
@@ -557,7 +576,7 @@ def test_a_level_just_over_the_scan_budget_is_refused_before_any_scan(
         lo, hi = (mid + 1, hi) if largest(mid) <= MAX_SCAN_POINTS else (lo, mid)
     axes = [[(0.0, 1.0, lo - 1 if c is None else c) for c in counts],
             [(0.0, 1.0, lo if c is None else c) for c in counts]]
-    _check_scan_budget(GridSpec.box(axes[0], depth, factor))
+    GridSpec.box(axes[0], depth, factor)
 
     def margin(level):
         raise AssertionError("a level was scanned")
