@@ -155,9 +155,8 @@ _SPLIT = 134217729.0  # 2**27 + 1: Dekker's splitter
 _ASCII = 0x3030303030303030
 _E8, _E16, _E17 = 10 ** 8, 10 ** 16, 10 ** 17
 _NO_DOT = 18  # dot position meaning "no dot"
-# Fast cells lie in [1e-280, 1e280], where log10 gives |X| <= 280, and its
-# decade and the carry corrections move X by one: every decimal exponent X
-# met has |X| <= 281, and its table row is X + _X0.
+# Fast cells lie in [1e-280, 1e280], where log10 gives |X| <= 280: decimal
+# exponent X has table row X + _X0, with a row of slack at each end.
 _X0 = 281
 
 
@@ -244,7 +243,8 @@ def _format_cells(v, seps) -> bytes:
     Each cell fills a 32-byte slot (separator, sign, lead; 17 digits and a
     dot; tail) whose unused bytes are NUL, and one ``bytes.translate``
     drops them. The 17-digit integer is rounded from a double-double
-    product; a cell whose fraction lies within 1e-6 of 1/2, whose
+    product; a cell whose fraction lies within 1e-6 of 1/2, whose integer
+    lies outside [10**16, 10**17) before or after rounding, whose
     magnitude lies outside [1e-280, 1e280] or that is not finite is
     formatted by Python's ``%.17g`` instead."""
     t = _tables()
@@ -256,19 +256,13 @@ def _format_cells(v, seps) -> bytes:
     rows = np.floor(np.log10(a)).astype(np.intp)
     rows += _X0
     i, f = _scaled(a, rows, t.scale)
-    # log10 can land one decade off next to a power of ten.
-    off = (i - _E16).view(np.uint64) >= _E17 - _E16
-    if off.any():
-        w = np.flatnonzero(off)
-        rows[w] += np.where(i[w] < _E16, -1, 1)
-        i[w], f[w] = _scaled(a[w], rows[w], t.scale)
+    # Next to a power of ten log10 can land one decade off, or rounding can
+    # carry into an 18th digit: both are left to %.17g.
+    fast &= (i - _E16).view(np.uint64) < _E17 - _E16
     i += f > 0.5
     f -= 0.5
     fast &= np.abs(f) > 1e-6
-    carry = i == _E17
-    if carry.any():
-        i[carry] = _E16
-        rows[carry] += 1
+    fast &= i < _E17
     zero = v == 0.0
     if zero.any():
         i[zero] = 0
@@ -339,9 +333,8 @@ def _write_csv(path: Path, header, columns):
     """Write equal-length float ``columns`` under ``header``: comma
     separators, CRLF line ends, no quoting, and cells that are byte for
     byte ``format(float(v), ".17g")``, the bytes of ``csv.writer`` rows
-    (``tests/oracles.py::write_csv_rows``). Cells are formatted in numpy
-    (see :func:`_format_cells`); ties, magnitudes outside [1e-280, 1e280]
-    and non-finite cells fall back to Python's ``%.17g``."""
+    (``tests/oracles.py::write_csv_rows``). Cells are formatted in numpy,
+    and the few that :func:`_format_cells` cannot by Python's ``%.17g``."""
     columns = [np.asarray(c, dtype=float) for c in columns]
     nrows = len(columns[0])
     if len(header) != len(columns) or any(len(c) != nrows for c in columns):
@@ -580,7 +573,7 @@ def _run_concordance(p, ctx):
             "schedule_endpoints": ends, "schedule_residual": worst}
 
 
-@command("triangle", r_values=list_of(number), tilt=(number, 1e-4))
+@command("triangle", r_values=list_of(number, least=1), tilt=(number, 1e-4))
 def _run_triangle(p, ctx):
     solutions = []
     for r in p["r_values"]:
@@ -623,6 +616,15 @@ class _Context:
         self.artifacts.append(name)
 
 
+def _int_literal(literal: str) -> int:
+    """A JSON integer literal of at most 4300 digits, Python's default limit."""
+    digits = len(literal.lstrip("-"))
+    if digits > 4300:
+        raise ScenarioError(f"integer literal of {digits} digits exceeds the limit "
+                            "of 4300 digits")
+    return int(literal)
+
+
 def run_scenario(scenario, out_dir, threads: int = 1, grid_depth=None,
                  emit_json: bool = False):
     """Run one scenario (dict or path); returns (exit_code, report_dict).
@@ -639,10 +641,11 @@ def run_scenario(scenario, out_dir, threads: int = 1, grid_depth=None,
     try:
         if not isinstance(scenario, dict):
             try:
-                scenario = json.loads(Path(scenario).read_text())
+                scenario = json.loads(Path(scenario).read_text(),
+                                      parse_int=_int_literal)
             except (OSError, ValueError, RecursionError) as exc:
                 # Unreadable, not UTF-8, not JSON, an integer literal past
-                # Python's digit limit, or nested past the recursion limit.
+                # the digit limit, or nested past the recursion limit.
                 raise ScenarioError(str(exc)) from exc
         if not isinstance(scenario, dict):
             raise ScenarioError("scenario must be a JSON object")

@@ -121,11 +121,13 @@ def text(v) -> str:
     return v
 
 
-def list_of(convert):
-    """Converter of a JSON list whose entries all convert by ``convert``."""
+def list_of(convert, least=0):
+    """Converter of a JSON list of ``least`` or more entries, each by ``convert``."""
     def conv(v):
         if not isinstance(v, (list, tuple)):
             raise TypeError(f"expected a list, got {v!r}")
+        if len(v) < least:
+            raise TypeError(f"expected {least} or more entries, got {v!r}")
         return tuple(map(convert, v))
     return conv
 

@@ -440,8 +440,8 @@ class Jet3Curve:
                 raise PreconditionError("pieces must be contiguous and ordered")
         kink_map = dict(self.kinks)
         for x, order in self.kinks:
-            if not (lo < x < hi):
-                raise PreconditionError(f"kink {x!r} not interior to the domain")
+            if x not in {p[0] for p in self.pieces[1:]}:
+                raise PreconditionError(f"kink {x!r} is not a breakpoint of the pieces")
             if order not in (1, 2, 3):
                 raise PreconditionError(f"kink order must be 1, 2 or 3, got {order!r}")
         for (a, b, left), (_, c, right) in zip(self.pieces, self.pieces[1:]):
@@ -592,24 +592,28 @@ def jets(curves, x: np.ndarray, side: str | None = None) -> tuple:
     """The jets of each of ``curves`` at the float64 array ``x``, in order.
 
     Points on a kink take the left limit unless ``side`` says otherwise.
-    The curves share one pass: one domain test per distinct domain, one
-    piece lookup per curve, one Horner pass over every point of every
-    ``Poly`` piece, each other piece by its own node on its own points, and
-    one finiteness test of the stacked jets. Each jet has the bits of
-    ``jets((curve,), x, side)``, and a failing bundle is re-run one curve
-    at a time, so it raises what evaluating the curves in order raises
-    first: DomainError naming the first point outside a domain or, after
-    any error of a node, the first point with a non-finite jet.
+    The distinct curves (by identity) share one pass: one domain test per
+    distinct domain, one piece lookup per curve, one Horner pass over every
+    point of every ``Poly`` piece, each other piece by its own node on its
+    own points, and one finiteness test of the stacked jets. Each jet has
+    the bits of ``jets((curve,), x, side)``, and a failing bundle is re-run
+    one distinct curve at a time, so it raises what evaluating the curves
+    in order raises first: DomainError naming the first point outside a
+    domain or, after any error of a node, the first point with a non-finite
+    jet.
     """
     if side not in (None, "left", "right"):
         raise PreconditionError(f"side must be 'left' or 'right', got {side!r}")
+    distinct = {id(c): c for c in curves}
     try:
-        return _jets(curves, x, side)
+        out = _jets(tuple(distinct.values()), x, side)
     except Exception:  # noqa: BLE001 - narrowed to its curve, then re-raised
-        if len(curves) > 1:
-            for curve in curves:
+        if len(distinct) > 1:
+            for curve in distinct.values():
                 _jets((curve,), x, side)
         raise
+    by_id = dict(zip(distinct, out))
+    return tuple(by_id[id(c)] for c in curves)
 
 
 def _jets(curves, x, side):

@@ -273,18 +273,9 @@ class WarpedMetricPath:
             raise DomainError(f"lambda={bad[0]!r} outside {self.lam_range!r}")
         return (lam - a) / (b - a)
 
-    def _level_jets(self, x: np.ndarray):
-        """The jets of k0, k1, h0, h1 at the points ``x``, each distinct
-        curve evaluated once, in one bundle: stage 1 of the isotopy has
-        h0 = h1."""
-        curves = (self.k0, self.k1, self.h0, self.h1)
-        distinct = {id(c): c for c in curves}
-        by_id = dict(zip(distinct, jets(tuple(distinct.values()), x)))
-        return tuple(by_id[id(c)] for c in curves)
-
     def _sample(self, jets, lam, s) -> CurvatureSample:
-        """Curvature at (``lam``, ``s``) from the ``_level_jets`` at ``s``;
-        a ``(rows, 1)`` ``lam`` and a ``(1, cols)`` ``s`` give a table."""
+        """Curvature at (``lam``, ``s``) from the jets of k0, k1, h0, h1 at
+        ``s``; a ``(rows, 1)`` ``lam`` and a ``(1, cols)`` ``s`` give a table."""
         u = self.weight(lam)
         at_start, at_end = _closed_ends(s, self.k0.domain, self.start_kind,
                                         self.end_kind)
@@ -306,7 +297,7 @@ class WarpedMetricPath:
     def sectional(self, lam: float, s: float) -> CurvatureSample:
         """Curvature of the metric at ``lam`` at ``s``; equal-shape float64
         arrays ``lam`` and ``s`` give a sample of arrays, one entry per point."""
-        return self._sample(self._level_jets(s), lam, s)
+        return self._sample(jets((self.k0, self.k1, self.h0, self.h1), s), lam, s)
 
     def min_ricci(self, grid: GridSpec, threshold: float = 1e-6,
                   stop_at_failure: bool = False) -> PositivityCertificate:
@@ -327,30 +318,27 @@ class WarpedMetricPath:
         level whose table would hold more pairs than it has points (one-point
         boxes, as when ``grid_min`` narrows a failing level, or a refinement
         level of scattered cells) is evaluated point by point instead,
-        ``_BLOCK`` points at a time, each block gathering its lambda, s and
-        jets from the level's distinct values. ``stop_at_failure`` is
-        ``grid_min``'s.
+        ``_BLOCK`` points at a time: each block reads its lambda and s by
+        :meth:`Level.coords` and its jets from those at the level's distinct
+        s. ``stop_at_failure`` is ``grid_min``'s.
         """
         def margin(level):
             mesh = level.mesh
             (lams, i), (x, j) = (_index(m.ravel()) for m in mesh)
-            jets = self._level_jets(x)
+            at_x = jets((self.k0, self.k1, self.h0, self.h1), x)
             if len(lams) * len(x) > level.shape[0]:
-                grid = (len(mesh[0]), mesh[0].shape[1], mesh[1].shape[2])
-                rows, cols = i.reshape(grid[0], -1), j.reshape(grid[0], -1)
-
                 def block(flat):
-                    box, r, c = np.unravel_index(flat, grid)
-                    r, c = rows[box, r], cols[box, c]
-                    at = [Jet3(*(v[c] for v in jet.as_tuple())) for jet in jets]
-                    return self._sample(at, lams[r], x[c]).min_ric()
+                    lam, s = level.coords(flat).T
+                    c = np.searchsorted(x, s)
+                    at = [Jet3(*(v[c] for v in jet.as_tuple())) for jet in at_x]
+                    return self._sample(at, lam, s).min_ric()
 
                 return blockwise(block, np.arange(level.shape[0]))
             rows = min(len(lams), _BLOCK)
             cols, table = _BLOCK // rows, np.empty((len(lams), len(x)))
             for c in range(0, len(x), cols):
                 at = [Jet3(*(v[None, c:c + cols] for v in jet.as_tuple()))
-                      for jet in jets]
+                      for jet in at_x]
                 for r in range(0, len(lams), rows):
                     table[r:r + rows, c:c + cols] = self._sample(
                         at, lams[r:r + rows, None], x[None, c:c + cols]).min_ric()

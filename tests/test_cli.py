@@ -654,17 +654,14 @@ def test_concordance_refuses_an_over_budget_grid_before_any_doubling(
         f"exceeds the budget of {MAX_SCAN_POINTS} scan points")}
 
 
-@pytest.mark.parametrize("key, message", [
-    ("depth", "refinement depth must be <= 27 with factor 4"),
-])
-def test_grid_sizes_past_float64_or_array_size_exit_three(tmp_path, key,
-                                                          message):
+def test_grid_depth_past_float64_exits_three(tmp_path):
     scenario = load("curvature_round_sphere.json")
-    scenario["grid"] = {**scenario["grid"], key: 1e300}
+    scenario["grid"] = {**scenario["grid"], "depth": 1e300}
     code, report = run_scenario(scenario, tmp_path)
     assert code == 3
     assert report["error"]["kind"] == "PreconditionError"
-    assert report["error"]["message"].startswith(message)
+    assert report["error"]["message"].startswith(
+        "refinement depth must be <= 27 with factor 4")
 
 
 def test_grid_factor_past_array_size_exits_three(tmp_path, capsys):
@@ -687,20 +684,48 @@ def _wrapped_in_scales(name, depth):
     return json.dumps(scenario).encode()
 
 
-@pytest.mark.parametrize("data", [
-    b'{"command": "curvature\xff"}',
-    b'{"command": "curvature", "m": ' + b"1" * 4301 + b"}",
-    b"[" * 100_000 + b"]" * 100_000,
-    _wrapped_in_scales("curvature_round_sphere.json", 700),
+@pytest.mark.parametrize("data, message", [
+    (b'{"command": "curvature\xff"}', "'utf-8' codec can't decode byte 0xff"),
+    (b'{"command": "curvature", "m": ' + b"1" * 4301 + b"}",
+     "integer literal of 4301 digits exceeds the limit of 4300 digits"),
+    (b"[" * 100_000 + b"]" * 100_000, "maximum recursion depth exceeded"),
+    (_wrapped_in_scales("curvature_round_sphere.json", 700),
+     "scenario nested too deeply"),
 ], ids=["not-utf8", "4301-digit-integer", "list-nested-100000-deep",
         "k-in-700-scale-nodes"])
-def test_an_unreadable_scenario_file_exits_two(tmp_path, capsys, data):
+def test_an_unreadable_scenario_file_exits_two(tmp_path, capsys, data,
+                                               message):
     # Each raised out of run_scenario (UnicodeDecodeError, ValueError, and
-    # RecursionError in json.loads or in errors.decode) and exited 4.
+    # RecursionError in json.loads or in errors.decode) and exited 4. The
+    # over-long integer names the digit limit, not Python's setting of it.
     path = tmp_path / "scenario.json"
     path.write_bytes(data)
     assert main([str(path), "--out", str(tmp_path / "out")]) == 2
-    assert '"kind": "scenario"' in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert '"kind": "scenario"' in err
+    assert message in err
+    assert "set_int_max_str_digits" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_triangle_without_radii_exits_two(tmp_path):
+    # An empty list ran no solve and passed with no checks.
+    code, report = run_scenario({**load("triangle.json"), "r_values": []},
+                                tmp_path)
+    assert code == 2
+    assert report["error"] == {"kind": "scenario", "message": (
+        "scenario key 'r_values': expected 1 or more entries, got []")}
+    assert not any(tmp_path.iterdir())
+
+
+def test_a_kink_off_a_breakpoint_exits_three(tmp_path, capsys):
+    scenario = load("spline_demo.json")
+    scenario["curve"]["kinks"] = [[0.0, 1], [0.5, 1]]
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    assert main([str(path), "--out", str(tmp_path / "out")]) == 3
+    assert ("kink 0.5 is not a breakpoint of the pieces"
+            in capsys.readouterr().err)
     assert not (tmp_path / "out").exists()
 
 

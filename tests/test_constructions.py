@@ -877,15 +877,17 @@ def test_batched_path_margin_on_refinement_cells(profile, target, which):
 def test_path_certificate_evaluates_each_curve_once_per_level(
         profile, target, monkeypatch, which, distinct):
     # Stage 1 shares h0 and h1 (the profile's h); stage 2 has four curves.
-    # Each level evaluates its distinct curves in one bundle.
+    # Each level evaluates its distinct curves in one bundle: jets drops
+    # the repeated curve before the bundle is evaluated.
+    import riccicert.jetcurve as jetcurve
     path = _stage(profile, target, which)
-    bundle, seen = warped.jets, []
+    bundle, seen = jetcurve._jets, []
 
-    def counted(curves, x, side=None):
+    def counted(curves, x, side):
         seen.append(tuple(map(id, curves)))
         return bundle(curves, x, side)
 
-    monkeypatch.setattr(warped, "jets", counted)
+    monkeypatch.setattr(jetcurve, "_jets", counted)
     a, b = path.lam_range
     path.min_ricci(GridSpec.box([(a, b, 9), (0.0, profile.T, 33)],
                                 depth=2, factor=2))
@@ -1095,8 +1097,8 @@ def test_path_point_route_takes_the_level_jets_once(profile, target,
                                                    monkeypatch, which):
     # 300 scattered 5 x 5 cells, 7,500 points in two blocks: their table
     # would hold far more pairs than the level has points, so the margin
-    # takes the point route, with one bundle of jets at the level's
-    # distinct s, and gives path.sectional's bits.
+    # takes the point route, with one jets call at the level's distinct s,
+    # and gives path.sectional's bits.
     from riccicert.verify import _BLOCK
     path = _stage(profile, target, which)
     (a, b), T = path.lam_range, profile.T
@@ -1107,16 +1109,16 @@ def test_path_point_route_takes_the_level_jets_once(profile, target,
                            np.minimum(hi, centers + 0.01), (5, 5))
     points = level.points
     assert len(_table(points)) > len(points) > _BLOCK
-    margin, level_jets, calls = (_path_margin(path),
-                                 WarpedMetricPath._level_jets, [])
+    margin, bundle, calls = _path_margin(path), warped.jets, []
 
-    def counted(self, x):
-        calls.append(len(x))
-        return level_jets(self, x)
+    def counted(curves, x, side=None):
+        calls.append(x)
+        return bundle(curves, x, side)
 
-    monkeypatch.setattr(WarpedMetricPath, "_level_jets", counted)
+    monkeypatch.setattr(warped, "jets", counted)
     values = margin(level)
-    assert calls == [len(np.unique(points[:, 1]))]
+    assert len(calls) == 1
+    assert calls[0].tobytes() == np.unique(points[:, 1]).tobytes()
     assert values.tobytes() == path.sectional(points[:, 0],
                                               points[:, 1]).min_ric().tobytes()
     # The clipped cells once take the point route and twice over the

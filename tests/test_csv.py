@@ -87,15 +87,31 @@ def test_nan_payloads_match_row_oracle(tmp_path):
 
 
 def test_decade_carries_match_row_oracle(tmp_path):
-    # Every power of ten a double reaches and its neighbours: where log10
-    # can land in the wrong decade and where rounding carries to 10**17.
+    # Every power of ten a double reaches and the 60 doubles on each side
+    # of it, and the doubles spelled with 17 nines: where log10 can land
+    # in the wrong decade and where rounding carries to 10**17.
     with np.errstate(over="ignore"):
         p = 10.0 ** np.arange(-323, 309, dtype=float)
-    p = np.concatenate([p, np.nextafter(p, 0.0), np.nextafter(p, np.inf)])
-    p = p[np.isfinite(p) & (p > 0)]
+    bits = p.view(np.int64)[:, None] + np.arange(-60, 61)
+    p = bits[bits > 0].view(np.float64)
+    nines = np.array([float(f"9.9999999999999999e{x}") for x in range(-324, 308)])
+    p = np.concatenate([p[np.isfinite(p)], nines[nines > 0]])
     _column_matches(tmp_path, np.concatenate([p, -p]))
-    k = np.arange(-20, 21, dtype=float)
-    _column_matches(tmp_path, np.nextafter(10.0 ** k, 0.0))
+
+
+@pytest.mark.parametrize("toward", [-np.inf, np.inf])
+def test_a_log10_one_ulp_off_matches_row_oracle(tmp_path, monkeypatch,
+                                                toward):
+    # A log10 one ULP low or high moves the decade of the cells next to a
+    # power of ten, and a low one makes their rounding carry to 10**17:
+    # those cells take %.17g, so the bytes stay.
+    log10 = np.log10
+    monkeypatch.setattr(np, "log10", lambda a: np.nextafter(log10(a), toward))
+    p = 10.0 ** np.arange(-20, 21, dtype=float)
+    bits = p.view(np.int64)[:, None] + np.arange(-3, 4)
+    nines = np.array([float(f"9.9999999999999999e{x}") for x in range(-20, 21)])
+    _column_matches(tmp_path, np.concatenate([bits.view(np.float64).ravel(),
+                                              nines]))
 
 
 def test_exponent_form_column_matches_row_oracle(tmp_path):

@@ -414,7 +414,7 @@ def mixed_curves(draw, domain=_DOMAINS):
     """A curve of Poly, constant, Sin, Cos and Sum pieces on a domain in
     [-1.5, 0.5]. A breakpoint either starts a value-matched new node at a
     marked order-1 kink, or keeps the previous node or its twin (continuous
-    through order 3), marked or not; a kink may also sit inside a piece."""
+    through order 3), marked or not."""
     lo, hi = draw(domain)
     cuts = sorted(set(draw(st.lists(st.floats(lo, hi, exclude_min=True,
                                               exclude_max=True), max_size=5))))
@@ -433,9 +433,6 @@ def mixed_curves(draw, domain=_DOMAINS):
             node = _twin(node, b)
         if draw(st.booleans()):
             kinks.append((b, 1))
-    inner = draw(st.floats(lo, hi, exclude_min=True, exclude_max=True))
-    if inner not in cuts and draw(st.booleans()):
-        kinks.append((inner, 1))
     try:
         return Jet3Curve.piecewise(segments, kinks=sorted(kinks))
     except PreconditionError:
@@ -518,6 +515,48 @@ def test_a_bundle_refuses_a_bad_side_and_names_the_first_failing_curve():
         jets((inner, outer), x)
     with pytest.raises(DomainError, match=r"^non-finite jet at x=nan$"):
         jets((outer, inner), x)
+
+
+def test_a_bundle_evaluates_a_repeated_curve_once(monkeypatch):
+    import riccicert.jetcurve as jetcurve
+    c = Jet3Curve.from_node(Poly((1.0, 2.0, 3.0)), (-1.0, 1.0))
+    d = Jet3Curve.from_node(Sin(1.0), (-1.0, 1.0))
+    x = np.linspace(-1.0, 1.0, 9)
+    bundle, seen = jetcurve._jets, []
+
+    def counted(curves, x, side):
+        seen.append(curves)
+        return bundle(curves, x, side)
+
+    monkeypatch.setattr(jetcurve, "_jets", counted)
+    got = jets((c, c, d), x)
+    assert [tuple(map(id, curves)) for curves in seen] == [(id(c), id(d))]
+    assert got[0] is got[1]
+    for g, curve in zip(got, (c, c, d)):
+        want = np.array(curve.jet(x).as_tuple())
+        assert np.array(g.as_tuple()).tobytes() == want.tobytes()
+    # A failing bundle re-runs its distinct curves in order and raises
+    # the first one's error, as evaluating each position in order does.
+    log = Jet3Curve.from_node(Log(1.0, 1.0, 0.0), (-1.0, 1.0))
+    short = Jet3Curve.from_node(Poly((1.0,)), (-0.5, 0.5))
+    with pytest.raises(DomainError, match=r"^log argument -1\.0 <= 0 at x=-1\.0$"):
+        jets((c, log, log, short), x)
+    with pytest.raises(DomainError, match=r"^x=-1\.0 outside domain \[-0\.5, 0\.5\]$"):
+        jets((short, log, short), x)
+
+
+def test_a_kink_off_a_breakpoint_is_refused():
+    # Such a kink made the two evaluation paths disagree: jet(0.3) asked
+    # for a side, while jet(np.array([0.3])) returned a jet.
+    message = r"^kink 0\.3 is not a breakpoint of the pieces$"
+    with pytest.raises(PreconditionError, match=message):
+        Jet3Curve.piecewise([(0, 1, Poly((0, 1)))], kinks=[(0.3, 1)])
+    with pytest.raises(PreconditionError, match=message):
+        Jet3Curve.piecewise([(0.0, 0.5, Poly((0.0, 1.0))),
+                             (0.5, 1.0, Poly((0.5, 1.0), 0.5))],
+                            kinks=[(0.3, 1), (0.5, 1)])
+    with pytest.raises(PreconditionError, match=r"^kink 0\.0 is not a breakpoint"):
+        Jet3Curve.piecewise([(0.0, 1.0, Poly((0.0, 1.0)))], kinks=[(0.0, 1)])
 
 
 @pytest.mark.parametrize("build", [
