@@ -616,6 +616,7 @@ def test_grid_sizes_past_array_size_exit_two(tmp_path):
         _assert_over_budget(tmp_path, grid, level)
 
 
+@pytest.mark.pin
 def test_a_search_probe_past_the_scan_budget_ends_the_search(tmp_path):
     # 64 x 100,001 coarse points are within the budget, and so is the first
     # refinement level (320,004 cells of 25 points); the second (400,005
@@ -727,18 +728,27 @@ def test_a_kink_off_a_breakpoint_exits_three(tmp_path, capsys):
     assert ("kink 0.5 is not a breakpoint of the pieces"
             in capsys.readouterr().err)
     assert not (tmp_path / "out").exists()
+    # A breakpoint marked twice was checked by its last order (a corner) and
+    # read by its first, and the scenario exited 0.
+    scenario["curve"]["kinks"] = [[0.0, 3], [0.0, 1]]
+    path.write_text(json.dumps(scenario))
+    assert main([str(path), "--out", str(tmp_path / "out")]) == 3
+    assert ("breakpoint 0.0 is marked as a kink twice: orders 3 and 1"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("curve", ["k", "h"])
 def test_a_frequency_whose_cube_overflows_exits_three(tmp_path, capsys, curve):
-    # Sin.jet and Cos.jet take frequency**3 as a float, which raised
-    # OverflowError and exited 4.
+    # Sin.jet and Cos.jet took frequency**3 as a float, which raised
+    # OverflowError and exited 4; the cube is now a product, which gives
+    # +-inf, and the curve refuses the non-finite jet.
     scenario = edit(load("curvature_round_sphere.json"),
                     (curve, "pieces", 0, "fn", "frequency"), 1e300)
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(scenario))
     assert main([str(path), "--out", str(tmp_path / "out")]) == 3
-    assert "node frequency 1e+300: its cube" in capsys.readouterr().err
+    assert "non-finite jet at x=" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("kind", ["recip", "exp_of"])

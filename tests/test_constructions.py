@@ -137,6 +137,7 @@ def test_a_shared_h_half_gives_the_fresh_reports(R, b1):
         assert _synthesis(R, nu, b1, part) == _synthesis(R, nu, b1)
 
 
+@pytest.mark.pin
 def test_isotopy_search_builds_the_h_half_once(tmp_path, monkeypatch):
     from riccicert.cli import run_scenario
     built, make = [], cons.make_profile_h
@@ -896,8 +897,9 @@ def test_path_certificate_evaluates_each_curve_once_per_level(
     assert all(len(set(ids)) == len(ids) == distinct for ids in seen)
 
 
-@pytest.mark.parametrize("name, certificates", [("isotopy.json", 14),
-                                                ("glue_corner.json", 14)])
+@pytest.mark.parametrize("name, certificates", [
+    pytest.param("isotopy.json", 14, marks=pytest.mark.pin),
+    ("glue_corner.json", 14)])
 def test_search_reports_the_winning_probe_without_recomputing(
         tmp_path, monkeypatch, name, certificates):
     # Ten bisection probes; the isotopy probe at nu = 0.2 fails synthesis,

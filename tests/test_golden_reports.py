@@ -13,6 +13,8 @@ import pytest
 
 from riccicert.cli import run_scenario
 
+pytestmark = pytest.mark.pin
+
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 GOLDEN = {

@@ -2,12 +2,16 @@ import hashlib
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 from test_golden_reports import GOLDEN
 
 _PATH = Path(__file__).resolve().parent.parent / "scripts" / "host_variance.py"
 _SPEC = importlib.util.spec_from_file_location("host_variance", _PATH)
 host_variance = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(host_variance)
+
+pytestmark = pytest.mark.pin
 
 
 def test_reports_keep_their_bytes_without_avx512_and_fma(tmp_path):

@@ -83,17 +83,6 @@ def test_piece_mismatch_rejected():
         )
 
 
-@pytest.mark.parametrize("make, field", [
-    (lambda b: Sin(1.0, b), "frequency"),
-    (lambda b: Cos(1.0, b), "frequency"),
-    (lambda b: Log(1.0, b, 1.0), "rate"),
-])
-def test_a_parameter_whose_cube_overflows_is_refused(make, field):
-    make(-5e102)  # cubes to -1.25e308, in range
-    with pytest.raises(PreconditionError, match=f"node {field} -1e\\+103: its cube"):
-        make(-1e103)
-
-
 def test_nan_piece_at_breakpoint_rejected():
     # abs(1.0 - nan) > tol is false, so a plain comparison accepts the join.
     with pytest.raises(PreconditionError, match="breakpoint 0.5"):
@@ -270,16 +259,33 @@ def test_array_jets_match_scalar_jets_to_a_few_ulp(kind):
                                    atol=8 * np.finfo(float).eps * np.max(np.abs(w)))
 
 
-@pytest.mark.parametrize("node, d3", [(Recip(Poly((1.0, 1e120))), -math.inf),
-                                      (ExpOf(Poly((1.0, 1e120))), math.inf)],
-                         ids=["recip", "exp_of"])
-def test_a_float_jet_whose_cube_overflows_is_infinite(node, d3):
-    # u.d1**3 of a float raised OverflowError, where an array gives inf.
+@pytest.mark.parametrize("node, fits, d3", [
+    (Recip(Poly((1.0, 1e120))), None, -math.inf),
+    (ExpOf(Poly((1.0, 1e120))), None, math.inf),
+    (Sin(1.0, -1e103), Sin(1.0, -5e102), math.inf),
+    (Cos(1.0, -1e103), Cos(1.0, -5e102), math.nan),  # -inf * sin(0)
+    # d3 = 2 a b**3 / u**3, which a = 0.25 keeps in range at b = -5e102
+    (Log(1.0, -1e103, 1.0), Log(0.25, -5e102, 1.0), -math.inf),
+], ids=["recip", "exp_of", "sin", "cos", "log"])
+def test_a_float_jet_whose_cube_overflows_is_infinite(node, fits, d3):
+    # Every cube is a product, so one that overflows gives a non-finite d3
+    # on a float as on an array (a float ** 3 raises OverflowError), and the
+    # curve refuses it on both doors; a parameter whose cube is in range
+    # builds and has finite jets.
     jet = node.jet(0.0)
-    assert jet.d3 == d3 and math.isfinite(jet.value)
-    with np.errstate(over="ignore"):
+    assert math.isfinite(jet.value)
+    with np.errstate(over="ignore", invalid="ignore"):
         array = node.jet(np.array([0.0]))
-    assert array.d3.tolist() == [d3]
+    assert np.array_equal([jet.d3, array.d3[0]], [d3, d3], equal_nan=True)
+    curve = Jet3Curve.from_node(node, (-1.0, 0.0))
+    for x in (0.0, np.array([0.0])):
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DomainError, match=r"non-finite jet at x=0\.0"):
+                curve.jet(x)
+    if fits is not None:  # (-5e102)**3 = -1.25e308 is in range
+        curve = Jet3Curve.from_node(fits, (-1.0, 0.0))
+        assert curve.jet(0.0).is_finite()
+        assert np.isfinite(curve.jet(np.linspace(-1.0, 0.0, 9)).as_tuple()).all()
 
 
 @pytest.mark.parametrize("node", [Scale(ExpOf(Poly((709.0, 1.0))), 1e-300)],
@@ -453,6 +459,12 @@ def test_array_jet_matches_per_piece_dispatch_bit_for_bit(data):
     got, want = curve.jet(x, side), jet_per_piece(curve, x, side)
     for g, w in zip(got.as_tuple(), want.as_tuple()):
         assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
+    # The float door finds the same piece; side=None takes the left limit
+    # on a marked kink in an array, where a float must name that side.
+    ref = np.array(want.as_tuple())
+    for n, xn in enumerate(xs):
+        door = "left" if side is None and curve.kink_order(xn) else side
+        assert np.array(curve.jet(xn, door).as_tuple()).tobytes() == ref[:, n].tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -557,6 +569,12 @@ def test_a_kink_off_a_breakpoint_is_refused():
                             kinks=[(0.3, 1), (0.5, 1)])
     with pytest.raises(PreconditionError, match=r"^kink 0\.0 is not a breakpoint"):
         Jet3Curve.piecewise([(0.0, 1.0, Poly((0.0, 1.0)))], kinks=[(0.0, 1)])
+    # A breakpoint marked twice was checked by its last order and read by
+    # its first, so this slope corner built as a kink of order 3.
+    with pytest.raises(PreconditionError, match=r"^breakpoint 0\.0 is marked as a "
+                       r"kink twice: orders 3 and 1$"):
+        Jet3Curve.piecewise([(-1.0, 0.0, Poly((0.0, -1.0))),
+                             (0.0, 1.0, Poly((0.0, 1.0)))], kinks=[(0.0, 3), (0.0, 1)])
 
 
 @pytest.mark.parametrize("build", [
